@@ -360,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True)
     p.set_defaults(handler=_cmd_compare)
 
-    p = sub.add_parser("simulate", help="event-driven staging-tier run")
+    p = sub.add_parser("simulate", help="queueing simulation of the staging tier")
     p.add_argument("--config", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--tick", type=float, required=True)

@@ -13,6 +13,7 @@ flag saying whether the staging tier can absorb the offered load at all.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -139,11 +140,14 @@ def load_config(path: str | os.PathLike) -> tuple[SystemConfig, Workload]:
     if unknown:
         raise ConfigError("config has unknown keys: " + ", ".join(unknown))
 
-    def num(key: str) -> float:
-        v = doc[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number")
-        return int(v) if key in _INT_FIELDS else float(v)
+    def num(v, name: str) -> float:
+        if not isinstance(v, bool) and isinstance(v, (int, float)):
+            try:
+                if math.isfinite(v):
+                    return int(v) if name in _INT_FIELDS else float(v)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        raise ConfigError(f"config key {name!r} must be a finite number")
 
     kernels = doc["kernels"]
     if not isinstance(kernels, list):
@@ -159,16 +163,16 @@ def load_config(path: str | os.PathLike) -> tuple[SystemConfig, Workload]:
         rates.append(
             KernelRate(
                 name=entry["name"],
-                t_ssd_k=float(entry["t_ssd_k"]),
-                t_server_k=float(entry["t_server_k"]),
+                t_ssd_k=num(entry["t_ssd_k"], f"kernels[{i}].t_ssd_k"),
+                t_server_k=num(entry["t_server_k"], f"kernels[{i}].t_server_k"),
             )
         )
 
-    cfg = SystemConfig(**{f: num(f) for f in _CFG_FIELDS})
+    cfg = SystemConfig(**{f: num(doc[f], f) for f in _CFG_FIELDS})
     wl = Workload(
-        lambda_a=num("lambda_a"),
-        lambda_c=num("lambda_c"),
-        alpha=num("alpha"),
+        lambda_a=num(doc["lambda_a"], "lambda_a"),
+        lambda_c=num(doc["lambda_c"], "lambda_c"),
+        alpha=num(doc["alpha"], "alpha"),
         kernels=tuple(rates),
     )
     return cfg, wl

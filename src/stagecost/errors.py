@@ -23,7 +23,15 @@ class InfeasibleUtilization(ToolkitError):
 
 
 class NonPositiveTick(ToolkitError):
-    """The simulator was asked to run with a tick <= 0."""
+    """The simulator was asked to run with a tick <= 0 (or NaN)."""
+
+
+class TickMismatch(ToolkitError, ValueError):
+    """The simulator tick does not divide the run length ``tsim``."""
+
+
+class TooManyTicks(ToolkitError):
+    """The simulator tick would give more ticks than the simulator allows."""
 
 
 class InfeasibleConfig(ToolkitError):

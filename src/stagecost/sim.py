@@ -1,31 +1,38 @@
-"""Event-driven simulation of the SSD staging tier.
+"""Queueing simulation of the SSD staging tier.
 
-The tier is modelled as three work-conserving stations fed by fixed-tick
-data generation:
+The tier is modelled as three FIFO stations with fixed service rates, fed by
+fixed-tick data generation:
 
 * ``ssd_ingest``  - staging node output, rate ``bw_host2ssd``
 * ``ssd_analyze`` - flash -> controller -> memory -> kernel pipeline,
   rate ``1 / (1/bw_fm2c + 1/bw_c2m + 1/t_ssd_k)``
 * ``ssd_drain``   - writing to the PFS at the tier's ``S * bw_pfs / N`` share
 
-Busy seconds are integrated from the event schedule (idle->busy and
-busy->idle transitions), not taken from the closed-form model, which is what
-makes this module a usable cross-check for it.  Energies are exactly
-``p_ssd_busy * busy_seconds``.
+Each station's departures follow Lindley's recursion
+``d_i = max(a_i, d_{i-1}) + mb_i / rate``: ingest serves the ticks, analyze
+the staged analysis data, and drain the checkpoints and analysis output in
+arrival order.  Busy seconds are the sum of each station's service times
+``mb / rate``, counted job by job rather than taken from the closed-form
+model, which is what makes this module a usable cross-check for it.
+Energies are exactly ``p_ssd_busy * busy_seconds``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from . import energy
 from .config import SystemConfig, Workload, validate
-from .errors import InfeasibleConfig, NonPositiveTick
+from .errors import InfeasibleConfig, NonPositiveTick, TickMismatch, TooManyTicks
 
 EVENT_KINDS = ("generation_tick", "stage_complete", "analyze_complete", "drain_complete")
-_RANK = {kind: i for i, kind in enumerate(EVENT_KINDS)}
+
+#: Largest number of ticks one run may have; a finer tick is rejected before
+#: anything is allocated (the event log holds up to five events per tick).
+MAX_TICKS = 10**6
 
 #: SimReport term -> closed-form term it must agree with.
 TERM_TO_ANALYTIC = {
@@ -35,7 +42,7 @@ TERM_TO_ANALYTIC = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     time: float
     kind: str
@@ -59,139 +66,93 @@ class DiscrepancyReport:
     failed_terms: tuple[str, ...]
 
 
-class _Station:
-    """Single FIFO server with a fixed service rate (MB/s)."""
+def _fifo(jobs, rate: float, kind: str) -> tuple[list[SimEvent], float]:
+    """Serve ``(arrival, mb)`` jobs, in arrival order, on one FIFO server.
 
-    def __init__(self, rate: float):
-        self.rate = rate
-        self.queue: deque = deque()
-        self.busy = False
-        self.busy_since = 0.0
-        self.busy_seconds = 0.0
-        self.current_end = 0.0
-        self.queued_mb = 0.0
-
-    def remaining_mb(self, now: float) -> float:
-        """Fluid amount not yet served at time ``now`` (service runs continuously)."""
-        in_service = (self.current_end - now) * self.rate if self.busy else 0.0
-        return self.queued_mb + max(0.0, in_service)
+    Departures follow Lindley's recursion ``d_i = max(a_i, d_{i-1}) + mb_i / rate``.
+    Returns a ``kind`` event at the departure of every job of positive size
+    and the busy seconds, the sum of the service times.
+    """
+    done = []
+    d = 0.0
+    for a, mb in jobs:
+        if mb > 0:
+            d = max(a, d) + mb / rate
+            done.append(SimEvent(d, kind, mb))
+    return done, math.fsum(ev.payload_mb / rate for ev in done)
 
 
 def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimReport:
     """Run the tier for ``tsim`` seconds of generation at the given tick.
 
-    ``tick`` must be positive and divide ``tsim``.  Generation happens at the
-    start of each interval; the run itself continues past ``tsim`` until all
-    queues drain, so busy seconds always cover the whole workload.
+    ``tick`` must be positive, divide ``tsim`` and give at most
+    ``MAX_TICKS`` ticks.  Generation happens at the start of each interval;
+    the run itself continues past ``tsim`` until all queues drain, so busy
+    seconds always cover the whole workload.
     """
-    if tick <= 0:
+    if not tick > 0:
         raise NonPositiveTick(f"tick must be > 0, got {tick!r}")
     k = wl.kernel(kernel)
+    if not cfg.tsim / tick <= MAX_TICKS:
+        raise TooManyTicks(
+            f"tick {tick!r} gives more than MAX_TICKS={MAX_TICKS} ticks over tsim {cfg.tsim!r}"
+        )
     n_ticks = round(cfg.tsim / tick)
     if n_ticks < 1 or abs(n_ticks * tick - cfg.tsim) > 1e-9 * cfg.tsim:
-        raise ValueError(f"tick {tick!r} does not divide tsim {cfg.tsim!r}")
+        raise TickMismatch(f"tick {tick!r} does not divide tsim {cfg.tsim!r}")
 
     rates = {
         "ssd_ingest": cfg.bw_host2ssd,
         "ssd_analyze": 1.0 / (1.0 / cfg.bw_fm2c + 1.0 / cfg.bw_c2m + 1.0 / k.t_ssd_k),
         "ssd_drain": cfg.staging_ssds * cfg.bw_pfs / cfg.compute_nodes,
     }
-    stations = {name: _Station(rate) for name, rate in rates.items()}
-
     analysis_per_tick = cfg.compute_nodes * wl.lambda_a * tick
     checkpoint_per_tick = cfg.compute_nodes * wl.lambda_c * tick
     batch_mb = analysis_per_tick + checkpoint_per_tick
 
-    # Heap entries: (time, kind rank, sequence number, payload).  The payload
-    # of a stage completion is the (analysis, checkpoint) pair of its batch.
-    heap: list = []
-    seq = 0
+    # heapq.merge is stable: at equal times it yields the stream passed first,
+    # so stage completions reach the drain before analysis output, and the
+    # event log follows the order of EVENT_KINDS.
+    by_time = attrgetter("time")
+    busy = {}
+    ticks = [SimEvent(i * tick, "generation_tick", batch_mb) for i in range(n_ticks)]
+    staged, busy["ssd_ingest"] = _fifo(
+        ((ev.time, batch_mb) for ev in ticks), rates["ssd_ingest"], "stage_complete"
+    )
+    analyzed, busy["ssd_analyze"] = _fifo(
+        ((ev.time, analysis_per_tick) for ev in staged), rates["ssd_analyze"], "analyze_complete"
+    )
+    to_drain = heapq.merge(
+        ((ev.time, checkpoint_per_tick) for ev in staged),
+        ((ev.time, wl.alpha * ev.payload_mb) for ev in analyzed),
+        key=itemgetter(0),
+    )
+    drained, busy["ssd_drain"] = _fifo(to_drain, rates["ssd_drain"], "drain_complete")
 
-    def push(time, kind, payload):
-        nonlocal seq
-        heapq.heappush(heap, (time, _RANK[kind], seq, kind, payload))
-        seq += 1
-
-    def enqueue(name, when, payload, amount_mb):
-        """Add work to a station, starting service immediately if it is idle."""
-        st = stations[name]
-        if amount_mb <= 0:
-            return
-        if st.busy:
-            st.queue.append((payload, amount_mb))
-            st.queued_mb += amount_mb
-        else:
-            st.busy = True
-            st.busy_since = when
-            st.current_end = when + amount_mb / st.rate
-            push(st.current_end, _COMPLETION[name], payload)
-
-    def finish_service(name, when):
-        """Account for a completion; start the next queued batch if any."""
-        st = stations[name]
-        if st.queue:
-            payload, amount_mb = st.queue.popleft()
-            st.queued_mb -= amount_mb
-            st.current_end = when + amount_mb / st.rate
-            push(st.current_end, _COMPLETION[name], payload)
-        else:
-            st.busy = False
-            st.busy_seconds += when - st.busy_since
-
-    for i in range(n_ticks):
-        push(i * tick, "generation_tick", batch_mb)
-
-    events: list[SimEvent] = []
-    backlog_max = 0.0
-    last_stage_time = 0.0
-    # Below this, a pre-arrival queue level is float dust, not real backlog.
+    # Unfinished ingest work just before each tick: the previous batch's
+    # departure minus the tick time, times the rate.  Below ``dust`` it is
+    # float noise, not real backlog.
     dust = 1e-9 * max(batch_mb, 1.0)
-
-    while heap:
-        when, _, _, kind, payload = heapq.heappop(heap)
-        if kind == "generation_tick":
-            backlog = stations["ssd_ingest"].remaining_mb(when)
-            if backlog > dust:
-                backlog_max = max(backlog_max, backlog)
-            events.append(SimEvent(when, kind, payload))
-            enqueue("ssd_ingest", when, (analysis_per_tick, checkpoint_per_tick), payload)
-        elif kind == "stage_complete":
-            analysis_mb, checkpoint_mb = payload
-            events.append(SimEvent(when, kind, analysis_mb + checkpoint_mb))
-            last_stage_time = when
-            finish_service("ssd_ingest", when)
-            enqueue("ssd_analyze", when, analysis_mb, analysis_mb)
-            enqueue("ssd_drain", when, checkpoint_mb, checkpoint_mb)
-        elif kind == "analyze_complete":
-            events.append(SimEvent(when, kind, payload))
-            finish_service("ssd_analyze", when)
-            enqueue("ssd_drain", when, wl.alpha * payload, wl.alpha * payload)
-        else:  # drain_complete
-            events.append(SimEvent(when, kind, payload))
-            finish_service("ssd_drain", when)
-
-    overrun = last_stage_time - cfg.tsim
+    backlog_max = max(
+        ((done.time - ev.time) * rates["ssd_ingest"] for done, ev in zip(staged, ticks[1:])),
+        default=0.0,
+    )
+    if backlog_max <= dust:
+        backlog_max = 0.0
+    overrun = (staged[-1].time if staged else 0.0) - cfg.tsim
     completed = overrun <= 1e-9 * cfg.tsim
     if not completed:
         # After the final arrival the ingest server works without a break,
         # so the leftover at tsim is just the overrun times the rate.
         backlog_max = max(backlog_max, overrun * rates["ssd_ingest"])
 
-    busy = {name: stations[name].busy_seconds for name in rates}
     return SimReport(
         busy_seconds=busy,
         energies={name: cfg.p_ssd_busy * busy[name] for name in rates},
         backlog_mb_max=backlog_max,
         completed=completed,
-        events=tuple(events),
+        events=tuple(heapq.merge(ticks, staged, analyzed, drained, key=by_time)),
     )
-
-
-_COMPLETION = {
-    "ssd_ingest": "stage_complete",
-    "ssd_analyze": "analyze_complete",
-    "ssd_drain": "drain_complete",
-}
 
 
 def compare_energies(

@@ -200,6 +200,16 @@ def test_simulate_command_reports_and_traces(capsys, config_file, tmp_path):
     assert float(first[2]) == 400.0  # 4 nodes x 100 MB/s x 1 s tick
 
 
+@pytest.mark.parametrize("tick", ["3", "nan", "inf", "1e-300"])
+def test_simulate_rejects_bad_ticks_without_traceback(capsys, config_file, tick):
+    # tsim is 100: 3 does not divide it, and 1e-300 would give 1e302 ticks
+    code = dispatch(["simulate", "--config", config_file, "--kernel", "k1", "--tick", tick])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_infeasible_config_warns_but_runs(capsys, config_file, tmp_path):
     doc = json.loads(open(config_file).read())
     doc["bw_host2ssd"] = 10.0  # far below the 400 MB/s offered load

@@ -159,3 +159,26 @@ def test_load_config_rejects_bad_kernels(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/no/such/config.json")
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("t_ssd_k", '"abc"'),
+        ("t_ssd_k", "true"),
+        ("t_server_k", "NaN"),
+        ("tsim", "Infinity"),
+        ("tsim", "NaN"),
+        ("bw_pfs", "1e400"),
+        ("compute_nodes", "1" + "0" * 400),
+    ],
+    ids=["string", "bool", "nan-rate", "infinity", "nan", "overflow", "huge-int"],
+)
+def test_load_config_rejects_non_numbers_and_non_finite_values(tmp_path, key, text):
+    doc = _config_doc()
+    target = doc["kernels"][0] if key.startswith("t_") else doc
+    target[key] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"@"', text))
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)

@@ -1,11 +1,13 @@
-"""Event-simulator behaviour and its agreement with the closed-form terms."""
+"""Simulator behaviour and its agreement with the closed-form terms."""
 
+import hashlib
 import random
 
 import pytest
 from conftest import make_config, make_workload, random_feasible
 
 from stagecost import energy, sim
+from stagecost.config import KernelRate
 from stagecost.errors import InfeasibleConfig, KernelNotFound, NonPositiveTick
 
 RANK = {kind: i for i, kind in enumerate(sim.EVENT_KINDS)}
@@ -136,3 +138,42 @@ def test_trace_file_lists_every_event(tmp_path):
     first = lines[1].split("\t")
     assert first[1] == "generation_tick"
     assert float(first[2]) == pytest.approx(4000.0)  # 4 nodes * 100 MB/s * 10 s
+
+
+def test_long_run_matches_closed_form_to_criterion_04_bound():
+    # Busy periods differenced from absolute event times would put ssd_drain
+    # about 1.02e-9 off the closed form here; summed service times are not.
+    cfg = make_config(
+        compute_nodes=3, staging_ssds=4, offline_nodes=4,
+        bw_host2ssd=13940.442443817847, bw_fm2c=3463.032515342836,
+        bw_c2m=774.8345460344531, bw_ssd=518.6681017570745, bw_pfs=15544.356317586678,
+        p_ssd_busy=16.374594616559136, p_ssd_idle=4.114950012914024,
+        p_server_busy=156.87778481301584, p_server_idle=1.654817728102561, tsim=64.0,
+    )
+    wl = make_workload(
+        lambda_a=24.332827363402426, lambda_c=2.1919691968394552, alpha=0.2876739058583838,
+        kernels=(KernelRate("k1", 151.0172468566726, 1458.651646863296),),
+    )
+    report = sim.validate_against_analytic(cfg, wl, "k1", ticks=50_000)
+    assert report.passed, report.relative
+
+
+@pytest.mark.parametrize(
+    "build, lines, digest",
+    [
+        (lambda: (make_config(), make_workload(), 1.0), 501,
+         "ccd1d7954163c705baa79a6cae2ab9eed8d9a342a0cdb4196411e8bc1225b44c"),
+        (lambda: random_feasible(random.Random(9)), 221,
+         "ee162c7db99f7ce8eecc23ecebf36b421bd11b8f94257fafc0f343cfcb29a5fc"),
+        (lambda: (make_config(), make_workload(lambda_a=2000.0, lambda_c=0.0), 1.0), 401,
+         "e470a86360c18769b277a6a84395f750d99e01428c8a97f33cfdbddc1f75e3ea"),
+    ],
+    ids=["default", "random9", "overloaded"],
+)
+def test_trace_bytes_are_pinned(tmp_path, build, lines, digest):
+    cfg, wl, tick = build()
+    out = tmp_path / "events.tsv"
+    sim.write_trace(sim.simulate(cfg, wl, "k1", tick=tick), str(out))
+    data = out.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
