@@ -25,7 +25,7 @@ from .energy import (
     insitu_breakdown,
     offline_report,
 )
-from .mapreduce import IntermediateStore, JobResult, ProgressEvent, map_reduce
+from .mapreduce import JobResult, ProgressEvent, map_reduce
 from .pca import (
     CorrelationMatrix,
     FactorModel,
@@ -49,7 +49,6 @@ __all__ = [
     "DiscrepancyReport",
     "EnergyBreakdown",
     "FactorModel",
-    "IntermediateStore",
     "JobResult",
     "KernelRate",
     "OfflineReport",

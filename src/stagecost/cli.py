@@ -9,6 +9,7 @@ is TSV.  Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -24,6 +25,7 @@ from .errors import (
     MissingData,
     ToolkitError,
     TypeMismatch,
+    UnknownVariable,
 )
 
 PROG = "stagecost"
@@ -171,20 +173,33 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _numeric_column(ds: Datastore, name: str) -> list[float]:
-    for col in ds.schema:
-        if col.name == name and col.kind != NUMERIC:
+def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
+    """The values of each named numeric column, read in one pass over ``ds``.
+
+    An error names the first column in ``names`` that is unknown, is text or
+    has a missing cell.
+    """
+    kinds = {col.name: col.kind for col in ds.schema}
+    good = list(itertools.takewhile(lambda name: kinds.get(name) == NUMERIC, names))
+    columns: list[list[float]] = [[] for _ in good]
+    holes = [False] * len(good)
+    if good:
+        ds.select_variables(good)
+        ds.reset()
+        while ds.has_data():
+            chunk = ds.read()
+            for i, (values, flags) in enumerate(zip(zip(*chunk.rows), zip(*chunk.missing))):
+                columns[i].extend(values)
+                holes[i] = holes[i] or any(flags)
+    for name, missing in zip(good, holes):
+        if missing:
+            raise MissingData(f"column {name!r} has missing cells")
+    if len(good) < len(names):
+        name = names[len(good)]
+        if name in kinds:
             raise TypeMismatch(f"column {name!r} is not numeric")
-    ds.select_variables([name])
-    ds.reset()
-    values = []
-    while ds.has_data():
-        chunk = ds.read()
-        for (value,), (miss,) in zip(chunk.rows, chunk.missing):
-            if miss:
-                raise MissingData(f"column {name!r} has missing cells")
-            values.append(value)
-    return values
+        raise UnknownVariable(f"no column named {name!r}")
+    return columns
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -291,8 +306,7 @@ def _cmd_regress(args) -> int:
             "regress needs either --from-ss or --input/--dependent/--independents"
         )
     ds = open_datastore(args.input)
-    y = _numeric_column(ds, args.dependent)
-    columns = [_numeric_column(ds, name) for name in args.independents]
+    y, *columns = _numeric_columns(ds, [args.dependent, *args.independents])
     x = list(zip(*columns))
     summary, table = stats.fit_ols(x, y)
     _print_regression(summary, table, labels=list(args.independents))
@@ -304,7 +318,7 @@ def _cmd_pca(args) -> int:
     numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
     if not numeric:
         raise TypeMismatch("input has no numeric columns")
-    data = list(zip(*(_numeric_column(ds, name) for name in numeric)))
+    data = list(zip(*_numeric_columns(ds, numeric)))
     corr = pca.correlation_matrix(data, names=numeric)
     model = pca.extract_factors(corr, variance_threshold=args.threshold)
     suggestion = pca.suggest_schema(model, loading_cutoff=args.cutoff)
@@ -329,8 +343,7 @@ def _cmd_delays(args) -> int:
 
 def _cmd_plotdata(args) -> int:
     ds = open_datastore(args.input)
-    xs = _numeric_column(ds, args.x)
-    ys = _numeric_column(ds, args.y)
+    xs, ys = _numeric_columns(ds, [args.x, args.y])
     series = emit_plot_data(xs, ys, with_fit=args.fit)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -144,7 +144,11 @@ def load_config(path: str | os.PathLike) -> tuple[SystemConfig, Workload]:
         if not isinstance(v, bool) and isinstance(v, (int, float)):
             try:
                 if math.isfinite(v):
-                    return int(v) if name in _INT_FIELDS else float(v)
+                    if name not in _INT_FIELDS:
+                        return float(v)
+                    if v == int(v):
+                        return int(v)
+                    raise ConfigError(f"config key {name!r} must be a whole number")
             except OverflowError:  # an integer beyond the float range
                 pass
         raise ConfigError(f"config key {name!r} must be a finite number")
@@ -160,6 +164,8 @@ def load_config(path: str | os.PathLike) -> tuple[SystemConfig, Workload]:
             )
         if not isinstance(entry["name"], str):
             raise ConfigError(f"kernels[{i}].name must be a string")
+        if any(k.name == entry["name"] for k in rates):
+            raise ConfigError(f"kernels[{i}].name {entry['name']!r} is a duplicate")
         rates.append(
             KernelRate(
                 name=entry["name"],

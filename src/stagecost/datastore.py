@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 from .errors import (
     EmptyInput,
     HeaderMismatch,
+    InvalidParameter,
     MissingFile,
     ReadPastEnd,
     TypeMismatch,
@@ -107,7 +108,7 @@ class Datastore:
         self._markers = frozenset(missing_markers)
         self._chunk_size = int(chunk_size)
         if self._chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+            raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
         header, raw_rows = _load_files(paths)
         if not raw_rows:
             raise EmptyInput("no data rows in " + ", ".join(str(p) for p in paths))
@@ -135,6 +136,11 @@ class Datastore:
     @property
     def chunk_size(self) -> int:
         return self._chunk_size
+
+    @property
+    def chunks_left(self) -> int:
+        """Number of chunks that ``read`` returns from the cursor on."""
+        return -(-(len(self._rows) - self._cursor) // self._chunk_size)
 
     def select_variables(self, names: Sequence[str]) -> None:
         """Restrict (and order) the columns that reads and scans return."""

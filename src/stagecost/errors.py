@@ -34,6 +34,10 @@ class TooManyTicks(ToolkitError):
     """The simulator tick would give more ticks than the simulator allows."""
 
 
+class InvalidParameter(ToolkitError, ValueError):
+    """A numeric parameter (chunk size, threshold, cutoff) is out of range."""
+
+
 class InfeasibleConfig(ToolkitError):
     """An operation that requires a feasible config was given an infeasible one."""
 

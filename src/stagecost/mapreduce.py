@@ -1,11 +1,10 @@
 """Deterministic map-reduce over datastore chunks.
 
-Chunks are read sequentially from the datastore's cursor, mapped (possibly
-on several worker threads), and their keyed outputs merged into an
-:class:`IntermediateStore`.  Each value is tagged with the index of the
-chunk that produced it, and per-key values are sorted by (chunk index,
-insertion order) before reduction, so results do not depend on how map
-tasks were scheduled.
+A job is one in-order fold over the datastore, starting at its cursor: each
+chunk is read, mapped and reported before the next one is read.  Mapped
+values are appended to their key's list as they are emitted, so every key's
+values reach the reducer in chunk order, then emission order within a
+chunk.  Keys are reduced in lexicographic order.
 
 Progress is reported as whole percentages: an initial (0, 0) event, one
 event after every mapped chunk, and one after every reduced key; the final
@@ -15,7 +14,6 @@ event is always (100, 100).
 from __future__ import annotations
 
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -47,34 +45,17 @@ class JobResult:
         raise KeyError(key)
 
 
-class _ChunkWriter:
-    """Collects one map task's (key, value) pairs in emission order."""
+class _Collector:
+    """Appends each mapped (key, value) pair to its key's list as it arrives."""
 
     def __init__(self):
-        self.pairs: list[tuple[str, object]] = []
+        self.values: dict[str, list] = defaultdict(list)
 
     def add(self, key: str, value) -> None:
-        self.pairs.append((str(key), value))
+        self.values[str(key)].append(value)
 
 
-class IntermediateStore:
-    """Multi-map from key to chunk-tagged values, ordered deterministically."""
-
-    def __init__(self):
-        self._values: dict[str, list] = defaultdict(list)
-
-    def add(self, key: str, value, chunk_index: int, order: int) -> None:
-        self._values[key].append((chunk_index, order, value))
-
-    def keys(self) -> list[str]:
-        return sorted(self._values)
-
-    def values(self, key: str) -> list:
-        """Values for a key, sorted by (source chunk index, insertion order)."""
-        return [v for _, _, v in sorted(self._values[key], key=lambda t: t[:2])]
-
-
-Mapper = Callable[[TableChunk, _ChunkWriter], None]
+Mapper = Callable[[TableChunk, _Collector], None]
 Reducer = Callable[[str, list], object]
 ProgressSink = Optional[Callable[[ProgressEvent], None]]
 
@@ -84,18 +65,14 @@ def map_reduce(
     mapper: Mapper,
     reducer: Reducer,
     progress_sink: ProgressSink = None,
-    workers: int = 1,
 ) -> JobResult:
     """Run ``mapper`` over every remaining chunk of ``ds``, then ``reducer``.
 
-    ``workers`` > 1 maps chunks concurrently; the result and the progress
-    trace are identical either way.  Raises ``EmptyJob`` if the cursor has
-    nothing left to read.
+    Each chunk is read, mapped and reported before the next one is read.
+    Raises ``EmptyJob`` if the cursor has nothing left to read.
     """
-    chunks = []
-    while ds.has_data():
-        chunks.append(ds.read())
-    if not chunks:
+    n = ds.chunks_left
+    if n == 0:
         raise EmptyJob("the datastore has no chunks left to map")
 
     def emit(map_pct: int, reduce_pct: int) -> None:
@@ -103,33 +80,15 @@ def map_reduce(
             progress_sink(ProgressEvent(map_pct, reduce_pct))
 
     emit(0, 0)
-    n = len(chunks)
-    writers: list[_ChunkWriter] = [_ChunkWriter() for _ in chunks]
+    out = _Collector()
+    for done in range(1, n + 1):
+        mapper(ds.read(), out)
+        emit(100 * done // n, 0)
 
-    def run_map(index: int) -> int:
-        mapper(chunks[index], writers[index])
-        return index
-
-    if workers <= 1:
-        for done, index in enumerate(range(n), start=1):
-            run_map(index)
-            emit(100 * done // n, 0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = 0
-            for _ in pool.map(run_map, range(n)):
-                done += 1
-                emit(100 * done // n, 0)
-
-    store = IntermediateStore()
-    for chunk_index, writer in enumerate(writers):
-        for order, (key, value) in enumerate(writer.pairs):
-            store.add(key, value, chunk_index, order)
-
-    keys = store.keys()
+    keys = sorted(out.values)
     pairs = []
     for done, key in enumerate(keys, start=1):
-        pairs.append((key, reducer(key, store.values(key))))
+        pairs.append((key, reducer(key, out.values[key])))
         emit(100, 100 * done // len(keys))
     if not keys:
         emit(100, 100)  # nothing to reduce still finishes the job
@@ -149,7 +108,7 @@ def _numeric_cells(chunk: TableChunk, column: str) -> list[float]:
 def builtin_max_mapper(column: str) -> Mapper:
     """Per-chunk maximum of a numeric column; all-missing chunks emit nothing."""
 
-    def mapper(chunk: TableChunk, store: _ChunkWriter) -> None:
+    def mapper(chunk: TableChunk, store: _Collector) -> None:
         cells = _numeric_cells(chunk, column)
         if cells:
             store.add(MAX_KEY, max(cells))
@@ -168,7 +127,7 @@ def builtin_keycount_mapper(key_column: str, value_column: str | None = None) ->
     are counted.  Rows whose key cell is missing are skipped.
     """
 
-    def mapper(chunk: TableChunk, store: _ChunkWriter) -> None:
+    def mapper(chunk: TableChunk, store: _Collector) -> None:
         key_i = chunk.column_index(key_column)
         val_i = chunk.column_index(value_column) if value_column is not None else None
         counts: dict[str, int] = defaultdict(int)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstantColumn, ConvergenceFailure, MissingData
+from .errors import ConstantColumn, ConvergenceFailure, InvalidParameter, MissingData
 
 JACOBI_TOL = 1e-12       # off-diagonal Frobenius norm, relative to the matrix
 JACOBI_MAX_SWEEPS = 100
@@ -152,7 +152,7 @@ def extract_factors(
     V(m) = (sum of the m largest eigenvalues) / p reaches the threshold.
     """
     if not 0 < variance_threshold <= 1:
-        raise ValueError("variance_threshold must be in (0, 1]")
+        raise InvalidParameter(f"variance_threshold must be in (0, 1], got {variance_threshold}")
     eigenvalues, vectors = eigen_sym(corr.values)
     eigenvalues = np.maximum(eigenvalues, 0.0)  # clip rounding-level negatives
     p = len(eigenvalues)
@@ -182,7 +182,7 @@ def suggest_schema(
     none.  Dimensions that attract no variable are kept and flagged empty.
     """
     if not 0 < loading_cutoff <= 1:
-        raise ValueError("loading_cutoff must be in (0, 1]")
+        raise InvalidParameter(f"loading_cutoff must be in (0, 1], got {loading_cutoff}")
     dimensions = []
     for comp in range(model.selected_components):
         loadings = model.loadings[:, comp]

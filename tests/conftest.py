@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from stagecost import fixtures
 from stagecost.config import KernelRate, SystemConfig, Workload
 from stagecost.energy import e_active_ssd, e_idle_ssd, e_ssd2pfs
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it finds in the code, and unicode tables,
+    # under .hypothesis/ in the working directory even with database=None; a
+    # temporary home keeps a test run from writing into the checkout
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def make_config(**overrides) -> SystemConfig:
@@ -95,3 +108,4 @@ def servers_csv() -> str:
 @pytest.fixture
 def delays_csv() -> str:
     return str(fixtures.path("delays.csv"))
+

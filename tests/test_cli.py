@@ -5,9 +5,11 @@ import json
 
 import pytest
 from conftest import make_config, make_workload
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stagecost import cli, energy
-from stagecost.datastore import open_datastore
+from stagecost.datastore import Datastore, open_datastore
 from stagecost.errors import EmptyInput, LengthMismatch, MissingData
 from stagecost.cli import (
     DelayRecord,
@@ -210,6 +212,68 @@ def test_simulate_rejects_bad_ticks_without_traceback(capsys, config_file, tick)
     assert "Traceback" not in err
 
 
+_NUMBER = st.integers(-3, 10) | st.floats(-10.0, 1e4) | st.floats() | st.integers()
+_POSITIVE = st.integers(1, 10) | st.floats(0.01, 1e4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_NUMERIC_KEYS = ["compute_nodes", "staging_ssds", "bw_host2ssd", "bw_pfs", "p_ssd_idle",
+                 "p_ssd_busy", "tsim", "lambda_a", "lambda_c", "alpha"]
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    numbers=st.dictionaries(st.sampled_from(_NUMERIC_KEYS), _POSITIVE, max_size=3),
+    kernels=st.lists(
+        st.fixed_dictionaries(
+            {"name": st.sampled_from(["k1", "k2"]), "t_ssd_k": _POSITIVE,
+             "t_server_k": _POSITIVE}
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    mode=st.sampled_from(["numbers", "numbers", "numbers", "junk", "whole"]),
+    junk_key=st.sampled_from([*_NUMERIC_KEYS, "kernels", "surprise"]),
+    junk=_JSON,
+)
+def test_energy_never_crashes_on_generated_configs(capsys, config_file, tmp_path, numbers,
+                                                   kernels, mode, junk_key, junk):
+    # generated documents end in exit 0 or in an "error:" line, never in an exception
+    doc = json.loads(open(config_file).read())
+    doc.update(numbers, kernels=kernels)
+    if mode == "junk":
+        doc[junk_key] = junk
+    path = tmp_path / "generated.json"
+    path.write_text(json.dumps(junk if mode == "whole" else doc))
+    code = dispatch(["energy", "--config", str(path), "--kernel", "k1"])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert code == 0 or err.splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mapreduce", "run", "--job", "max", "--column", "a", "--chunk-size", "0"],
+        ["mapreduce", "run", "--job", "max", "--column", "a", "--chunk-size", "-3"],
+        ["pca", "--threshold", "2"],
+        ["pca", "--cutoff", "0"],
+    ],
+    ids=["chunk-size-0", "chunk-size-negative", "threshold", "cutoff"],
+)
+def test_out_of_range_parameters_exit_one_without_traceback(capsys, tmp_path, argv):
+    path = tmp_path / "clean.csv"
+    path.write_text("a,b,c\n1,2,0\n2,1,1\n3,5,0\n4,3,2\n")
+    assert dispatch([*argv, "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_infeasible_config_warns_but_runs(capsys, config_file, tmp_path):
     doc = json.loads(open(config_file).read())
     doc["bw_host2ssd"] = 10.0  # far below the 400 MB/s offered load
@@ -313,6 +377,65 @@ def test_pca_command_reports_components_and_schema(capsys, tmp_path):
     assert suggestion["dimensions"][0]["name"] == "dim1"
     members = [name for name, _ in suggestion["dimensions"][0]["members"]]
     assert members == ["a", "b"]
+
+
+@pytest.fixture
+def mixed_csv(tmp_path):
+    """Numeric columns x, y and gap (gap has a missing cell) and a text column t."""
+    path = tmp_path / "mixed.csv"
+    path.write_text("x,y,t,gap\n1,2,a,5\n2,3,b,NA\n3,5,c,7\n4,4,d,8\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regress", "--dependent", "y", "--independents", "x", "gap"],
+        ["plotdata", "--x", "x", "--y", "y"],
+        ["pca"],
+    ],
+    ids=["regress", "plotdata", "pca"],
+)
+def test_column_commands_read_the_table_in_one_pass(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "full.csv"
+    path.write_text("x,y,gap,t\n1,2,5,a\n2,3,4,b\n3,5,7,c\n4,4,8,d\n5,7,6,e\n")
+    resets = []
+    original = Datastore.reset
+
+    def counting_reset(self):
+        resets.append(self)
+        original(self)
+
+    monkeypatch.setattr(Datastore, "reset", counting_reset)
+    assert dispatch([*argv, "--input", str(path)]) == 0
+    assert len(resets) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["regress", "--dependent", "nope", "--independents", "x"],
+         "no column named 'nope'"),
+        (["regress", "--dependent", "y", "--independents", "t"],
+         "column 't' is not numeric"),
+        (["regress", "--dependent", "y", "--independents", "x", "gap"],
+         "column 'gap' has missing cells"),
+        (["regress", "--dependent", "y", "--independents", "gap", "t"],
+         "column 'gap' has missing cells"),
+        (["regress", "--dependent", "y", "--independents", "x", "nope", "gap"],
+         "no column named 'nope'"),
+        (["regress", "--dependent", "t", "--independents", "nope"],
+         "column 't' is not numeric"),
+        (["plotdata", "--x", "t", "--y", "y"], "column 't' is not numeric"),
+        (["plotdata", "--x", "x", "--y", "nope"], "no column named 'nope'"),
+        (["plotdata", "--x", "gap", "--y", "t"], "column 'gap' has missing cells"),
+    ],
+)
+def test_bad_columns_name_the_first_bad_column(capsys, mixed_csv, argv, message):
+    assert dispatch([*argv, "--input", mixed_csv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_delays_command_defaults_to_the_bundled_sample(capsys):

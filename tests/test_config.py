@@ -171,8 +171,12 @@ def test_load_config_missing_file():
         ("tsim", "NaN"),
         ("bw_pfs", "1e400"),
         ("compute_nodes", "1" + "0" * 400),
+        ("compute_nodes", "4.7"),
+        ("kernels", '[{"name": "k1", "t_ssd_k": 250, "t_server_k": 1000},'
+                    ' {"name": "k1", "t_ssd_k": 5, "t_server_k": 1000}]'),
     ],
-    ids=["string", "bool", "nan-rate", "infinity", "nan", "overflow", "huge-int"],
+    ids=["string", "bool", "nan-rate", "infinity", "nan", "overflow", "huge-int",
+         "fractional-int", "duplicate-kernel"],
 )
 def test_load_config_rejects_non_numbers_and_non_finite_values(tmp_path, key, text):
     doc = _config_doc()
@@ -182,3 +186,12 @@ def test_load_config_rejects_non_numbers_and_non_finite_values(tmp_path, key, te
     path.write_text(json.dumps(doc).replace('"@"', text))
     with pytest.raises(ConfigError, match=key):
         load_config(path)
+
+
+def test_load_config_accepts_a_whole_float_for_an_integer_field(tmp_path):
+    doc = _config_doc()
+    doc["compute_nodes"] = 4.0
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps(doc))
+    cfg, _ = load_config(path)
+    assert cfg.compute_nodes == 4 and isinstance(cfg.compute_nodes, int)

@@ -260,3 +260,13 @@ def test_export_round_trip(tmp_path, servers_csv):
     assert again.missing == chunk.missing
     assert chunk_as_plain(again) == chunk_as_plain(chunk)
     assert ",NA," in out.read_text()  # missing cells written back as the marker
+
+
+def test_chunks_left_counts_from_the_cursor(servers_csv):
+    ds = open_datastore(servers_csv, chunk_size=3)
+    assert ds.chunks_left == 3
+    ds.read()
+    assert ds.chunks_left == 2
+    ds.read()
+    ds.read()
+    assert ds.chunks_left == 0

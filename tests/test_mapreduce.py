@@ -1,4 +1,4 @@
-"""Map-reduce jobs: results, progress traces, and schedule independence."""
+"""Map-reduce jobs: results, progress traces, and the order values reach reducers."""
 
 import random
 
@@ -8,7 +8,6 @@ from stagecost.datastore import open_datastore
 from stagecost.errors import EmptyJob, TypeMismatch
 from stagecost.mapreduce import (
     MAX_KEY,
-    IntermediateStore,
     builtin_keycount_mapper,
     builtin_max_mapper,
     builtin_max_reducer,
@@ -17,9 +16,9 @@ from stagecost.mapreduce import (
 )
 
 
-def run_with_trace(ds, mapper, reducer, workers=1):
+def run_with_trace(ds, mapper, reducer):
     events = []
-    result = map_reduce(ds, mapper, reducer, progress_sink=events.append, workers=workers)
+    result = map_reduce(ds, mapper, reducer, progress_sink=events.append)
     return result, [(e.map_pct, e.reduce_pct) for e in events]
 
 
@@ -128,17 +127,16 @@ def test_job_starts_from_the_cursor_not_the_top(servers_csv):
 def test_result_is_independent_of_workers_and_chunk_size(delays_csv):
     reference = None
     for chunk_size in (1, 2, 3, 5, 10):
-        for workers in (1, 2, 4, 8):
-            ds = open_datastore(delays_csv, chunk_size=chunk_size)
-            result, trace = run_with_trace(
-                ds, builtin_keycount_mapper("Origin"), builtin_sum_reducer, workers=workers
-            )
-            if reference is None:
-                reference = result.readall()
-            assert result.readall() == reference
-            assert trace[0] == (0, 0) and trace[-1] == (100, 100)
-            map_pcts = [m for m, _ in trace]
-            assert map_pcts == sorted(map_pcts)  # progress never goes backwards
+        ds = open_datastore(delays_csv, chunk_size=chunk_size)
+        result, trace = run_with_trace(
+            ds, builtin_keycount_mapper("Origin"), builtin_sum_reducer
+        )
+        if reference is None:
+            reference = result.readall()
+        assert result.readall() == reference
+        assert trace[0] == (0, 0) and trace[-1] == (100, 100)
+        map_pcts = [m for m, _ in trace]
+        assert map_pcts == sorted(map_pcts)  # progress never goes backwards
 
 
 def test_reducer_sees_values_ordered_by_chunk(servers_csv):
@@ -149,20 +147,39 @@ def test_reducer_sees_values_ordered_by_chunk(servers_csv):
         seen[key] = list(values)
         return values[-1]
 
-    map_reduce(ds, builtin_max_mapper("ActualElapsedTime"), recording_reducer, workers=4)
-    # per-chunk maxima arrive in chunk order regardless of the thread schedule
+    map_reduce(ds, builtin_max_mapper("ActualElapsedTime"), recording_reducer)
+    # per-chunk maxima arrive in chunk order
     assert seen[MAX_KEY] == [63.0, 83.0, 77.0, 155.0]
 
 
-def test_intermediate_store_orders_within_and_between_chunks():
-    store = IntermediateStore()
-    store.add("k", "third", chunk_index=1, order=0)
-    store.add("k", "first", chunk_index=0, order=0)
-    store.add("k", "fourth", chunk_index=1, order=1)
-    store.add("k", "second", chunk_index=0, order=1)
-    store.add("a", 1, chunk_index=5, order=0)
-    assert store.keys() == ["a", "k"]
-    assert store.values("k") == ["first", "second", "third", "fourth"]
+def test_reducer_sees_values_in_chunk_then_emission_order(servers_csv):
+    ds = open_datastore(servers_csv, chunk_size=3)  # 3 + 3 + 2 rows
+    seen = {}
+
+    def reversing_mapper(chunk, out):
+        for row in reversed(chunk.rows):
+            out.add("k", row[0])
+            out.add("a", -row[0])
+
+    def recording_reducer(key, values):
+        seen[key] = list(values)
+        return len(values)
+
+    result = map_reduce(ds, reversing_mapper, recording_reducer)
+    assert result.readall() == [("a", 8), ("k", 8)]
+    assert seen["k"] == [1589.0, 1550.0, 1503.0, 1729.0, 1702.0, 1655.0, 1800.0, 1763.0]
+    assert seen["a"] == [-v for v in seen["k"]]
+
+
+def test_each_chunk_is_mapped_before_the_next_is_read(servers_csv):
+    ds = open_datastore(servers_csv, chunk_size=3)  # 3 + 3 + 2 rows
+    more_to_read = []
+
+    def recording_mapper(chunk, out):
+        more_to_read.append(ds.has_data())
+
+    map_reduce(ds, recording_mapper, builtin_sum_reducer)
+    assert more_to_read == [True, True, False]
 
 
 def test_custom_mapper_and_reducer(delays_csv):
