@@ -30,6 +30,9 @@ from .errors import (
 
 PROG = "stagecost"
 
+# Chunk size for commands that need whole columns: the table is one chunk.
+_WHOLE_TABLE = sys.maxsize
+
 
 def _fmt6(value) -> str:
     if isinstance(value, float):
@@ -170,7 +173,11 @@ def _load_validated(path):
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:  # raised for an infinite or NaN float
+        raise ToolkitError("the result holds an infinite or NaN number") from None
+    print(text)
 
 
 def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
@@ -305,7 +312,7 @@ def _cmd_regress(args) -> int:
         raise ConfigError(
             "regress needs either --from-ss or --input/--dependent/--independents"
         )
-    ds = open_datastore(args.input)
+    ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
     y, *columns = _numeric_columns(ds, [args.dependent, *args.independents])
     x = list(zip(*columns))
     summary, table = stats.fit_ols(x, y)
@@ -314,7 +321,7 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_pca(args) -> int:
-    ds = open_datastore(args.input)
+    ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
     numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
     if not numeric:
         raise TypeMismatch("input has no numeric columns")
@@ -336,13 +343,13 @@ def _cmd_pca(args) -> int:
 
 def _cmd_delays(args) -> int:
     path = args.input if args.input else str(fixtures.path("delays.csv"))
-    records = delay_records(open_datastore(path))
+    records = delay_records(open_datastore(path, chunk_size=_WHOLE_TABLE))
     _print_json(asdict(delay_summary(records)))
     return 0
 
 
 def _cmd_plotdata(args) -> int:
-    ds = open_datastore(args.input)
+    ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
     xs, ys = _numeric_columns(ds, [args.x, args.y])
     series = emit_plot_data(xs, ys, with_fit=args.fit)
     if args.output:

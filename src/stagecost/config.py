@@ -105,6 +105,13 @@ def validate(cfg: SystemConfig, wl: Workload) -> ValidationReport:
     for k in wl.kernels:
         check(k.t_ssd_k > 0, f"kernels[{k.name}].t_ssd_k > 0")
         check(k.t_server_k > 0, f"kernels[{k.name}].t_server_k > 0")
+    numbers = {f: getattr(cfg, f) for f in _CFG_FIELDS}
+    numbers.update(lambda_a=wl.lambda_a, lambda_c=wl.lambda_c, alpha=wl.alpha)
+    for k in wl.kernels:
+        numbers[f"kernels[{k.name}].t_ssd_k"] = k.t_ssd_k
+        numbers[f"kernels[{k.name}].t_server_k"] = k.t_server_k
+    for name, value in numbers.items():
+        check(math.isfinite(value), f"{name} is finite")
 
     feasible = cfg.compute_nodes * (wl.lambda_a + wl.lambda_c) <= cfg.bw_host2ssd
     return ValidationReport(passed=not bad, violations=tuple(bad), feasible=feasible)

@@ -1,11 +1,15 @@
 """Chunked reader for header-and-rows CSV files.
 
 A datastore is opened over one or more CSV files that share a header.  The
-whole input is scanned once at open time: cells equal to a missing marker
-(``NA`` by default) are flagged missing, and a column is numeric exactly
-when every non-missing cell parses as a finite number.  Rows then come back
-in fixed-size :class:`TableChunk` batches through a cursor; ``preview`` and
-``filter_rows`` never move the cursor that ``read`` uses.
+whole input is read once at open time and stored column by column: one list
+of values and one list of missing flags per column.  Each cell is parsed at
+most once.  Cells equal to a missing marker (``NA`` by default) are flagged
+missing, and a column is numeric exactly when every non-missing cell parses
+as a finite number; at its first cell that does not, the column becomes
+text and the rest of it is kept unparsed.  Rows then come back in
+fixed-size :class:`TableChunk` batches through a cursor, each cut from
+slices of the selected columns; ``preview`` and ``filter_rows`` never move
+the cursor that ``read`` uses.
 
 Missing numeric cells surface as IEEE NaN plus a flag; exports write them
 back out as ``NA``.
@@ -17,7 +21,9 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EmptyInput,
@@ -69,11 +75,6 @@ class TableChunk:
         i = self.column_index(name)
         return [row[i] for row in self.rows]
 
-    def column_with_flags(self, name: str) -> list[tuple]:
-        """(value, missing) pairs for one column."""
-        i = self.column_index(name)
-        return [(row[i], flags[i]) for row, flags in zip(self.rows, self.missing)]
-
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write the chunk back out, with ``NA`` for every missing cell."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -105,18 +106,23 @@ class Datastore:
     """Cursor-based access to one logical table spread over CSV files."""
 
     def __init__(self, paths, missing_markers, chunk_size):
-        self._markers = frozenset(missing_markers)
+        markers = frozenset(missing_markers)
         self._chunk_size = int(chunk_size)
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
         header, raw_rows = _load_files(paths)
         if not raw_rows:
             raise EmptyInput("no data rows in " + ", ".join(str(p) for p in paths))
-        self._schema, self._rows, self._missing = _infer_and_convert(
-            header, raw_rows, self._markers
-        )
-        self._names = [col.name for col in self._schema]
-        self._selected = list(self._names)
+        schema, self._values, self._flags = [], [], []
+        for name, cells in zip(header, zip(*raw_rows)):
+            kind, values, flags = _convert_column(cells, markers)
+            schema.append(ColumnSchema(name=name, kind=kind))
+            self._values.append(values)
+            self._flags.append(flags)
+        self._schema = tuple(schema)
+        self._names = header
+        self._total_rows = len(raw_rows)
+        self._cols = list(range(len(header)))
         self._cursor = 0
 
     # -- schema and cursor state ---------------------------------------------
@@ -126,12 +132,8 @@ class Datastore:
         return self._schema
 
     @property
-    def selected_variables(self) -> tuple[str, ...]:
-        return tuple(self._selected)
-
-    @property
     def total_rows(self) -> int:
-        return len(self._rows)
+        return self._total_rows
 
     @property
     def chunk_size(self) -> int:
@@ -140,7 +142,7 @@ class Datastore:
     @property
     def chunks_left(self) -> int:
         """Number of chunks that ``read`` returns from the cursor on."""
-        return -(-(len(self._rows) - self._cursor) // self._chunk_size)
+        return -(-(self._total_rows - self._cursor) // self._chunk_size)
 
     def select_variables(self, names: Sequence[str]) -> None:
         """Restrict (and order) the columns that reads and scans return."""
@@ -149,13 +151,13 @@ class Datastore:
                 raise UnknownVariable(f"no column named {name!r}")
         if not names:
             raise UnknownVariable("at least one variable must stay selected")
-        self._selected = list(names)
+        self._cols = [self._names.index(name) for name in names]
 
     def reset(self) -> None:
         self._cursor = 0
 
     def has_data(self) -> bool:
-        return self._cursor < len(self._rows)
+        return self._cursor < self._total_rows
 
     # -- row access ------------------------------------------------------------
 
@@ -163,14 +165,14 @@ class Datastore:
         """Return the next chunk (at most ``chunk_size`` rows) and advance."""
         if not self.has_data():
             raise ReadPastEnd("no rows left; call reset() to rewind")
-        stop = min(self._cursor + self._chunk_size, len(self._rows))
-        chunk = self._view(range(self._cursor, stop))
+        stop = min(self._cursor + self._chunk_size, self._total_rows)
+        chunk = self._chunk(itemgetter(slice(self._cursor, stop)))
         self._cursor = stop
         return chunk
 
     def preview(self) -> TableChunk:
         """First rows of the table (up to 8) without touching the cursor."""
-        return self._view(range(min(PREVIEW_ROWS, len(self._rows))))
+        return self._chunk(itemgetter(slice(PREVIEW_ROWS)))
 
     def filter_rows(self, column: str, op: str, literal) -> TableChunk:
         """All rows whose ``column`` satisfies ``op literal``.
@@ -202,18 +204,18 @@ class Datastore:
             want = str(literal)
 
         hits = [
-            i
-            for i, (row, flags) in enumerate(zip(self._rows, self._missing))
-            if not flags[col] and _compare(row[col], op, want)
+            not miss and _compare(value, op, want)
+            for value, miss in zip(self._values[col], self._flags[col])
         ]
-        return self._view(hits)
+        return self._chunk(lambda cells: list(compress(cells, hits)))
 
-    def _view(self, indices: Iterable[int]) -> TableChunk:
-        cols = [self._names.index(name) for name in self._selected]
-        schema = tuple(self._schema[c] for c in cols)
-        rows = tuple(tuple(self._rows[i][c] for c in cols) for i in indices)
-        missing = tuple(tuple(self._missing[i][c] for c in cols) for i in indices)
-        return TableChunk(schema=schema, rows=rows, missing=missing)
+    def _chunk(self, cut: Callable[[list], list]) -> TableChunk:
+        """The selected columns, each cut down to the chunk's rows by ``cut``."""
+        return TableChunk(
+            schema=tuple(self._schema[c] for c in self._cols),
+            rows=tuple(zip(*(cut(self._values[c]) for c in self._cols))),
+            missing=tuple(zip(*(cut(self._flags[c]) for c in self._cols))),
+        )
 
 
 def _compare(value, op: str, want) -> bool:
@@ -275,35 +277,19 @@ def _load_files(paths) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _infer_and_convert(header, raw_rows, markers):
-    """Decide each column's kind from every non-missing cell, then convert."""
-    n_cols = len(header)
-    numeric = [True] * n_cols
-    for row in raw_rows:
-        for c in range(n_cols):
-            cell = row[c]
-            if cell in markers:
-                continue
-            if numeric[c] and _parse_number(cell) is None:
-                numeric[c] = False
+def _convert_column(cells, markers) -> tuple[str, list, list[bool]]:
+    """One column's kind, values and missing flags, parsing each cell once.
 
-    schema = tuple(
-        ColumnSchema(name=header[c], kind=NUMERIC if numeric[c] else TEXT)
-        for c in range(n_cols)
-    )
-    rows = []
-    missing = []
-    for row in raw_rows:
-        values = []
-        flags = []
-        for c in range(n_cols):
-            cell = row[c]
-            if cell in markers:
-                values.append(float("nan") if numeric[c] else None)
-                flags.append(True)
-            else:
-                values.append(_parse_number(cell) if numeric[c] else cell)
-                flags.append(False)
-        rows.append(tuple(values))
-        missing.append(tuple(flags))
-    return schema, rows, missing
+    The column is numeric until its first cell that is neither a missing
+    marker nor a finite number.  From there on it is text: its cells are
+    kept as strings and the rest of them are never parsed.  Missing cells
+    read NaN in a numeric column and None in a text column.
+    """
+    flags = [cell in markers for cell in cells]
+    values = []
+    for cell, miss in zip(cells, flags):
+        value = math.nan if miss else _parse_number(cell)
+        if value is None:
+            return TEXT, [None if m else c for c, m in zip(cells, flags)], flags
+        values.append(value)
+    return NUMERIC, values, flags

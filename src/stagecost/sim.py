@@ -26,7 +26,7 @@ from operator import attrgetter, itemgetter
 
 from . import energy
 from .config import SystemConfig, Workload, validate
-from .errors import InfeasibleConfig, NonPositiveTick, TickMismatch, TooManyTicks
+from .errors import ConfigError, InfeasibleConfig, NonPositiveTick, TickMismatch, TooManyTicks
 
 EVENT_KINDS = ("generation_tick", "stage_complete", "analyze_complete", "drain_complete")
 
@@ -86,7 +86,8 @@ def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimRe
     """Run the tier for ``tsim`` seconds of generation at the given tick.
 
     ``tick`` must be positive, divide ``tsim`` and give at most
-    ``MAX_TICKS`` ticks.  Generation happens at the start of each interval;
+    ``MAX_TICKS`` ticks, and every station's rate must come out positive
+    and finite.  Generation happens at the start of each interval;
     the run itself continues past ``tsim`` until all queues drain, so busy
     seconds always cover the whole workload.
     """
@@ -106,6 +107,11 @@ def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimRe
         "ssd_analyze": 1.0 / (1.0 / cfg.bw_fm2c + 1.0 / cfg.bw_c2m + 1.0 / k.t_ssd_k),
         "ssd_drain": cfg.staging_ssds * cfg.bw_pfs / cfg.compute_nodes,
     }
+    for name, rate in rates.items():
+        if not 0 < rate < math.inf:
+            raise ConfigError(
+                f"station {name} has rate {rate!r} MB/s; it must be positive and finite"
+            )
     analysis_per_tick = cfg.compute_nodes * wl.lambda_a * tick
     checkpoint_per_tick = cfg.compute_nodes * wl.lambda_c * tick
     batch_mb = analysis_per_tick + checkpoint_per_tick

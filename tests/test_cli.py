@@ -212,8 +212,28 @@ def test_simulate_rejects_bad_ticks_without_traceback(capsys, config_file, tick)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"bw_fm2c": 1e-320, "bw_c2m": 1e-320}, {"p_ssd_busy": 1e308}],
+    ids=["analyze-rate-underflows", "energy-overflows"],
+)
+def test_simulate_rejects_non_finite_results(capsys, config_file, tmp_path, overrides):
+    # both configs pass validate; the first gives an analyze rate of 0, the
+    # second infinite energies
+    doc = json.loads(open(config_file).read())
+    doc.update(overrides)
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    code = dispatch(["simulate", "--config", str(path), "--kernel", "k1", "--tick", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines()[-1].startswith("error:")
+    assert "Traceback" not in captured.err
+    assert "Infinity" not in captured.out
+
+
 _NUMBER = st.integers(-3, 10) | st.floats(-10.0, 1e4) | st.floats() | st.integers()
-_POSITIVE = st.integers(1, 10) | st.floats(0.01, 1e4)
+_POSITIVE = st.integers(1, 10) | st.floats(0.01, 1e4) | st.floats(5e-324, 1e308)
 _JSON = st.recursive(
     st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -224,6 +244,7 @@ _NUMERIC_KEYS = ["compute_nodes", "staging_ssds", "bw_host2ssd", "bw_pfs", "p_ss
                  "p_ssd_busy", "tsim", "lambda_a", "lambda_c", "alpha"]
 
 
+@pytest.mark.parametrize("command", ["energy", "compare", "simulate"])
 @settings(derandomize=True, database=None, max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -240,8 +261,8 @@ _NUMERIC_KEYS = ["compute_nodes", "staging_ssds", "bw_host2ssd", "bw_pfs", "p_ss
     junk_key=st.sampled_from([*_NUMERIC_KEYS, "kernels", "surprise"]),
     junk=_JSON,
 )
-def test_energy_never_crashes_on_generated_configs(capsys, config_file, tmp_path, numbers,
-                                                   kernels, mode, junk_key, junk):
+def test_energy_never_crashes_on_generated_configs(capsys, config_file, tmp_path, command,
+                                                   numbers, kernels, mode, junk_key, junk):
     # generated documents end in exit 0 or in an "error:" line, never in an exception
     doc = json.loads(open(config_file).read())
     doc.update(numbers, kernels=kernels)
@@ -249,7 +270,12 @@ def test_energy_never_crashes_on_generated_configs(capsys, config_file, tmp_path
         doc[junk_key] = junk
     path = tmp_path / "generated.json"
     path.write_text(json.dumps(junk if mode == "whole" else doc))
-    code = dispatch(["energy", "--config", str(path), "--kernel", "k1"])
+    argv = [command, "--config", str(path), "--kernel", "k1"]
+    if command == "simulate":
+        tsim = doc["tsim"]
+        positive = type(tsim) in (int, float) and 0 < tsim < 1e300  # not bool, nan or huge
+        argv += ["--tick", repr(tsim / 10) if positive else "1"]
+    code = dispatch(argv)
     err = capsys.readouterr().err
     assert code in (0, 1)
     assert code == 0 or err.splitlines()[-1].startswith("error:")
@@ -407,8 +433,17 @@ def test_column_commands_read_the_table_in_one_pass(capsys, monkeypatch, tmp_pat
         original(self)
 
     monkeypatch.setattr(Datastore, "reset", counting_reset)
+    reads = []
+    original_read = Datastore.read
+
+    def counting_read(self):
+        reads.append(self)
+        return original_read(self)
+
+    monkeypatch.setattr(Datastore, "read", counting_read)
     assert dispatch([*argv, "--input", str(path)]) == 0
     assert len(resets) == 1
+    assert len(reads) == 1  # the whole table comes back as one chunk
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from conftest import make_config, make_workload
@@ -61,6 +62,15 @@ def test_each_workload_invariant_reports_its_own_rule(overrides, rule):
     report = validate(make_config(), make_workload(**overrides))
     assert not report.passed
     assert report.violations == (rule,)
+
+
+def test_validate_flags_non_finite_numbers_from_library_callers():
+    report = validate(
+        make_config(tsim=math.inf),
+        make_workload(kernels=(KernelRate("k1", math.inf, 10.0),)),
+    )
+    assert not report.passed
+    assert report.violations == ("tsim is finite", "kernels[k1].t_ssd_k is finite")
 
 
 def test_alpha_of_exactly_one_is_valid():

@@ -1,11 +1,15 @@
 """Datastore parsing, cursor behaviour, filtering, and chunking invariance."""
 
+import csv
 import math
 import random
 
 import pytest
 from _oracles import chunk_as_plain, read_csv_table
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from stagecost import datastore
 from stagecost.datastore import NUMERIC, TEXT, open_datastore
 from stagecost.errors import (
     EmptyInput,
@@ -270,3 +274,68 @@ def test_chunks_left_counts_from_the_cursor(servers_csv):
     ds.read()
     ds.read()
     assert ds.chunks_left == 0
+
+
+def test_each_cell_is_parsed_at_most_once(monkeypatch, servers_csv):
+    calls = []
+    original = datastore._parse_number
+
+    def counting_parse(cell):
+        calls.append(cell)
+        return original(cell)
+
+    monkeypatch.setattr(datastore, "_parse_number", counting_parse)
+    ds = open_datastore(servers_csv)
+    assert 0 < len(calls) <= ds.total_rows * len(ds.schema)
+
+
+# -- property test against the reference parse -----------------------------------------
+
+_NUMBER_CELLS = (
+    st.integers(-999, 999).map(str)
+    | st.floats(-1e6, 1e6).map(repr)
+    | st.sampled_from([" 2.5 ", "1e3", "-0", "7."])
+)
+_OTHER_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "two words", ""])
+_MISSING_CELLS = st.sampled_from(["NA", " NA "])
+
+
+@st.composite
+def _tables(draw):
+    """Columns of cells, and how many rows go to the first of two files (0: one file)."""
+    n_rows = draw(st.integers(1, 10))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        cell = _NUMBER_CELLS | _MISSING_CELLS
+        if draw(st.booleans()):
+            cell = cell | _OTHER_CELLS
+        columns.append(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
+    return columns, draw(st.integers(0, n_rows - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables())
+def test_any_table_reads_like_the_reference_parse(tmp_path, table):
+    columns, split = table
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = list(zip(*columns))
+    parts = [rows[:split], rows[split:]] if split else [rows]
+    paths = []
+    for i, part in enumerate(parts):
+        path = tmp_path / f"part{i}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([header, *part])
+        paths.append(path)
+    names, kinds, want_rows, want_flags = read_csv_table(paths)
+
+    for chunk_size in range(1, len(rows) + 2):
+        ds = open_datastore(paths, chunk_size=chunk_size)
+        assert [c.name for c in ds.schema] == names
+        assert [c.kind for c in ds.schema] == kinds
+        assert read_everything(ds) == (want_rows, want_flags)
+    assert chunk_as_plain(ds.preview())[1:] == (want_rows[:8], want_flags[:8])
+    for i, name in enumerate(names):
+        present = [row[i] for row, flags in zip(want_rows, want_flags) if not flags[i]]
+        if present:
+            assert len(ds.filter_rows(name, "=", present[0])) == present.count(present[0])
