@@ -15,7 +15,8 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from . import energy, fixtures, mapreduce, pca, sim, stats
+# stats and pca import numpy, so only the commands that use them import them.
+from . import energy, fixtures, mapreduce, sim
 from .config import load_config, validate
 from .datastore import NUMERIC, Datastore, open_datastore
 from .errors import (
@@ -72,6 +73,10 @@ _DELAY_COLUMNS = ("UniqueCarrier", "ServerNum", "SendingDelay", "ReceivingDelay"
 def delay_records(ds: Datastore) -> list[DelayRecord]:
     """Materialise delay records from a datastore with the standard columns."""
     ds.select_variables(list(_DELAY_COLUMNS))
+    kinds = {col.name: col.kind for col in ds.schema}
+    for name in ("ServerNum", "SendingDelay", "ReceivingDelay"):
+        if kinds[name] != NUMERIC:
+            raise TypeMismatch(f"column {name!r} is not numeric")
     ds.reset()
     records = []
     while ds.has_data():
@@ -80,6 +85,8 @@ def delay_records(ds: Datastore) -> list[DelayRecord]:
             if any(flags):
                 raise MissingData("delay records must not have missing cells")
             carrier, server, sending, receiving, origin = row
+            if not server.is_integer():
+                raise TypeMismatch(f"column 'ServerNum' holds {server!r}, not a whole number")
             records.append(
                 DelayRecord(
                     unique_carrier=str(carrier),
@@ -138,6 +145,8 @@ def emit_plot_data(
         raise LengthMismatch(f"x has {len(xs)} points, y has {len(ys)}")
     if not with_fit:
         return PlotSeries(x=xs, y=ys, fitted=None, intercept=None, slope=None)
+    from . import stats
+
     intercept, slope = stats.ols_coefficients([[v] for v in xs], ys)
     fitted = tuple(intercept + slope * v for v in xs)
     return PlotSeries(x=xs, y=ys, fitted=fitted, intercept=intercept, slope=slope)
@@ -299,6 +308,8 @@ def _print_regression(summary: stats.RegressionSummary, table: stats.AnovaTable,
 
 
 def _cmd_regress(args) -> int:
+    from . import stats
+
     if args.from_ss:
         try:
             ss_reg, ss_total = float(args.from_ss[0]), float(args.from_ss[1])
@@ -321,14 +332,18 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_pca(args) -> int:
+    from . import pca
+
     ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
     numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
     if not numeric:
         raise TypeMismatch("input has no numeric columns")
     data = list(zip(*_numeric_columns(ds, numeric)))
     corr = pca.correlation_matrix(data, names=numeric)
-    model = pca.extract_factors(corr, variance_threshold=args.threshold)
-    suggestion = pca.suggest_schema(model, loading_cutoff=args.cutoff)
+    threshold = pca.DEFAULT_VARIANCE_THRESHOLD if args.threshold is None else args.threshold
+    cutoff = pca.DEFAULT_LOADING_CUTOFF if args.cutoff is None else args.cutoff
+    model = pca.extract_factors(corr, variance_threshold=threshold)
+    suggestion = pca.suggest_schema(model, loading_cutoff=cutoff)
 
     print("Component  Eigenvalue  CumulativeVariance")
     for i, (value, cum) in enumerate(
@@ -406,8 +421,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pca", help="correlation factoring and schema grouping")
     p.add_argument("--input", required=True)
-    p.add_argument("--threshold", type=float, default=pca.DEFAULT_VARIANCE_THRESHOLD)
-    p.add_argument("--cutoff", type=float, default=pca.DEFAULT_LOADING_CUTOFF)
+    # None stands for pca's defaults, filled in by _cmd_pca: building the
+    # parser must not import pca (and numpy).
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--cutoff", type=float)
     p.set_defaults(handler=_cmd_pca)
 
     p = sub.add_parser("delays", help="summarise sending/receiving delay records")
@@ -435,7 +452,7 @@ def dispatch(argv: Sequence[str]) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,6 +93,8 @@ def validate(cfg: SystemConfig, wl: Workload) -> ValidationReport:
     check(cfg.bw_ssd > 0, "bw_ssd > 0")
     check(cfg.bw_pfs > 0, "bw_pfs > 0")
     check(cfg.tsim > 0, "tsim > 0")
+    # busy time is recovered as energy / p_ssd_busy, so a zero power would hide it
+    check(cfg.p_ssd_busy > 0, "p_ssd_busy > 0")
     check(cfg.p_ssd_idle >= 0, "p_ssd_idle >= 0")
     check(cfg.p_ssd_idle <= cfg.p_ssd_busy, "p_ssd_idle <= p_ssd_busy")
     check(cfg.p_server_idle >= 0, "p_server_idle >= 0")

@@ -18,10 +18,11 @@ puts the two side by side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import SystemConfig, Workload
-from .errors import InfeasibleUtilization
+from .errors import InfeasibleUtilization, ToolkitError
 
 #: Two totals closer than this (relatively) are reported as a tie.
 TIE_REL_TOL = 1e-12
@@ -131,6 +132,10 @@ def insitu_breakdown(cfg: SystemConfig, wl: Workload, kernel: str) -> EnergyBrea
     n2s = e_node2ssd(cfg, wl)
     act = e_active_ssd(cfg, wl, kernel)
     drain = e_ssd2pfs(cfg, wl)
+    # An overflowed term would otherwise pass for an infinite busy time.
+    for name, value in (("e_node2ssd", n2s), ("e_active_ssd", act), ("e_ssd2pfs", drain)):
+        if not math.isfinite(value):
+            raise ToolkitError(f"energy term {name} is not finite ({value!r} J)")
     idle = e_idle_ssd(cfg, act, drain)
     saving = e_io_saving(cfg, wl)
     return EnergyBreakdown(

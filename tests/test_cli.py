@@ -2,6 +2,11 @@
 
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import make_config, make_workload
@@ -10,7 +15,7 @@ from hypothesis import strategies as st
 
 from stagecost import cli, energy
 from stagecost.datastore import Datastore, open_datastore
-from stagecost.errors import EmptyInput, LengthMismatch, MissingData
+from stagecost.errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
 from stagecost.cli import (
     DelayRecord,
     delay_records,
@@ -80,6 +85,26 @@ def test_delay_records_reject_missing_cells(tmp_path):
         "S1,121,-9,0,C1\nS2,99,NA,4,C2\n"
     )
     with pytest.raises(MissingData):
+        delay_records(open_datastore(path))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("S2,x99,4,4,C2", "column 'ServerNum' is not numeric"),
+        ("S2,99,soon,4,C2", "column 'SendingDelay' is not numeric"),
+        ("S2,99,4,late,C2", "column 'ReceivingDelay' is not numeric"),
+        ("S2,1.7,4,4,C2", "column 'ServerNum' holds 1.7, not a whole number"),
+    ],
+    ids=["text-server", "text-sending", "text-receiving", "fractional-server"],
+)
+def test_delay_records_reject_bad_cells(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "UniqueCarrier,ServerNum,SendingDelay,ReceivingDelay,Origin\n"
+        f"S1,121,-9,0,C1\n{row}\n"
+    )
+    with pytest.raises(TypeMismatch, match=re.escape(message)):
         delay_records(open_datastore(path))
 
 
@@ -232,6 +257,20 @@ def test_simulate_rejects_non_finite_results(capsys, config_file, tmp_path, over
     assert "Infinity" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["energy", "compare"])
+def test_overflowing_energy_term_is_named(capsys, config_file, tmp_path, command):
+    # the analyse and drain busy time is 147.5 s at any p_ssd_busy, inside the
+    # 200 s budget; what overflows is the energy, first of all e_node2ssd
+    doc = json.loads(open(config_file).read())
+    doc["p_ssd_busy"] = 1e308
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch([command, "--config", str(path), "--kernel", "k1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: energy term e_node2ssd is not finite (inf J)\n"
+    assert captured.out == ""
+
+
 _NUMBER = st.integers(-3, 10) | st.floats(-10.0, 1e4) | st.floats() | st.integers()
 _POSITIVE = st.integers(1, 10) | st.floats(0.01, 1e4) | st.floats(5e-324, 1e308)
 _JSON = st.recursive(
@@ -295,6 +334,28 @@ def test_out_of_range_parameters_exit_one_without_traceback(capsys, tmp_path, ar
     path = tmp_path / "clean.csv"
     path.write_text("a,b,c\n1,2,0\n2,1,1\n3,5,0\n4,3,2\n")
     assert dispatch([*argv, "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "{config}", "--kernel", "k1", "--tick", "1",
+         "--trace", "{tmp}/missing/events.tsv"],
+        ["simulate", "--config", "{config}", "--kernel", "k1", "--tick", "1",
+         "--trace", "{tmp}"],
+        ["plotdata", "--input", "{tmp}/points.csv", "--x", "t", "--y", "v",
+         "--output", "{tmp}/missing/series.tsv"],
+    ],
+    ids=["trace-in-missing-dir", "trace-is-a-directory", "plot-in-missing-dir"],
+)
+def test_unwritable_output_paths_exit_one_without_traceback(capsys, config_file, tmp_path,
+                                                            argv):
+    (tmp_path / "points.csv").write_text("t,v\n0,1\n1,3\n2,5\n")
+    argv = [arg.format(config=config_file, tmp=tmp_path) for arg in argv]
+    assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
@@ -515,3 +576,44 @@ def test_reruns_are_byte_identical(capsys, config_file, delays_csv):
         first = capsys.readouterr().out
         dispatch(argv)
         assert capsys.readouterr().out == first
+
+
+# -- import graph ----------------------------------------------------------------------------
+
+_RUN_COMMANDS = """
+import json, sys
+from stagecost import cli
+
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["stagecost", *argv]
+    try:
+        cli.main()
+    except SystemExit as exc:
+        if exc.code != 0:
+            raise
+    loaded.append("numpy" in sys.modules)
+sys.stderr.write(json.dumps(loaded))
+"""
+
+
+def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path):
+    # a fresh interpreter: importing the CLI and running the model, simulator
+    # and table commands leaves numpy unloaded; pca loads it
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
+    runs = [
+        ["energy", "--config", config_file, "--kernel", "k1"],
+        ["compare", "--config", config_file, "--kernel", "k1"],
+        ["simulate", "--config", config_file, "--kernel", "k1", "--tick", "1"],
+        ["mapreduce", "run", "--job", "max", "--column", "ActualElapsedTime",
+         "--input", servers_csv],
+        ["delays"],
+        ["pca", "--input", str(wide)],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr) == [False, False, False, False, False, False, True]

@@ -37,6 +37,7 @@ def test_zero_tsim_is_flagged_by_rule_name():
         (dict(p_ssd_idle=11.0), "p_ssd_idle <= p_ssd_busy"),
         (dict(p_server_idle=-0.5), "p_server_idle >= 0"),
         (dict(p_server_idle=101.0), "p_server_idle <= p_server_busy"),
+        (dict(p_ssd_busy=0.0, p_ssd_idle=0.0), "p_ssd_busy > 0"),
     ],
 )
 def test_each_config_invariant_reports_its_own_rule(overrides, rule):
