@@ -81,7 +81,7 @@ def delay_records(ds: Datastore) -> list[DelayRecord]:
     records = []
     while ds.has_data():
         chunk = ds.read()
-        for row, flags in zip(chunk.rows, chunk.missing):
+        for row, flags in zip(zip(*chunk.columns), zip(*chunk.missing)):
             if any(flags):
                 raise MissingData("delay records must not have missing cells")
             carrier, server, sending, receiving, origin = row
@@ -190,26 +190,22 @@ def _print_json(payload) -> None:
 
 
 def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
-    """The values of each named numeric column, read in one pass over ``ds``.
+    """The values of each named numeric column, from ``ds``'s one chunk.
 
-    An error names the first column in ``names`` that is unknown, is text or
-    has a missing cell.
+    ``ds`` must hold its whole table in one chunk.  An error names the first
+    column in ``names`` that is unknown, is text or has a missing cell.
     """
     kinds = {col.name: col.kind for col in ds.schema}
     good = list(itertools.takewhile(lambda name: kinds.get(name) == NUMERIC, names))
-    columns: list[list[float]] = [[] for _ in good]
-    holes = [False] * len(good)
+    columns: list[list[float]] = []
     if good:
         ds.select_variables(good)
         ds.reset()
-        while ds.has_data():
-            chunk = ds.read()
-            for i, (values, flags) in enumerate(zip(zip(*chunk.rows), zip(*chunk.missing))):
-                columns[i].extend(values)
-                holes[i] = holes[i] or any(flags)
-    for name, missing in zip(good, holes):
-        if missing:
-            raise MissingData(f"column {name!r} has missing cells")
+        chunk = ds.read()
+        for name, flags in zip(good, chunk.missing):
+            if any(flags):
+                raise MissingData(f"column {name!r} has missing cells")
+        columns = list(chunk.columns)
     if len(good) < len(names):
         name = names[len(good)]
         if name in kinds:

@@ -6,10 +6,9 @@ of values and one list of missing flags per column.  Each cell is parsed at
 most once.  Cells equal to a missing marker (``NA`` by default) are flagged
 missing, and a column is numeric exactly when every non-missing cell parses
 as a finite number; at its first cell that does not, the column becomes
-text and the rest of it is kept unparsed.  Rows then come back in
-fixed-size :class:`TableChunk` batches through a cursor, each cut from
-slices of the selected columns; ``preview`` and ``filter_rows`` never move
-the cursor that ``read`` uses.
+text and the rest of it is kept unparsed.  Rows come back through a cursor
+in fixed-size :class:`TableChunk` batches that keep this column layout;
+``preview`` and ``filter_rows`` never move the cursor that ``read`` uses.
 
 Missing numeric cells surface as IEEE NaN plus a flag; exports write them
 back out as ``NA``.
@@ -55,14 +54,17 @@ class ColumnSchema:
 
 @dataclass(frozen=True)
 class TableChunk:
-    """An immutable batch of rows, with a parallel missing-cell mask."""
+    """A batch of rows by column: ``schema[i]``'s values and missing flags.
+
+    Each list is a fresh slice, so changing it leaves the datastore as it was.
+    """
 
     schema: tuple[ColumnSchema, ...]
-    rows: tuple[tuple, ...]
-    missing: tuple[tuple[bool, ...], ...]
+    columns: tuple[list, ...]
+    missing: tuple[list[bool], ...]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.missing[0])
 
     def column_index(self, name: str) -> int:
         for i, col in enumerate(self.schema):
@@ -72,15 +74,14 @@ class TableChunk:
 
     def column(self, name: str) -> list:
         """All values of one column (missing numeric cells come back as NaN)."""
-        i = self.column_index(name)
-        return [row[i] for row in self.rows]
+        return self.columns[self.column_index(name)]
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write the chunk back out, with ``NA`` for every missing cell."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([col.name for col in self.schema])
-            for row, flags in zip(self.rows, self.missing):
+            for row, flags in zip(zip(*self.columns), zip(*self.missing)):
                 writer.writerow(
                     ["NA" if miss else _format_cell(v) for v, miss in zip(row, flags)]
                 )
@@ -213,8 +214,8 @@ class Datastore:
         """The selected columns, each cut down to the chunk's rows by ``cut``."""
         return TableChunk(
             schema=tuple(self._schema[c] for c in self._cols),
-            rows=tuple(zip(*(cut(self._values[c]) for c in self._cols))),
-            missing=tuple(zip(*(cut(self._flags[c]) for c in self._cols))),
+            columns=tuple(cut(self._values[c]) for c in self._cols),
+            missing=tuple(cut(self._flags[c]) for c in self._cols),
         )
 
 
@@ -251,7 +252,7 @@ def _load_files(paths) -> tuple[list[str], list[list[str]]]:
     for path in paths:
         if not os.path.isfile(path):
             raise MissingFile(f"input file {path} does not exist")
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 this_header = [c.strip() for c in next(reader)]

@@ -82,9 +82,11 @@ def e_ssd2pfs(cfg: SystemConfig, wl: Workload) -> float:
     which makes the tier total scale with N^2.
     """
     drained = wl.alpha * wl.lambda_a + wl.lambda_c
+    n = float(cfg.compute_nodes)  # n * n overflows to inf, not OverflowError
     return (
         cfg.p_ssd_busy
-        * cfg.compute_nodes**2
+        * n
+        * n
         * drained
         * cfg.tsim
         / (cfg.staging_ssds * cfg.bw_pfs)

@@ -102,7 +102,7 @@ def _numeric_cells(chunk: TableChunk, column: str) -> list[float]:
     i = chunk.column_index(column)
     if chunk.schema[i].kind != NUMERIC:
         raise TypeMismatch(f"column {column!r} is not numeric")
-    return [row[i] for row, flags in zip(chunk.rows, chunk.missing) if not flags[i]]
+    return [v for v, miss in zip(chunk.columns[i], chunk.missing[i]) if not miss]
 
 
 def builtin_max_mapper(column: str) -> Mapper:
@@ -129,14 +129,14 @@ def builtin_keycount_mapper(key_column: str, value_column: str | None = None) ->
 
     def mapper(chunk: TableChunk, store: _Collector) -> None:
         key_i = chunk.column_index(key_column)
-        val_i = chunk.column_index(value_column) if value_column is not None else None
+        # no value column: the key's own flags are checked in its place
+        val_i = key_i if value_column is None else chunk.column_index(value_column)
         counts: dict[str, int] = defaultdict(int)
-        for row, flags in zip(chunk.rows, chunk.missing):
-            if flags[key_i]:
-                continue
-            if val_i is not None and flags[val_i]:
-                continue
-            counts[_key_text(row[key_i])] += 1
+        for key, key_miss, val_miss in zip(
+            chunk.columns[key_i], chunk.missing[key_i], chunk.missing[val_i]
+        ):
+            if not (key_miss or val_miss):
+                counts[_key_text(key)] += 1
         for key in sorted(counts):
             store.add(key, counts[key])
 

@@ -159,9 +159,9 @@ def summary_from_ss(
         raise InvalidSums("n and k must be integers with k >= 1")
     if n < k + 2:
         raise InvalidSums(f"need n >= k + 2, got n={n}, k={k}")
-    if not (0 <= ss_reg <= ss_total) or ss_total <= 0:
+    if not (0 <= ss_reg <= ss_total < math.inf) or ss_total <= 0:
         raise InvalidSums(
-            f"sums must satisfy 0 <= ss_reg <= ss_total with ss_total > 0, "
+            f"sums must be finite with 0 <= ss_reg <= ss_total and ss_total > 0, "
             f"got ss_reg={ss_reg}, ss_total={ss_total}"
         )
     return _summarise(None, ss_reg, ss_total, ss_total - ss_reg, n, k)

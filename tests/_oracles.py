@@ -105,9 +105,14 @@ def read_csv_table(paths, markers=("NA",)):
 
 
 def chunk_as_plain(chunk):
-    """Datastore chunk -> (names, rows-with-None-for-missing, flags) for comparison."""
+    """Datastore chunk -> (names, rows-with-None-for-missing, flags) for comparison.
+
+    The chunk holds columns; the reference parse holds rows, so both the
+    values and the flags are turned into one tuple per row.
+    """
     names = [col.name for col in chunk.schema]
+    flags = list(zip(*chunk.missing))
     rows = []
-    for row, flags in zip(chunk.rows, chunk.missing):
-        rows.append(tuple(None if miss else v for v, miss in zip(row, flags)))
-    return names, rows, [tuple(flags) for flags in chunk.missing]
+    for row, row_flags in zip(zip(*chunk.columns), flags):
+        rows.append(tuple(None if miss else v for v, miss in zip(row, row_flags)))
+    return names, rows, flags

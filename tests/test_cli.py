@@ -245,7 +245,7 @@ def test_simulate_rejects_bad_ticks_without_traceback(capsys, config_file, tick)
 def test_simulate_rejects_non_finite_results(capsys, config_file, tmp_path, overrides):
     # both configs pass validate; the first gives an analyze rate of 0, the
     # second infinite energies
-    doc = json.loads(open(config_file).read())
+    doc = json.loads(Path(config_file).read_text())
     doc.update(overrides)
     path = tmp_path / "extreme.json"
     path.write_text(json.dumps(doc))
@@ -261,13 +261,27 @@ def test_simulate_rejects_non_finite_results(capsys, config_file, tmp_path, over
 def test_overflowing_energy_term_is_named(capsys, config_file, tmp_path, command):
     # the analyse and drain busy time is 147.5 s at any p_ssd_busy, inside the
     # 200 s budget; what overflows is the energy, first of all e_node2ssd
-    doc = json.loads(open(config_file).read())
+    doc = json.loads(Path(config_file).read_text())
     doc["p_ssd_busy"] = 1e308
     path = tmp_path / "extreme.json"
     path.write_text(json.dumps(doc))
     assert dispatch([command, "--config", str(path), "--kernel", "k1"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: energy term e_node2ssd is not finite (inf J)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["energy", "compare"])
+def test_node_count_squared_past_the_float_range_is_an_error(capsys, config_file, tmp_path,
+                                                             command):
+    # the drain term grows with N^2; an N near 1.34e154 squares past 1.8e308
+    doc = json.loads(Path(config_file).read_text())
+    doc["compute_nodes"] = 1.3407807929942597e154
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch([command, "--config", str(path), "--kernel", "k1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == "error: energy term e_ssd2pfs is not finite (inf J)"
     assert captured.out == ""
 
 
@@ -303,7 +317,7 @@ _NUMERIC_KEYS = ["compute_nodes", "staging_ssds", "bw_host2ssd", "bw_pfs", "p_ss
 def test_energy_never_crashes_on_generated_configs(capsys, config_file, tmp_path, command,
                                                    numbers, kernels, mode, junk_key, junk):
     # generated documents end in exit 0 or in an "error:" line, never in an exception
-    doc = json.loads(open(config_file).read())
+    doc = json.loads(Path(config_file).read_text())
     doc.update(numbers, kernels=kernels)
     if mode == "junk":
         doc[junk_key] = junk
@@ -362,7 +376,7 @@ def test_unwritable_output_paths_exit_one_without_traceback(capsys, config_file,
 
 
 def test_infeasible_config_warns_but_runs(capsys, config_file, tmp_path):
-    doc = json.loads(open(config_file).read())
+    doc = json.loads(Path(config_file).read_text())
     doc["bw_host2ssd"] = 10.0  # far below the 400 MB/s offered load
     path = tmp_path / "hot.json"
     path.write_text(json.dumps(doc))
@@ -427,6 +441,14 @@ def test_regress_from_sums_prints_the_summary(capsys):
 def test_regress_from_sums_rejects_garbage(capsys):
     assert dispatch(["regress", "--from-ss", "a", "b", "c", "d"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sums", [("inf", "inf"), ("1", "inf")])
+def test_regress_from_sums_rejects_infinite_sums(capsys, sums):
+    assert dispatch(["regress", "--from-ss", *sums, "10", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_regress_needs_some_input(capsys):

@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+from pathlib import Path
 
 import pytest
 from _oracles import chunk_as_plain, read_csv_table
@@ -60,7 +61,7 @@ def test_type_inference_scans_past_the_first_chunk(tmp_path):
     path.write_text("v\n1\n2\n3\n4\nfive\n6\n")
     ds = open_datastore(path, chunk_size=4)
     assert ds.schema[0].kind == TEXT
-    assert ds.read().rows[0] == ("1",)
+    assert ds.read().column("v")[0] == "1"
 
 
 def test_missing_markers_are_configurable(tmp_path):
@@ -89,7 +90,7 @@ def test_multiple_files_concatenate_in_order(tmp_path, servers_csv):
     header, rows = whole[0], whole[2]
     first = tmp_path / "part1.csv"
     second = tmp_path / "part2.csv"
-    text = open(servers_csv).read().splitlines()
+    text = Path(servers_csv).read_text().splitlines()
     first.write_text("\n".join(text[:4]) + "\n")
     second.write_text("\n".join([text[0]] + text[4:]) + "\n")
     ds = open_datastore([first, second])
@@ -102,6 +103,23 @@ def test_header_mismatch_between_files(tmp_path, servers_csv):
     other.write_text("a,b\n1,2\n")
     with pytest.raises(HeaderMismatch):
         open_datastore([servers_csv, other])
+
+
+def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the file with a BOM
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n")
+    ds = open_datastore(path)
+    assert [c.name for c in ds.schema] == ["x", "y"]
+    assert ds.read().column("x") == [1.0]
+
+
+def test_a_byte_order_mark_on_one_file_only_still_matches(tmp_path):
+    first, second = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    first.write_bytes(b"x,y\n1,2\n")
+    second.write_bytes(b"\xef\xbb\xbfx,y\n3,4\n")
+    ds = open_datastore([first, second])
+    assert ds.read().column("x") == [1.0, 3.0]
 
 
 def test_duplicate_column_names_are_rejected(tmp_path):
@@ -129,6 +147,19 @@ def test_preview_of_a_short_table(tmp_path):
     assert len(open_datastore(path).preview()) == 3
 
 
+def test_changing_a_chunk_leaves_the_store_alone(servers_csv):
+    ds = open_datastore(servers_csv, chunk_size=4)
+    chunk = ds.read()
+    chunk.columns[0][0] = "changed"
+    chunk.columns[0].append("extra")
+    chunk.missing[0][0] = True
+    ds.reset()
+    again = ds.read()
+    assert again.columns[0] == [1503.0, 1550.0, 1589.0, 1655.0]
+    assert again.missing[0] == [False] * 4
+    assert ds.preview().columns[0][:4] == [1503.0, 1550.0, 1589.0, 1655.0]
+
+
 def test_read_walks_chunks_then_stops(servers_csv):
     ds = open_datastore(servers_csv, chunk_size=4)
     ds.select_variables(["ActualElapsedTime"])
@@ -147,7 +178,7 @@ def test_select_controls_both_columns_and_order(servers_csv):
     ds.select_variables(["Delay", "ServerNum"])
     chunk = ds.read()
     assert [col.name for col in chunk.schema] == ["Delay", "ServerNum"]
-    assert chunk.rows[0] == (8.0, 1503.0)
+    assert [column[0] for column in chunk.columns] == [8.0, 1503.0]
 
 
 def test_select_unknown_variable(servers_csv):
@@ -215,7 +246,7 @@ def test_filter_respects_selection(servers_csv):
     ds.select_variables(["Delay"])
     hit = ds.filter_rows("ServerNum", "=", 1800)
     assert [col.name for col in hit.schema] == ["Delay"]
-    assert hit.rows == ((11.0,),)
+    assert hit.columns == ([11.0],)
 
 
 def test_filter_unknown_column_and_operator(servers_csv):

@@ -157,9 +157,9 @@ def test_reducer_sees_values_in_chunk_then_emission_order(servers_csv):
     seen = {}
 
     def reversing_mapper(chunk, out):
-        for row in reversed(chunk.rows):
-            out.add("k", row[0])
-            out.add("a", -row[0])
+        for value in reversed(chunk.columns[0]):
+            out.add("k", value)
+            out.add("a", -value)
 
     def recording_reducer(key, values):
         seen[key] = list(values)
@@ -187,9 +187,9 @@ def test_custom_mapper_and_reducer(delays_csv):
 
     def spread_mapper(chunk, out):
         i = chunk.column_index("SendingDelay")
-        for row, flags in zip(chunk.rows, chunk.missing):
-            if not flags[i]:
-                out.add("positive" if row[i] > 0 else "other", row[i])
+        for value, miss in zip(chunk.columns[i], chunk.missing[i]):
+            if not miss:
+                out.add("positive" if value > 0 else "other", value)
 
     result = map_reduce(ds, spread_mapper, lambda key, values: len(values))
     assert result.readall() == [("other", 5), ("positive", 5)]

@@ -83,6 +83,8 @@ def test_summary_saturated_and_null_edges():
         (15.0, 82.5, 3, 2),      # no residual degree of freedom
         (15.0, 82.5, 10.0, 2),   # n must be an integer
         (15.0, 82.5, 10, 2.0),   # k must be an integer
+        (math.inf, math.inf, 10, 2),  # infinite sums: every ratio is NaN
+        (1.0, math.inf, 10, 2),  # infinite total: an infinite standard error
     ],
 )
 def test_summary_rejects_inconsistent_sums(args):
