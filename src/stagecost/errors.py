@@ -90,6 +90,10 @@ class DomainError(ToolkitError):
     """A distribution function was evaluated outside its domain."""
 
 
+class NumericOverflow(ToolkitError):
+    """A sum of squares or a solution left the float range on finite data."""
+
+
 # -- factor analysis ---------------------------------------------------------
 
 class ConstantColumn(ToolkitError):

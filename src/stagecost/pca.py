@@ -9,12 +9,19 @@ size of their loadings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstantColumn, ConvergenceFailure, InvalidParameter, MissingData
+from .errors import (
+    ConstantColumn,
+    ConvergenceFailure,
+    InvalidParameter,
+    MissingData,
+    NumericOverflow,
+)
 
 JACOBI_TOL = 1e-12       # off-diagonal Frobenius norm, relative to the matrix
 JACOBI_MAX_SWEEPS = 100
@@ -71,18 +78,28 @@ def correlation_matrix(
     if not np.isfinite(x).all():
         raise MissingData("input contains missing or non-finite cells")
 
-    centred = x - x.mean(axis=0)
-    ss = (centred * centred).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = x - x.mean(axis=0)
+        ss = (centred * centred).sum(axis=0)
     for j in range(p):
+        if not np.isfinite(ss[j]):
+            raise NumericOverflow(f"column {names[j]!r}: sum of squares overflows the float range")
         if ss[j] == 0.0:
             raise ConstantColumn(f"column {names[j]!r} has zero variance")
 
     r = np.eye(p)
-    for i in range(p):
-        for j in range(i + 1, p):
-            rij = float(centred[:, i] @ centred[:, j]) / np.sqrt(ss[i] * ss[j])
-            rij = min(1.0, max(-1.0, rij))
-            r[i, j] = r[j, i] = rij
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(p):
+            for j in range(i + 1, p):
+                scale = np.sqrt(ss[i] * ss[j])
+                rij = float(centred[:, i] @ centred[:, j]) / scale
+                if not (math.isfinite(scale) and math.isfinite(rij)):
+                    raise NumericOverflow(
+                        f"columns {names[i]!r} and {names[j]!r}: "
+                        "their correlation overflows the float range"
+                    )
+                rij = min(1.0, max(-1.0, rij))
+                r[i, j] = r[j, i] = rij
     return CorrelationMatrix(names=names, values=r)
 
 

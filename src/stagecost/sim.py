@@ -15,14 +15,22 @@ arrival order.  Busy seconds are the sum of each station's service times
 ``mb / rate``, counted job by job rather than taken from the closed-form
 model, which is what makes this module a usable cross-check for it.
 Energies are exactly ``p_ssd_busy * busy_seconds``.
+
+A run keeps numbers only: each station's departure times in an ``array('d')``
+(8 bytes a job) and one byte per drain job naming its source.  The event log
+(ticks and the three stations' completions) is rebuilt from them on demand:
+``write_trace`` streams it to a file, and ``SimReport.events`` builds it as a
+tuple of up to five ``SimEvent`` per tick.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter, sub
 
 from . import energy
 from .config import SystemConfig, Workload, validate
@@ -31,8 +39,12 @@ from .errors import ConfigError, InfeasibleConfig, NonPositiveTick, TickMismatch
 EVENT_KINDS = ("generation_tick", "stage_complete", "analyze_complete", "drain_complete")
 
 #: Largest number of ticks one run may have; a finer tick is rejected before
-#: anything is allocated (the event log holds up to five events per tick).
+#: anything is allocated (a run stores four departure times and one byte per
+#: tick, and its event log holds up to five events per tick).
 MAX_TICKS = 10**6
+
+#: Source of a drain job, as stored in ``SimReport.drain_sources``.
+CHECKPOINT, OUTPUT = 0, 1
 
 #: SimReport term -> closed-form term it must agree with.
 TERM_TO_ANALYTIC = {
@@ -51,11 +63,36 @@ class SimEvent:
 
 @dataclass(frozen=True)
 class SimReport:
+    """The outcome of one run, and the numbers its event log is built from.
+
+    ``departures`` maps each station to its departure times in service order
+    (``array('d')``), and ``drain_sources`` holds one byte per drain job,
+    ``CHECKPOINT`` or ``OUTPUT``, whose size ``drain_mb`` gives in that order.
+    Every tick generates ``batch_mb``, of which ``analysis_mb`` is analysed.
+    """
+
     busy_seconds: dict[str, float]
     energies: dict[str, float]
     backlog_mb_max: float
     completed: bool
-    events: tuple[SimEvent, ...]
+    tick: float
+    n_ticks: int
+    batch_mb: float
+    analysis_mb: float
+    drain_mb: tuple[float, float]
+    departures: dict[str, array]
+    drain_sources: bytearray
+
+    @property
+    def events(self) -> tuple[SimEvent, ...]:
+        """The event log in time order, built on each access.
+
+        It holds up to five ``SimEvent`` per tick, so at large tick counts it
+        costs far more memory than the run itself; ``write_trace`` streams it
+        instead.
+        """
+        stream = _event_stream(self, lambda kind, mb: (kind, mb))
+        return tuple(SimEvent(t, kind, mb) for t, (kind, mb) in stream)
 
 
 @dataclass(frozen=True)
@@ -66,20 +103,58 @@ class DiscrepancyReport:
     failed_terms: tuple[str, ...]
 
 
-def _fifo(jobs, rate: float, kind: str) -> tuple[list[SimEvent], float]:
-    """Serve ``(arrival, mb)`` jobs, in arrival order, on one FIFO server.
+def _fifo(arrivals, mb: float, rate: float) -> tuple[array, float]:
+    """Serve jobs of ``mb`` each, arriving at ``arrivals`` in order, on one FIFO server.
 
-    Departures follow Lindley's recursion ``d_i = max(a_i, d_{i-1}) + mb_i / rate``.
-    Returns a ``kind`` event at the departure of every job of positive size
-    and the busy seconds, the sum of the service times.
+    Departures follow Lindley's recursion ``d_i = max(a_i, d_{i-1}) + mb / rate``.
+    Returns the departure times and the busy seconds, the sum of the service
+    times.  Jobs of no size are not served.
     """
-    done = []
+    done = array("d")
+    if not mb > 0:
+        return done, 0.0
+    service = mb / rate
+    append = done.append
     d = 0.0
-    for a, mb in jobs:
-        if mb > 0:
-            d = max(a, d) + mb / rate
-            done.append(SimEvent(d, kind, mb))
-    return done, math.fsum(ev.payload_mb / rate for ev in done)
+    for a in arrivals:
+        d = (d if d > a else a) + service
+        append(d)
+    return done, math.fsum(repeat(service, len(done)))
+
+
+def _drain(checkpoints, outputs, mb: tuple[float, float], rate: float):
+    """Serve checkpoints and analysis output on one FIFO server, in arrival order.
+
+    ``mb`` is the size of a checkpoint and of an output job; at equal arrival
+    times the checkpoint goes first.  Both arrival streams are sorted, so
+    before each output the checkpoints that arrived by then are served, then
+    the checkpoints left after the last output.  The recursion is that of
+    ``_fifo``.  Returns the departure times, the source of each job
+    (``CHECKPOINT`` or ``OUTPUT``) and the busy seconds.
+    """
+    cp = checkpoints if mb[CHECKPOINT] > 0 else ()
+    out = outputs if mb[OUTPUT] > 0 else ()
+    s_cp, s_out = mb[CHECKPOINT] / rate, mb[OUTPUT] / rate
+    done = array("d")
+    sources = bytearray()
+    append, mark = done.append, sources.append
+    d = 0.0
+    i, n_cp = 0, len(cp)
+    for b in out:
+        while i < n_cp and cp[i] <= b:
+            a = cp[i]
+            i += 1
+            d = (d if d > a else a) + s_cp
+            append(d)
+            mark(CHECKPOINT)
+        d = (d if d > b else b) + s_out
+        append(d)
+        mark(OUTPUT)
+    for a in cp[i:]:
+        d = (d if d > a else a) + s_cp
+        append(d)
+        mark(CHECKPOINT)
+    return done, sources, math.fsum(chain(repeat(s_cp, n_cp), repeat(s_out, len(out))))
 
 
 def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimReport:
@@ -115,37 +190,27 @@ def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimRe
     analysis_per_tick = cfg.compute_nodes * wl.lambda_a * tick
     checkpoint_per_tick = cfg.compute_nodes * wl.lambda_c * tick
     batch_mb = analysis_per_tick + checkpoint_per_tick
+    drain_mb = (checkpoint_per_tick, wl.alpha * analysis_per_tick)
 
-    # heapq.merge is stable: at equal times it yields the stream passed first,
-    # so stage completions reach the drain before analysis output, and the
-    # event log follows the order of EVENT_KINDS.
-    by_time = attrgetter("time")
+    # Generation ticks arrive at ingest; every staged batch sends its analysis
+    # data to the analyzer and its checkpoint to the drain, which also takes
+    # each analysed batch's output.
     busy = {}
-    ticks = [SimEvent(i * tick, "generation_tick", batch_mb) for i in range(n_ticks)]
-    staged, busy["ssd_ingest"] = _fifo(
-        ((ev.time, batch_mb) for ev in ticks), rates["ssd_ingest"], "stage_complete"
-    )
-    analyzed, busy["ssd_analyze"] = _fifo(
-        ((ev.time, analysis_per_tick) for ev in staged), rates["ssd_analyze"], "analyze_complete"
-    )
-    to_drain = heapq.merge(
-        ((ev.time, checkpoint_per_tick) for ev in staged),
-        ((ev.time, wl.alpha * ev.payload_mb) for ev in analyzed),
-        key=itemgetter(0),
-    )
-    drained, busy["ssd_drain"] = _fifo(to_drain, rates["ssd_drain"], "drain_complete")
+    ticks = map(tick.__mul__, range(n_ticks))
+    staged, busy["ssd_ingest"] = _fifo(ticks, batch_mb, rates["ssd_ingest"])
+    analyzed, busy["ssd_analyze"] = _fifo(staged, analysis_per_tick, rates["ssd_analyze"])
+    drained, sources, busy["ssd_drain"] = _drain(staged, analyzed, drain_mb, rates["ssd_drain"])
 
     # Unfinished ingest work just before each tick: the previous batch's
     # departure minus the tick time, times the rate.  Below ``dust`` it is
-    # float noise, not real backlog.
+    # float noise, not real backlog.  Rounding is monotone, so the largest
+    # product is the product of the largest gap.
     dust = 1e-9 * max(batch_mb, 1.0)
-    backlog_max = max(
-        ((done.time - ev.time) * rates["ssd_ingest"] for done, ev in zip(staged, ticks[1:])),
-        default=0.0,
-    )
+    gaps = map(sub, staged, map(tick.__mul__, range(1, n_ticks)))
+    backlog_max = max(gaps, default=0.0) * rates["ssd_ingest"]
     if backlog_max <= dust:
         backlog_max = 0.0
-    overrun = (staged[-1].time if staged else 0.0) - cfg.tsim
+    overrun = (staged[-1] if staged else 0.0) - cfg.tsim
     completed = overrun <= 1e-9 * cfg.tsim
     if not completed:
         # After the final arrival the ingest server works without a break,
@@ -157,7 +222,33 @@ def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimRe
         energies={name: cfg.p_ssd_busy * busy[name] for name in rates},
         backlog_mb_max=backlog_max,
         completed=completed,
-        events=tuple(heapq.merge(ticks, staged, analyzed, drained, key=by_time)),
+        tick=tick,
+        n_ticks=n_ticks,
+        batch_mb=batch_mb,
+        analysis_mb=analysis_per_tick,
+        drain_mb=drain_mb,
+        departures={"ssd_ingest": staged, "ssd_analyze": analyzed, "ssd_drain": drained},
+        drain_sources=sources,
+    )
+
+
+def _event_stream(report: SimReport, label):
+    """Every event of a run as ``(time, label(kind, payload_mb))``, in time order.
+
+    Each stream's payload is fixed (the drain's by its source), so ``label``
+    runs once per stream and source, not once per event.  heapq.merge is lazy
+    and stable: at equal times it yields the stream passed first, so the log
+    follows the order of EVENT_KINDS.
+    """
+    dep = report.departures
+    drain_labels = tuple(label("drain_complete", mb) for mb in report.drain_mb)
+    return heapq.merge(
+        zip(map(report.tick.__mul__, range(report.n_ticks)),
+            repeat(label("generation_tick", report.batch_mb))),
+        zip(dep["ssd_ingest"], repeat(label("stage_complete", report.batch_mb))),
+        zip(dep["ssd_analyze"], repeat(label("analyze_complete", report.analysis_mb))),
+        zip(dep["ssd_drain"], map(drain_labels.__getitem__, report.drain_sources)),
+        key=itemgetter(0),
     )
 
 
@@ -201,8 +292,8 @@ def validate_against_analytic(
 
 
 def write_trace(report: SimReport, path: str) -> None:
-    """Dump the event log as TSV (time, kind, payload_mb)."""
+    """Stream the event log to ``path`` as TSV (time, kind, payload_mb)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("time\tkind\tpayload_mb\n")
-        for ev in report.events:
-            fh.write(f"{ev.time!r}\t{ev.kind}\t{ev.payload_mb!r}\n")
+        stream = _event_stream(report, lambda kind, mb: f"\t{kind}\t{mb!r}\n")
+        fh.writelines(f"{t!r}{rest}" for t, rest in stream)

@@ -26,6 +26,7 @@ from .errors import (
     InsufficientObservations,
     InvalidSums,
     MissingData,
+    NumericOverflow,
 )
 
 PIVOT_REL_TOL = 1e-12
@@ -121,8 +122,17 @@ def ols_coefficients(x: Sequence[Sequence[float]], y: Sequence[float]) -> tuple[
     if n < k + 1:
         raise InsufficientObservations(f"need at least {k + 1} rows, got {n}")
     design = np.hstack([np.ones((n, 1)), xm])
-    beta = _solve_normal_equations(design.T @ design, design.T @ yv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, moments = design.T @ design, design.T @ yv
+        _require_finite("the normal equations", gram, moments)
+        beta = _solve_normal_equations(gram, moments)
+    _require_finite("the coefficients", beta)
     return tuple(float(b) for b in beta)
+
+
+def _require_finite(what: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericOverflow(f"{what} overflow the float range")
 
 
 def fit_ols(
@@ -143,10 +153,12 @@ def fit_ols(
         )
     beta = np.asarray(ols_coefficients(xm, yv))
     design = np.hstack([np.ones((n, 1)), xm])
-    residuals = yv - design @ beta
-    ss_res = float(residuals @ residuals)
-    centred = yv - yv.mean()
-    ss_total = float(centred @ centred)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = yv - design @ beta
+        ss_res = float(residuals @ residuals)
+        centred = yv - yv.mean()
+        ss_total = float(centred @ centred)
+    _require_finite("the sums of squares", ss_res, ss_total)
     ss_reg = ss_total - ss_res
     return _summarise(tuple(beta), ss_reg, ss_total, ss_res, n, k)
 

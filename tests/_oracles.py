@@ -1,14 +1,19 @@
 """Independent reference computations the tests check the library against.
 
 Nothing here imports from the package's numeric internals: the F CDF is
-integrated numerically instead of using a continued fraction, and the CSV
-reference parse is a plain one-shot reader with no chunking or cursor.
+integrated numerically instead of using a continued fraction, the CSV
+reference parse is a plain one-shot reader with no chunking or cursor, and
+the staging-tier simulation builds one event object per event and merges
+the streams on a heap.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 
 # -- F distribution by quadrature ------------------------------------------------
@@ -116,3 +121,95 @@ def chunk_as_plain(chunk):
     for row, row_flags in zip(zip(*chunk.columns), flags):
         rows.append(tuple(None if miss else v for v, miss in zip(row, row_flags)))
     return names, rows, flags
+
+
+# -- staging tier by event objects -------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Event:
+    time: float
+    kind: str
+    payload_mb: float
+
+
+@dataclass(frozen=True)
+class EventRun:
+    busy_seconds: dict
+    energies: dict
+    backlog_mb_max: float
+    completed: bool
+    events: tuple
+
+
+def _serve(jobs, rate, kind):
+    # Lindley's recursion over (arrival, mb) jobs; one event per served job.
+    done = []
+    d = 0.0
+    for a, mb in jobs:
+        if mb > 0:
+            d = max(a, d) + mb / rate
+            done.append(Event(d, kind, mb))
+    return done, math.fsum(ev.payload_mb / rate for ev in done)
+
+
+def simulate_by_events(cfg, wl, kernel, tick):
+    """The three-station staging tier with a full event log, for valid inputs only.
+
+    Every tick, stage, analysis and drain completion is an ``Event``; the
+    drain's arrivals and the log are stable ``heapq.merge``s keyed on time, so
+    at equal times checkpoints reach the drain before analysis output and the
+    log lists ticks, stages, analyses and drains in that order.
+    """
+    k = next(k for k in wl.kernels if k.name == kernel)
+    n_ticks = round(cfg.tsim / tick)
+    rates = {
+        "ssd_ingest": cfg.bw_host2ssd,
+        "ssd_analyze": 1.0 / (1.0 / cfg.bw_fm2c + 1.0 / cfg.bw_c2m + 1.0 / k.t_ssd_k),
+        "ssd_drain": cfg.staging_ssds * cfg.bw_pfs / cfg.compute_nodes,
+    }
+    analysis = cfg.compute_nodes * wl.lambda_a * tick
+    checkpoint = cfg.compute_nodes * wl.lambda_c * tick
+    batch = analysis + checkpoint
+
+    by_time = attrgetter("time")
+    busy = {}
+    ticks = [Event(i * tick, "generation_tick", batch) for i in range(n_ticks)]
+    staged, busy["ssd_ingest"] = _serve(
+        ((ev.time, batch) for ev in ticks), rates["ssd_ingest"], "stage_complete"
+    )
+    analyzed, busy["ssd_analyze"] = _serve(
+        ((ev.time, analysis) for ev in staged), rates["ssd_analyze"], "analyze_complete"
+    )
+    to_drain = heapq.merge(
+        ((ev.time, checkpoint) for ev in staged),
+        ((ev.time, wl.alpha * ev.payload_mb) for ev in analyzed),
+        key=itemgetter(0),
+    )
+    drained, busy["ssd_drain"] = _serve(to_drain, rates["ssd_drain"], "drain_complete")
+
+    dust = 1e-9 * max(batch, 1.0)
+    backlog = max(
+        ((done.time - ev.time) * rates["ssd_ingest"] for done, ev in zip(staged, ticks[1:])),
+        default=0.0,
+    )
+    if backlog <= dust:
+        backlog = 0.0
+    overrun = (staged[-1].time if staged else 0.0) - cfg.tsim
+    completed = overrun <= 1e-9 * cfg.tsim
+    if not completed:
+        backlog = max(backlog, overrun * rates["ssd_ingest"])
+    return EventRun(
+        busy_seconds=busy,
+        energies={name: cfg.p_ssd_busy * busy[name] for name in rates},
+        backlog_mb_max=backlog,
+        completed=completed,
+        events=tuple(heapq.merge(ticks, staged, analyzed, drained, key=by_time)),
+    )
+
+
+def trace_bytes(events) -> bytes:
+    """The TSV trace of an event log, as ``write_trace`` lays it out."""
+    lines = ["time\tkind\tpayload_mb\n"]
+    lines += [f"{ev.time!r}\t{ev.kind}\t{ev.payload_mb!r}\n" for ev in events]
+    return "".join(lines).encode("utf-8")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 from conftest import make_config, make_workload
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stagecost import cli, energy
@@ -293,6 +293,7 @@ _JSON = st.recursive(
                                                                 max_size=3),
     max_leaves=6,
 )
+_K1 = [{"name": "k1", "t_ssd_k": 250.0, "t_server_k": 1000.0}]
 _NUMERIC_KEYS = ["compute_nodes", "staging_ssds", "bw_host2ssd", "bw_pfs", "p_ssd_idle",
                  "p_ssd_busy", "tsim", "lambda_a", "lambda_c", "alpha"]
 
@@ -314,6 +315,18 @@ _NUMERIC_KEYS = ["compute_nodes", "staging_ssds", "bw_host2ssd", "bw_pfs", "p_ss
     junk_key=st.sampled_from([*_NUMERIC_KEYS, "kernels", "surprise"]),
     junk=_JSON,
 )
+# boundary values the generated examples need not reach: N whose square
+# overflows, an integer past the float range, a tsim giving too many ticks,
+# and subnormal rates
+@example(numbers={"compute_nodes": 1.3407807929942597e154}, kernels=_K1, mode="numbers",
+         junk_key="surprise", junk=None)
+@example(numbers={"compute_nodes": 10**400}, kernels=_K1, mode="numbers",
+         junk_key="surprise", junk=None)
+@example(numbers={"tsim": 1e308}, kernels=_K1, mode="numbers", junk_key="surprise", junk=None)
+@example(numbers={"lambda_a": 5e-324}, kernels=_K1, mode="numbers", junk_key="surprise",
+         junk=None)
+@example(numbers={"bw_pfs": 5e-324}, kernels=_K1, mode="numbers", junk_key="surprise",
+         junk=None)
 def test_energy_never_crashes_on_generated_configs(capsys, config_file, tmp_path, command,
                                                    numbers, kernels, mode, junk_key, junk):
     # generated documents end in exit 0 or in an "error:" line, never in an exception
@@ -551,6 +564,27 @@ def test_column_commands_read_the_table_in_one_pass(capsys, monkeypatch, tmp_pat
 )
 def test_bad_columns_name_the_first_bad_column(capsys, mixed_csv, argv, message):
     assert dispatch([*argv, "--input", mixed_csv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["regress", "--dependent", "b", "--independents", "a"],
+         "the normal equations overflow the float range"),
+        (["plotdata", "--x", "a", "--y", "b", "--fit"],
+         "the normal equations overflow the float range"),
+        (["pca"], "column 'b': sum of squares overflows the float range"),
+    ],
+    ids=["regress", "plotdata", "pca"],
+)
+def test_overflowing_sums_on_finite_cells_are_errors(capsys, tmp_path, argv, message):
+    # every cell is finite, but b's squares and cross products leave the float range
+    path = tmp_path / "huge.csv"
+    path.write_text("a,b\n1,1e308\n2,-1e308\n3,1e308\n")
+    assert dispatch([*argv, "--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""

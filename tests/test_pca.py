@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from stagecost.errors import ConstantColumn, MissingData
+from stagecost.errors import ConstantColumn, MissingData, NumericOverflow
 from stagecost.pca import (
     correlation_matrix,
     eigen_sym,
@@ -57,6 +57,13 @@ def test_constant_column_is_rejected():
 def test_missing_cells_are_rejected():
     with pytest.raises(MissingData):
         correlation_matrix([[1.0, 2.0], [float("nan"), 1.0], [3.0, 5.0]])
+
+
+def test_correlation_past_the_float_range_is_an_error():
+    # each column's sum of squares (about 2e200) is finite, their product is not
+    data = [[1e100, 1e100], [2e100, 3e100], [3e100, 2e100]]
+    with pytest.raises(NumericOverflow, match="columns 'v1' and 'v2'"):
+        correlation_matrix(data)
 
 
 def test_name_count_must_match():

@@ -2,9 +2,13 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
+from _oracles import simulate_by_events, trace_bytes
 from conftest import make_config, make_workload, random_feasible
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stagecost import energy, sim
 from stagecost.config import KernelRate
@@ -177,3 +181,64 @@ def test_trace_bytes_are_pinned(tmp_path, build, lines, digest):
     data = out.read_bytes()
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ticks=st.integers(1, 2000),
+    load=st.sampled_from(["feasible", "overloaded", "no-analysis", "no-checkpoint"]),
+)
+def test_run_equals_the_event_object_oracle(tmp_path, seed, n_ticks, load):
+    cfg, wl, _ = random_feasible(random.Random(seed))
+    lambda_a, lambda_c = {
+        "feasible": (wl.lambda_a, wl.lambda_c),
+        "overloaded": (wl.lambda_a + 2.0 * cfg.bw_host2ssd / cfg.compute_nodes, wl.lambda_c),
+        "no-analysis": (0.0, wl.lambda_c),
+        "no-checkpoint": (wl.lambda_a, 0.0),
+    }[load]
+    wl = make_workload(lambda_a=lambda_a, lambda_c=lambda_c, alpha=wl.alpha, kernels=wl.kernels)
+    tick = cfg.tsim / n_ticks
+    rep = sim.simulate(cfg, wl, "k1", tick=tick)
+    oracle = simulate_by_events(cfg, wl, "k1", tick)
+    assert rep.busy_seconds == oracle.busy_seconds
+    assert rep.energies == oracle.energies
+    assert rep.backlog_mb_max == oracle.backlog_mb_max
+    assert rep.completed is oracle.completed
+    as_tuples = [(ev.time, ev.kind, ev.payload_mb) for ev in oracle.events]
+    assert [(ev.time, ev.kind, ev.payload_mb) for ev in rep.events] == as_tuples
+    out = tmp_path / "events.tsv"
+    sim.write_trace(rep, str(out))
+    assert out.read_bytes() == trace_bytes(oracle.events)
+
+
+def test_run_without_trace_keeps_only_departure_times():
+    # 10^5 ticks: four departure times and one source byte per tick, about 3.3 MB;
+    # an event object per event would retain over 40 MB
+    cfg, wl = make_config(), make_workload()
+    tracemalloc.start()
+    try:
+        rep = sim.simulate(cfg, wl, "k1", tick=cfg.tsim / 10**5)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.departures["ssd_drain"]) == 2 * 10**5
+    assert retained < 10 * 2**20
+    assert peak < 20 * 2**20
+
+
+def test_drain_takes_the_checkpoint_first_at_equal_arrival_times(tmp_path):
+    # dyadic sizes and rates: batch k is staged at k + 0.125 and analysed one
+    # second later, exactly when batch k + 1's checkpoint reaches the drain
+    cfg = make_config(bw_host2ssd=4096.0, bw_fm2c=2.0**70, bw_c2m=2.0**70, tsim=8.0)
+    wl = make_workload(lambda_a=64.0, lambda_c=64.0,
+                       kernels=(KernelRate("k1", 256.0, 1000.0),))
+    rep = sim.simulate(cfg, wl, "k1", tick=1.0)
+    staged, analyzed = rep.departures["ssd_ingest"], rep.departures["ssd_analyze"]
+    assert list(analyzed[:-1]) == list(staged[1:])
+    assert bytes(rep.drain_sources) == bytes([0] + [0, 1] * 7 + [1])
+    oracle = simulate_by_events(cfg, wl, "k1", 1.0)
+    out = tmp_path / "events.tsv"
+    sim.write_trace(rep, str(out))
+    assert out.read_bytes() == trace_bytes(oracle.events)

@@ -13,6 +13,7 @@ from stagecost.errors import (
     InsufficientObservations,
     InvalidSums,
     MissingData,
+    NumericOverflow,
 )
 from stagecost.stats import f_cdf, fit_ols, ols_coefficients, summary_from_ss
 
@@ -187,6 +188,15 @@ def test_missing_cells_are_rejected():
         ols_coefficients([[1.0], [float("nan")], [3.0]], [1.0, 2.0, 3.0])
     with pytest.raises(MissingData):
         ols_coefficients([[1.0], [2.0], [3.0]], [1.0, float("inf"), 3.0])
+
+
+def test_sums_of_squares_past_the_float_range_are_errors():
+    # the normal equations and the coefficients are finite; the squares are not
+    x = [[1.0], [2.0], [3.0], [4.0]]
+    y = [1.5e154, -1.5e154, 1.5e154, -1.4e154]
+    assert all(map(math.isfinite, ols_coefficients(x, y)))
+    with pytest.raises(NumericOverflow, match="the sums of squares"):
+        fit_ols(x, y)
 
 
 def test_length_mismatch_is_rejected():
