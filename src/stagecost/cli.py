@@ -1,4 +1,4 @@
-"""Command-line front end and record-level reporting helpers.
+"""Command-line front end.
 
 Subcommands: energy, compare, simulate, mapreduce, regress, pca, delays,
 plotdata.  Structured reports go to stdout as JSON with full float
@@ -12,7 +12,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 # stats and pca import numpy, so only the commands that use them import them.
@@ -22,12 +22,12 @@ from .datastore import NUMERIC, Datastore, open_datastore
 from .errors import (
     ConfigError,
     EmptyInput,
-    LengthMismatch,
     MissingData,
     ToolkitError,
     TypeMismatch,
     UnknownVariable,
 )
+from .report import delay_records, delay_summary, emit_plot_data, write_plot_tsv
 
 PROG = "stagecost"
 
@@ -41,128 +41,6 @@ def _fmt6(value) -> str:
     return str(value)
 
 
-# -- delay records ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DelayRecord:
-    unique_carrier: str
-    server_num: int
-    sending_delay: float
-    receiving_delay: float
-    origin: str
-
-
-@dataclass(frozen=True)
-class DelayStats:
-    mean: float
-    minimum: float
-    maximum: float
-
-
-@dataclass(frozen=True)
-class DelaySummary:
-    records: int
-    overall: dict
-    per_origin: dict
-
-
-_DELAY_COLUMNS = ("UniqueCarrier", "ServerNum", "SendingDelay", "ReceivingDelay", "Origin")
-
-
-def delay_records(ds: Datastore) -> list[DelayRecord]:
-    """Materialise delay records from a datastore with the standard columns."""
-    ds.select_variables(list(_DELAY_COLUMNS))
-    kinds = {col.name: col.kind for col in ds.schema}
-    for name in ("ServerNum", "SendingDelay", "ReceivingDelay"):
-        if kinds[name] != NUMERIC:
-            raise TypeMismatch(f"column {name!r} is not numeric")
-    ds.reset()
-    records = []
-    while ds.has_data():
-        chunk = ds.read()
-        for row, flags in zip(zip(*chunk.columns), zip(*chunk.missing)):
-            if any(flags):
-                raise MissingData("delay records must not have missing cells")
-            carrier, server, sending, receiving, origin = row
-            if not server.is_integer():
-                raise TypeMismatch(f"column 'ServerNum' holds {server!r}, not a whole number")
-            records.append(
-                DelayRecord(
-                    unique_carrier=str(carrier),
-                    server_num=int(server),
-                    sending_delay=float(sending),
-                    receiving_delay=float(receiving),
-                    origin=str(origin),
-                )
-            )
-    return records
-
-
-def _fold(values: Sequence[float]) -> DelayStats:
-    return DelayStats(
-        mean=sum(values) / len(values), minimum=min(values), maximum=max(values)
-    )
-
-
-def delay_summary(records: Sequence[DelayRecord]) -> DelaySummary:
-    """Mean/min/max of both delays, overall and per origin."""
-    if not records:
-        raise EmptyInput("no delay records")
-    overall = {
-        "sending": _fold([r.sending_delay for r in records]),
-        "receiving": _fold([r.receiving_delay for r in records]),
-    }
-    per_origin = {}
-    for origin in sorted({r.origin for r in records}):
-        mine = [r for r in records if r.origin == origin]
-        per_origin[origin] = {
-            "sending": _fold([r.sending_delay for r in mine]),
-            "receiving": _fold([r.receiving_delay for r in mine]),
-        }
-    return DelaySummary(records=len(records), overall=overall, per_origin=per_origin)
-
-
-# -- plot data ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlotSeries:
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    fitted: Optional[tuple[float, ...]]
-    intercept: Optional[float]
-    slope: Optional[float]
-
-
-def emit_plot_data(
-    x: Sequence[float], y: Sequence[float], with_fit: bool = False
-) -> PlotSeries:
-    """Pair up a series for plotting, optionally with a least-squares line."""
-    xs = tuple(float(v) for v in x)
-    ys = tuple(float(v) for v in y)
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"x has {len(xs)} points, y has {len(ys)}")
-    if not with_fit:
-        return PlotSeries(x=xs, y=ys, fitted=None, intercept=None, slope=None)
-    from . import stats
-
-    intercept, slope = stats.ols_coefficients([[v] for v in xs], ys)
-    fitted = tuple(intercept + slope * v for v in xs)
-    return PlotSeries(x=xs, y=ys, fitted=fitted, intercept=intercept, slope=slope)
-
-
-def write_plot_tsv(series: PlotSeries, fh) -> None:
-    if series.fitted is None:
-        fh.write("x\ty\n")
-        for xv, yv in zip(series.x, series.y):
-            fh.write(f"{xv!r}\t{yv!r}\n")
-    else:
-        fh.write("x\ty\tfitted\n")
-        for xv, yv, fv in zip(series.x, series.y, series.fitted):
-            fh.write(f"{xv!r}\t{yv!r}\t{fv!r}\n")
-
-
 # -- shared command plumbing --------------------------------------------------------
 
 
@@ -170,14 +48,10 @@ def _load_validated(path):
     cfg, wl = load_config(path)
     report = validate(cfg, wl)
     if not report.passed:
-        raise ConfigError(
-            "config violates invariants: " + "; ".join(report.violations)
-        )
+        raise ConfigError("config violates invariants: " + "; ".join(report.violations))
     if not report.feasible:
-        print(
-            "warning: generation rate exceeds bw_host2ssd (staging infeasible)",
-            file=sys.stderr,
-        )
+        print("warning: generation rate exceeds bw_host2ssd (staging infeasible)",
+              file=sys.stderr)
     return cfg, wl
 
 
@@ -217,15 +91,10 @@ def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
 # -- subcommand handlers ------------------------------------------------------------
 
 
-def _cmd_energy(args) -> int:
+def _cmd_model(args) -> int:
+    """energy and compare: ``args.model`` is the energy-model function to report."""
     cfg, wl = _load_validated(args.config)
-    _print_json(asdict(energy.insitu_breakdown(cfg, wl, args.kernel)))
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    cfg, wl = _load_validated(args.config)
-    _print_json(asdict(energy.compare(cfg, wl, args.kernel)))
+    _print_json(asdict(args.model(cfg, wl, args.kernel)))
     return 0
 
 
@@ -234,14 +103,8 @@ def _cmd_simulate(args) -> int:
     report = sim.simulate(cfg, wl, args.kernel, args.tick)
     if args.trace:
         sim.write_trace(report, args.trace)
-    _print_json(
-        {
-            "busy_seconds": report.busy_seconds,
-            "energies": report.energies,
-            "backlog_mb_max": report.backlog_mb_max,
-            "completed": report.completed,
-        }
-    )
+    _print_json({"busy_seconds": report.busy_seconds, "energies": report.energies,
+                 "backlog_mb_max": report.backlog_mb_max, "completed": report.completed})
     return 0
 
 
@@ -353,7 +216,7 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_delays(args) -> int:
-    path = args.input if args.input else str(fixtures.path("delays.csv"))
+    path = str(fixtures.path("delays.csv")) if args.input is None else args.input
     records = delay_records(open_datastore(path, chunk_size=_WHOLE_TABLE))
     _print_json(asdict(delay_summary(records)))
     return 0
@@ -380,20 +243,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Staging-energy modelling and desk-scale data analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_args = argparse.ArgumentParser(add_help=False)
+    config_args.add_argument("--config", required=True)
+    config_args.add_argument("--kernel", required=True)
 
-    p = sub.add_parser("energy", help="in-situ staging energy breakdown")
-    p.add_argument("--config", required=True)
-    p.add_argument("--kernel", required=True)
-    p.set_defaults(handler=_cmd_energy)
+    p = sub.add_parser("energy", parents=[config_args], help="in-situ staging energy breakdown")
+    p.set_defaults(handler=_cmd_model, model=energy.insitu_breakdown)
 
-    p = sub.add_parser("compare", help="in-situ vs offline energy and time")
-    p.add_argument("--config", required=True)
-    p.add_argument("--kernel", required=True)
-    p.set_defaults(handler=_cmd_compare)
+    p = sub.add_parser("compare", parents=[config_args], help="in-situ vs offline energy and time")
+    p.set_defaults(handler=_cmd_model, model=energy.compare)
 
-    p = sub.add_parser("simulate", help="queueing simulation of the staging tier")
-    p.add_argument("--config", required=True)
-    p.add_argument("--kernel", required=True)
+    p = sub.add_parser("simulate", parents=[config_args],
+                       help="queueing simulation of the staging tier")
     p.add_argument("--tick", type=float, required=True)
     p.add_argument("--trace", help="write the event log as TSV to this path")
     p.set_defaults(handler=_cmd_simulate)

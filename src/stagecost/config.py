@@ -138,6 +138,8 @@ def load_config(path: str | os.PathLike) -> tuple[SystemConfig, Workload]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text ({exc.reason})") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
 

@@ -21,13 +21,14 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EmptyInput,
     HeaderMismatch,
     InvalidParameter,
+    MalformedCSV,
     MissingFile,
     ReadPastEnd,
     TypeMismatch,
@@ -40,10 +41,11 @@ PREVIEW_ROWS = 8
 NUMERIC = "numeric"
 TEXT = "text"
 
-_OP_ALIASES = {"=": "=", "==": "=", "!=": "!=", "<>": "!=",
-               "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-               "≠": "!=", "≤": "<=", "≥": ">="}
-_ORDER_OPS = {"<", "<=", ">", ">="}
+# every spelling of each comparison operator that filter_rows accepts
+_OPERATORS = {"=": eq, "==": eq, "!=": ne, "<>": ne, "≠": ne,
+              "<": lt, "<=": le, "≤": le, ">": gt, ">=": ge, "≥": ge}
+# the ordering operators, by the spelling their errors use
+_ORDERING = {lt: "<", le: "<=", gt: ">", ge: ">="}
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,12 @@ class TableChunk:
             writer.writerow([col.name for col in self.schema])
             for row, flags in zip(zip(*self.columns), zip(*self.missing)):
                 writer.writerow(
-                    ["NA" if miss else _format_cell(v) for v, miss in zip(row, flags)]
+                    ["NA" if miss else format_cell(v) for v, miss in zip(row, flags)]
                 )
 
 
-def _format_cell(value) -> str:
+def format_cell(value) -> str:
+    """A cell as text: a whole float below 1e15 without its ``.0``."""
     if isinstance(value, float):
         if value == int(value) and abs(value) < 1e15:
             return str(int(value))
@@ -185,7 +188,7 @@ class Datastore:
         if column not in self._names:
             raise UnknownVariable(f"no column named {column!r}")
         try:
-            op = _OP_ALIASES[op]
+            compare = _OPERATORS[op]
         except KeyError:
             raise ValueError(f"unknown comparison operator {op!r}") from None
         col = self._names.index(column)
@@ -198,14 +201,15 @@ class Datastore:
                     f"column {column!r} is numeric; {literal!r} is not a number"
                 )
         else:
-            if op in _ORDER_OPS:
+            if compare in _ORDERING:
                 raise TypeMismatch(
-                    f"ordering comparison {op!r} is not defined for text column {column!r}"
+                    f"ordering comparison {_ORDERING[compare]!r} is not defined"
+                    f" for text column {column!r}"
                 )
             want = str(literal)
 
         hits = [
-            not miss and _compare(value, op, want)
+            not miss and compare(value, want)
             for value, miss in zip(self._values[col], self._flags[col])
         ]
         return self._chunk(lambda cells: list(compress(cells, hits)))
@@ -217,20 +221,6 @@ class Datastore:
             columns=tuple(cut(self._values[c]) for c in self._cols),
             missing=tuple(cut(self._flags[c]) for c in self._cols),
         )
-
-
-def _compare(value, op: str, want) -> bool:
-    if op == "=":
-        return value == want
-    if op == "!=":
-        return value != want
-    if op == "<":
-        return value < want
-    if op == "<=":
-        return value <= want
-    if op == ">":
-        return value > want
-    return value >= want
 
 
 def open_datastore(
@@ -253,7 +243,7 @@ def _load_files(paths) -> tuple[list[str], list[list[str]]]:
         if not os.path.isfile(path):
             raise MissingFile(f"input file {path} does not exist")
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = _csv_rows(path, fh)
             try:
                 this_header = [c.strip() for c in next(reader)]
             except StopIteration:
@@ -276,6 +266,30 @@ def _load_files(paths) -> tuple[list[str], list[list[str]]]:
                 rows.append([c.strip() for c in row])
     assert header is not None
     return header, rows
+
+
+def _csv_rows(path, fh):
+    """The rows of the open CSV file ``fh``; bad bytes and bad CSV are errors."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:  # such as a cell over csv's field size limit
+        raise MalformedCSV(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedCSV(
+            f"{path}:{_undecodable_line(path)}: not UTF-8 text ({exc.reason})"
+        ) from None
+
+
+def _undecodable_line(path) -> int:
+    """The number of the line that holds the first byte of ``path`` not in UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 0  # the file changed since it failed to decode
 
 
 def _convert_column(cells, markers) -> tuple[str, list, list[bool]]:

@@ -52,6 +52,10 @@ class HeaderMismatch(ToolkitError):
     """Input files do not agree on a single well-formed header."""
 
 
+class MalformedCSV(ToolkitError):
+    """An input file is not UTF-8 text, or not CSV that the reader accepts."""
+
+
 class EmptyInput(ToolkitError):
     """No data rows (or records) were supplied."""
 

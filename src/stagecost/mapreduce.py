@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .datastore import NUMERIC, Datastore, TableChunk
+from .datastore import NUMERIC, Datastore, TableChunk, format_cell
 from .errors import EmptyJob, TypeMismatch
 
 MAX_KEY = "MaxElapsedTime"  # key under which the built-in max job reports
@@ -136,7 +136,7 @@ def builtin_keycount_mapper(key_column: str, value_column: str | None = None) ->
             chunk.columns[key_i], chunk.missing[key_i], chunk.missing[val_i]
         ):
             if not (key_miss or val_miss):
-                counts[_key_text(key)] += 1
+                counts[format_cell(key)] += 1
         for key in sorted(counts):
             store.add(key, counts[key])
 
@@ -145,9 +145,3 @@ def builtin_keycount_mapper(key_column: str, value_column: str | None = None) ->
 
 def builtin_sum_reducer(key: str, values: Iterable) -> float:
     return sum(values)
-
-
-def _key_text(value) -> str:
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return str(value)

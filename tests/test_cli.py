@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, and the reporting helpers."""
 
+import csv
 import io
 import json
 import os
@@ -16,11 +17,11 @@ from hypothesis import strategies as st
 from stagecost import cli, energy
 from stagecost.datastore import Datastore, open_datastore
 from stagecost.errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
-from stagecost.cli import (
+from stagecost.cli import dispatch
+from stagecost.report import (
     DelayRecord,
     delay_records,
     delay_summary,
-    dispatch,
     emit_plot_data,
     write_plot_tsv,
 )
@@ -388,6 +389,43 @@ def test_unwritable_output_paths_exit_one_without_traceback(capsys, config_file,
     assert "Traceback" not in err
 
 
+# -- bad input bytes ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mapreduce", "run", "--job", "keycount", "--key", "a"], ["delays"]],
+    ids=["mapreduce", "delays"],
+)
+def test_latin1_csv_is_an_error_naming_the_line(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n1,caf\xe9\n")
+    assert dispatch([*argv, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}:2: not UTF-8 text (invalid continuation byte)\n"
+    assert captured.out == ""
+
+
+def test_cell_over_the_field_limit_is_an_error_naming_the_line(capsys, tmp_path):
+    limit = csv.field_size_limit()
+    path = tmp_path / "big.csv"
+    path.write_text("a,b\n1,2\n3," + "x" * (limit + 1) + "\n")
+    argv = ["mapreduce", "run", "--job", "keycount", "--key", "a", "--input", str(path)]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}:3: field larger than field limit ({limit})\n"
+    assert captured.out == ""
+
+
+def test_non_utf8_config_is_an_error(capsys, config_file, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(Path(config_file).read_bytes().replace(b'"k1"', b'"k\xe9"'))
+    assert dispatch(["energy", "--config", str(path), "--kernel", "k1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config {path} is not UTF-8 text (invalid continuation byte)\n"
+    assert captured.out == ""
+
+
 def test_infeasible_config_warns_but_runs(capsys, config_file, tmp_path):
     doc = json.loads(Path(config_file).read_text())
     doc["bw_host2ssd"] = 10.0  # far below the 400 MB/s offered load
@@ -598,6 +636,13 @@ def test_delays_command_defaults_to_the_bundled_sample(capsys):
     assert payload["overall"]["receiving"]["mean"] == 3.1
 
 
+def test_delays_with_an_empty_input_path_is_an_error(capsys):
+    assert dispatch(["delays", "--input", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: input file  does not exist\n"
+    assert captured.out == ""
+
+
 def test_plotdata_writes_tsv_to_stdout(capsys, tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("t,v\n0,1\n1,3\n2,5\n")
@@ -655,7 +700,7 @@ sys.stderr.write(json.dumps(loaded))
 
 def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path):
     # a fresh interpreter: importing the CLI and running the model, simulator
-    # and table commands leaves numpy unloaded; pca loads it
+    # and table commands (plotdata without a fit) leaves numpy unloaded; pca loads it
     wide = tmp_path / "wide.csv"
     wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
     runs = [
@@ -665,6 +710,8 @@ def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path
         ["mapreduce", "run", "--job", "max", "--column", "ActualElapsedTime",
          "--input", servers_csv],
         ["delays"],
+        ["plotdata", "--input", servers_csv, "--x", "ActualElapsedTime",
+         "--y", "CRSElapsedTime"],
         ["pca", "--input", str(wide)],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -672,4 +719,4 @@ def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path
     done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(runs)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr) == [False, False, False, False, False, False, True]
+    assert json.loads(done.stderr) == [False, False, False, False, False, False, False, True]
