@@ -101,7 +101,7 @@ def _cmd_model(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg, wl = _load_validated(args.config)
     report = sim.simulate(cfg, wl, args.kernel, args.tick)
-    if args.trace:
+    if args.trace is not None:
         sim.write_trace(report, args.trace)
     _print_json({"busy_seconds": report.busy_seconds, "energies": report.energies,
                  "backlog_mb_max": report.backlog_mb_max, "completed": report.completed})
@@ -226,7 +226,7 @@ def _cmd_plotdata(args) -> int:
     ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
     xs, ys = _numeric_columns(ds, [args.x, args.y])
     series = emit_plot_data(xs, ys, with_fit=args.fit)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             write_plot_tsv(series, fh)
     else:

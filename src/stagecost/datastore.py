@@ -243,9 +243,10 @@ def _load_files(paths) -> tuple[list[str], list[list[str]]]:
         if not os.path.isfile(path):
             raise MissingFile(f"input file {path} does not exist")
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = _csv_rows(path, fh)
+            reader = csv.reader(fh)
+            records = _csv_rows(path, reader)
             try:
-                this_header = [c.strip() for c in next(reader)]
+                this_header = [c.strip() for c in next(records)]
             except StopIteration:
                 raise EmptyInput(f"{path} is empty") from None
             if len(set(this_header)) != len(this_header):
@@ -256,21 +257,22 @@ def _load_files(paths) -> tuple[list[str], list[list[str]]]:
                 raise HeaderMismatch(
                     f"{path} header {this_header} does not match {header}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in records:
                 if not row:
                     continue  # blank line
                 if len(row) != len(header):
+                    # line_num is the physical line the record ends on, not
+                    # the record count: a quoted cell may span lines
                     raise HeaderMismatch(
-                        f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                        f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}"
                     )
                 rows.append([c.strip() for c in row])
     assert header is not None
     return header, rows
 
 
-def _csv_rows(path, fh):
-    """The rows of the open CSV file ``fh``; bad bytes and bad CSV are errors."""
-    reader = csv.reader(fh)
+def _csv_rows(path, reader):
+    """The rows of the CSV ``reader`` over ``path``; bad bytes and bad CSV are errors."""
     try:
         yield from reader
     except csv.Error as exc:  # such as a cell over csv's field size limit

@@ -1,15 +1,14 @@
 """Correlation-based principal components and schema grouping.
 
 Given numeric observations, build the Pearson correlation matrix, factor it
-with a cyclic Jacobi eigensolver (no LAPACK behind it, so every rotation is
-inspectable), keep the leading components that explain a requested share of
-the variance, and group variables into candidate schema dimensions by the
-size of their loadings.
+with cyclic Jacobi in round-robin order (no LAPACK behind it, so every
+rotation is inspectable), keep the leading components that explain a
+requested share of the variance, and group variables into candidate schema
+dimensions by the size of their loadings.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -87,29 +86,57 @@ def correlation_matrix(
         if ss[j] == 0.0:
             raise ConstantColumn(f"column {names[j]!r} has zero variance")
 
-    r = np.eye(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(p):
-            for j in range(i + 1, p):
-                scale = np.sqrt(ss[i] * ss[j])
-                rij = float(centred[:, i] @ centred[:, j]) / scale
-                if not (math.isfinite(scale) and math.isfinite(rij)):
-                    raise NumericOverflow(
-                        f"columns {names[i]!r} and {names[j]!r}: "
-                        "their correlation overflows the float range"
-                    )
-                rij = min(1.0, max(-1.0, rij))
-                r[i, j] = r[j, i] = rij
+        scale = np.sqrt(np.outer(ss, ss))
+        r = (centred.T @ centred) / scale
+    bad = np.argwhere(np.triu(~(np.isfinite(scale) & np.isfinite(r)), 1))
+    if len(bad):
+        i, j = bad[0]  # the first pair in row-major order
+        raise NumericOverflow(
+            f"columns {names[i]!r} and {names[j]!r}: "
+            "their correlation overflows the float range"
+        )
+    lower = np.tril_indices(p, -1)
+    r[lower] = r.T[lower]  # the upper triangle, so r is exactly symmetric
+    np.fill_diagonal(r, 1.0)
+    np.clip(r, -1.0, 1.0, out=r)
     return CorrelationMatrix(names=names, values=r)
+
+
+def _round_robin(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The steps of one Jacobi sweep over a p x p matrix, in round-robin order.
+
+    Each step is a pair of index arrays (i, j), i < j, naming disjoint pairs,
+    and every pair i < j appears in exactly one step.  This is the circle
+    method: index 0 stays put while the others turn one place per step.  For
+    odd p a dummy index p joins the circle and its pair is dropped, so a
+    sweep has p - 1 steps of p/2 pairs (p even) or p steps of (p - 1)/2.
+    """
+    m = p + p % 2
+    half = m // 2
+    ring = np.arange(1, m)
+    steps = []
+    for k in range(m - 1):
+        order = np.concatenate(([0], np.roll(ring, k)))
+        top, bottom = order[:half], order[::-1][:half]
+        i, j = np.minimum(top, bottom), np.maximum(top, bottom)
+        keep = j < p
+        steps.append((i[keep], j[keep]))
+    return steps
 
 
 def eigen_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and eigenvectors of a symmetric matrix.
 
-    Cyclic Jacobi: sweep all (i, j) pairs, rotating each off-diagonal entry
-    to zero, until the off-diagonal norm falls under JACOBI_TOL relative to
-    the matrix norm.  Each eigenvector is flipped, if needed, so its
-    largest-magnitude entry is positive.
+    Cyclic Jacobi in round-robin order (Brent & Luk, 1985): each sweep visits
+    every (i, j) pair once, in steps of disjoint pairs, and each step rotates
+    all of its pairs' off-diagonal entries to zero at once.  The rotations of
+    one step touch disjoint rows and columns, so they commute: in exact
+    arithmetic, applying them together is the same as applying them one by
+    one.  Sweeps stop when
+    the off-diagonal norm falls under JACOBI_TOL relative to the matrix norm.
+    Each eigenvector is flipped, if needed, so its largest-magnitude entry is
+    positive.
     """
     a = np.array(matrix, dtype=float)
     p = a.shape[0]
@@ -117,33 +144,35 @@ def eigen_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix must be square")
     v = np.eye(p)
     scale = max(float(np.linalg.norm(a)), 1e-300)
+    steps = _round_robin(p)
 
     for _ in range(JACOBI_MAX_SWEEPS):
         off = a - np.diag(np.diag(a))
         if float(np.linalg.norm(off)) <= JACOBI_TOL * scale:
             break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                g = a[i, j]
-                if g == 0.0:
-                    continue
+        for i, j in steps:
+            g = a[i, j]
+            # g == 0 makes theta infinite or NaN; such a pair is not rotated
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 theta = (a[j, j] - a[i, i]) / (2.0 * g)
-                if theta >= 0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_i = c * a[i, :] - s * a[j, :]
-                row_j = s * a[i, :] + c * a[j, :]
-                a[i, :], a[j, :] = row_i, row_j
-                col_i = c * a[:, i] - s * a[:, j]
-                col_j = s * a[:, i] + c * a[:, j]
-                a[:, i], a[:, j] = col_i, col_j
-                a[i, j] = a[j, i] = 0.0
-                vec_i = c * v[:, i] - s * v[:, j]
-                vec_j = s * v[:, i] + c * v[:, j]
-                v[:, i], v[:, j] = vec_i, vec_j
+                t = np.where(theta >= 0, 1.0, -1.0) / (
+                    np.abs(theta) + np.sqrt(theta * theta + 1.0)
+                )
+            t[g == 0.0] = 0.0
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            # indexing by arrays copies, so each update reads the values
+            # from before it
+            row_i, row_j = a[i, :], a[j, :]
+            a[i, :] = c[:, None] * row_i - s[:, None] * row_j
+            a[j, :] = s[:, None] * row_i + c[:, None] * row_j
+            col_i, col_j = a[:, i], a[:, j]
+            a[:, i] = c * col_i - s * col_j
+            a[:, j] = s * col_i + c * col_j
+            a[i, j] = a[j, i] = 0.0
+            vec_i, vec_j = v[:, i], v[:, j]
+            v[:, i] = c * vec_i - s * vec_j
+            v[:, j] = s * vec_i + c * vec_j
     else:
         raise ConvergenceFailure(
             f"Jacobi sweeps exhausted ({JACOBI_MAX_SWEEPS}) before convergence"

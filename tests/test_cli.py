@@ -376,8 +376,12 @@ def test_out_of_range_parameters_exit_one_without_traceback(capsys, tmp_path, ar
          "--trace", "{tmp}"],
         ["plotdata", "--input", "{tmp}/points.csv", "--x", "t", "--y", "v",
          "--output", "{tmp}/missing/series.tsv"],
+        # an empty path names no file: no trace, or the TSV on stdout, would hide that
+        ["simulate", "--config", "{config}", "--kernel", "k1", "--tick", "1", "--trace", ""],
+        ["plotdata", "--input", "{tmp}/points.csv", "--x", "t", "--y", "v", "--output", ""],
     ],
-    ids=["trace-in-missing-dir", "trace-is-a-directory", "plot-in-missing-dir"],
+    ids=["trace-in-missing-dir", "trace-is-a-directory", "plot-in-missing-dir",
+         "trace-is-empty", "plot-output-is-empty"],
 )
 def test_unwritable_output_paths_exit_one_without_traceback(capsys, config_file, tmp_path,
                                                             argv):

@@ -122,6 +122,14 @@ def test_a_byte_order_mark_on_one_file_only_still_matches(tmp_path):
     assert ds.read().column("x") == [1.0, 3.0]
 
 
+def test_a_short_row_is_reported_at_its_physical_line(tmp_path):
+    # the quoted cell spans lines 2 and 3, so the short row "4" is record 4 on line 5
+    path = tmp_path / "multiline.csv"
+    path.write_text('a,b\n"x\ny",1\n2,3\n4\n')
+    with pytest.raises(HeaderMismatch, match=r":5: expected 2 cells, got 1$"):
+        open_datastore(path)
+
+
 def test_duplicate_column_names_are_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("a,a\n1,2\n")

@@ -5,8 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from stagecost.errors import ConstantColumn, MissingData, NumericOverflow
+from stagecost import pca
+from stagecost.errors import ConstantColumn, ConvergenceFailure, MissingData, NumericOverflow
 from stagecost.pca import (
     correlation_matrix,
     eigen_sym,
@@ -94,6 +97,14 @@ def test_all_ones_correlation_concentrates_everything():
     assert np.all(np.abs(values[1:]) < 1e-12)
 
 
+def test_all_ones_matrix_of_size_64_has_a_degenerate_spectrum():
+    # one eigenvalue 64 and a 63-fold zero: a degenerate spectrum
+    values, vectors = eigen_sym(np.ones((64, 64)))
+    assert values[0] == pytest.approx(64.0, abs=1e-12)
+    assert np.all(np.abs(values[1:]) < 1e-12)
+    assert np.allclose(vectors.T @ vectors, np.eye(64), atol=1e-12)
+
+
 def test_solver_matches_lapack_on_random_matrices():
     rng = random.Random(20260814)
     for _ in range(15):
@@ -132,6 +143,75 @@ def test_solver_is_deterministic():
     second = eigen_sym(corr.values)
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8, 63, 64, 65])
+def test_round_robin_visits_every_pair_once_in_disjoint_steps(p):
+    steps = pca._round_robin(p)
+    assert len(steps) == (p if p % 2 else p - 1)
+    seen = []
+    for i, j in steps:
+        assert np.all(i < j)
+        touched = np.concatenate((i, j))
+        assert len(set(touched.tolist())) == len(touched)  # disjoint pairs
+        seen.extend(zip(i.tolist(), j.tolist()))
+    assert sorted(seen) == [(i, j) for i in range(p) for j in range(i + 1, p)]
+
+
+def check_against_lapack(matrix, values, vectors, atol):
+    p = matrix.shape[0]
+    assert np.allclose(values, np.linalg.eigh(matrix)[0][::-1], atol=atol)
+    assert np.allclose(vectors.T @ vectors, np.eye(p), atol=atol)
+    assert np.allclose(vectors @ np.diag(values) @ vectors.T, matrix, atol=atol)
+
+
+@pytest.mark.parametrize("p", [1, 3, 63, 64, 65, 100])
+def test_odd_and_even_sizes_match_lapack(p):
+    corr = random_correlation(random.Random(1000 + p), p)
+    values, vectors = eigen_sym(corr.values)
+    check_against_lapack(corr.values, values, vectors, atol=1e-10)
+    assert np.all(np.diff(values) <= 0.0)
+
+
+def test_block_diagonal_matrix_keeps_its_cross_block_zeros():
+    # a pivot between the blocks is exactly 0 in every sweep, so its rotation
+    # is skipped (theta is infinite or NaN there; warnings are errors in tests)
+    rng = random.Random(43)
+    first, second = random_correlation(rng, 5).values, random_correlation(rng, 6).values
+    matrix = np.zeros((11, 11))
+    matrix[:5, :5], matrix[5:, 5:] = first, second
+    values, vectors = eigen_sym(matrix)
+    check_against_lapack(matrix, values, vectors, atol=1e-10)
+    for j in range(11):
+        on_first = np.any(vectors[:5, j] != 0.0)
+        on_second = np.any(vectors[5:, j] != 0.0)
+        assert on_first != on_second  # each eigenvector lives in one block
+
+
+def test_too_few_sweeps_is_a_convergence_failure(monkeypatch):
+    corr = random_correlation(random.Random(47), 8)
+    monkeypatch.setattr(pca, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceFailure, match="sweeps exhausted"):
+        eigen_sym(corr.values)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    p = draw(st.integers(min_value=1, max_value=12))
+    cells = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=p * p,
+                          max_size=p * p))
+    upper = np.triu(np.array(cells).reshape(p, p))
+    return upper + np.triu(upper, 1).T
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(symmetric_matrices())
+def test_random_symmetric_matrices_match_eigvalsh(matrix):
+    values, vectors = eigen_sym(matrix)
+    p = matrix.shape[0]
+    assert np.allclose(values, np.linalg.eigvalsh(matrix)[::-1], rtol=0.0, atol=1e-10)
+    assert np.allclose(vectors.T @ vectors, np.eye(p), rtol=0.0, atol=1e-10)
 
 
 def test_non_square_input_is_rejected():
