@@ -83,7 +83,8 @@ class InsufficientObservations(ToolkitError):
 
 
 class CollinearDesign(ToolkitError):
-    """The design matrix is rank deficient (a normal-equations pivot collapsed)."""
+    """The design matrix is rank deficient: in its Householder QR, a column's part
+    from the diagonal down fell to 1e-12 of the column's norm or below."""
 
 
 class InvalidSums(ToolkitError):

@@ -1,10 +1,10 @@
 """Ordinary least squares with an ANOVA summary, and the F distribution.
 
-The fit goes through the normal equations with an intercept column
-prepended.  They are solved by a diagonally pivoted Cholesky factorisation
-written out below; a pivot falling under 1e-12 of its column's original
-scale means two predictors are (numerically) the same direction, which is
-reported as :class:`CollinearDesign` rather than solved badly.
+The fit is a Householder QR of the design (an intercept column prepended),
+written out below; it never forms X^T X, whose condition number is cond(X)
+squared.  A column whose part left after the earlier columns' reflections
+falls to 1e-12 of its original norm or below lies (numerically) in their
+span, which is reported as :class:`CollinearDesign` rather than solved badly.
 
 ``f_cdf`` evaluates the regularised incomplete beta function with the
 classic continued-fraction expansion (modified Lentz), switching to the
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     CollinearDesign,
+    ConvergenceFailure,
     DomainError,
     InsufficientObservations,
     InvalidSums,
@@ -61,55 +62,8 @@ class AnovaTable:
     significance_f: float
 
 
-def _solve_normal_equations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` for symmetric positive (semi)definite ``a``.
-
-    Cholesky with diagonal pivoting: at each step the largest remaining
-    diagonal is eliminated first, and a pivot below PIVOT_REL_TOL of its
-    original diagonal entry trips CollinearDesign.
-    """
-    a = a.astype(float, copy=True)
-    b = b.astype(float, copy=True)
-    m = a.shape[0]
-    scale = np.maximum(np.abs(np.diag(a)), 1e-300)
-    order: list[int] = []
-    remaining = list(range(m))
-    lower = np.zeros_like(a)
-
-    for step in range(m):
-        pivot_j = max(remaining, key=lambda j: a[j, j])
-        if a[pivot_j, pivot_j] < PIVOT_REL_TOL * scale[pivot_j]:
-            raise CollinearDesign(
-                f"normal-equations pivot collapsed at column {pivot_j}"
-            )
-        order.append(pivot_j)
-        remaining.remove(pivot_j)
-        root = math.sqrt(a[pivot_j, pivot_j])
-        lower[pivot_j, pivot_j] = root
-        for j in remaining:
-            lower[j, pivot_j] = a[j, pivot_j] / root
-        for j in remaining:
-            for i in remaining:
-                a[i, j] -= lower[i, pivot_j] * lower[j, pivot_j]
-
-    # Forward then backward substitution in pivot order.
-    y = np.zeros(m)
-    for idx, j in enumerate(order):
-        y[idx] = (b[j] - sum(lower[j, order[t]] * y[t] for t in range(idx))) / lower[j, j]
-    x = np.zeros(m)
-    for idx in range(m - 1, -1, -1):
-        j = order[idx]
-        tail = sum(lower[order[t], j] * x[order[t]] for t in range(idx + 1, m))
-        x[j] = (y[idx] - tail) / lower[j, j]
-    return x
-
-
-def ols_coefficients(x: Sequence[Sequence[float]], y: Sequence[float]) -> tuple[float, ...]:
-    """Least-squares coefficients (intercept first) for ``y ~ 1 + x``.
-
-    Needs at least k + 1 observations; use :func:`fit_ols` when a residual
-    degree of freedom (and therefore a summary) is wanted as well.
-    """
+def _design(x, y, spare: int) -> tuple[np.ndarray, np.ndarray]:
+    """``[1 | x]`` and y as checked float arrays, with at least k + ``spare`` rows."""
     xm = np.asarray(x, dtype=float)
     if xm.ndim == 1:
         xm = xm[:, None]
@@ -119,15 +73,60 @@ def ols_coefficients(x: Sequence[Sequence[float]], y: Sequence[float]) -> tuple[
         raise InvalidSums(f"y has {yv.shape[0] if yv.ndim else 0} rows, X has {n}")
     if not (np.isfinite(xm).all() and np.isfinite(yv).all()):
         raise MissingData("design or response contains missing/non-finite cells")
-    if n < k + 1:
-        raise InsufficientObservations(f"need at least {k + 1} rows, got {n}")
-    design = np.hstack([np.ones((n, 1)), xm])
+    if n < k + spare:
+        raise InsufficientObservations(
+            f"need at least {k + spare} rows for {k} predictors, got {n}"
+        )
+    return np.hstack([np.ones((n, 1)), xm]), yv
+
+
+# einsum, numpy's own loop, rather than `@`: BLAS hands each long product to
+# its thread pool, and on a busy machine each hand-off can wait a scheduler tick.
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm, scaled by the largest entry so no square overflows."""
+    big = float(np.abs(v).max()) or 1.0
+    w = v / big
+    return big * math.sqrt(np.einsum("i,i", w, w))
+
+
+def _least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minimise ``|y - design @ beta|`` by Householder QR of the design.
+
+    Row j of ``a`` holds design column j and its last row holds y, so each
+    reflector is applied to the later columns and to y as it goes; then
+    R beta = Q^T y is solved by back substitution.
+    """
+    a = np.vstack([design.T, y])
+    m = design.shape[1]
+    scale = [_norm(row) for row in a[:m]]
     with np.errstate(over="ignore", invalid="ignore"):
-        gram, moments = design.T @ design, design.T @ yv
-        _require_finite("the normal equations", gram, moments)
-        beta = _solve_normal_equations(gram, moments)
+        for j in range(m):
+            col = a[j, j:]
+            norm = _norm(col)
+            if norm <= PIVOT_REL_TOL * scale[j]:
+                raise CollinearDesign(f"predictor {j} lies in the span of the columns before it")
+            diag = -math.copysign(norm, col[0])
+            v = col / (col[0] - diag)
+            v[0] = 1.0
+            rest = a[j + 1:, j:]
+            rest -= np.outer(((diag - col[0]) / diag) * np.einsum("ij,j->i", rest, v), v)
+            a[j, j] = diag
+        beta = np.zeros(m)
+        for j in range(m - 1, -1, -1):
+            beta[j] = (a[m, j] - a[j + 1:m, j] @ beta[j + 1:]) / a[j, j]
     _require_finite("the coefficients", beta)
-    return tuple(float(b) for b in beta)
+    return beta
+
+
+def ols_coefficients(x: Sequence[Sequence[float]], y: Sequence[float]) -> tuple[float, ...]:
+    """Least-squares coefficients (intercept first) for ``y ~ 1 + x``.
+
+    Needs at least k + 1 observations; use :func:`fit_ols` when a residual
+    degree of freedom (and therefore a summary) is wanted as well.
+    """
+    return tuple(map(float, _least_squares(*_design(x, y, spare=1))))
 
 
 def _require_finite(what: str, *arrays) -> None:
@@ -142,25 +141,22 @@ def fit_ols(
 
     Requires n >= k + 2 so the residual mean square is defined.
     """
-    xm = np.asarray(x, dtype=float)
-    if xm.ndim == 1:
-        xm = xm[:, None]
-    yv = np.asarray(y, dtype=float)
-    n, k = xm.shape
-    if n < k + 2:
-        raise InsufficientObservations(
-            f"need at least {k + 2} rows for {k} predictors, got {n}"
-        )
-    beta = np.asarray(ols_coefficients(xm, yv))
-    design = np.hstack([np.ones((n, 1)), xm])
+    design, yv = _design(x, y, spare=2)
+    # Fitting y's deviations from its mean only moves the intercept, and keeps
+    # the rounding relative to y's spread rather than to its level.
+    mean = yv.mean()
+    centred = yv - mean
+    beta = _least_squares(design, centred)
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = yv - design @ beta
+        residuals = centred - design @ beta
         ss_res = float(residuals @ residuals)
-        centred = yv - yv.mean()
         ss_total = float(centred @ centred)
     _require_finite("the sums of squares", ss_res, ss_total)
-    ss_reg = ss_total - ss_res
-    return _summarise(tuple(beta), ss_reg, ss_total, ss_res, n, k)
+    beta[0] += mean
+    # ss_res can round above ss_total when y is all but constant
+    ss_reg = max(ss_total - ss_res, 0.0)
+    n, m = design.shape
+    return _summarise(tuple(map(float, beta)), ss_reg, ss_total, ss_res, n, m - 1)
 
 
 def summary_from_ss(
@@ -283,4 +279,4 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    raise ConvergenceFailure("incomplete beta continued fraction did not converge")

@@ -523,6 +523,37 @@ def test_regress_fits_a_csv(capsys, tmp_path):
     assert "x" in out and "1.5" in out
 
 
+@pytest.mark.parametrize(
+    "rows",
+    ["6,1\n8,1\n7,1\n7,1.0000000000009095\n", "5,1.0000000000009095\n1,1\n9,1\n5,1\n"],
+    ids=["odd-y-at-the-mean", "odd-y-at-the-mean-first"],
+)
+def test_regress_on_an_all_but_constant_response_explains_nothing(capsys, tmp_path, rows):
+    # x is symmetric about its mean wherever y is level, so the exact line is
+    # flat: F is 0 and Significance F is 1.  ss_res may round above ss_total.
+    path = tmp_path / "flat.csv"
+    path.write_text("x,y\n" + rows)
+    assert dispatch(
+        ["regress", "--input", str(path), "--dependent", "y", "--independents", "x"]
+    ) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    anova = captured.out[captured.out.index("ANOVA"):].splitlines()
+    regression = next(line for line in anova if line.startswith("Regression "))
+    f_stat, sig_f = regression.split()[-2:]
+    assert 0.0 <= float(f_stat) <= 1e-9
+    assert sig_f == "1"
+
+
+def test_regress_from_sums_reports_a_stalled_continued_fraction(capsys):
+    # at a million degrees of freedom on each side, Significance F's continued
+    # fraction does not converge within its iteration budget
+    assert dispatch(["regress", "--from-ss", "5", "10", "2000000", "1000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: incomplete beta continued fraction did not converge\n"
+    assert captured.out == ""
+
+
 # -- pca, delays, plotdata ------------------------------------------------------------------
 
 
@@ -615,12 +646,10 @@ def test_bad_columns_name_the_first_bad_column(capsys, mixed_csv, argv, message)
     "argv, message",
     [
         (["regress", "--dependent", "b", "--independents", "a"],
-         "the normal equations overflow the float range"),
-        (["plotdata", "--x", "a", "--y", "b", "--fit"],
-         "the normal equations overflow the float range"),
+         "the sums of squares overflow the float range"),
         (["pca"], "column 'b': sum of squares overflows the float range"),
     ],
-    ids=["regress", "plotdata", "pca"],
+    ids=["regress", "pca"],
 )
 def test_overflowing_sums_on_finite_cells_are_errors(capsys, tmp_path, argv, message):
     # every cell is finite, but b's squares and cross products leave the float range
@@ -630,6 +659,20 @@ def test_overflowing_sums_on_finite_cells_are_errors(capsys, tmp_path, argv, mes
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_plotdata_fits_huge_finite_cells_without_squaring_them(capsys, tmp_path):
+    # the least-squares line through b's cells is finite even though their
+    # squares are not, and QR of the design never forms those squares
+    path = tmp_path / "huge.csv"
+    path.write_text("a,b\n1,1e308\n2,-1e308\n3,1e308\n")
+    assert dispatch(["plotdata", "--x", "a", "--y", "b", "--fit", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, *rows = [line.split("\t") for line in captured.out.splitlines()]
+    assert header == ["x", "y", "fitted"]
+    # the exact line is flat at 1e308 / 3; the solve may miss it by rounding
+    assert [float(row[2]) for row in rows] == pytest.approx([1e308 / 3] * 3, rel=1e-15)
 
 
 def test_delays_command_defaults_to_the_bundled_sample(capsys):

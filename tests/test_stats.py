@@ -6,6 +6,9 @@ import random
 import numpy as np
 import pytest
 from _oracles import f_cdf_by_quadrature
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stagecost.errors import (
     CollinearDesign,
@@ -132,6 +135,63 @@ def test_fit_handles_badly_scaled_columns():
     assert np.allclose(ols_coefficients(x, y), expected, rtol=1e-8)
 
 
+@pytest.mark.parametrize("low", [100.0, 1000.0])
+def test_shifted_polynomial_matches_least_squares_oracle(low):
+    # y ~ x + x^2 far from the origin: full rank, but cond(X) is about 1e9 at
+    # [100, 101] and 1e12 at [1000, 1001], which squared leaves no digits
+    rng = random.Random(low)
+    x = np.linspace(low, low + 1.0, 200)
+    design = np.column_stack([np.ones(200), x, x * x])
+    y = 1.0 + 0.5 * x - 0.002 * x * x + np.array([rng.gauss(0, 0.01) for _ in range(200)])
+    expected, *_ = np.linalg.lstsq(design, y, rcond=None)
+    got = ols_coefficients(design[:, 1:], y)
+    assert np.allclose(got, expected, rtol=1e-6, atol=0)
+    summary, _ = fit_ols(design[:, 1:], y)
+    assert np.allclose(summary.coefficients, expected, rtol=1e-6, atol=0)
+
+
+# Cells on a 1e-3 grid in [-1e3, 1e3]: no cell is so small that the
+# oracle's own norms underflow.
+_CELL = st.integers(-10**6, 10**6).map(lambda v: v / 1000)
+
+
+@st.composite
+def _full_rank_fits(draw):
+    n = draw(st.integers(3, 30))
+    k = draw(st.integers(1, min(4, n - 2)))
+    x = draw(hnp.arrays(float, (n, k), elements=_CELL))
+    # a response whose spread is 1e-12 of its level rounds like the nearly
+    # constant responses that gave a negative regression sum
+    spread = draw(st.sampled_from([1.0, 1e-6, 1e-12]))
+    y = draw(_CELL) + spread * draw(hnp.arrays(float, n, elements=_CELL))
+    return x, y
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(fit=_full_rank_fits())
+@example(fit=(np.array([[6.0], [8.0], [7.0], [7.0]]), np.array([1, 1, 1, 1.0000000000009095])))
+@example(fit=(np.array([[5.0], [1.0], [9.0], [5.0]]), np.array([1.0000000000009095, 1, 1, 1])))
+def test_fit_matches_least_squares_oracle_on_random_full_rank_designs(fit):
+    x, y = fit
+    design = np.hstack([np.ones((len(y), 1)), x])
+    kappa = np.linalg.cond(design)
+    assume(kappa < 1e6)  # rank deficient ones raise CollinearDesign, tested below
+    summary, table = fit_ols(x, y)  # never DomainError from a negative ss_reg
+    beta = np.asarray(summary.coefficients)
+    expected, *_ = np.linalg.lstsq(design, y, rcond=None)
+    # the least-squares perturbation bound, kappa |b| + kappa^2 |r| / |X|, with
+    # a margin of 1e-11 (about 5e4 unit roundoffs) for n, k and the constant
+    norm_x = np.linalg.norm(design, 2)
+    residuals = y - design @ expected
+    bound = kappa * np.linalg.norm(expected) + kappa**2 * np.linalg.norm(residuals) / norm_x
+    assert np.linalg.norm(beta - expected) <= 1e-11 * bound
+    # X^T r = 0 up to rounding on the scale of |X| (|y| + |X| |b|)
+    orthogonality = np.abs(design.T @ (y - design @ beta)).max()
+    assert orthogonality <= 1e-11 * norm_x * (np.linalg.norm(y) + norm_x * np.linalg.norm(beta))
+    assert table.regression.ss >= 0.0
+    assert 0.0 <= table.significance_f <= 1.0
+
+
 def test_residuals_are_orthogonal_to_the_design():
     rng = random.Random(11)
     x = np.array([[rng.uniform(-5, 5) for _ in range(3)] for _ in range(20)])
@@ -191,7 +251,7 @@ def test_missing_cells_are_rejected():
 
 
 def test_sums_of_squares_past_the_float_range_are_errors():
-    # the normal equations and the coefficients are finite; the squares are not
+    # the coefficients are finite; the squares are not
     x = [[1.0], [2.0], [3.0], [4.0]]
     y = [1.5e154, -1.5e154, 1.5e154, -1.4e154]
     assert all(map(math.isfinite, ols_coefficients(x, y)))
