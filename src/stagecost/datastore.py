@@ -3,12 +3,12 @@
 A datastore is opened over one or more CSV files that share a header.  The
 whole input is read once at open time and stored column by column: one list
 of values and one list of missing flags per column.  Each cell is parsed at
-most once.  Cells equal to a missing marker (``NA`` by default) are flagged
-missing, and a column is numeric exactly when every non-missing cell parses
-as a finite number; at its first cell that does not, the column becomes
-text and the rest of it is kept unparsed.  Rows come back through a cursor
-in fixed-size :class:`TableChunk` batches that keep this column layout;
-``preview`` and ``filter_rows`` never move the cursor that ``read`` uses.
+most once.  Cells that read ``NA`` are flagged missing, and a column is
+numeric exactly when every non-missing cell parses as a finite number; at
+its first cell that does not, the column becomes text and the rest of it is
+kept unparsed.  Rows come back through a cursor in fixed-size
+:class:`TableChunk` batches that keep this column layout; ``preview`` and
+``filter_rows`` never move the cursor that ``read`` uses.
 
 Missing numeric cells surface as IEEE NaN plus a flag; exports write them
 back out as ``NA``.
@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from itertools import compress
 from operator import eq, ge, gt, itemgetter, le, lt, ne
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     EmptyInput,
@@ -35,7 +35,7 @@ from .errors import (
     UnknownVariable,
 )
 
-DEFAULT_MISSING_MARKERS = frozenset({"NA"})
+MISSING_MARKER = "NA"  # the one missing-cell marker, read and written
 PREVIEW_ROWS = 8
 
 NUMERIC = "numeric"
@@ -69,10 +69,7 @@ class TableChunk:
         return len(self.missing[0])
 
     def column_index(self, name: str) -> int:
-        for i, col in enumerate(self.schema):
-            if col.name == name:
-                return i
-        raise UnknownVariable(f"no column named {name!r}")
+        return _column_index([col.name for col in self.schema], name)
 
     def column(self, name: str) -> list:
         """All values of one column (missing numeric cells come back as NaN)."""
@@ -84,9 +81,16 @@ class TableChunk:
             writer = csv.writer(fh)
             writer.writerow([col.name for col in self.schema])
             for row, flags in zip(zip(*self.columns), zip(*self.missing)):
-                writer.writerow(
-                    ["NA" if miss else format_cell(v) for v, miss in zip(row, flags)]
-                )
+                writer.writerow([MISSING_MARKER if miss else format_cell(v)
+                                 for v, miss in zip(row, flags)])
+
+
+def _column_index(names: Sequence[str], name: str) -> int:
+    """Where ``name`` is in ``names``; a name not there is an UnknownVariable."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise UnknownVariable(f"no column named {name!r}") from None
 
 
 def format_cell(value) -> str:
@@ -109,8 +113,7 @@ def _parse_number(cell: str):
 class Datastore:
     """Cursor-based access to one logical table spread over CSV files."""
 
-    def __init__(self, paths, missing_markers, chunk_size):
-        markers = frozenset(missing_markers)
+    def __init__(self, paths, chunk_size):
         self._chunk_size = int(chunk_size)
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
@@ -119,7 +122,7 @@ class Datastore:
             raise EmptyInput("no data rows in " + ", ".join(str(p) for p in paths))
         schema, self._values, self._flags = [], [], []
         for name, cells in zip(header, zip(*raw_rows)):
-            kind, values, flags = _convert_column(cells, markers)
+            kind, values, flags = _convert_column(cells)
             schema.append(ColumnSchema(name=name, kind=kind))
             self._values.append(values)
             self._flags.append(flags)
@@ -140,22 +143,16 @@ class Datastore:
         return self._total_rows
 
     @property
-    def chunk_size(self) -> int:
-        return self._chunk_size
-
-    @property
     def chunks_left(self) -> int:
         """Number of chunks that ``read`` returns from the cursor on."""
         return -(-(self._total_rows - self._cursor) // self._chunk_size)
 
     def select_variables(self, names: Sequence[str]) -> None:
         """Restrict (and order) the columns that reads and scans return."""
-        for name in names:
-            if name not in self._names:
-                raise UnknownVariable(f"no column named {name!r}")
-        if not names:
+        cols = [_column_index(self._names, name) for name in names]
+        if not cols:
             raise UnknownVariable("at least one variable must stay selected")
-        self._cols = [self._names.index(name) for name in names]
+        self._cols = cols
 
     def reset(self) -> None:
         self._cursor = 0
@@ -185,13 +182,11 @@ class Datastore:
         cursor where it was.  Missing cells never match.  Ordering operators
         require a numeric column.
         """
-        if column not in self._names:
-            raise UnknownVariable(f"no column named {column!r}")
+        col = _column_index(self._names, column)
         try:
             compare = _OPERATORS[op]
         except KeyError:
             raise ValueError(f"unknown comparison operator {op!r}") from None
-        col = self._names.index(column)
         kind = self._schema[col].kind
 
         if kind == NUMERIC:
@@ -225,13 +220,12 @@ class Datastore:
 
 def open_datastore(
     paths: Sequence[str | os.PathLike] | str | os.PathLike,
-    missing_markers: Iterable[str] = DEFAULT_MISSING_MARKERS,
     chunk_size: int = 4,
 ) -> Datastore:
     """Open one or more CSV files that share a header as a single datastore."""
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
-    return Datastore(list(paths), missing_markers, chunk_size)
+    return Datastore(list(paths), chunk_size)
 
 
 def _load_files(paths) -> tuple[list[str], list[list[str]]]:
@@ -294,15 +288,15 @@ def _undecodable_line(path) -> int:
     return 0  # the file changed since it failed to decode
 
 
-def _convert_column(cells, markers) -> tuple[str, list, list[bool]]:
+def _convert_column(cells) -> tuple[str, list, list[bool]]:
     """One column's kind, values and missing flags, parsing each cell once.
 
-    The column is numeric until its first cell that is neither a missing
-    marker nor a finite number.  From there on it is text: its cells are
-    kept as strings and the rest of them are never parsed.  Missing cells
-    read NaN in a numeric column and None in a text column.
+    The column is numeric until its first cell that is neither ``NA`` nor a
+    finite number.  From there on it is text: its cells are kept as strings
+    and the rest of them are never parsed.  Missing cells read NaN in a
+    numeric column and None in a text column.
     """
-    flags = [cell in markers for cell in cells]
+    flags = [cell == MISSING_MARKER for cell in cells]
     values = []
     for cell, miss in zip(cells, flags):
         value = math.nan if miss else _parse_number(cell)

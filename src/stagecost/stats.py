@@ -8,8 +8,10 @@ span, which is reported as :class:`CollinearDesign` rather than solved badly.
 
 ``f_cdf`` evaluates the regularised incomplete beta function with the
 classic continued-fraction expansion (modified Lentz), switching to the
-symmetric tail when that converges faster.  No statistics library is
-involved, so the numbers can be audited end to end.
+symmetric tail when that converges faster.  The fraction may take
+300 + 10 (a + b)^(1/3) passes, and at most 10^5, before it is reported as
+:class:`ConvergenceFailure`.  No statistics library is involved, so the
+numbers can be audited end to end.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ from .errors import (
 
 PIVOT_REL_TOL = 1e-12
 _BETA_EPS = 1e-12
-_BETA_MAX_ITER = 300
+# The continued fraction needs about 3.75 (a + b)^(1/3) passes at large a + b
+# (375 at 1e6, 807 at 1e7).  _beta_cf allows 300 + 10 (a + b)^(1/3) but no
+# more than this (about 0.1 s), so that one that cannot converge fails quickly.
+_BETA_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -256,27 +261,21 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
+    passes = int(min(_BETA_MAX_ITER, 300 + 10 * qab ** (1 / 3)))
+    for m in range(1, passes + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise ConvergenceFailure("incomplete beta continued fraction did not converge")

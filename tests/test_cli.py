@@ -14,7 +14,7 @@ from conftest import make_config, make_workload
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stagecost import cli, energy
+from stagecost import cli, energy, stats
 from stagecost.datastore import Datastore, open_datastore
 from stagecost.errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
 from stagecost.cli import dispatch
@@ -545,9 +545,20 @@ def test_regress_on_an_all_but_constant_response_explains_nothing(capsys, tmp_pa
     assert sig_f == "1"
 
 
-def test_regress_from_sums_reports_a_stalled_continued_fraction(capsys):
-    # at a million degrees of freedom on each side, Significance F's continued
-    # fraction does not converge within its iteration budget
+def test_regress_from_sums_at_a_million_degrees_of_freedom(capsys):
+    # Significance F's continued fraction takes about 375 passes here
+    assert dispatch(["regress", "--from-ss", "5", "10", "2000000", "1000000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    anova = captured.out[captured.out.index("ANOVA"):].splitlines()
+    assert anova[1].split()[-2:] == ["Significance", "F"]
+    regression = next(line for line in anova if line.startswith("Regression "))
+    assert float(regression.split()[-1]) == pytest.approx(0.5, abs=1e-3)
+
+
+def test_regress_from_sums_reports_a_stalled_continued_fraction(capsys, monkeypatch):
+    # cut Significance F's continued fraction off before it can converge
+    monkeypatch.setattr(stats, "_BETA_MAX_ITER", 10)
     assert dispatch(["regress", "--from-ss", "5", "10", "2000000", "1000000"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: incomplete beta continued fraction did not converge\n"

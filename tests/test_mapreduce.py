@@ -124,7 +124,7 @@ def test_job_starts_from_the_cursor_not_the_top(servers_csv):
     assert result.value(MAX_KEY) == 1800.0
 
 
-def test_result_is_independent_of_workers_and_chunk_size(delays_csv):
+def test_result_is_independent_of_chunk_size(delays_csv):
     reference = None
     for chunk_size in (1, 2, 3, 5, 10):
         ds = open_datastore(delays_csv, chunk_size=chunk_size)

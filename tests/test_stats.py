@@ -277,6 +277,13 @@ def test_cdf_of_equal_degrees_is_half_at_one(d):
     assert f_cdf(1.0, d, d) == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("d", [1e6, 1e7])
+def test_cdf_of_equal_degrees_is_half_at_one_at_large_degrees(d):
+    # the continued fraction needs over 300 passes here; the log front
+    # factor's rounding (1.5e-8 at 1e7) sets the tolerance
+    assert f_cdf(1.0, d, d) == pytest.approx(0.5, abs=1e-7)
+
+
 def test_cdf_closed_form_for_two_numerator_degrees():
     # d1 = 2: P(F <= x) = 1 - (d2 / (2x + d2))^(d2/2)
     for d2 in (1, 2, 5, 9):
