@@ -182,10 +182,10 @@ def _cmd_regress(args) -> int:
         raise ConfigError(
             "regress needs either --from-ss or --input/--dependent/--independents"
         )
-    ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
-    y, *columns = _numeric_columns(ds, [args.dependent, *args.independents])
-    x = list(zip(*columns))
-    summary, table = stats.fit_ols(x, y)
+    # the columns are copies, so the datastore is let go before the fit
+    y, *columns = _numeric_columns(open_datastore(args.input, chunk_size=_WHOLE_TABLE),
+                                   [args.dependent, *args.independents])
+    summary, table = stats.fit_ols(columns, y)
     _print_regression(summary, table, labels=list(args.independents))
     return 0
 
@@ -197,8 +197,7 @@ def _cmd_pca(args) -> int:
     numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
     if not numeric:
         raise TypeMismatch("input has no numeric columns")
-    data = list(zip(*_numeric_columns(ds, numeric)))
-    corr = pca.correlation_matrix(data, names=numeric)
+    corr = pca.correlation_matrix(_numeric_columns(ds, numeric), names=numeric)
     threshold = pca.DEFAULT_VARIANCE_THRESHOLD if args.threshold is None else args.threshold
     cutoff = pca.DEFAULT_LOADING_CUTOFF if args.cutoff is None else args.cutoff
     model = pca.extract_factors(corr, variance_threshold=threshold)

@@ -61,12 +61,14 @@ class SchemaSuggestion:
 
 
 def correlation_matrix(
-    data: Sequence[Sequence[float]], names: Optional[Sequence[str]] = None
+    columns: Sequence[Sequence[float]], names: Optional[Sequence[str]] = None
 ) -> CorrelationMatrix:
-    """Pearson correlations of the columns of ``data`` (n rows, p columns)."""
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("data must be two-dimensional (rows x columns)")
+    """Pearson correlations of ``columns``: p columns of n observations each.
+
+    A column may be any sequence of numbers; an ``array('d')`` or a float
+    array is read in place.
+    """
+    x = np.column_stack(columns).astype(float, copy=False)  # n rows, p columns
     n, p = x.shape
     if names is None:
         names = tuple(f"v{j + 1}" for j in range(p))

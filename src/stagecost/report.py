@@ -106,7 +106,7 @@ def emit_plot_data(
         return PlotSeries(x=xs, y=ys, fitted=None, intercept=None, slope=None)
     from . import stats
 
-    intercept, slope = stats.ols_coefficients(xs, ys)
+    intercept, slope = stats.ols_coefficients([xs], ys)
     fitted = tuple(intercept + slope * v for v in xs)
     return PlotSeries(x=xs, y=ys, fitted=fitted, intercept=intercept, slope=slope)
 

@@ -17,6 +17,7 @@ numbers can be audited end to end.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -68,21 +69,28 @@ class AnovaTable:
 
 
 def _design(x, y, spare: int) -> tuple[np.ndarray, np.ndarray]:
-    """``[1 | x]`` and y as checked float arrays, with at least k + ``spare`` rows."""
-    xm = np.asarray(x, dtype=float)
-    if xm.ndim == 1:
-        xm = xm[:, None]
+    """``[1 | x]`` from the k predictor columns ``x``, and y, as checked float
+    arrays with at least k + ``spare`` rows.
+
+    A column may be any sequence of numbers; an ``array('d')`` or a float
+    array is read in place, and the design is the one copy made.
+    """
     yv = np.asarray(y, dtype=float)
-    n, k = xm.shape
-    if yv.shape != (n,):
-        raise InvalidSums(f"y has {yv.shape[0] if yv.ndim else 0} rows, X has {n}")
-    if not (np.isfinite(xm).all() and np.isfinite(yv).all()):
+    lengths = sorted({len(col) for col in x})
+    if yv.ndim != 1 or lengths != [len(yv)]:
+        raise InvalidSums(
+            f"need predictor columns as long as y: y has shape {yv.shape},"
+            f" the columns have lengths {lengths}"
+        )
+    n, k = len(yv), len(x)
+    design = np.column_stack([np.ones(n), *x])
+    if not (np.isfinite(design).all() and np.isfinite(yv).all()):
         raise MissingData("design or response contains missing/non-finite cells")
     if n < k + spare:
         raise InsufficientObservations(
             f"need at least {k + spare} rows for {k} predictors, got {n}"
         )
-    return np.hstack([np.ones((n, 1)), xm]), yv
+    return design, yv
 
 
 # einsum, numpy's own loop, rather than `@`: BLAS hands each long product to
@@ -128,6 +136,7 @@ def _least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
 def ols_coefficients(x: Sequence[Sequence[float]], y: Sequence[float]) -> tuple[float, ...]:
     """Least-squares coefficients (intercept first) for ``y ~ 1 + x``.
 
+    ``x`` holds the predictor columns, each as long as ``y``.
     Needs at least k + 1 observations; use :func:`fit_ols` when a residual
     degree of freedom (and therefore a summary) is wanted as well.
     """
@@ -144,7 +153,8 @@ def fit_ols(
 ) -> tuple[RegressionSummary, AnovaTable]:
     """Fit ``y ~ 1 + x`` and summarise it the spreadsheet way.
 
-    Requires n >= k + 2 so the residual mean square is defined.
+    ``x`` holds the k predictor columns, each as long as ``y``.  Requires
+    n >= k + 2 so the residual mean square is defined.
     """
     design, yv = _design(x, y, spare=2)
     # Fitting y's deviations from its mean only moves the intercept, and keeps
@@ -172,6 +182,8 @@ def summary_from_ss(
         raise InvalidSums("n and k must be integers with k >= 1")
     if n < k + 2:
         raise InvalidSums(f"need n >= k + 2, got n={n}, k={k}")
+    if n > sys.float_info.max:  # n and k are divided as floats
+        raise InvalidSums(f"n must be at most {sys.float_info.max:.6g} to fit a float")
     if not (0 <= ss_reg <= ss_total < math.inf) or ss_total <= 0:
         raise InvalidSums(
             f"sums must be finite with 0 <= ss_reg <= ss_total and ss_total > 0, "
@@ -220,10 +232,12 @@ def _summarise(coefficients, ss_reg, ss_total, ss_res, n, k):
 
 def f_cdf(x: float, d1: float, d2: float) -> float:
     """P(F <= x) for an F distribution with (d1, d2) degrees of freedom."""
-    if x < 0:
+    if not x >= 0:  # NaN too
         raise DomainError(f"x must be >= 0, got {x!r}")
-    if d1 <= 0 or d2 <= 0:
-        raise DomainError(f"degrees of freedom must be positive, got ({d1!r}, {d2!r})")
+    if not (0 < d1 < math.inf and 0 < d2 < math.inf):
+        raise DomainError(
+            f"degrees of freedom must be positive and finite, got ({d1!r}, {d2!r})"
+        )
     if x == 0:
         return 0.0
     if math.isinf(x):

@@ -160,7 +160,7 @@ def test_07_eigensolver_fidelity(request):
         for p in (2, 3, 5, 8, 12, 16, 20):
             n = p + rng.randint(5, 30)
             data = [[rng.gauss(0, 1) for _ in range(p)] for _ in range(n)]
-            corr = correlation_matrix(data)
+            corr = correlation_matrix(np.transpose(data))
             values, vectors = eigen_sym(corr.values)
             assert abs(float(values.sum()) - p) <= 1e-10
             rebuilt = vectors @ np.diag(values) @ vectors.T

@@ -498,6 +498,14 @@ def test_regress_from_sums_rejects_garbage(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, k", [("1" + "0" * 400, "3"), ("1" + "0" * 400, "1" + "0" * 399)])
+def test_regress_from_sums_rejects_counts_past_the_float_range(capsys, n, k):
+    assert dispatch(["regress", "--from-ss", "5", "10", n, k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be at most 1.79769e+308 to fit a float\n"
+
+
 @pytest.mark.parametrize("sums", [("inf", "inf"), ("1", "inf")])
 def test_regress_from_sums_rejects_infinite_sums(capsys, sums):
     assert dispatch(["regress", "--from-ss", *sums, "10", "2"]) == 1

@@ -2,6 +2,7 @@
 
 import csv
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from stagecost.datastore import NUMERIC, TEXT, open_datastore
 from stagecost.errors import (
     EmptyInput,
     HeaderMismatch,
+    MalformedCSV,
     MissingFile,
     ReadPastEnd,
     TypeMismatch,
@@ -101,7 +103,7 @@ def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path):
     path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n")
     ds = open_datastore(path)
     assert [c.name for c in ds.schema] == ["x", "y"]
-    assert ds.read().column("x") == [1.0]
+    assert list(ds.read().column("x")) == [1.0]
 
 
 def test_a_byte_order_mark_on_one_file_only_still_matches(tmp_path):
@@ -109,7 +111,7 @@ def test_a_byte_order_mark_on_one_file_only_still_matches(tmp_path):
     first.write_bytes(b"x,y\n1,2\n")
     second.write_bytes(b"\xef\xbb\xbfx,y\n3,4\n")
     ds = open_datastore([first, second])
-    assert ds.read().column("x") == [1.0, 3.0]
+    assert list(ds.read().column("x")) == [1.0, 3.0]
 
 
 def test_a_short_row_is_reported_at_its_physical_line(tmp_path):
@@ -118,6 +120,76 @@ def test_a_short_row_is_reported_at_its_physical_line(tmp_path):
     path.write_text('a,b\n"x\ny",1\n2,3\n4\n')
     with pytest.raises(HeaderMismatch, match=r":5: expected 2 cells, got 1$"):
         open_datastore(path)
+
+
+# -- block boundaries: the file is read _BLOCK_ROWS records at a time ---------------
+
+
+def test_a_column_that_turns_text_in_a_later_block_keeps_its_cells_as_written(
+        monkeypatch, tmp_path):
+    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    path = tmp_path / "late_text.csv"
+    path.write_text("n,v\n1,1.50\n2, 2 \n3,NA\n4, NA \n5,1e3\n6,word\n7,7.0\n")
+    ds = open_datastore(path, chunk_size=100)
+    assert [c.kind for c in ds.schema] == [NUMERIC, TEXT]
+    chunk = ds.read()
+    assert chunk.column("v") == ["1.50", "2", None, None, "1e3", "word", "7.0"]
+    assert list(chunk.missing[1]) == [0, 0, 1, 1, 0, 0, 0]
+    assert list(chunk.column("n")) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+
+def test_a_column_that_turns_text_past_the_first_full_block(tmp_path):
+    # the first two blocks convert as numbers; the third holds the word
+    rows = datastore._BLOCK_ROWS * 2 + 5
+    cells = [f"{i}.50" for i in range(rows)] + ["word"]
+    path = tmp_path / "late_text.csv"
+    path.write_text("v,w\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells)))
+    ds = open_datastore(path, chunk_size=len(cells))
+    assert [c.kind for c in ds.schema] == [TEXT, NUMERIC]
+    assert ds.read().columns == (cells, array("d", range(len(cells))))
+
+
+def test_columns_that_turn_text_in_different_files(monkeypatch, tmp_path):
+    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_text("x,y,z\n1,1,1\n2,2,2\n3,oops,3\n")
+    second.write_text("x,y,z\n4,4,4\n5,5,5\n6,6,6.00\n7,7,-\n")
+    ds = open_datastore([first, second], chunk_size=100)
+    assert [c.kind for c in ds.schema] == [NUMERIC, TEXT, TEXT]
+    chunk = ds.read()
+    assert chunk.column("y") == ["1", "2", "oops", "4", "5", "6", "7"]
+    assert chunk.column("z") == ["1", "2", "3", "4", "5", "6.00", "-"]
+
+
+def test_a_short_row_in_a_later_block_is_reported_at_its_physical_line(
+        monkeypatch, tmp_path):
+    # records: header (line 1), "x\ny" (2-3), 2 (4), "p\nq\nr" (5-7), 5 (8), short (9)
+    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    path = tmp_path / "multiline.csv"
+    path.write_text('a,b\n"x\ny",1\n2,3\n"p\nq\nr",4\n5,6\n7\n8,9\n')
+    with pytest.raises(HeaderMismatch, match=r":9: expected 2 cells, got 1$"):
+        open_datastore(path)
+
+
+def test_a_short_row_ahead_of_bad_csv_in_the_same_block_is_reported_first(tmp_path):
+    # the cell over csv's field size limit on line 4 ends the block early
+    path = tmp_path / "short_then_bad.csv"
+    path.write_text("a,b\n1,2\n3\n4," + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(HeaderMismatch, match=r":3: expected 2 cells, got 1$"):
+        open_datastore(path)
+    path.write_text("a,b\n1,2\n3,4\n5," + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(MalformedCSV, match=r":4: field larger than field limit"):
+        open_datastore(path)
+
+
+def test_blank_lines_on_block_boundaries_are_skipped(monkeypatch, tmp_path):
+    # blocks of two records: (1, 2), (blank, blank), (3, blank), (4)
+    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    path = tmp_path / "blank.csv"
+    path.write_text("v\n1\n2\n\n\n3\n\n4\n")
+    ds = open_datastore(path, chunk_size=100)
+    assert ds.total_rows == 4
+    assert list(ds.read().column("v")) == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_duplicate_column_names_are_rejected(tmp_path):
@@ -148,27 +220,37 @@ def test_preview_of_a_short_table(tmp_path):
 def test_changing_a_chunk_leaves_the_store_alone(servers_csv):
     ds = open_datastore(servers_csv, chunk_size=4)
     chunk = ds.read()
-    chunk.columns[0][0] = "changed"
-    chunk.columns[0].append("extra")
-    chunk.missing[0][0] = True
+    chunk.columns[0][0] = -1.0
+    chunk.columns[0].append(99.0)
+    chunk.columns[1][0] = "changed"
+    chunk.missing[0][0] = 1
     ds.reset()
     again = ds.read()
-    assert again.columns[0] == [1503.0, 1550.0, 1589.0, 1655.0]
-    assert again.missing[0] == [False] * 4
-    assert ds.preview().columns[0][:4] == [1503.0, 1550.0, 1589.0, 1655.0]
+    assert again.columns[0] == array("d", [1503.0, 1550.0, 1589.0, 1655.0])
+    assert again.columns[1][0] == "'NA'"
+    assert again.missing[0] == bytearray(4)
+    assert ds.preview().columns[0][:4] == array("d", [1503.0, 1550.0, 1589.0, 1655.0])
+
+
+def test_chunks_hold_arrays_lists_and_flag_bytes(servers_csv):
+    chunk = open_datastore(servers_csv, chunk_size=3).read()
+    kinds = {col.name: col.kind for col in chunk.schema}
+    for name, values in zip(kinds, chunk.columns):
+        assert isinstance(values, array if kinds[name] == NUMERIC else list)
+    assert all(isinstance(flags, bytearray) for flags in chunk.missing)
 
 
 def test_read_walks_chunks_then_stops(servers_csv):
     ds = open_datastore(servers_csv, chunk_size=4)
     ds.select_variables(["ActualElapsedTime"])
-    assert ds.read().column("ActualElapsedTime") == [53.0, 63.0, 83.0, 59.0]
+    assert list(ds.read().column("ActualElapsedTime")) == [53.0, 63.0, 83.0, 59.0]
     assert ds.has_data()
-    assert ds.read().column("ActualElapsedTime") == [77.0, 61.0, 84.0, 155.0]
+    assert list(ds.read().column("ActualElapsedTime")) == [77.0, 61.0, 84.0, 155.0]
     assert not ds.has_data()
     with pytest.raises(ReadPastEnd):
         ds.read()
     ds.reset()
-    assert ds.read().column("ActualElapsedTime") == [53.0, 63.0, 83.0, 59.0]
+    assert list(ds.read().column("ActualElapsedTime")) == [53.0, 63.0, 83.0, 59.0]
 
 
 def test_select_controls_both_columns_and_order(servers_csv):
@@ -192,7 +274,7 @@ def test_filter_equals_on_numeric(servers_csv):
     ds = open_datastore(servers_csv)
     hit = ds.filter_rows("ServerNum", "=", 1589)
     assert len(hit) == 1
-    assert hit.column("ActualElapsedTime") == [83.0]
+    assert hit.column("ActualElapsedTime") == array("d", [83.0])
 
 
 @pytest.mark.parametrize(
@@ -244,7 +326,8 @@ def test_filter_respects_selection(servers_csv):
     ds.select_variables(["Delay"])
     hit = ds.filter_rows("ServerNum", "=", 1800)
     assert [col.name for col in hit.schema] == ["Delay"]
-    assert hit.columns == ([11.0],)
+    assert hit.columns == (array("d", [11.0]),)
+    assert hit.missing == (bytearray(1),)
 
 
 def test_filter_unknown_column_and_operator(servers_csv):
@@ -308,17 +391,27 @@ def test_chunks_left_counts_from_the_cursor(servers_csv):
     assert ds.chunks_left == 0
 
 
-def test_each_cell_is_parsed_at_most_once(monkeypatch, servers_csv):
+def test_each_cell_is_parsed_at_most_once(monkeypatch, tmp_path, servers_csv):
+    # Cells are converted by float in C; a float shadowing the builtin in the
+    # module's namespace sees every cell that reaches it.
     calls = []
-    original = datastore._parse_number
 
-    def counting_parse(cell):
+    def counting_float(cell):
         calls.append(cell)
-        return original(cell)
+        return float(cell)
 
-    monkeypatch.setattr(datastore, "_parse_number", counting_parse)
-    ds = open_datastore(servers_csv)
-    assert 0 < len(calls) <= ds.total_rows * len(ds.schema)
+    monkeypatch.setattr(datastore, "float", counting_float, raising=False)
+    late = tmp_path / "late.csv"  # v turns text in its third block of two rows
+    late.write_text("n,v\n1,1.50\nNA, 2 \n3, NA \n4,3\n5,word\n6,7\n")
+    for block_rows in (2, 1024):
+        monkeypatch.setattr(datastore, "_BLOCK_ROWS", block_rows)
+        for path in (servers_csv, late):
+            calls.clear()
+            ds = open_datastore(path)
+            _, kinds, _, missing = read_csv_table(path)
+            numbers = sum(not flags[i] for flags in missing
+                          for i, kind in enumerate(kinds) if kind == NUMERIC)
+            assert numbers <= len(calls) <= ds.total_rows * len(ds.schema)
 
 
 # -- property test against the reference parse -----------------------------------------
@@ -363,7 +456,8 @@ def write_table(directory, columns, split):
 @settings(derandomize=True, database=None, max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_tables())
-def test_any_table_reads_like_the_reference_parse(tmp_path, table):
+def test_any_table_reads_like_the_reference_parse(monkeypatch, tmp_path, table):
+    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)  # every table spans blocks
     paths = write_table(tmp_path, *table)
     names, kinds, want_rows, want_flags = read_csv_table(paths)
 
@@ -382,8 +476,9 @@ def test_any_table_reads_like_the_reference_parse(tmp_path, table):
 @settings(derandomize=True, database=None, max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_tables(_OTHER_CELLS | _QUOTED_CELLS))
-def test_any_table_reopens_as_written(tmp_path, table):
+def test_any_table_reopens_as_written(monkeypatch, tmp_path, table):
     # numbers, NA, empty cells and text with quotes, commas and line breaks
     # all survive to_csv: the writer's missing marker is the reader's
+    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)  # every table spans blocks
     ds = open_datastore(write_table(tmp_path, *table), chunk_size=len(table[0][0]))
     assert_reopens_as_written(ds.read(), tmp_path / "copy.csv")

@@ -22,7 +22,7 @@ def random_correlation(rng, p):
     """Correlation matrix of a random full-rank sample (n > p rows)."""
     n = p + rng.randint(5, 20)
     data = [[rng.gauss(0, 1) for _ in range(p)] for _ in range(n)]
-    return correlation_matrix(data)
+    return correlation_matrix(np.transpose(data))
 
 
 # -- correlations ---------------------------------------------------------------------
@@ -30,7 +30,7 @@ def random_correlation(rng, p):
 
 def test_correlations_by_hand():
     # columns: x, exactly -x, and an uncorrelated-with-neither third
-    data = [[1.0, -1.0, 2.0], [2.0, -2.0, 0.0], [3.0, -3.0, 2.0], [4.0, -4.0, 0.0]]
+    data = [[1.0, 2.0, 3.0, 4.0], [-1.0, -2.0, -3.0, -4.0], [2.0, 0.0, 2.0, 0.0]]
     corr = correlation_matrix(data, names=("a", "b", "c"))
     r = corr.values
     assert corr.names == ("a", "b", "c")
@@ -48,23 +48,23 @@ def test_correlation_values_stay_in_range():
 
 
 def test_default_names_are_positional():
-    corr = correlation_matrix([[1.0, 2.0], [2.0, 1.0], [3.0, 5.0]])
+    corr = correlation_matrix([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]])
     assert corr.names == ("v1", "v2")
 
 
 def test_constant_column_is_rejected():
     with pytest.raises(ConstantColumn):
-        correlation_matrix([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]], names=("x", "flat"))
+        correlation_matrix([[1.0, 2.0, 3.0], [7.0, 7.0, 7.0]], names=("x", "flat"))
 
 
 def test_missing_cells_are_rejected():
     with pytest.raises(MissingData):
-        correlation_matrix([[1.0, 2.0], [float("nan"), 1.0], [3.0, 5.0]])
+        correlation_matrix([[1.0, float("nan"), 3.0], [2.0, 1.0, 5.0]])
 
 
 def test_correlation_past_the_float_range_is_an_error():
     # each column's sum of squares (about 2e200) is finite, their product is not
-    data = [[1e100, 1e100], [2e100, 3e100], [3e100, 2e100]]
+    data = [[1e100, 2e100, 3e100], [1e100, 3e100, 2e100]]
     with pytest.raises(NumericOverflow, match="columns 'v1' and 'v2'"):
         correlation_matrix(data)
 
@@ -238,13 +238,13 @@ def test_factor_model_bookkeeping():
 
 def test_selection_stops_at_the_first_sufficient_component():
     # perfectly correlated pair: eigenvalues (2, 0), so one component explains all
-    corr = correlation_matrix([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [4.0, 8.1]])
+    corr = correlation_matrix([[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.1]])
     model = extract_factors(corr, variance_threshold=0.95)
     assert model.selected_components == 1
 
 
 def test_selection_can_need_every_component():
-    corr = correlation_matrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    corr = correlation_matrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
     model = extract_factors(corr, variance_threshold=1.0)
     assert model.selected_components == 2
 
@@ -273,7 +273,7 @@ def test_threshold_survives_rounding_just_below():
 
 @pytest.mark.parametrize("bad", [0.0, -0.2, 1.0001])
 def test_threshold_out_of_range(bad):
-    corr = correlation_matrix([[1.0, 2.0], [2.0, 1.0], [3.0, 5.0]])
+    corr = correlation_matrix([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]])
     with pytest.raises(ValueError):
         extract_factors(corr, variance_threshold=bad)
 
@@ -296,7 +296,7 @@ def correlated_blocks(rng, rows=60):
             + [f2 + rng.gauss(0, 0.05) for _ in range(2)]
         )
     names = ("a1", "a2", "a3", "a4", "b1", "b2")
-    return correlation_matrix(data, names=names)
+    return correlation_matrix(np.transpose(data), names=names)
 
 
 def test_blocks_become_dimensions():
@@ -344,7 +344,7 @@ def test_a_variable_may_join_several_dimensions():
 
 @pytest.mark.parametrize("bad", [0.0, 1.5])
 def test_cutoff_out_of_range(bad):
-    corr = correlation_matrix([[1.0, 2.0], [2.0, 1.0], [3.0, 5.0]])
+    corr = correlation_matrix([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]])
     model = extract_factors(corr)
     with pytest.raises(ValueError):
         suggest_schema(model, loading_cutoff=bad)

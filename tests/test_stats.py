@@ -89,6 +89,8 @@ def test_summary_saturated_and_null_edges():
         (15.0, 82.5, 10, 2.0),   # k must be an integer
         (math.inf, math.inf, 10, 2),  # infinite sums: every ratio is NaN
         (1.0, math.inf, 10, 2),  # infinite total: an infinite standard error
+        (15.0, 82.5, 10**400, 2),  # n past the float range
+        (15.0, 82.5, 10**400 + 2, 10**400),  # k past the float range
     ],
 )
 def test_summary_rejects_inconsistent_sums(args):
@@ -101,7 +103,7 @@ def test_summary_rejects_inconsistent_sums(args):
 
 def test_single_predictor_fit_by_hand():
     # x = 1,2,3 against y = 1,2,4: slope 3/2, intercept -2/3, F = 27 on (1, 1)
-    summary, table = fit_ols([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
+    summary, table = fit_ols([[1.0, 2.0, 3.0]], [1.0, 2.0, 4.0])
     assert summary.coefficients == pytest.approx((-2.0 / 3.0, 1.5), rel=1e-12)
     assert table.total.ss == pytest.approx(14.0 / 3.0, rel=1e-12)
     assert table.regression.ss == pytest.approx(4.5, rel=1e-12)
@@ -122,7 +124,7 @@ def test_fit_agrees_with_least_squares_oracle():
         design = np.hstack([np.ones((n, 1)), x])
         y = design @ beta_true + np.array([rng.gauss(0, 0.5) for _ in range(n)])
         expected, *_ = np.linalg.lstsq(design, y, rcond=None)
-        got = ols_coefficients(x, y)
+        got = ols_coefficients(x.T, y)
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
 
 
@@ -132,7 +134,7 @@ def test_fit_handles_badly_scaled_columns():
     y = 0.5 + 3e-6 * x[:, 0] + 4e6 * x[:, 1] + np.array([rng.gauss(0, 0.01) for _ in range(30)])
     design = np.hstack([np.ones((30, 1)), x])
     expected, *_ = np.linalg.lstsq(design, y, rcond=None)
-    assert np.allclose(ols_coefficients(x, y), expected, rtol=1e-8)
+    assert np.allclose(ols_coefficients(x.T, y), expected, rtol=1e-8)
 
 
 @pytest.mark.parametrize("low", [100.0, 1000.0])
@@ -144,9 +146,9 @@ def test_shifted_polynomial_matches_least_squares_oracle(low):
     design = np.column_stack([np.ones(200), x, x * x])
     y = 1.0 + 0.5 * x - 0.002 * x * x + np.array([rng.gauss(0, 0.01) for _ in range(200)])
     expected, *_ = np.linalg.lstsq(design, y, rcond=None)
-    got = ols_coefficients(design[:, 1:], y)
+    got = ols_coefficients(design[:, 1:].T, y)
     assert np.allclose(got, expected, rtol=1e-6, atol=0)
-    summary, _ = fit_ols(design[:, 1:], y)
+    summary, _ = fit_ols(design[:, 1:].T, y)
     assert np.allclose(summary.coefficients, expected, rtol=1e-6, atol=0)
 
 
@@ -176,7 +178,7 @@ def test_fit_matches_least_squares_oracle_on_random_full_rank_designs(fit):
     design = np.hstack([np.ones((len(y), 1)), x])
     kappa = np.linalg.cond(design)
     assume(kappa < 1e6)  # rank deficient ones raise CollinearDesign, tested below
-    summary, table = fit_ols(x, y)  # never DomainError from a negative ss_reg
+    summary, table = fit_ols(x.T, y)  # never DomainError from a negative ss_reg
     beta = np.asarray(summary.coefficients)
     expected, *_ = np.linalg.lstsq(design, y, rcond=None)
     # the least-squares perturbation bound, kappa |b| + kappa^2 |r| / |X|, with
@@ -196,7 +198,7 @@ def test_residuals_are_orthogonal_to_the_design():
     rng = random.Random(11)
     x = np.array([[rng.uniform(-5, 5) for _ in range(3)] for _ in range(20)])
     y = np.array([rng.uniform(-5, 5) for _ in range(20)])
-    beta = np.asarray(ols_coefficients(x, y))
+    beta = np.asarray(ols_coefficients(x.T, y))
     design = np.hstack([np.ones((20, 1)), x])
     residuals = y - design @ beta
     assert np.max(np.abs(design.T @ residuals)) < 1e-9
@@ -206,7 +208,7 @@ def test_fit_and_summary_from_ss_tell_the_same_story():
     rng = random.Random(13)
     x = [[rng.uniform(0, 10), rng.uniform(0, 10)] for _ in range(12)]
     y = [rng.uniform(0, 10) for _ in range(12)]
-    summary, table = fit_ols(x, y)
+    summary, table = fit_ols(np.transpose(x), y)
     rebuilt, rebuilt_table = summary_from_ss(table.regression.ss, table.total.ss, 12, 2)
     assert rebuilt.coefficients is None
     assert rebuilt.r_square == pytest.approx(summary.r_square, rel=1e-12)
@@ -218,14 +220,14 @@ def test_fit_and_summary_from_ss_tell_the_same_story():
 def test_perfect_fit_has_unit_r_square():
     x = [1.0, 2.0, 3.0, 4.0]
     y = [2 * v + 1 for v in x]
-    summary, table = fit_ols(x, y)
+    summary, table = fit_ols([x], y)
     assert summary.r_square == pytest.approx(1.0, abs=1e-12)
     assert table.residual.ss == pytest.approx(0.0, abs=1e-18)
     assert table.significance_f <= 1e-8
 
 
 def test_collinear_predictors_are_reported():
-    x = [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [4.0, 8.0]]
+    x = [[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0]]
     y = [1.0, 2.0, 2.0, 4.0]
     with pytest.raises(CollinearDesign):
         fit_ols(x, y)
@@ -233,26 +235,26 @@ def test_collinear_predictors_are_reported():
 
 def test_constant_predictor_collides_with_the_intercept():
     with pytest.raises(CollinearDesign):
-        ols_coefficients([[5.0], [5.0], [5.0]], [1.0, 2.0, 3.0])
+        ols_coefficients([[5.0, 5.0, 5.0]], [1.0, 2.0, 3.0])
 
 
 def test_too_few_observations():
     with pytest.raises(InsufficientObservations):
-        fit_ols([[1.0], [2.0]], [1.0, 2.0])  # n = k + 2 - 1
+        fit_ols([[1.0, 2.0]], [1.0, 2.0])  # n = k + 2 - 1
     with pytest.raises(InsufficientObservations):
         ols_coefficients([[1.0]], [1.0])
 
 
 def test_missing_cells_are_rejected():
     with pytest.raises(MissingData):
-        ols_coefficients([[1.0], [float("nan")], [3.0]], [1.0, 2.0, 3.0])
+        ols_coefficients([[1.0, float("nan"), 3.0]], [1.0, 2.0, 3.0])
     with pytest.raises(MissingData):
-        ols_coefficients([[1.0], [2.0], [3.0]], [1.0, float("inf"), 3.0])
+        ols_coefficients([[1.0, 2.0, 3.0]], [1.0, float("inf"), 3.0])
 
 
 def test_sums_of_squares_past_the_float_range_are_errors():
     # the coefficients are finite; the squares are not
-    x = [[1.0], [2.0], [3.0], [4.0]]
+    x = [[1.0, 2.0, 3.0, 4.0]]
     y = [1.5e154, -1.5e154, 1.5e154, -1.4e154]
     assert all(map(math.isfinite, ols_coefficients(x, y)))
     with pytest.raises(NumericOverflow, match="the sums of squares"):
@@ -261,7 +263,7 @@ def test_sums_of_squares_past_the_float_range_are_errors():
 
 def test_length_mismatch_is_rejected():
     with pytest.raises(InvalidSums):
-        ols_coefficients([[1.0], [2.0], [3.0]], [1.0, 2.0])
+        ols_coefficients([[1.0, 2.0, 3.0]], [1.0, 2.0])
 
 
 # -- F distribution -------------------------------------------------------------------
@@ -329,7 +331,8 @@ def test_cdf_accepts_fractional_degrees():
     assert 0.0 < f_cdf(1.3, 2.5, 7.5) < 1.0
 
 
-@pytest.mark.parametrize("bad", [(-0.5, 2, 3), (1.0, 0, 3), (1.0, 2, -1)])
+@pytest.mark.parametrize("bad", [(-0.5, 2, 3), (1.0, 0, 3), (1.0, 2, -1), (math.nan, 1, 1),
+                                 (1.0, 1, math.inf), (1.0, math.inf, 1), (1.0, math.nan, 2)])
 def test_cdf_domain_errors(bad):
     with pytest.raises(DomainError):
         f_cdf(*bad)
