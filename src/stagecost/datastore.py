@@ -348,9 +348,10 @@ def _reread_text(paths, columns: list[_Column], rows: int) -> None:
 def _row_blocks(path):
     """Yield the header of the CSV file ``path``, then its data rows in blocks.
 
-    A block is what is left of ``_BLOCK_ROWS`` records once blank lines are
-    dropped.  A row whose cell count is not the header's, CSV that the reader
-    rejects and bytes that are not UTF-8 are errors that name the physical line.
+    The header is the first record that is not a blank line.  A block is what
+    is left of ``_BLOCK_ROWS`` records once blank lines are dropped.  A row
+    whose cell count is not the header's, CSV that the reader rejects and
+    bytes that are not UTF-8 are errors that name the physical line.
     """
     if not os.path.isfile(path):
         raise MissingFile(f"input file {path} does not exist")
@@ -358,10 +359,14 @@ def _row_blocks(path):
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         records = _csv_rows(path, reader, failure)
-        header = next(records, None)
-        if header is not None:
+        header, seen = [], 0  # seen: the records read, blank ones included
+        for header in records:
+            seen += 1
+            if header:
+                break
+        if header:
             yield header
-            width, seen = len(header), 1
+            width = len(header)
             while block := list(islice(records, _BLOCK_ROWS)):
                 if not set(map(len, block)) <= {0, width}:
                     bad = next(i for i, row in enumerate(block) if len(row) not in (0, width))
@@ -371,7 +376,7 @@ def _row_blocks(path):
                 yield list(filter(None, block))
     if failure:
         raise failure[0]
-    if header is None:
+    if not header:
         raise EmptyInput(f"{path} is empty")
 
 
@@ -392,9 +397,10 @@ def _csv_rows(path, reader, failure: list):
 
 
 def _line_of(path, record: int) -> int:
-    """The physical line that record ``record`` of ``path`` ends on (0 is the header).
+    """The physical line that record ``record`` of ``path`` ends on.
 
-    A quoted cell may span lines, so this is not the record count.
+    Records count from 0, blank lines included.  A quoted cell may span
+    lines, so this is not the record count.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)

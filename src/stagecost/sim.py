@@ -108,7 +108,8 @@ def _fifo(arrivals, mb: float, rate: float) -> tuple[array, float]:
 
     Departures follow Lindley's recursion ``d_i = max(a_i, d_{i-1}) + mb / rate``.
     Returns the departure times and the busy seconds, the sum of the service
-    times.  Jobs of no size are not served.
+    times: n copies of one service time sum to the correctly rounded n times
+    it, or inf past the float range.  Jobs of no size are not served.
     """
     done = array("d")
     if not mb > 0:
@@ -119,7 +120,7 @@ def _fifo(arrivals, mb: float, rate: float) -> tuple[array, float]:
     for a in arrivals:
         d = (d if d > a else a) + service
         append(d)
-    return done, math.fsum(repeat(service, len(done)))
+    return done, len(done) * service
 
 
 def _drain(checkpoints, outputs, mb: tuple[float, float], rate: float):
@@ -154,7 +155,11 @@ def _drain(checkpoints, outputs, mb: tuple[float, float], rate: float):
         d = (d if d > a else a) + s_cp
         append(d)
         mark(CHECKPOINT)
-    return done, sources, math.fsum(chain(repeat(s_cp, n_cp), repeat(s_out, len(out))))
+    try:
+        busy = math.fsum(chain(repeat(s_cp, n_cp), repeat(s_out, len(out))))
+    except OverflowError:  # the terms are positive, so their sum is past the float range
+        busy = math.inf
+    return done, sources, busy
 
 
 def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimReport:

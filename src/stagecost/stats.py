@@ -2,9 +2,13 @@
 
 The fit is a Householder QR of the design (an intercept column prepended),
 written out below; it never forms X^T X, whose condition number is cond(X)
-squared.  A column whose part left after the earlier columns' reflections
-falls to 1e-12 of its original norm or below lies (numerically) in their
-span, which is reported as :class:`CollinearDesign` rather than solved badly.
+squared.  ``fit_ols`` and ``ols_coefficients`` share it, so they give the
+same coefficients: the intercept column, the predictors and y are stacked
+once, the one copy of the data, y is centred, and the QR runs in place and
+leaves the residual in Q^T y.  A column whose part left after the earlier
+columns' reflections falls to 1e-12 of its original norm or below lies
+(numerically) in their span, which is reported as :class:`CollinearDesign`
+rather than solved badly.
 
 ``f_cdf`` evaluates the regularised incomplete beta function with the
 classic continued-fraction expansion (modified Lentz), switching to the
@@ -68,31 +72,6 @@ class AnovaTable:
     significance_f: float
 
 
-def _design(x, y, spare: int) -> tuple[np.ndarray, np.ndarray]:
-    """``[1 | x]`` from the k predictor columns ``x``, and y, as checked float
-    arrays with at least k + ``spare`` rows.
-
-    A column may be any sequence of numbers; an ``array('d')`` or a float
-    array is read in place, and the design is the one copy made.
-    """
-    yv = np.asarray(y, dtype=float)
-    lengths = sorted({len(col) for col in x})
-    if yv.ndim != 1 or lengths != [len(yv)]:
-        raise InvalidSums(
-            f"need predictor columns as long as y: y has shape {yv.shape},"
-            f" the columns have lengths {lengths}"
-        )
-    n, k = len(yv), len(x)
-    design = np.column_stack([np.ones(n), *x])
-    if not (np.isfinite(design).all() and np.isfinite(yv).all()):
-        raise MissingData("design or response contains missing/non-finite cells")
-    if n < k + spare:
-        raise InsufficientObservations(
-            f"need at least {k + spare} rows for {k} predictors, got {n}"
-        )
-    return design, yv
-
-
 # einsum, numpy's own loop, rather than `@`: BLAS hands each long product to
 # its thread pool, and on a busy machine each hand-off can wait a scheduler tick.
 
@@ -104,17 +83,41 @@ def _norm(v: np.ndarray) -> float:
     return big * math.sqrt(np.einsum("i,i", w, w))
 
 
-def _least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimise ``|y - design @ beta|`` by Householder QR of the design.
+def _fit(x, y, spare: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fit ``y ~ 1 + x`` by Householder QR; return beta and Q^T (y - mean(y)).
 
-    Row j of ``a`` holds design column j and its last row holds y, so each
-    reflector is applied to the later columns and to y as it goes; then
-    R beta = Q^T y is solved by back substitution.
+    ``x`` holds the k predictor columns, each a sequence of numbers as long
+    as ``y``; at least k + ``spare`` rows are needed.  Row j of ``a`` holds
+    design column j and its last row y, so each reflector is applied in place
+    to the later columns and to y; then R beta = Q^T y is solved by back
+    substitution.  Centring y only moves the intercept, and keeps the
+    rounding relative to y's spread rather than to its level.  The part of
+    Q^T y below R is the residual.
     """
-    a = np.vstack([design.T, y])
-    m = design.shape[1]
+    yv = np.asarray(y, dtype=float)
+    lengths = sorted({len(col) for col in x})
+    if yv.ndim != 1 or lengths != [len(yv)]:
+        raise InvalidSums(
+            f"need predictor columns as long as y: y has shape {yv.shape},"
+            f" the columns have lengths {lengths}"
+        )
+    n, k = len(yv), len(x)
+    a = np.empty((k + 2, n))
+    a[0] = 1.0
+    for row, col in zip(a[1:-1], x):
+        row[:] = col
+    a[-1] = yv
+    if not np.isfinite(a).all():
+        raise MissingData("design or response contains missing/non-finite cells")
+    if n < k + spare:
+        raise InsufficientObservations(
+            f"need at least {k + spare} rows for {k} predictors, got {n}"
+        )
+    m = k + 1
     scale = [_norm(row) for row in a[:m]]
     with np.errstate(over="ignore", invalid="ignore"):
+        mean = a[m].mean()
+        a[m] -= mean
         for j in range(m):
             col = a[j, j:]
             norm = _norm(col)
@@ -129,8 +132,9 @@ def _least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
         beta = np.zeros(m)
         for j in range(m - 1, -1, -1):
             beta[j] = (a[m, j] - a[j + 1:m, j] @ beta[j + 1:]) / a[j, j]
+        beta[0] += mean
     _require_finite("the coefficients", beta)
-    return beta
+    return beta, a[m]
 
 
 def ols_coefficients(x: Sequence[Sequence[float]], y: Sequence[float]) -> tuple[float, ...]:
@@ -138,9 +142,10 @@ def ols_coefficients(x: Sequence[Sequence[float]], y: Sequence[float]) -> tuple[
 
     ``x`` holds the predictor columns, each as long as ``y``.
     Needs at least k + 1 observations; use :func:`fit_ols` when a residual
-    degree of freedom (and therefore a summary) is wanted as well.
+    degree of freedom (and therefore a summary) is wanted as well.  The
+    coefficients are those of :func:`fit_ols`, bit for bit.
     """
-    return tuple(map(float, _least_squares(*_design(x, y, spare=1))))
+    return tuple(map(float, _fit(x, y, spare=1)[0]))
 
 
 def _require_finite(what: str, *arrays) -> None:
@@ -156,22 +161,16 @@ def fit_ols(
     ``x`` holds the k predictor columns, each as long as ``y``.  Requires
     n >= k + 2 so the residual mean square is defined.
     """
-    design, yv = _design(x, y, spare=2)
-    # Fitting y's deviations from its mean only moves the intercept, and keeps
-    # the rounding relative to y's spread rather than to its level.
-    mean = yv.mean()
-    centred = yv - mean
-    beta = _least_squares(design, centred)
+    beta, qty = _fit(x, y, spare=2)
+    m = len(beta)
+    # Q is orthogonal, so Q^T y keeps the centred y's sum of squares
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = centred - design @ beta
-        ss_res = float(residuals @ residuals)
-        ss_total = float(centred @ centred)
+        ss_res = float(np.einsum("i,i", qty[m:], qty[m:]))
+        ss_total = float(np.einsum("i,i", qty, qty))
     _require_finite("the sums of squares", ss_res, ss_total)
-    beta[0] += mean
     # ss_res can round above ss_total when y is all but constant
     ss_reg = max(ss_total - ss_res, 0.0)
-    n, m = design.shape
-    return _summarise(tuple(map(float, beta)), ss_reg, ss_total, ss_res, n, m - 1)
+    return _summarise(tuple(map(float, beta)), ss_reg, ss_total, ss_res, len(qty), m - 1)
 
 
 def summary_from_ss(

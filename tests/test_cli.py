@@ -318,7 +318,7 @@ _NUMERIC_KEYS = ["compute_nodes", "staging_ssds", "bw_host2ssd", "bw_pfs", "p_ss
 )
 # boundary values the generated examples need not reach: N whose square
 # overflows, an integer past the float range, a tsim giving too many ticks,
-# and subnormal rates
+# subnormal rates, and busy seconds past the float range
 @example(numbers={"compute_nodes": 1.3407807929942597e154}, kernels=_K1, mode="numbers",
          junk_key="surprise", junk=None)
 @example(numbers={"compute_nodes": 10**400}, kernels=_K1, mode="numbers",
@@ -327,6 +327,10 @@ _NUMERIC_KEYS = ["compute_nodes", "staging_ssds", "bw_host2ssd", "bw_pfs", "p_ss
 @example(numbers={"lambda_a": 5e-324}, kernels=_K1, mode="numbers", junk_key="surprise",
          junk=None)
 @example(numbers={"bw_pfs": 5e-324}, kernels=_K1, mode="numbers", junk_key="surprise",
+         junk=None)
+@example(numbers={"lambda_a": 1e304, "bw_host2ssd": 0.01}, kernels=_K1, mode="numbers",
+         junk_key="surprise", junk=None)
+@example(numbers={"bw_pfs": 2e-304}, kernels=_K1, mode="numbers", junk_key="surprise",
          junk=None)
 def test_energy_never_crashes_on_generated_configs(capsys, config_file, tmp_path, command,
                                                    numbers, kernels, mode, junk_key, junk):
@@ -478,6 +482,21 @@ def test_mapreduce_max_needs_a_column(capsys, servers_csv):
     assert "--column" in capsys.readouterr().err
 
 
+def test_mapreduce_keycount_needs_a_key(capsys, servers_csv):
+    code = dispatch(["mapreduce", "run", "--job", "keycount", "--input", servers_csv])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --key is required for the keycount job\n"
+
+
+def test_mapreduce_keycount_after_a_blank_first_line(capsys, tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\na,b\n1,2\n3,4\n1,5\n")
+    code = dispatch(["mapreduce", "run", "--job", "keycount", "--key", "a", "--input", str(path)])
+    assert code == 0
+    assert [line for line in capsys.readouterr().out.splitlines() if "\t" in line] == [
+        "1\t2", "3\t1"]
+
+
 # -- regress ------------------------------------------------------------------------------
 
 
@@ -533,8 +552,9 @@ def test_regress_fits_a_csv(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "rows",
-    ["6,1\n8,1\n7,1\n7,1.0000000000009095\n", "5,1.0000000000009095\n1,1\n9,1\n5,1\n"],
-    ids=["odd-y-at-the-mean", "odd-y-at-the-mean-first"],
+    ["6,1\n8,1\n7,1\n7,1.0000000000009095\n", "5,1.0000000000009095\n1,1\n9,1\n5,1\n",
+     "1,5\n2,5\n3,5\n"],
+    ids=["odd-y-at-the-mean", "odd-y-at-the-mean-first", "constant-y"],
 )
 def test_regress_on_an_all_but_constant_response_explains_nothing(capsys, tmp_path, rows):
     # x is symmetric about its mean wherever y is level, so the exact line is
@@ -591,6 +611,13 @@ def test_pca_command_reports_components_and_schema(capsys, tmp_path):
     assert suggestion["dimensions"][0]["name"] == "dim1"
     members = [name for name, _ in suggestion["dimensions"][0]["members"]]
     assert members == ["a", "b"]
+
+
+def test_pca_of_a_text_only_table_is_an_error(capsys, tmp_path):
+    path = tmp_path / "words.csv"
+    path.write_text("a,b\nx,y\nz,w\n")
+    assert dispatch(["pca", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: input has no numeric columns\n"
 
 
 @pytest.fixture
@@ -677,6 +704,23 @@ def test_overflowing_sums_on_finite_cells_are_errors(capsys, tmp_path, argv, mes
     assert dispatch([*argv, "--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["regress", "--dependent", "y", "--independents", "x"],
+     ["plotdata", "--x", "x", "--y", "y", "--fit"]],
+    ids=["regress", "plotdata"],
+)
+def test_coefficients_past_the_float_range_print_only_the_error(capsys, tmp_path, argv):
+    # y's mean is past the float range; warnings are errors, so a numpy
+    # overflow warning would fail the run before the error line
+    path = tmp_path / "huge.csv"
+    path.write_text("x,y\n1,1.7e308\n2,1.7e308\n3,1.6e308\n4,1.65e308\n")
+    assert dispatch([*argv, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the coefficients overflow the float range\n"
     assert captured.out == ""
 
 

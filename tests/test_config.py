@@ -160,10 +160,23 @@ def test_load_config_rejects_missing_and_unknown_keys(tmp_path):
 
 def test_load_config_rejects_bad_kernels(tmp_path):
     doc = _config_doc()
-    doc["kernels"] = [{"name": "k1"}]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="kernels"):
+    for kernels, message in [
+        ([{"name": "k1"}], r"kernels\[0\] must be an object"),
+        ({"name": "k1", "t_ssd_k": 250.0, "t_server_k": 1000.0}, "'kernels' must be a list"),
+        ([{"name": 1, "t_ssd_k": 250.0, "t_server_k": 1000.0}],
+         r"kernels\[0\]\.name must be a string"),
+    ]:
+        doc["kernels"] = kernels
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+
+def test_load_config_rejects_invalid_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"tsim": 100,')
+    with pytest.raises(ConfigError, match="is not valid JSON"):
         load_config(path)
 
 

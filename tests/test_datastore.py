@@ -68,12 +68,37 @@ def test_type_inference_scans_past_the_first_chunk(tmp_path):
 def test_missing_file():
     with pytest.raises(MissingFile):
         open_datastore("/no/such/table.csv")
+    with pytest.raises(MissingFile, match="no input paths given"):
+        open_datastore([])
 
 
 def test_header_only_file_is_empty_input(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("a,b\n")
     with pytest.raises(EmptyInput):
+        open_datastore(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["no-bytes", "blank-lines"])
+def test_a_file_without_a_header_is_empty(tmp_path, text):
+    path = tmp_path / "nothing.csv"
+    path.write_text(text)
+    with pytest.raises(EmptyInput, match=r"nothing\.csv is empty$"):
+        open_datastore(path)
+
+
+def test_blank_lines_before_the_header_are_skipped(tmp_path):
+    path = tmp_path / "late-header.csv"
+    path.write_text("\n\na,b\n1,2\n\n3,4\n")
+    ds = open_datastore([path, path])
+    assert [col.name for col in ds.schema] == ["a", "b"]
+    assert ds.total_rows == 4
+
+
+def test_a_short_row_after_blank_lines_before_the_header_names_its_line(tmp_path):
+    path = tmp_path / "late-header.csv"
+    path.write_text("\n\na,b\n1,2\n3\n")
+    with pytest.raises(HeaderMismatch, match=r":5: expected 2 cells, got 1$"):
         open_datastore(path)
 
 
@@ -265,6 +290,8 @@ def test_select_unknown_variable(servers_csv):
     ds = open_datastore(servers_csv)
     with pytest.raises(UnknownVariable):
         ds.select_variables(["Delay", "Nope"])
+    with pytest.raises(UnknownVariable, match="at least one variable"):
+        ds.select_variables([])
 
 
 # -- filtering ---------------------------------------------------------------------

@@ -32,6 +32,8 @@ def test_max_job_over_the_server_table(servers_csv):
     )
     assert result.readall() == [(MAX_KEY, 155.0)]
     assert result.value(MAX_KEY) == 155.0
+    with pytest.raises(KeyError):
+        result.value("Origin")
     assert trace == [(0, 0), (50, 0), (100, 0), (100, 100)]
 
 

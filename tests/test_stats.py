@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,6 +193,21 @@ def test_fit_matches_least_squares_oracle_on_random_full_rank_designs(fit):
     assert orthogonality <= 1e-11 * norm_x * (np.linalg.norm(y) + norm_x * np.linalg.norm(beta))
     assert table.regression.ss >= 0.0
     assert 0.0 <= table.significance_f <= 1.0
+    # both fits take one path, so they agree bit for bit
+    assert ols_coefficients(x.T, y) == summary.coefficients
+
+
+@pytest.mark.parametrize("level", [1e6, 1e8, 1e10, 1e12])
+def test_slope_keeps_its_digits_at_any_level_of_y(level):
+    # centring y keeps the rounding relative to y's spread, not to its level
+    x = np.linspace(0.0, 1.0, 200)
+    rng = random.Random(level)
+    y = level + 3.0 * x + np.array([rng.gauss(0, 0.01) for _ in range(200)])
+    fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(fx) / 200, sum(fy) / 200
+    exact = (sum((a - mx) * (b - my) for a, b in zip(fx, fy))
+             / sum((a - mx) ** 2 for a in fx))
+    assert abs(ols_coefficients([x], y)[1] - float(exact)) <= 1e-12
 
 
 def test_residuals_are_orthogonal_to_the_design():
@@ -325,6 +341,9 @@ def test_cdf_is_monotone_and_bounded():
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] < 1.0
     assert f_cdf(math.inf, 3, 8) == 1.0
+    # d1 x / (d1 x + d2) underflows to 0, where the beta function returns 0;
+    # the exact value, near P(chi2_1 <= 5e-324), is about 1.8e-162
+    assert 0.0 <= f_cdf(5e-324, 1, 1e300) < 1e-150
 
 
 def test_cdf_accepts_fractional_degrees():
