@@ -4,6 +4,11 @@ Subcommands: energy, compare, simulate, mapreduce, regress, pca, delays,
 plotdata.  Structured reports go to stdout as JSON with full float
 precision; human-readable tables round to 6 significant digits; plot data
 is TSV.  Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.
+
+A command runs as a fresh process, and its start-up, the interpreter and the
+imports, is most of the time a model command takes.  So this module imports
+only the standard library and ``errors`` at its top, and each handler imports
+the stagecost modules it calls: a command loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -13,21 +18,13 @@ import itertools
 import json
 import sys
 from dataclasses import asdict
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-# stats and pca import numpy, so only the commands that use them import them.
-from . import energy, fixtures, mapreduce, sim
-from .config import load_config, validate
-from .datastore import NUMERIC, Datastore, open_datastore
-from .errors import (
-    ConfigError,
-    EmptyInput,
-    MissingData,
-    ToolkitError,
-    TypeMismatch,
-    UnknownVariable,
-)
-from .report import delay_records, delay_summary, emit_plot_data, write_plot_tsv
+from .errors import ConfigError, MissingData, ToolkitError, TypeMismatch, UnknownVariable
+
+if TYPE_CHECKING:
+    from . import stats
+    from .datastore import Datastore
 
 PROG = "stagecost"
 
@@ -45,6 +42,8 @@ def _fmt6(value) -> str:
 
 
 def _load_validated(path):
+    from .config import load_config, validate
+
     cfg, wl = load_config(path)
     report = validate(cfg, wl)
     if not report.passed:
@@ -55,12 +54,11 @@ def _load_validated(path):
     return cfg, wl
 
 
-def _print_json(payload) -> None:
+def _json_text(payload) -> str:
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        return json.dumps(payload, indent=2, allow_nan=False)
     except ValueError:  # raised for an infinite or NaN float
         raise ToolkitError("the result holds an infinite or NaN number") from None
-    print(text)
 
 
 def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
@@ -69,6 +67,8 @@ def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
     ``ds`` must hold its whole table in one chunk.  An error names the first
     column in ``names`` that is unknown, is text or has a missing cell.
     """
+    from .datastore import NUMERIC
+
     kinds = {col.name: col.kind for col in ds.schema}
     good = list(itertools.takewhile(lambda name: kinds.get(name) == NUMERIC, names))
     columns: list[list[float]] = []
@@ -92,23 +92,33 @@ def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
 
 
 def _cmd_model(args) -> int:
-    """energy and compare: ``args.model`` is the energy-model function to report."""
+    """energy and compare: ``args.model`` names the energy-model function to report."""
+    from . import energy
+
     cfg, wl = _load_validated(args.config)
-    _print_json(asdict(args.model(cfg, wl, args.kernel)))
+    print(_json_text(asdict(getattr(energy, args.model)(cfg, wl, args.kernel))))
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    from . import sim
+
     cfg, wl = _load_validated(args.config)
     report = sim.simulate(cfg, wl, args.kernel, args.tick)
+    # checked before the trace is written, so a failed run leaves no trace file
+    text = _json_text({"busy_seconds": report.busy_seconds, "energies": report.energies,
+                       "backlog_mb_max": report.backlog_mb_max,
+                       "completed": report.completed})
     if args.trace is not None:
         sim.write_trace(report, args.trace)
-    _print_json({"busy_seconds": report.busy_seconds, "energies": report.energies,
-                 "backlog_mb_max": report.backlog_mb_max, "completed": report.completed})
+    print(text)
     return 0
 
 
 def _cmd_mapreduce(args) -> int:
+    from . import mapreduce
+    from .datastore import open_datastore
+
     ds = open_datastore(args.input, chunk_size=args.chunk_size)
     if args.job == "max":
         if not args.column:
@@ -182,6 +192,8 @@ def _cmd_regress(args) -> int:
         raise ConfigError(
             "regress needs either --from-ss or --input/--dependent/--independents"
         )
+    from .datastore import open_datastore
+
     # the columns are copies, so the datastore is let go before the fit
     y, *columns = _numeric_columns(open_datastore(args.input, chunk_size=_WHOLE_TABLE),
                                    [args.dependent, *args.independents])
@@ -192,6 +204,7 @@ def _cmd_regress(args) -> int:
 
 def _cmd_pca(args) -> int:
     from . import pca
+    from .datastore import NUMERIC, open_datastore
 
     ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
     numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
@@ -210,18 +223,28 @@ def _cmd_pca(args) -> int:
         print(f"{i:<9}  {_fmt6(float(value)):<10}  {_fmt6(float(cum))}")
     print(f"Selected components: {model.selected_components}")
     print()
-    _print_json(asdict(suggestion))
+    print(_json_text(asdict(suggestion)))
     return 0
 
 
 def _cmd_delays(args) -> int:
-    path = str(fixtures.path("delays.csv")) if args.input is None else args.input
+    from .datastore import open_datastore
+    from .report import delay_records, delay_summary
+
+    path = args.input
+    if path is None:
+        from . import fixtures
+
+        path = str(fixtures.path("delays.csv"))
     records = delay_records(open_datastore(path, chunk_size=_WHOLE_TABLE))
-    _print_json(asdict(delay_summary(records)))
+    print(_json_text(asdict(delay_summary(records))))
     return 0
 
 
 def _cmd_plotdata(args) -> int:
+    from .datastore import open_datastore
+    from .report import emit_plot_data, write_plot_tsv
+
     ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
     xs, ys = _numeric_columns(ds, [args.x, args.y])
     series = emit_plot_data(xs, ys, with_fit=args.fit)
@@ -247,10 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
     config_args.add_argument("--kernel", required=True)
 
     p = sub.add_parser("energy", parents=[config_args], help="in-situ staging energy breakdown")
-    p.set_defaults(handler=_cmd_model, model=energy.insitu_breakdown)
+    p.set_defaults(handler=_cmd_model, model="insitu_breakdown")
 
     p = sub.add_parser("compare", parents=[config_args], help="in-situ vs offline energy and time")
-    p.set_defaults(handler=_cmd_model, model=energy.compare)
+    p.set_defaults(handler=_cmd_model, model="compare")
 
     p = sub.add_parser("simulate", parents=[config_args],
                        help="queueing simulation of the staging tier")
@@ -278,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pca", help="correlation factoring and schema grouping")
     p.add_argument("--input", required=True)
     # None stands for pca's defaults, filled in by _cmd_pca: building the
-    # parser must not import pca (and numpy).
+    # parser imports no stagecost module.
     p.add_argument("--threshold", type=float)
     p.add_argument("--cutoff", type=float)
     p.set_defaults(handler=_cmd_pca)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter, sub
 
-from . import energy
 from .config import SystemConfig, Workload, validate
 from .errors import ConfigError, InfeasibleConfig, NonPositiveTick, TickMismatch, TooManyTicks
 
@@ -282,6 +281,8 @@ def validate_against_analytic(
     sides measure different things, so the check refuses to run.  Idle
     energy is excluded; it is a budget remainder, not a busy term.
     """
+    from . import energy  # here, so that simulate never loads the closed form
+
     report = validate(cfg, wl)
     if not report.feasible:
         raise InfeasibleConfig(

@@ -127,7 +127,9 @@ def _fit(x, y, spare: int) -> tuple[np.ndarray, np.ndarray]:
             v = col / (col[0] - diag)
             v[0] = 1.0
             rest = a[j + 1:, j:]
-            rest -= np.outer(((diag - col[0]) / diag) * np.einsum("ij,j->i", rest, v), v)
+            w = ((diag - col[0]) / diag) * np.einsum("ij,j->i", rest, v)
+            for row, wi in zip(rest, w):  # row by row: no temporary as large as rest
+                row -= wi * v
             a[j, j] = diag
         beta = np.zeros(m)
         for j in range(m - 1, -1, -1):

@@ -191,7 +191,7 @@ def test_08_chunking_invariance(request, servers_csv, delays_csv):
 
 def test_09_delay_means(request, delays_csv):
     with criterion(request, 9, "delay record means"):
-        from stagecost.cli import delay_records, delay_summary
+        from stagecost.report import delay_records, delay_summary
 
         summary = delay_summary(delay_records(open_datastore(delays_csv)))
         assert summary.records == 10

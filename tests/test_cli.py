@@ -228,6 +228,30 @@ def test_simulate_command_reports_and_traces(capsys, config_file, tmp_path):
     assert float(first[2]) == 400.0  # 4 nodes x 100 MB/s x 1 s tick
 
 
+@pytest.mark.parametrize("change", [{"lambda_a": 1e304, "bw_host2ssd": 0.01},
+                                    {"bw_pfs": 2e-304}], ids=["ingest", "drain"])
+def test_simulate_with_a_result_past_the_float_range_writes_no_trace(capsys, config_file,
+                                                                   tmp_path, change):
+    # busy seconds overflow at ingest or at the drain: the run fails before the
+    # trace is written, so no file is made and an existing one keeps its bytes
+    doc = json.loads(Path(config_file).read_text())
+    doc.update(change)
+    config = tmp_path / "over.json"
+    config.write_text(json.dumps(doc))
+    new, old = tmp_path / "new.tsv", tmp_path / "old.tsv"
+    old.write_text("kept\n")
+    for trace in (new, old):
+        code = dispatch(["simulate", "--config", str(config), "--kernel", "k1",
+                         "--tick", "10", "--trace", str(trace)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            "error: the result holds an infinite or NaN number")
+        assert captured.out == ""
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("tick", ["3", "nan", "inf", "1e-300"])
 def test_simulate_rejects_bad_ticks_without_traceback(capsys, config_file, tick):
     # tsim is 100: 3 does not divide it, and 1e-300 would give 1e302 ticks
@@ -830,3 +854,61 @@ def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stderr) == [False, False, False, False, False, False, False, True]
+
+
+_LOADED_MODULES = """
+import json, sys
+import stagecost.cli
+
+if sys.argv[1:]:
+    sys.argv = ["stagecost", *sys.argv[1:]]
+    try:
+        stagecost.cli.main()
+    except SystemExit as exc:
+        if exc.code != 0:
+            raise
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "stagecost")
+sys.stderr.write("\\n" + json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize(
+    ("argv", "extra"),
+    [
+        ([], []),
+        (["energy", "--config", "{config}", "--kernel", "k1"], ["config", "energy"]),
+        (["compare", "--config", "{config}", "--kernel", "k1"], ["config", "energy"]),
+        (["simulate", "--config", "{config}", "--kernel", "k1", "--tick", "1"],
+         ["config", "sim"]),
+        (["mapreduce", "run", "--job", "max", "--column", "ActualElapsedTime",
+          "--input", "{servers}"], ["datastore", "mapreduce"]),
+        (["regress", "--input", "{servers}", "--dependent", "ActualElapsedTime",
+          "--independents", "CRSElapsedTime"], ["datastore", "stats"]),
+        (["regress", "--from-ss", "15", "82.5", "10", "2"], ["stats"]),
+        (["pca", "--input", "{wide}"], ["datastore", "pca"]),
+        (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
+          "--y", "CRSElapsedTime"], ["datastore", "report"]),
+        (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
+          "--y", "CRSElapsedTime", "--fit"], ["datastore", "report", "stats"]),
+        (["delays"], ["datastore", "fixtures", "report"]),
+        (["delays", "--input", "{delays}"], ["datastore", "report"]),
+    ],
+    ids=["import", "energy", "compare", "simulate", "mapreduce", "regress",
+         "regress-from-ss", "pca", "plotdata", "plotdata-fit", "delays", "delays-input"],
+)
+def test_each_command_loads_only_the_modules_it_calls(config_file, servers_csv, delays_csv,
+                                                      tmp_path, argv, extra):
+    # a fresh interpreter per command: the CLI module itself loads only errors,
+    # and each handler imports the stagecost modules it calls
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
+    argv = [arg.format(config=config_file, servers=servers_csv, delays=delays_csv, wide=wide)
+            for arg in argv]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    expected = ["stagecost", "stagecost.cli", "stagecost.errors",
+                *(f"stagecost.{name}" for name in extra)]
+    assert json.loads(done.stderr.splitlines()[-1]) == sorted(expected)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -275,6 +276,22 @@ def test_sums_of_squares_past_the_float_range_are_errors():
     assert all(map(math.isfinite, ols_coefficients(x, y)))
     with pytest.raises(NumericOverflow, match="the sums of squares"):
         fit_ols(x, y)
+
+
+def test_fit_holds_no_temporary_as_large_as_the_data():
+    # the stacked intercept, predictors and y take (k + 2) 8n bytes; each
+    # reflector is applied row by row, so the fit adds a few rows of n to that
+    n, k = 100_000, 3
+    rng = np.random.default_rng(5)
+    x = [rng.normal(size=n) for _ in range(k)]
+    y = rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        fit_ols(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (k + 5) * 8 * n
 
 
 def test_length_mismatch_is_rejected():
