@@ -14,13 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConstantColumn,
-    ConvergenceFailure,
-    InvalidParameter,
-    MissingData,
-    NumericOverflow,
-)
+from .errors import ConstantColumn, ConvergenceFailure, InvalidParameter, MissingData
 
 JACOBI_TOL = 1e-12       # off-diagonal Frobenius norm, relative to the matrix
 JACOBI_MAX_SWEEPS = 100
@@ -65,11 +59,16 @@ def correlation_matrix(
 ) -> CorrelationMatrix:
     """Pearson correlations of ``columns``: p columns of n observations each.
 
-    A column may be any sequence of numbers; an ``array('d')`` or a float
-    array is read in place.
+    A column may be any sequence of numbers; the input is copied once, into
+    a p x n array with one row per column.  A column whose cells are all
+    equal is refused before any arithmetic.  Each other row is divided by
+    the power of two at or below its largest magnitude, which is exact and
+    brings every cell into (-2, 2) before it is centred, so at any level or
+    scale no sum of squares or product overflows, and no sum of squares
+    underflows to zero.
     """
-    x = np.column_stack(columns).astype(float, copy=False)  # n rows, p columns
-    n, p = x.shape
+    x = np.array(columns, dtype=float, ndmin=2)  # p rows, n columns
+    p = x.shape[0]
     if names is None:
         names = tuple(f"v{j + 1}" for j in range(p))
     else:
@@ -79,25 +78,16 @@ def correlation_matrix(
     if not np.isfinite(x).all():
         raise MissingData("input contains missing or non-finite cells")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        centred = x - x.mean(axis=0)
-        ss = (centred * centred).sum(axis=0)
-    for j in range(p):
-        if not np.isfinite(ss[j]):
-            raise NumericOverflow(f"column {names[j]!r}: sum of squares overflows the float range")
-        if ss[j] == 0.0:
-            raise ConstantColumn(f"column {names[j]!r} has zero variance")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.sqrt(np.outer(ss, ss))
-        r = (centred.T @ centred) / scale
-    bad = np.argwhere(np.triu(~(np.isfinite(scale) & np.isfinite(r)), 1))
-    if len(bad):
-        i, j = bad[0]  # the first pair in row-major order
-        raise NumericOverflow(
-            f"columns {names[i]!r} and {names[j]!r}: "
-            "their correlation overflows the float range"
-        )
+    hi = x.max(axis=1, initial=-np.inf)
+    lo = x.min(axis=1, initial=np.inf)
+    flat = np.flatnonzero(hi <= lo)  # all cells equal, or no cells
+    if len(flat):
+        raise ConstantColumn(f"column {names[flat[0]]!r} has zero variance")
+    # the power of two at or below each row's largest magnitude: exact to divide by
+    x /= np.ldexp(1.0, np.frexp(np.maximum(hi, -lo))[1] - 1)[:, None]
+    x -= x.mean(axis=1, keepdims=True)
+    x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    r = x @ x.T
     lower = np.tril_indices(p, -1)
     r[lower] = r.T[lower]  # the upper triangle, so r is exactly symmetric
     np.fill_diagonal(r, 1.0)

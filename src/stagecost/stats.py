@@ -15,7 +15,8 @@ classic continued-fraction expansion (modified Lentz), switching to the
 symmetric tail when that converges faster.  The fraction may take
 300 + 10 (a + b)^(1/3) passes, and at most 10^5, before it is reported as
 :class:`ConvergenceFailure`.  No statistics library is involved, so the
-numbers can be audited end to end.
+numbers can be audited end to end.  numpy is imported only by the fit, so
+``summary_from_ss`` and ``f_cdf`` load no arrays.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     CollinearDesign,
@@ -36,6 +35,9 @@ from .errors import (
     MissingData,
     NumericOverflow,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PIVOT_REL_TOL = 1e-12
 _BETA_EPS = 1e-12
@@ -78,6 +80,8 @@ class AnovaTable:
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm, scaled by the largest entry so no square overflows."""
+    import numpy as np
+
     big = float(np.abs(v).max()) or 1.0
     w = v / big
     return big * math.sqrt(np.einsum("i,i", w, w))
@@ -94,6 +98,8 @@ def _fit(x, y, spare: int) -> tuple[np.ndarray, np.ndarray]:
     rounding relative to y's spread rather than to its level.  The part of
     Q^T y below R is the residual.
     """
+    import numpy as np
+
     yv = np.asarray(y, dtype=float)
     lengths = sorted({len(col) for col in x})
     if yv.ndim != 1 or lengths != [len(yv)]:
@@ -151,6 +157,8 @@ def ols_coefficients(x: Sequence[Sequence[float]], y: Sequence[float]) -> tuple[
 
 
 def _require_finite(what: str, *arrays) -> None:
+    import numpy as np
+
     if not all(np.isfinite(a).all() for a in arrays):
         raise NumericOverflow(f"{what} overflow the float range")
 
@@ -163,6 +171,8 @@ def fit_ols(
     ``x`` holds the k predictor columns, each as long as ``y``.  Requires
     n >= k + 2 so the residual mean square is defined.
     """
+    import numpy as np
+
     beta, qty = _fit(x, y, spare=2)
     m = len(beta)
     # Q is orthogonal, so Q^T y keeps the centred y's sum of squares
@@ -202,7 +212,9 @@ def _summarise(coefficients, ss_reg, ss_total, ss_res, n, k):
     ms_res = ss_res / df_res
     if ms_res > 0:
         f_stat = ms_reg / ms_res
-        sig_f = 1.0 - f_cdf(f_stat, df_reg, df_res)
+        # the upper tail read directly, P(F(d1, d2) > x) = P(F(d2, d1) < 1/x),
+        # so a tail below the rounding of 1.0 is not lost to 1 - cdf
+        sig_f = f_cdf(1.0 / f_stat, df_res, df_reg) if f_stat > 0 else 1.0
     elif ms_reg > 0:
         f_stat = math.inf  # perfect fit
         sig_f = 0.0

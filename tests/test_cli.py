@@ -536,6 +536,13 @@ def test_regress_from_sums_prints_the_summary(capsys):
     assert "Coefficients" not in out  # sums alone say nothing about coefficients
 
 
+def test_regress_from_sums_prints_a_significance_f_below_the_rounding_of_one(capsys):
+    # F = 30 on (3, 1000): scipy.stats.f.sf gives 1.41959e-18, which 1 - cdf reads as 0
+    assert dispatch(["regress", "--from-ss", "9", "109", "1004", "3"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["Regression", "3", "9", "3", "30", "1.41959e-18"] in rows
+
+
 def test_regress_from_sums_rejects_garbage(capsys):
     assert dispatch(["regress", "--from-ss", "a", "b", "c", "d"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -644,6 +651,30 @@ def test_pca_of_a_text_only_table_is_an_error(capsys, tmp_path):
     assert capsys.readouterr().err == "error: input has no numeric columns\n"
 
 
+def test_pca_of_cells_near_the_float_limit_reads_like_unit_cells(capsys, tmp_path):
+    # b's cells are +-2**1023, whose squares overflow; each column is divided by
+    # the power of two at or below its largest cell first, so b is exactly 1, -1, 1
+    outputs = []
+    for big in (repr(2.0**1023), "1"):
+        path = tmp_path / f"b{big}.csv"
+        path.write_text(f"a,b\n1,{big}\n2,-{big}\n3,{big}\n")
+        assert dispatch(["pca", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+def test_pca_refuses_a_column_of_equal_inexact_cells(capsys, tmp_path):
+    # three 0.1 cells have a mean of 0.10000000000000002, yet no variance
+    path = tmp_path / "flat.csv"
+    path.write_text("x,flat\n1,0.1\n2,0.1\n4,0.1\n")
+    assert dispatch(["pca", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: column 'flat' has zero variance\n"
+    assert captured.out == ""
+
+
 @pytest.fixture
 def mixed_csv(tmp_path):
     """Numeric columns x, y and gap (gap has a missing cell) and a text column t."""
@@ -717,9 +748,8 @@ def test_bad_columns_name_the_first_bad_column(capsys, mixed_csv, argv, message)
     [
         (["regress", "--dependent", "b", "--independents", "a"],
          "the sums of squares overflow the float range"),
-        (["pca"], "column 'b': sum of squares overflows the float range"),
     ],
-    ids=["regress", "pca"],
+    ids=["regress"],
 )
 def test_overflowing_sums_on_finite_cells_are_errors(capsys, tmp_path, argv, message):
     # every cell is finite, but b's squares and cross products leave the float range
@@ -834,7 +864,8 @@ sys.stderr.write(json.dumps(loaded))
 
 def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path):
     # a fresh interpreter: importing the CLI and running the model, simulator
-    # and table commands (plotdata without a fit) leaves numpy unloaded; pca loads it
+    # and table commands (plotdata without a fit, regress from sums) leaves
+    # numpy unloaded; pca loads it
     wide = tmp_path / "wide.csv"
     wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
     runs = [
@@ -846,6 +877,7 @@ def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path
         ["delays"],
         ["plotdata", "--input", servers_csv, "--x", "ActualElapsedTime",
          "--y", "CRSElapsedTime"],
+        ["regress", "--from-ss", "19", "82.5", "10", "3"],
         ["pca", "--input", str(wide)],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -853,7 +885,7 @@ def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path
     done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(runs)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr) == [False, False, False, False, False, False, False, True]
+    assert json.loads(done.stderr) == [False] * 8 + [True]
 
 
 _LOADED_MODULES = """

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stagecost import pca
-from stagecost.errors import ConstantColumn, ConvergenceFailure, MissingData, NumericOverflow
+from stagecost.errors import ConstantColumn, ConvergenceFailure, MissingData
 from stagecost.pca import (
     correlation_matrix,
     eigen_sym,
@@ -62,11 +62,68 @@ def test_missing_cells_are_rejected():
         correlation_matrix([[1.0, float("nan"), 3.0], [2.0, 1.0, 5.0]])
 
 
-def test_correlation_past_the_float_range_is_an_error():
-    # each column's sum of squares (about 2e200) is finite, their product is not
-    data = [[1e100, 2e100, 3e100], [1e100, 3e100, 2e100]]
-    with pytest.raises(NumericOverflow, match="columns 'v1' and 'v2'"):
-        correlation_matrix(data)
+@pytest.mark.parametrize("level", [1e9, 1e12])
+def test_correlations_by_hand_keep_their_digits_at_any_level(level):
+    # a column far from zero next to its spread: x - mean is exact, and so is
+    # dividing by a power of two, so r is as accurate as at level 0
+    data = [[level + 1, level + 2, level + 3, level + 4], [2.0, 0.0, 2.0, 0.0]]
+    r = correlation_matrix(data).values
+    assert r[0, 1] == pytest.approx(-2.0 / math.sqrt(5.0 * 4.0), rel=1e-12)
+
+
+def test_columns_with_no_cells_are_constant():
+    with pytest.raises(ConstantColumn, match="column 'v1' has zero variance"):
+        correlation_matrix([[], []])
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-200])
+def test_correlation_at_the_edges_of_the_float_range(scale):
+    # at 1e100 the products of the sums of squares overflow, at 1e-200 the
+    # squares underflow; scaled by a power of two first, each column has r = 0.5
+    data = [[scale, 2 * scale, 3 * scale], [scale, 3 * scale, 2 * scale]]
+    r = correlation_matrix(data).values
+    assert r[0, 1] == pytest.approx(0.5, abs=1e-15)
+    assert r[1, 0] == r[0, 1]
+
+
+def test_a_column_of_equal_inexact_cells_is_constant():
+    # the mean of three 0.1 cells rounds to 0.10000000000000002, so equal cells
+    # are found by comparing them, not by a sum of squares of 0
+    with pytest.raises(ConstantColumn, match="column 'flat' has zero variance"):
+        correlation_matrix([[1.0, 2.0, 4.0], [0.1, 0.1, 0.1]], names=("x", "flat"))
+
+
+@st.composite
+def power_of_two_scaled_columns(draw):
+    p = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=8))
+    cells = st.lists(st.integers(min_value=-1000, max_value=1000), min_size=n, max_size=n)
+    columns = draw(st.lists(cells, min_size=p, max_size=p))
+    powers = draw(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=p,
+                           max_size=p))
+    return columns, powers
+
+
+def _correlation_or_error(columns):
+    try:
+        return correlation_matrix(columns).values
+    except ConstantColumn as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(power_of_two_scaled_columns())
+def test_scaling_a_column_by_a_power_of_two_changes_no_bit(case):
+    # 2**k scales a column exactly, and the power-of-two scaling undoes it
+    columns, powers = case
+    scaled = [[math.ldexp(cell, k) for cell in col] for col, k in zip(columns, powers)]
+    want = _correlation_or_error(columns)
+    got = _correlation_or_error(scaled)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str)
+        assert np.array_equal(got, want)
 
 
 def test_name_count_must_match():

@@ -79,6 +79,38 @@ def test_summary_saturated_and_null_edges():
     assert null.significance_f == 1.0
 
 
+# (F, k, df_res, scipy.stats.f.sf(F, k, df_res)): upper tails far below the
+# rounding of 1.0, which 1 - P(F <= x) would lose
+TINY_TAILS = [
+    (1662, 1, 20, 1.0009189335906694e-20),
+    (16812387, 1, 20, 9.999997221875449e-61),
+    (91, 1, 1000, 1.0573254577534709e-20),
+    (310, 1, 1000, 1.196055575066439e-60),
+    (87, 1, 100000, 1.1064085280604032e-20),
+    (271, 1, 100000, 8.263147043102436e-61),
+    (753, 3, 20, 9.984705599737144e-21),
+    (7598540, 3, 20, 9.999995818284546e-61),
+    (34, 3, 1000, 6.293123953482723e-21),
+    (108, 3, 1000, 1.4253881599560013e-60),
+    (32, 3, 100000, 1.1513048877557435e-20),
+    (94, 3, 100000, 9.520208244757012e-61),
+    (396, 10, 20, 1.0091358748102074e-20),
+    (3990921, 10, 20, 9.999994378942785e-61),
+    (13, 10, 1000, 1.4310062228122266e-21),
+    (36, 10, 1000, 2.2678457311073832e-60),
+    (12, 10, 100000, 5.221309534595345e-21),
+    (31, 10, 100000, 1.4982499014098557e-60),
+]
+
+
+@pytest.mark.parametrize("f_stat, k, df_res, tail", TINY_TAILS)
+def test_significance_f_keeps_tails_below_the_rounding_of_one(f_stat, k, df_res, tail):
+    # a whole F with a unit residual mean square keeps the sums, and F, exact
+    _, table = summary_from_ss(f_stat * k, f_stat * k + df_res, k + 1 + df_res, k)
+    assert table.f_statistic == f_stat
+    assert table.significance_f == pytest.approx(tail, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "args",
     [
