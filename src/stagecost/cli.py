@@ -117,13 +117,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_mapreduce(args) -> int:
     from . import mapreduce
-    from .datastore import open_datastore
+    from .datastore import NUMERIC, open_datastore
 
     ds = open_datastore(args.input, chunk_size=args.chunk_size)
     if args.job == "max":
         if not args.column:
             raise ConfigError("--column is required for the max job")
         ds.select_variables([args.column])
+        # the mapper checks this too, but only once progress has been printed
+        if {col.name: col.kind for col in ds.schema}[args.column] != NUMERIC:
+            raise TypeMismatch(f"column {args.column!r} is not numeric")
         mapper = mapreduce.builtin_max_mapper(args.column)
         reducer = mapreduce.builtin_max_reducer
     else:

@@ -16,9 +16,8 @@ One that turns text later has had its earlier cells converted, and
 once every block is in.
 
 Rows come back through a cursor in fixed-size :class:`TableChunk` batches
-that keep this column layout; ``preview`` and ``filter_rows`` never move the
-cursor that ``read`` uses.  Missing numeric cells surface as IEEE NaN plus a
-flag; exports write them back out as ``NA``.
+that keep this column layout.  Missing numeric cells surface as IEEE NaN plus
+a flag.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import eq, ge, gt, itemgetter, le, lt, ne
-from typing import Callable, Sequence, Union
+from itertools import islice
+from operator import itemgetter
+from typing import Sequence, Union
 
 from .errors import (
     EmptyInput,
@@ -39,12 +38,10 @@ from .errors import (
     MalformedCSV,
     MissingFile,
     ReadPastEnd,
-    TypeMismatch,
     UnknownVariable,
 )
 
-MISSING_MARKER = "NA"  # the one missing-cell marker, read and written
-PREVIEW_ROWS = 8
+MISSING_MARKER = "NA"  # the one missing-cell marker
 # Records read, transposed and converted at a time.  Small blocks keep few row
 # lists alive, and the cyclic garbage collector walks every live one: on a
 # 2-vCPU VM, reading and transposing 40k rows took 46-80 ms in blocks of 512
@@ -55,12 +52,6 @@ _NONE_FOR_MISSING = {MISSING_MARKER: None}
 
 NUMERIC = "numeric"
 TEXT = "text"
-
-# every spelling of each comparison operator that filter_rows accepts
-_OPERATORS = {"=": eq, "==": eq, "!=": ne, "<>": ne, "≠": ne,
-              "<": lt, "<=": le, "≤": le, ">": gt, ">=": ge, "≥": ge}
-# the ordering operators, by the spelling their errors use
-_ORDERING = {lt: "<", le: "<=", gt: ">", ge: ">="}
 
 
 @dataclass(frozen=True)
@@ -96,15 +87,6 @@ class TableChunk:
         """All values of one column (missing numeric cells come back as NaN)."""
         return self.columns[self.column_index(name)]
 
-    def to_csv(self, path: str | os.PathLike) -> None:
-        """Write the chunk back out, with ``NA`` for every missing cell."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([col.name for col in self.schema])
-            for row, flags in zip(zip(*self.columns), zip(*self.missing)):
-                writer.writerow([MISSING_MARKER if miss else format_cell(v)
-                                 for v, miss in zip(row, flags)])
-
 
 def _column_index(names: Sequence[str], name: str) -> int:
     """Where ``name`` is in ``names``; a name not there is an UnknownVariable."""
@@ -121,14 +103,6 @@ def format_cell(value) -> str:
             return str(int(value))
         return repr(value)
     return str(value)
-
-
-def _parse_number(cell: str):
-    try:
-        v = float(cell)
-    except ValueError:
-        return None
-    return v if math.isfinite(v) else None
 
 
 class Datastore:
@@ -182,60 +156,12 @@ class Datastore:
         """Return the next chunk (at most ``chunk_size`` rows) and advance."""
         if not self.has_data():
             raise ReadPastEnd("no rows left; call reset() to rewind")
-        stop = min(self._cursor + self._chunk_size, self._total_rows)
-        chunk = self._chunk(itemgetter(slice(self._cursor, stop)))
-        self._cursor = stop
-        return chunk
-
-    def preview(self) -> TableChunk:
-        """First rows of the table (up to 8) without touching the cursor."""
-        return self._chunk(itemgetter(slice(PREVIEW_ROWS)))
-
-    def filter_rows(self, column: str, op: str, literal) -> TableChunk:
-        """All rows whose ``column`` satisfies ``op literal``.
-
-        Runs over the whole table regardless of the cursor, and leaves the
-        cursor where it was.  Missing cells never match.  Ordering operators
-        require a numeric column.
-        """
-        col = _column_index(self._names, column)
-        try:
-            compare = _OPERATORS[op]
-        except KeyError:
-            raise ValueError(f"unknown comparison operator {op!r}") from None
-        kind = self._schema[col].kind
-
-        if kind == NUMERIC:
-            want = _parse_number(str(literal))
-            if want is None:
-                raise TypeMismatch(
-                    f"column {column!r} is numeric; {literal!r} is not a number"
-                )
-        else:
-            if compare in _ORDERING:
-                raise TypeMismatch(
-                    f"ordering comparison {_ORDERING[compare]!r} is not defined"
-                    f" for text column {column!r}"
-                )
-            want = str(literal)
-
-        hits = [
-            not miss and compare(value, want)
-            for value, miss in zip(self._values[col], self._flags[col])
-        ]
-
-        def cut(cells):
-            kept = compress(cells, hits)
-            return array("d", kept) if isinstance(cells, array) else type(cells)(kept)
-
-        return self._chunk(cut)
-
-    def _chunk(self, cut: Callable) -> TableChunk:
-        """The selected columns, each cut down to the chunk's rows by ``cut``."""
+        rows = slice(self._cursor, min(self._cursor + self._chunk_size, self._total_rows))
+        self._cursor = rows.stop
         return TableChunk(
             schema=tuple(self._schema[c] for c in self._cols),
-            columns=tuple(cut(self._values[c]) for c in self._cols),
-            missing=tuple(cut(self._flags[c]) for c in self._cols),
+            columns=tuple(self._values[c][rows] for c in self._cols),
+            missing=tuple(self._flags[c][rows] for c in self._cols),
         )
 
 

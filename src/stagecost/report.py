@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .datastore import NUMERIC, Datastore
+from .datastore import NUMERIC, Datastore, format_cell
 from .errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
 
 # -- delay records ---------------------------------------------------------------
@@ -57,8 +57,8 @@ def delay_records(ds: Datastore) -> list[DelayRecord]:
             carrier, server, sending, receiving, origin = row
             if not server.is_integer():
                 raise TypeMismatch(f"column 'ServerNum' holds {server!r}, not a whole number")
-            records.append(DelayRecord(str(carrier), int(server), float(sending),
-                                       float(receiving), str(origin)))
+            records.append(DelayRecord(format_cell(carrier), int(server), float(sending),
+                                       float(receiving), format_cell(origin)))
     return records
 
 

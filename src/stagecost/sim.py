@@ -18,9 +18,8 @@ Energies are exactly ``p_ssd_busy * busy_seconds``.
 
 A run keeps numbers only: each station's departure times in an ``array('d')``
 (8 bytes a job) and one byte per drain job naming its source.  The event log
-(ticks and the three stations' completions) is rebuilt from them on demand:
-``write_trace`` streams it to a file, and ``SimReport.events`` builds it as a
-tuple of up to five ``SimEvent`` per tick.
+(ticks and the three stations' completions) is rebuilt from them only when
+``write_trace`` streams it to a file, one line at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ EVENT_KINDS = ("generation_tick", "stage_complete", "analyze_complete", "drain_c
 
 #: Largest number of ticks one run may have; a finer tick is rejected before
 #: anything is allocated (a run stores four departure times and one byte per
-#: tick, and its event log holds up to five events per tick).
+#: tick).
 MAX_TICKS = 10**6
 
 #: Source of a drain job, as stored in ``SimReport.drain_sources``.
@@ -51,13 +50,6 @@ TERM_TO_ANALYTIC = {
     "ssd_analyze": "e_active_ssd",
     "ssd_drain": "e_ssd2pfs",
 }
-
-
-@dataclass(frozen=True, slots=True)
-class SimEvent:
-    time: float
-    kind: str
-    payload_mb: float
 
 
 @dataclass(frozen=True)
@@ -81,17 +73,6 @@ class SimReport:
     drain_mb: tuple[float, float]
     departures: dict[str, array]
     drain_sources: bytearray
-
-    @property
-    def events(self) -> tuple[SimEvent, ...]:
-        """The event log in time order, built on each access.
-
-        It holds up to five ``SimEvent`` per tick, so at large tick counts it
-        costs far more memory than the run itself; ``write_trace`` streams it
-        instead.
-        """
-        stream = _event_stream(self, lambda kind, mb: (kind, mb))
-        return tuple(SimEvent(t, kind, mb) for t, (kind, mb) in stream)
 
 
 @dataclass(frozen=True)
@@ -236,24 +217,25 @@ def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimRe
     )
 
 
-def _event_stream(report: SimReport, label):
-    """Every event of a run as ``(time, label(kind, payload_mb))``, in time order.
+def _event_stream(report: SimReport):
+    """Every event of a run as a line of its TSV trace, in time order.
 
-    Each stream's payload is fixed (the drain's by its source), so ``label``
-    runs once per stream and source, not once per event.  heapq.merge is lazy
-    and stable: at equal times it yields the stream passed first, so the log
-    follows the order of EVENT_KINDS.
+    Each stream's payload is fixed (the drain's by its source), so the text
+    after the time is built once per stream and source, not once per event.
+    heapq.merge is lazy and stable: at equal times it yields the stream
+    passed first, so the log follows the order of EVENT_KINDS.
     """
     dep = report.departures
-    drain_labels = tuple(label("drain_complete", mb) for mb in report.drain_mb)
-    return heapq.merge(
+    drain_tails = tuple(f"\tdrain_complete\t{mb!r}\n" for mb in report.drain_mb)
+    stream = heapq.merge(
         zip(map(report.tick.__mul__, range(report.n_ticks)),
-            repeat(label("generation_tick", report.batch_mb))),
-        zip(dep["ssd_ingest"], repeat(label("stage_complete", report.batch_mb))),
-        zip(dep["ssd_analyze"], repeat(label("analyze_complete", report.analysis_mb))),
-        zip(dep["ssd_drain"], map(drain_labels.__getitem__, report.drain_sources)),
+            repeat(f"\tgeneration_tick\t{report.batch_mb!r}\n")),
+        zip(dep["ssd_ingest"], repeat(f"\tstage_complete\t{report.batch_mb!r}\n")),
+        zip(dep["ssd_analyze"], repeat(f"\tanalyze_complete\t{report.analysis_mb!r}\n")),
+        zip(dep["ssd_drain"], map(drain_tails.__getitem__, report.drain_sources)),
         key=itemgetter(0),
     )
+    return (f"{t!r}{tail}" for t, tail in stream)
 
 
 def compare_energies(
@@ -301,5 +283,4 @@ def write_trace(report: SimReport, path: str) -> None:
     """Stream the event log to ``path`` as TSV (time, kind, payload_mb)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("time\tkind\tpayload_mb\n")
-        stream = _event_stream(report, lambda kind, mb: f"\t{kind}\t{mb!r}\n")
-        fh.writelines(f"{t!r}{rest}" for t, rest in stream)
+        fh.writelines(_event_stream(report))

@@ -512,6 +512,28 @@ def test_mapreduce_keycount_needs_a_key(capsys, servers_csv):
     assert capsys.readouterr().err == "error: --key is required for the keycount job\n"
 
 
+def test_mapreduce_max_on_a_text_column_prints_only_the_error(capsys, delays_csv):
+    code = dispatch(["mapreduce", "run", "--job", "max", "--column", "Origin",
+                     "--input", delays_csv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: column 'Origin' is not numeric\n"
+
+
+def test_numeric_keys_are_named_as_written(capsys, tmp_path):
+    # delays and keycount name a numeric origin and carrier alike: 10, not 10.0
+    path = tmp_path / "numeric.csv"
+    path.write_text("UniqueCarrier,ServerNum,SendingDelay,ReceivingDelay,Origin\n"
+                    "7,1,2,3,10\n7,2,4,5,10\n")
+    assert dispatch(["delays", "--input", str(path)]) == 0
+    assert list(json.loads(capsys.readouterr().out)["per_origin"]) == ["10"]
+    assert [r.unique_carrier for r in delay_records(open_datastore(path))] == ["7", "7"]
+    assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "Origin",
+                     "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "10\t2"
+
+
 def test_mapreduce_keycount_after_a_blank_first_line(capsys, tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("\na,b\n1,2\n3,4\n1,5\n")

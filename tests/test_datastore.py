@@ -1,4 +1,4 @@
-"""Datastore parsing, cursor behaviour, filtering, and chunking invariance."""
+"""Datastore parsing, cursor behaviour, and chunking invariance."""
 
 import csv
 import random
@@ -18,7 +18,6 @@ from stagecost.errors import (
     MalformedCSV,
     MissingFile,
     ReadPastEnd,
-    TypeMismatch,
     UnknownVariable,
 )
 
@@ -224,22 +223,7 @@ def test_duplicate_column_names_are_rejected(tmp_path):
         open_datastore(path)
 
 
-# -- preview and cursor ------------------------------------------------------------
-
-
-def test_preview_shows_the_head_without_moving_the_cursor(servers_csv):
-    ds = open_datastore(servers_csv, chunk_size=4)
-    head = ds.preview()
-    assert len(head) == 8
-    assert head.column("ServerNum")[0] == 1503.0
-    assert head.column("ServerNum")[-1] == 1800.0
-    assert ds.read().column("ServerNum")[0] == 1503.0  # still at the start
-
-
-def test_preview_of_a_short_table(tmp_path):
-    path = tmp_path / "short.csv"
-    path.write_text("v\n1\n2\n3\n")
-    assert len(open_datastore(path).preview()) == 3
+# -- cursor ---------------------------------------------------------------------------
 
 
 def test_changing_a_chunk_leaves_the_store_alone(servers_csv):
@@ -254,7 +238,8 @@ def test_changing_a_chunk_leaves_the_store_alone(servers_csv):
     assert again.columns[0] == array("d", [1503.0, 1550.0, 1589.0, 1655.0])
     assert again.columns[1][0] == "'NA'"
     assert again.missing[0] == bytearray(4)
-    assert ds.preview().columns[0][:4] == array("d", [1503.0, 1550.0, 1589.0, 1655.0])
+    ds.reset()
+    assert ds.read().columns[0] == array("d", [1503.0, 1550.0, 1589.0, 1655.0])
 
 
 def test_chunks_hold_arrays_lists_and_flag_bytes(servers_csv):
@@ -294,77 +279,6 @@ def test_select_unknown_variable(servers_csv):
         ds.select_variables([])
 
 
-# -- filtering ---------------------------------------------------------------------
-
-
-def test_filter_equals_on_numeric(servers_csv):
-    ds = open_datastore(servers_csv)
-    hit = ds.filter_rows("ServerNum", "=", 1589)
-    assert len(hit) == 1
-    assert hit.column("ActualElapsedTime") == array("d", [83.0])
-
-
-@pytest.mark.parametrize(
-    "op, literal, expected",
-    [
-        ("!=", 8, 6),
-        ("<", 8, 2),      # Delay in {8, 8, 21, 13, 4, 59, 3, 11}: 4 and 3
-        ("<=", 8, 4),
-        (">", 1000, 0),
-        (">=", 21, 2),
-    ],
-)
-def test_filter_orderings_on_numeric(servers_csv, op, literal, expected):
-    ds = open_datastore(servers_csv)
-    assert len(ds.filter_rows("Delay", op, literal)) == expected
-
-
-def test_filter_missing_cells_never_match(servers_csv):
-    ds = open_datastore(servers_csv)
-    assert len(ds.filter_rows("ExtraTime", "=", 5)) == 0
-    assert len(ds.filter_rows("ExtraTime", "!=", 5)) == 0
-
-
-def test_filter_equality_on_text(servers_csv):
-    ds = open_datastore(servers_csv)
-    assert len(ds.filter_rows("TailNum", "=", "'NA'")) == 8
-
-
-def test_filter_ordering_on_text_is_a_type_error(servers_csv):
-    ds = open_datastore(servers_csv)
-    with pytest.raises(TypeMismatch):
-        ds.filter_rows("TailNum", "<", "b")
-
-
-def test_filter_with_non_numeric_literal_on_numeric_column(servers_csv):
-    with pytest.raises(TypeMismatch):
-        open_datastore(servers_csv).filter_rows("Delay", "=", "soon")
-
-
-def test_filter_leaves_the_cursor_alone(servers_csv):
-    ds = open_datastore(servers_csv, chunk_size=4)
-    ds.read()
-    ds.filter_rows("Delay", ">", 0)
-    assert ds.read().column("ServerNum")[0] == 1702.0  # second chunk, untouched
-
-
-def test_filter_respects_selection(servers_csv):
-    ds = open_datastore(servers_csv)
-    ds.select_variables(["Delay"])
-    hit = ds.filter_rows("ServerNum", "=", 1800)
-    assert [col.name for col in hit.schema] == ["Delay"]
-    assert hit.columns == (array("d", [11.0]),)
-    assert hit.missing == (bytearray(1),)
-
-
-def test_filter_unknown_column_and_operator(servers_csv):
-    ds = open_datastore(servers_csv)
-    with pytest.raises(UnknownVariable):
-        ds.filter_rows("Nope", "=", 1)
-    with pytest.raises(ValueError):
-        ds.filter_rows("Delay", "~", 1)
-
-
 # -- chunking invariance and round trips -----------------------------------------------
 
 
@@ -393,9 +307,19 @@ def test_chunk_sizes_partition_the_row_count(servers_csv):
         assert 0 < lengths[-1] <= size
 
 
+def write_chunk(chunk, path):
+    """Write ``chunk`` out as CSV, with the missing marker for every missing cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([col.name for col in chunk.schema])
+        for row, flags in zip(zip(*chunk.columns), zip(*chunk.missing)):
+            writer.writerow([datastore.MISSING_MARKER if miss else datastore.format_cell(v)
+                             for v, miss in zip(row, flags)])
+
+
 def assert_reopens_as_written(chunk, path):
     """Write ``chunk`` to ``path`` and check that it reads back the same."""
-    chunk.to_csv(path)
+    write_chunk(chunk, path)
     again = open_datastore(path, chunk_size=len(chunk)).read()
     assert again.schema == chunk.schema
     assert again.missing == chunk.missing
@@ -493,11 +417,8 @@ def test_any_table_reads_like_the_reference_parse(monkeypatch, tmp_path, table):
         assert [c.name for c in ds.schema] == names
         assert [c.kind for c in ds.schema] == kinds
         assert read_everything(ds) == (want_rows, want_flags)
-    assert chunk_as_plain(ds.preview())[1:] == (want_rows[:8], want_flags[:8])
-    for i, name in enumerate(names):
-        present = [row[i] for row, flags in zip(want_rows, want_flags) if not flags[i]]
-        if present:
-            assert len(ds.filter_rows(name, "=", present[0])) == present.count(present[0])
+    ds.reset()  # back to the first chunk, which here is the whole table
+    assert chunk_as_plain(ds.read())[1:] == (want_rows, want_flags)
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None,
@@ -505,7 +426,7 @@ def test_any_table_reads_like_the_reference_parse(monkeypatch, tmp_path, table):
 @given(table=_tables(_OTHER_CELLS | _QUOTED_CELLS))
 def test_any_table_reopens_as_written(monkeypatch, tmp_path, table):
     # numbers, NA, empty cells and text with quotes, commas and line breaks
-    # all survive to_csv: the writer's missing marker is the reader's
+    # all survive write_chunk: the writer's missing marker is the reader's
     monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)  # every table spans blocks
     ds = open_datastore(write_table(tmp_path, *table), chunk_size=len(table[0][0]))
     assert_reopens_as_written(ds.read(), tmp_path / "copy.csv")

@@ -17,6 +17,14 @@ from stagecost.errors import InfeasibleConfig, KernelNotFound, NonPositiveTick
 RANK = {kind: i for i, kind in enumerate(sim.EVENT_KINDS)}
 
 
+def trace_events(rep, tmp_path):
+    """The run's event log as (time, kind, payload_mb), read back from its trace."""
+    out = tmp_path / "events.tsv"
+    sim.write_trace(rep, str(out))
+    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+    return [(float(t), kind, float(mb)) for t, kind, mb in rows]
+
+
 def test_ingest_busy_time_matches_hand_value():
     # 40000 MB staged through a 4000 MB/s link -> 10 s busy, 100 J at 10 W
     rep = sim.simulate(make_config(), make_workload(), "k1", tick=1.0)
@@ -33,17 +41,17 @@ def test_energies_are_exactly_power_times_busy_time():
         assert rep.energies[term] == cfg.p_ssd_busy * seconds
 
 
-def test_zero_workload_never_gets_busy():
+def test_zero_workload_never_gets_busy(tmp_path):
     wl = make_workload(lambda_a=0.0, lambda_c=0.0)
     rep = sim.simulate(make_config(), wl, "k1", tick=1.0)
     assert all(v == 0.0 for v in rep.busy_seconds.values())
     assert all(v == 0.0 for v in rep.energies.values())
     assert rep.completed
     assert rep.backlog_mb_max == 0.0
-    assert all(ev.kind == "generation_tick" for ev in rep.events)
+    assert all(kind == "generation_tick" for _, kind, _ in trace_events(rep, tmp_path))
 
 
-def test_overloaded_link_builds_a_linear_backlog():
+def test_overloaded_link_builds_a_linear_backlog(tmp_path):
     # generation at twice the link speed: half of each second's output queues up
     cfg = make_config()
     wl = make_workload(lambda_a=2000.0, lambda_c=0.0)
@@ -51,7 +59,7 @@ def test_overloaded_link_builds_a_linear_backlog():
     assert not rep.completed
     # deficit of bw_host2ssd MB/s, accumulated over the whole run
     assert rep.backlog_mb_max == pytest.approx(cfg.bw_host2ssd * cfg.tsim, rel=1e-9)
-    ticks = [ev for ev in rep.events if ev.kind == "generation_tick"]
+    ticks = [ev for ev in trace_events(rep, tmp_path) if ev[1] == "generation_tick"]
     assert len(ticks) == 100
 
 
@@ -69,12 +77,11 @@ def test_backlog_is_zero_iff_the_link_keeps_up():
         assert sim.simulate(cfg, heavy, "k1", tick=tick).backlog_mb_max > 0.0
 
 
-def test_event_log_is_sorted_and_deterministic():
+def test_event_log_is_sorted_and_deterministic(tmp_path):
     cfg, wl, tick = random_feasible(random.Random(9))
-    rep1 = sim.simulate(cfg, wl, "k1", tick=tick)
-    rep2 = sim.simulate(cfg, wl, "k1", tick=tick)
-    assert rep1.events == rep2.events
-    keys = [(ev.time, RANK[ev.kind]) for ev in rep1.events]
+    events = trace_events(sim.simulate(cfg, wl, "k1", tick=tick), tmp_path)
+    assert trace_events(sim.simulate(cfg, wl, "k1", tick=tick), tmp_path) == events
+    keys = [(t, RANK[kind]) for t, kind, _ in events]
     assert keys == sorted(keys)
 
 
@@ -138,7 +145,7 @@ def test_trace_file_lists_every_event(tmp_path):
     sim.write_trace(rep, str(out))
     lines = out.read_text().splitlines()
     assert lines[0] == "time\tkind\tpayload_mb"
-    assert len(lines) == 1 + len(rep.events)
+    assert len(lines) == 1 + 5 * 10  # a tick, its staging, analysis and two drain jobs
     first = lines[1].split("\t")
     assert first[1] == "generation_tick"
     assert float(first[2]) == pytest.approx(4000.0)  # 4 nodes * 100 MB/s * 10 s
@@ -206,8 +213,6 @@ def test_run_equals_the_event_object_oracle(tmp_path, seed, n_ticks, load):
     assert rep.energies == oracle.energies
     assert rep.backlog_mb_max == oracle.backlog_mb_max
     assert rep.completed is oracle.completed
-    as_tuples = [(ev.time, ev.kind, ev.payload_mb) for ev in oracle.events]
-    assert [(ev.time, ev.kind, ev.payload_mb) for ev in rep.events] == as_tuples
     out = tmp_path / "events.tsv"
     sim.write_trace(rep, str(out))
     assert out.read_bytes() == trace_bytes(oracle.events)
@@ -226,6 +231,21 @@ def test_run_without_trace_keeps_only_departure_times():
     assert len(rep.departures["ssd_drain"]) == 2 * 10**5
     assert retained < 10 * 2**20
     assert peak < 20 * 2**20
+
+
+def test_write_trace_streams_the_event_log(tmp_path):
+    # 5 * 10^4 ticks give an 8 MB trace; its lines are written as they are made
+    cfg, wl = make_config(), make_workload()
+    rep = sim.simulate(cfg, wl, "k1", tick=cfg.tsim / (5 * 10**4))
+    out = tmp_path / "events.tsv"
+    tracemalloc.start()
+    try:
+        sim.write_trace(rep, str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 4 * 2**20
+    assert peak < 2**20
 
 
 def test_drain_takes_the_checkpoint_first_at_equal_arrival_times(tmp_path):
