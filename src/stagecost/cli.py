@@ -119,7 +119,9 @@ def _cmd_mapreduce(args) -> int:
     from . import mapreduce
     from .datastore import NUMERIC, open_datastore
 
-    ds = open_datastore(args.input, chunk_size=args.chunk_size)
+    needed = [args.column] if args.job == "max" else [args.key, args.column]
+    ds = open_datastore(args.input, chunk_size=args.chunk_size,
+                        columns=[name for name in needed if name])
     if args.job == "max":
         if not args.column:
             raise ConfigError("--column is required for the max job")
@@ -198,8 +200,9 @@ def _cmd_regress(args) -> int:
     from .datastore import open_datastore
 
     # the columns are copies, so the datastore is let go before the fit
-    y, *columns = _numeric_columns(open_datastore(args.input, chunk_size=_WHOLE_TABLE),
-                                   [args.dependent, *args.independents])
+    names = [args.dependent, *args.independents]
+    y, *columns = _numeric_columns(
+        open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names), names)
     summary, table = stats.fit_ols(columns, y)
     _print_regression(summary, table, labels=list(args.independents))
     return 0
@@ -232,14 +235,15 @@ def _cmd_pca(args) -> int:
 
 def _cmd_delays(args) -> int:
     from .datastore import open_datastore
-    from .report import delay_records, delay_summary
+    from .report import DELAY_COLUMNS, delay_records, delay_summary
 
     path = args.input
     if path is None:
         from . import fixtures
 
         path = str(fixtures.path("delays.csv"))
-    records = delay_records(open_datastore(path, chunk_size=_WHOLE_TABLE))
+    records = delay_records(open_datastore(path, chunk_size=_WHOLE_TABLE,
+                                           columns=DELAY_COLUMNS))
     print(_json_text(asdict(delay_summary(records))))
     return 0
 
@@ -248,8 +252,9 @@ def _cmd_plotdata(args) -> int:
     from .datastore import open_datastore
     from .report import emit_plot_data, write_plot_tsv
 
-    ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
-    xs, ys = _numeric_columns(ds, [args.x, args.y])
+    names = [args.x, args.y]
+    xs, ys = _numeric_columns(
+        open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names), names)
     series = emit_plot_data(xs, ys, with_fit=args.fit)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:

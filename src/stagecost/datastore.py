@@ -3,10 +3,13 @@
 A datastore is opened over one or more CSV files that share a header.  The
 whole input is read once at open time, in blocks of about a thousand rows:
 each block is transposed and its cells appended to per-column storage, and
-then it is dropped, so the rows never pile up.  A numeric column is an
-``array('d')`` filled by ``float`` in C; a text column is a list of its cells
-as written, stripped of surrounding whitespace.  Every column keeps its
-missing flags in a ``bytearray``.
+then it is dropped, so the rows never pile up.  A datastore may be opened on
+some of the columns only: every row is still parsed and its width checked,
+so a bad file fails the same way, but only those columns are converted and
+kept.  A numeric column is an ``array('d')`` filled by ``float`` in C.  A
+text column is dictionary coded: an ``array('I')`` of codes into one list of
+its distinct words, stripped of surrounding whitespace, with code 0 for a
+missing cell.  Every column keeps its missing flags in a ``bytearray``.
 
 Cells that read ``NA`` are missing.  A column is numeric exactly when every
 cell that is not missing is a finite number; no cell is converted twice.  A
@@ -16,8 +19,8 @@ One that turns text later has had its earlier cells converted, and
 once every block is in.
 
 Rows come back through a cursor in fixed-size :class:`TableChunk` batches
-that keep this column layout.  Missing numeric cells surface as IEEE NaN plus
-a flag.
+by column, with text decoded back to lists of words.  Missing numeric cells
+surface as IEEE NaN plus a flag, missing text cells as None plus a flag.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from operator import itemgetter
 from typing import Sequence, Union
 
@@ -48,7 +51,6 @@ MISSING_MARKER = "NA"  # the one missing-cell marker
 # to 2048 rows and 79-98 ms in blocks of 16k rows or more.
 _BLOCK_ROWS = 1024
 _NAN_FOR_MISSING = {MISSING_MARKER: math.nan}
-_NONE_FOR_MISSING = {MISSING_MARKER: None}
 
 NUMERIC = "numeric"
 TEXT = "text"
@@ -81,19 +83,19 @@ class TableChunk:
         return len(self.missing[0])
 
     def column_index(self, name: str) -> int:
-        return _column_index([col.name for col in self.schema], name)
+        return _column_index(self.schema, name)
 
     def column(self, name: str) -> Values:
         """All values of one column (missing numeric cells come back as NaN)."""
         return self.columns[self.column_index(name)]
 
 
-def _column_index(names: Sequence[str], name: str) -> int:
-    """Where ``name`` is in ``names``; a name not there is an UnknownVariable."""
-    try:
-        return names.index(name)
-    except ValueError:
-        raise UnknownVariable(f"no column named {name!r}") from None
+def _column_index(schema: Sequence[ColumnSchema], name: str) -> int:
+    """Where the column ``name`` is in ``schema``; a name not there is an UnknownVariable."""
+    for i, col in enumerate(schema):
+        if col.name == name:
+            return i
+    raise UnknownVariable(f"no column named {name!r}")
 
 
 def format_cell(value) -> str:
@@ -108,18 +110,18 @@ def format_cell(value) -> str:
 class Datastore:
     """Cursor-based access to one logical table spread over CSV files."""
 
-    def __init__(self, paths, chunk_size):
+    def __init__(self, paths, chunk_size, columns=None):
         self._chunk_size = int(chunk_size)
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
-        header, columns, self._total_rows = _load(paths)
+        names, loaded, self._total_rows = _load(paths, columns)
         if not self._total_rows:
             raise EmptyInput("no data rows in " + ", ".join(str(p) for p in paths))
-        self._schema = tuple(ColumnSchema(name, col.kind) for name, col in zip(header, columns))
-        self._values = [col.values for col in columns]
-        self._flags = [col.flags for col in columns]
-        self._names = header
-        self._cols = list(range(len(header)))
+        self._schema = tuple(ColumnSchema(name, col.kind) for name, col in zip(names, loaded))
+        self._values = [col.values for col in loaded]
+        self._flags = [col.flags for col in loaded]
+        # what read returns: the schema, values and flags of the selected columns
+        self._selected = (self._schema, self._values, self._flags)
         self._cursor = 0
 
     # -- schema and cursor state ---------------------------------------------
@@ -139,10 +141,12 @@ class Datastore:
 
     def select_variables(self, names: Sequence[str]) -> None:
         """Restrict (and order) the columns that reads and scans return."""
-        cols = [_column_index(self._names, name) for name in names]
+        cols = [_column_index(self._schema, name) for name in names]
         if not cols:
             raise UnknownVariable("at least one variable must stay selected")
-        self._cols = cols
+        self._selected = (tuple(self._schema[c] for c in cols),
+                          [self._values[c] for c in cols],
+                          [self._flags[c] for c in cols])
 
     def reset(self) -> None:
         self._cursor = 0
@@ -154,35 +158,54 @@ class Datastore:
 
     def read(self) -> TableChunk:
         """Return the next chunk (at most ``chunk_size`` rows) and advance."""
-        if not self.has_data():
+        if self._cursor >= self._total_rows:
             raise ReadPastEnd("no rows left; call reset() to rewind")
-        rows = slice(self._cursor, min(self._cursor + self._chunk_size, self._total_rows))
-        self._cursor = rows.stop
-        return TableChunk(
-            schema=tuple(self._schema[c] for c in self._cols),
-            columns=tuple(self._values[c][rows] for c in self._cols),
-            missing=tuple(self._flags[c][rows] for c in self._cols),
-        )
+        schema, values, flags = self._selected
+        if not schema:  # opened on columns the header lacks, and none selected since
+            raise UnknownVariable("no column is selected")
+        start = self._cursor
+        self._cursor = min(start + self._chunk_size, self._total_rows)
+        rows = itemgetter(slice(start, self._cursor))
+        return TableChunk(schema, tuple(map(rows, values)), tuple(map(rows, flags)))
 
 
 def open_datastore(
     paths: Sequence[str | os.PathLike] | str | os.PathLike,
     chunk_size: int = 4,
+    columns: Sequence[str] | None = None,
 ) -> Datastore:
-    """Open one or more CSV files that share a header as a single datastore."""
+    """Open one or more CSV files that share a header as a single datastore.
+
+    With ``columns``, only the header's columns named there are converted and
+    kept, in header order; a name the header lacks is no error here, but
+    selecting it is.  Every row is checked either way.
+    """
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
-    return Datastore(list(paths), chunk_size)
+    return Datastore(list(paths), chunk_size, columns)
+
+
+class _Text:
+    """A text column as dictionary codes: a slice of it decodes to its cells."""
+
+    __slots__ = ("codes", "words")
+
+    def __init__(self):
+        self.codes = array("I")  # an index into words for each cell
+        self.words: list = [None]  # the distinct cells; code 0, None, is a missing cell
+
+    def __getitem__(self, rows: slice) -> list:
+        return list(map(self.words.__getitem__, self.codes[rows]))
 
 
 class _Column:
     """One column as it is loaded: numeric until a cell is neither NA nor finite."""
 
-    __slots__ = ("kind", "values", "flags")
+    __slots__ = ("kind", "values", "flags", "_code_of")
 
     def __init__(self):
         self.kind = NUMERIC
-        self.values: Values | None = array("d")
+        self.values: array | _Text | None = array("d")
         self.flags: bytearray | None = bytearray()
 
     def add(self, cells: Sequence[str]) -> None:
@@ -190,17 +213,27 @@ class _Column:
         if self.kind == NUMERIC:
             if self._add_numbers(cells):
                 return
-            self.kind = TEXT
             if self.flags:  # earlier blocks went in as numbers: _reread_text fills it in
+                self.kind = TEXT
                 self.values = self.flags = None
                 return
-            self.values = []
+            self.start_text()
         if self.values is not None:
             self.add_text(cells)
 
+    def start_text(self) -> None:
+        """Become an empty text column; the word index is dropped with the column."""
+        self.kind = TEXT
+        self.values, self.flags = _Text(), bytearray()
+        self._code_of = {MISSING_MARKER: 0}
+
     def add_text(self, cells) -> None:
         cells = list(map(str.strip, cells))
-        self.values.extend(map(_NONE_FOR_MISSING.get, cells, cells))
+        words = self.values.words
+        new = set(cells).difference(self._code_of)
+        self._code_of.update(zip(new, range(len(words), len(words) + len(new))))
+        words.extend(new)
+        self.values.codes.extend(map(self._code_of.__getitem__, cells))
         self.flags.extend(map(MISSING_MARKER.__eq__, cells))
 
     def _add_numbers(self, cells: Sequence[str]) -> bool:
@@ -228,11 +261,13 @@ class _Column:
         return True
 
 
-def _load(paths) -> tuple[list[str], list[_Column], int]:
-    """The header, the columns and the number of data rows of the CSV files ``paths``."""
+def _load(paths, wanted=None) -> tuple[list[str], list[_Column], int]:
+    """The names, the columns and the number of data rows of the CSV files
+    ``paths``: all columns, or those named in ``wanted``, in header order."""
     if not paths:
         raise MissingFile("no input paths given")
     header: list[str] | None = None
+    keep: list[bool] = []  # whether each header column is loaded
     columns: list[_Column] = []
     rows = 0
     for path in paths:
@@ -242,25 +277,27 @@ def _load(paths) -> tuple[list[str], list[_Column], int]:
             raise HeaderMismatch(f"{path} has duplicate column names")
         if header is None:
             header = this_header
-            columns = [_Column() for _ in header]
+            keep = [wanted is None or name in wanted for name in header]
+            columns = [_Column() for _ in compress(header, keep)]
         elif this_header != header:
             raise HeaderMismatch(f"{path} header {this_header} does not match {header}")
         for block in blocks:
             rows += len(block)
-            for column, cells in zip(columns, zip(*block)):
+            for column, cells in zip(columns, compress(zip(*block), keep)):
                 column.add(cells)
     assert header is not None
-    _reread_text(paths, columns, rows)
-    return header, columns, rows
+    late = [(i, col) for i, col in zip(compress(range(len(header)), keep), columns)
+            if col.values is None]
+    _reread_text(paths, late, rows)
+    return list(compress(header, keep)), columns, rows
 
 
-def _reread_text(paths, columns: list[_Column], rows: int) -> None:
-    """Read again, as text, each column that turned text after its first block."""
-    late = [(i, col) for i, col in enumerate(columns) if col.values is None]
+def _reread_text(paths, late: list[tuple[int, _Column]], rows: int) -> None:
+    """Read again, as text, each (header index, column) that turned text late."""
     if not late:
         return
     for _, col in late:
-        col.values, col.flags = [], bytearray()
+        col.start_text()
     for path in paths:
         blocks = _row_blocks(path)
         next(blocks)

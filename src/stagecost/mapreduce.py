@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 from typing import Callable, Iterable, Optional
 
 from .datastore import NUMERIC, Datastore, TableChunk, format_cell
@@ -52,7 +54,7 @@ class _Collector:
         self.values: dict[str, list] = defaultdict(list)
 
     def add(self, key: str, value) -> None:
-        self.values[str(key)].append(value)
+        self.values[key].append(value)
 
 
 Mapper = Callable[[TableChunk, _Collector], None]
@@ -98,20 +100,18 @@ def map_reduce(
 # -- built-in jobs -------------------------------------------------------------
 
 
-def _numeric_cells(chunk: TableChunk, column: str) -> list[float]:
-    i = chunk.column_index(column)
-    if chunk.schema[i].kind != NUMERIC:
-        raise TypeMismatch(f"column {column!r} is not numeric")
-    return [v for v, miss in zip(chunk.columns[i], chunk.missing[i]) if not miss]
-
-
 def builtin_max_mapper(column: str) -> Mapper:
     """Per-chunk maximum of a numeric column; all-missing chunks emit nothing."""
 
     def mapper(chunk: TableChunk, store: _Collector) -> None:
-        cells = _numeric_cells(chunk, column)
-        if cells:
-            store.add(MAX_KEY, max(cells))
+        i = chunk.column_index(column)
+        if chunk.schema[i].kind != NUMERIC:
+            raise TypeMismatch(f"column {column!r} is not numeric")
+        values, flags = chunk.columns[i], chunk.missing[i]
+        if 1 in flags:
+            values = list(compress(values, map(not_, flags)))
+        if values:
+            store.add(MAX_KEY, max(values))
 
     return mapper
 
@@ -131,14 +131,17 @@ def builtin_keycount_mapper(key_column: str, value_column: str | None = None) ->
         key_i = chunk.column_index(key_column)
         # no value column: the key's own flags are checked in its place
         val_i = key_i if value_column is None else chunk.column_index(value_column)
-        counts: dict[str, int] = defaultdict(int)
+        counts: dict = defaultdict(int)
         for key, key_miss, val_miss in zip(
             chunk.columns[key_i], chunk.missing[key_i], chunk.missing[val_i]
         ):
             if not (key_miss or val_miss):
-                counts[format_cell(key)] += 1
-        for key in sorted(counts):
-            store.add(key, counts[key])
+                counts[key] += 1
+        # a numeric key is counted as a float, and distinct floats print as
+        # distinct text (0.0 and -0.0 are one key either way)
+        numeric = chunk.schema[key_i].kind == NUMERIC
+        for key, count in counts.items():
+            store.add(format_cell(key) if numeric else key, count)
 
     return mapper
 

@@ -37,12 +37,12 @@ class DelaySummary:
     per_origin: dict
 
 
-_DELAY_COLUMNS = ("UniqueCarrier", "ServerNum", "SendingDelay", "ReceivingDelay", "Origin")
+DELAY_COLUMNS = ("UniqueCarrier", "ServerNum", "SendingDelay", "ReceivingDelay", "Origin")
 
 
 def delay_records(ds: Datastore) -> list[DelayRecord]:
     """Materialise delay records from a datastore with the standard columns."""
-    ds.select_variables(list(_DELAY_COLUMNS))
+    ds.select_variables(list(DELAY_COLUMNS))
     kinds = {col.name: col.kind for col in ds.schema}
     for name in ("ServerNum", "SendingDelay", "ReceivingDelay"):
         if kinds[name] != NUMERIC:

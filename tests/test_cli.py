@@ -449,6 +449,42 @@ def test_cell_over_the_field_limit_is_an_error_naming_the_line(capsys, tmp_path)
     assert captured.out == ""
 
 
+_BAD_ROWS = {  # a 3-column table whose line 3 is bad in column c
+    "short row": (b"a,b,c\n1,2,3\n4,5\n", "expected 3 cells, got 2"),
+    "not UTF-8": (b"a,b,c\n1,2,3\n4,5,caf\xe9\n", "not UTF-8 text (invalid continuation byte)"),
+    "field limit": (b"a,b,c\n1,2,3\n4,5," + b"x" * (csv.field_size_limit() + 1) + b"\n",
+                    f"field larger than field limit ({csv.field_size_limit()})"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_ROWS))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regress", "--dependent", "a", "--independents", "b"],
+        ["regress", "--dependent", "nope", "--independents", "b"],
+        ["plotdata", "--x", "a", "--y", "b"],
+        ["mapreduce", "run", "--job", "max", "--column", "b"],
+        ["mapreduce", "run", "--job", "max", "--column", "nope"],
+        ["mapreduce", "run", "--job", "max"],
+        ["mapreduce", "run", "--job", "keycount", "--key", "a"],
+        ["delays"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[3:]),
+)
+def test_a_bad_row_in_a_column_the_command_does_not_read_is_still_the_error(
+        capsys, tmp_path, argv, bad):
+    # commands load only the columns they name, yet every row is checked,
+    # and a bad row is reported ahead of a missing option or an unknown column
+    content, message = _BAD_ROWS[bad]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert dispatch([*argv, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}:3: {message}\n"
+    assert captured.out == ""
+
+
 def test_non_utf8_config_is_an_error(capsys, config_file, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(Path(config_file).read_bytes().replace(b'"k1"', b'"k\xe9"'))
@@ -503,7 +539,7 @@ def test_mapreduce_keycount_job(capsys, delays_csv):
 def test_mapreduce_max_needs_a_column(capsys, servers_csv):
     code = dispatch(["mapreduce", "run", "--job", "max", "--input", servers_csv])
     assert code == 1
-    assert "--column" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --column is required for the max job\n"
 
 
 def test_mapreduce_keycount_needs_a_key(capsys, servers_csv):

@@ -1,7 +1,9 @@
 """Datastore parsing, cursor behaviour, and chunking invariance."""
 
 import csv
+import itertools
 import random
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -390,13 +392,18 @@ def _tables(draw, other_cells=_OTHER_CELLS):
     return columns, draw(st.integers(0, n_rows - 1))
 
 
-def write_table(directory, columns, split):
-    """Write the columns as CSV, split over two files after ``split`` rows (0: one file)."""
+def write_table(directory, columns, split, blank_after=()):
+    """Write the columns as CSV, split over two files after ``split`` rows (0: one file).
+
+    Each file gets a blank line after each of its rows counted in ``blank_after``.
+    """
     header = [f"c{i}" for i in range(len(columns))]
     rows = list(zip(*columns))
     parts = [rows[:split], rows[split:]] if split else [rows]
     paths = []
     for i, part in enumerate(parts):
+        for row in sorted(blank_after, reverse=True):
+            part.insert(min(row, len(part)), [])
         path = directory / f"part{i}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows([header, *part])
@@ -430,3 +437,71 @@ def test_any_table_reopens_as_written(monkeypatch, tmp_path, table):
     monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)  # every table spans blocks
     ds = open_datastore(write_table(tmp_path, *table), chunk_size=len(table[0][0]))
     assert_reopens_as_written(ds.read(), tmp_path / "copy.csv")
+
+
+def chunk_cells(chunk):
+    """A chunk's values, numbers as their bytes so that NaN equals NaN, and its flags."""
+    values = [v.tobytes() if isinstance(v, array) else v for v in chunk.columns]
+    return chunk.schema, values, chunk.missing
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables(_OTHER_CELLS | st.sampled_from(["w", " w", "w ", " w "])),
+       blank_after=st.lists(st.integers(0, 10), max_size=3))
+def test_a_projection_reads_like_the_full_table_restricted_to_it(monkeypatch, tmp_path,
+                                                                 table, blank_after):
+    # blocks of two rows: a column can turn text after its first block
+    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    paths = write_table(tmp_path, *table, blank_after=blank_after)
+    names, kinds, want_rows, _ = read_csv_table(paths)
+    subsets = [list(s) for r in range(len(names) + 1) for s in itertools.combinations(names, r)]
+    for chunk_size in range(1, len(want_rows) + 1):
+        full = open_datastore(paths, chunk_size=chunk_size)
+        for subset in subsets:
+            part = open_datastore(paths, chunk_size=chunk_size, columns=subset)
+            assert part.total_rows == full.total_rows == len(want_rows)
+            assert part.schema == tuple(c for c in full.schema if c.name in subset)
+            if not subset:
+                with pytest.raises(UnknownVariable, match="no column is selected"):
+                    part.read()
+                continue
+            full.select_variables(subset)
+            full.reset()
+            while full.has_data():
+                assert chunk_cells(part.read()) == chunk_cells(full.read())
+            assert not part.has_data()
+    # a text column alone holds its cells as csv reads them, stripped, None for NA
+    for i, (name, kind) in enumerate(zip(names, kinds)):
+        if kind == TEXT:
+            column = open_datastore(paths, len(want_rows), columns=[name]).read().column(name)
+            assert column == [row[i] for row in want_rows]
+
+
+def test_a_projection_keeps_header_order_and_ignores_unknown_names(servers_csv):
+    ds = open_datastore(servers_csv, columns=["Delay", "nope", "ServerNum", "Delay"])
+    assert [c.name for c in ds.schema] == ["ServerNum", "Delay"]
+    with pytest.raises(UnknownVariable, match="no column named 'nope'"):
+        ds.select_variables(["nope"])
+    with pytest.raises(UnknownVariable, match="no column named 'TailNum'"):
+        ds.select_variables(["TailNum"])
+
+
+def test_a_text_column_is_kept_as_codes_not_as_one_string_per_cell(tmp_path):
+    # 200k rows of a 300-word key and a number: 0.8 MB of codes, 1.6 MB of
+    # numbers and 0.4 MB of flags, where a list of the cells held 13.6 MB
+    rng = random.Random(5)
+    path = tmp_path / "keys.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("key,x\n")
+        fh.writelines(f"k{rng.randrange(300)},{rng.random():.4f}\n" for _ in range(200_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = open_datastore(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [c.kind for c in ds.schema] == [TEXT, NUMERIC]
+    assert ds.total_rows == 200_000
+    assert retained < 4e6

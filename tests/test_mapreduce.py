@@ -106,6 +106,17 @@ def test_keycount_without_value_column_counts_rows(servers_csv):
     assert result.readall() == [("'NA'", 8)]
 
 
+@pytest.mark.parametrize("chunk_size", [1, 100])
+def test_keycount_names_numeric_keys_as_written(tmp_path, chunk_size):
+    # a numeric key is counted as a number: 10 and 10.0 are one key, and so
+    # are 0 and -0
+    path = tmp_path / "keys.csv"
+    path.write_text("k\n10\n1.5\n-0\n0\nNA\n10.0\n1e20\n")
+    ds = open_datastore(path, chunk_size=chunk_size)
+    result = map_reduce(ds, builtin_keycount_mapper("k"), builtin_sum_reducer)
+    assert result.readall() == [("0", 2), ("1.5", 1), ("10", 2), ("1e+20", 1)]
+
+
 # -- mechanics -----------------------------------------------------------------------
 
 
