@@ -62,10 +62,10 @@ def _json_text(payload) -> str:
 
 
 def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
-    """The values of each named numeric column, from ``ds``'s one chunk.
+    """The values of each named numeric column, found by name in ``ds``'s one chunk.
 
-    ``ds`` must hold its whole table in one chunk.  An error names the first
-    column in ``names`` that is unknown, is text or has a missing cell.
+    ``ds`` must hold its whole table in one chunk, unread.  An error names the
+    first column in ``names`` that is unknown, is text or has a missing cell.
     """
     from .datastore import NUMERIC
 
@@ -73,13 +73,12 @@ def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
     good = list(itertools.takewhile(lambda name: kinds.get(name) == NUMERIC, names))
     columns: list[list[float]] = []
     if good:
-        ds.select_variables(good)
-        ds.reset()
         chunk = ds.read()
-        for name, flags in zip(good, chunk.missing):
-            if any(flags):
+        for name in good:
+            i = chunk.column_index(name)
+            if any(chunk.missing[i]):
                 raise MissingData(f"column {name!r} has missing cells")
-        columns = list(chunk.columns)
+            columns.append(chunk.columns[i])
     if len(good) < len(names):
         name = names[len(good)]
         if name in kinds:
@@ -117,25 +116,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_mapreduce(args) -> int:
     from . import mapreduce
-    from .datastore import NUMERIC, open_datastore
+    from .datastore import open_datastore
 
     needed = [args.column] if args.job == "max" else [args.key, args.column]
     ds = open_datastore(args.input, chunk_size=args.chunk_size,
                         columns=[name for name in needed if name])
+    # the mapper checks the columns on the first chunk, before any progress
     if args.job == "max":
         if not args.column:
             raise ConfigError("--column is required for the max job")
-        ds.select_variables([args.column])
-        # the mapper checks this too, but only once progress has been printed
-        if {col.name: col.kind for col in ds.schema}[args.column] != NUMERIC:
-            raise TypeMismatch(f"column {args.column!r} is not numeric")
         mapper = mapreduce.builtin_max_mapper(args.column)
         reducer = mapreduce.builtin_max_reducer
     else:
         if not args.key:
             raise ConfigError("--key is required for the keycount job")
-        selected = [args.key] + ([args.column] if args.column else [])
-        ds.select_variables(selected)
         mapper = mapreduce.builtin_keycount_mapper(args.key, args.column)
         reducer = mapreduce.builtin_sum_reducer
 

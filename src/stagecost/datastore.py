@@ -19,8 +19,10 @@ One that turns text later has had its earlier cells converted, and
 once every block is in.
 
 Rows come back through a cursor in fixed-size :class:`TableChunk` batches
-by column, with text decoded back to lists of words.  Missing numeric cells
-surface as IEEE NaN plus a flag, missing text cells as None plus a flag.
+by column, with text decoded back to lists of words.  Every chunk holds
+exactly the columns the datastore was opened on, in header order, and a
+reader finds each one by name.  Missing numeric cells surface as IEEE NaN
+plus a flag, missing text cells as None plus a flag.
 """
 
 from __future__ import annotations
@@ -83,19 +85,15 @@ class TableChunk:
         return len(self.missing[0])
 
     def column_index(self, name: str) -> int:
-        return _column_index(self.schema, name)
+        """Where the column ``name`` is in the chunk; a name not there is an UnknownVariable."""
+        for i, col in enumerate(self.schema):
+            if col.name == name:
+                return i
+        raise UnknownVariable(f"no column named {name!r}")
 
     def column(self, name: str) -> Values:
         """All values of one column (missing numeric cells come back as NaN)."""
         return self.columns[self.column_index(name)]
-
-
-def _column_index(schema: Sequence[ColumnSchema], name: str) -> int:
-    """Where the column ``name`` is in ``schema``; a name not there is an UnknownVariable."""
-    for i, col in enumerate(schema):
-        if col.name == name:
-            return i
-    raise UnknownVariable(f"no column named {name!r}")
 
 
 def format_cell(value) -> str:
@@ -120,8 +118,9 @@ class Datastore:
         self._schema = tuple(ColumnSchema(name, col.kind) for name, col in zip(names, loaded))
         self._values = [col.values for col in loaded]
         self._flags = [col.flags for col in loaded]
-        # what read returns: the schema, values and flags of the selected columns
-        self._selected = (self._schema, self._values, self._flags)
+        # read's error when the header lacks every name asked for, or none was asked
+        self._no_column = None if self._schema else (
+            f"no column named {columns[0]!r}" if columns else "no column is selected")
         self._cursor = 0
 
     # -- schema and cursor state ---------------------------------------------
@@ -139,15 +138,6 @@ class Datastore:
         """Number of chunks that ``read`` returns from the cursor on."""
         return -(-(self._total_rows - self._cursor) // self._chunk_size)
 
-    def select_variables(self, names: Sequence[str]) -> None:
-        """Restrict (and order) the columns that reads and scans return."""
-        cols = [_column_index(self._schema, name) for name in names]
-        if not cols:
-            raise UnknownVariable("at least one variable must stay selected")
-        self._selected = (tuple(self._schema[c] for c in cols),
-                          [self._values[c] for c in cols],
-                          [self._flags[c] for c in cols])
-
     def reset(self) -> None:
         self._cursor = 0
 
@@ -160,13 +150,13 @@ class Datastore:
         """Return the next chunk (at most ``chunk_size`` rows) and advance."""
         if self._cursor >= self._total_rows:
             raise ReadPastEnd("no rows left; call reset() to rewind")
-        schema, values, flags = self._selected
-        if not schema:  # opened on columns the header lacks, and none selected since
-            raise UnknownVariable("no column is selected")
+        if self._no_column:
+            raise UnknownVariable(self._no_column)
         start = self._cursor
         self._cursor = min(start + self._chunk_size, self._total_rows)
         rows = itemgetter(slice(start, self._cursor))
-        return TableChunk(schema, tuple(map(rows, values)), tuple(map(rows, flags)))
+        return TableChunk(self._schema, tuple(map(rows, self._values)),
+                          tuple(map(rows, self._flags)))
 
 
 def open_datastore(
@@ -177,8 +167,10 @@ def open_datastore(
     """Open one or more CSV files that share a header as a single datastore.
 
     With ``columns``, only the header's columns named there are converted and
-    kept, in header order; a name the header lacks is no error here, but
-    selecting it is.  Every row is checked either way.
+    kept, in header order, and every chunk holds just those; a name the header
+    lacks is no error here, but looking it up on a chunk is.  Every row is
+    checked either way.  If no named column is in the header, ``read`` names
+    the first one asked for.
     """
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]

@@ -6,9 +6,10 @@ values are appended to their key's list as they are emitted, so every key's
 values reach the reducer in chunk order, then emission order within a
 chunk.  Keys are reduced in lexicographic order.
 
-Progress is reported as whole percentages: an initial (0, 0) event, one
-event after every mapped chunk, and one after every reduced key; the final
-event is always (100, 100).
+Progress is reported as whole percentages: a (0, 0) event once the first
+chunk is mapped, one event after every mapped chunk, and one after every
+reduced key; the final event is always (100, 100).  The mapper checks the
+job's columns on the first chunk, so a job it refuses reports no progress.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ def map_reduce(
 ) -> JobResult:
     """Run ``mapper`` over every remaining chunk of ``ds``, then ``reducer``.
 
-    Each chunk is read, mapped and reported before the next one is read.
-    Raises ``EmptyJob`` if the cursor has nothing left to read.
+    Each chunk is read, mapped and reported before the next one is read; the
+    first (0, 0) event waits until the first chunk is mapped.  Raises
+    ``EmptyJob`` if the cursor has nothing left to read.
     """
     n = ds.chunks_left
     if n == 0:
@@ -81,10 +83,11 @@ def map_reduce(
         if progress_sink is not None:
             progress_sink(ProgressEvent(map_pct, reduce_pct))
 
-    emit(0, 0)
     out = _Collector()
     for done in range(1, n + 1):
         mapper(ds.read(), out)
+        if done == 1:
+            emit(0, 0)
         emit(100 * done // n, 0)
 
     keys = sorted(out.values)

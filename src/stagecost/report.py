@@ -41,17 +41,17 @@ DELAY_COLUMNS = ("UniqueCarrier", "ServerNum", "SendingDelay", "ReceivingDelay",
 
 
 def delay_records(ds: Datastore) -> list[DelayRecord]:
-    """Materialise delay records from a datastore with the standard columns."""
-    ds.select_variables(list(DELAY_COLUMNS))
-    kinds = {col.name: col.kind for col in ds.schema}
-    for name in ("ServerNum", "SendingDelay", "ReceivingDelay"):
-        if kinds[name] != NUMERIC:
-            raise TypeMismatch(f"column {name!r} is not numeric")
+    """Materialise delay records from the standard columns of a datastore, found by name."""
     ds.reset()
     records = []
     while ds.has_data():
         chunk = ds.read()
-        for row, flags in zip(zip(*chunk.columns), zip(*chunk.missing)):
+        at = [chunk.column_index(name) for name in DELAY_COLUMNS]
+        for name in ("ServerNum", "SendingDelay", "ReceivingDelay"):
+            if chunk.schema[chunk.column_index(name)].kind != NUMERIC:
+                raise TypeMismatch(f"column {name!r} is not numeric")
+        rows = zip(*(chunk.columns[i] for i in at))
+        for row, flags in zip(rows, zip(*(chunk.missing[i] for i in at))):
             if any(flags):
                 raise MissingData("delay records must not have missing cells")
             carrier, server, sending, receiving, origin = row

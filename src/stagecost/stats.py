@@ -45,6 +45,9 @@ _BETA_EPS = 1e-12
 # (375 at 1e6, 807 at 1e7).  _beta_cf allows 300 + 10 (a + b)^(1/3) but no
 # more than this (about 0.1 s), so that one that cannot converge fails quickly.
 _BETA_MAX_ITER = 100_000
+# The most relative error f_cdf lets the log of its front factor carry: at
+# 1e-6, an error would show in the six digits regress prints.
+_FRONT_MAX_REL_ERROR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -265,14 +268,16 @@ def _reg_inc_beta(a: float, b: float, z: float) -> float:
         return 0.0
     if z >= 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(z)
-        + b * math.log1p(-z)
-    )
-    front = math.exp(ln_front)
+    terms = (math.lgamma(a + b), math.lgamma(a), math.lgamma(b),
+             a * math.log(z), b * math.log1p(-z))
+    # each term carries a rounding of up to 2^-52 of itself into the log, and
+    # so into the front factor's relative error
+    error = sum(map(abs, terms)) * 2.0**-52
+    if error > _FRONT_MAX_REL_ERROR:
+        raise DomainError(f"degrees of freedom ({2 * a!r}, {2 * b!r}) are too large for an"
+                          f" accurate F probability: its relative error may reach {error:.2g}")
+    lg_ab, lg_a, lg_b, a_ln_z, b_ln_1mz = terms
+    front = math.exp(lg_ab - lg_a - lg_b + a_ln_z + b_ln_1mz)
     if z < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, z) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - z) / b

@@ -557,6 +557,25 @@ def test_mapreduce_max_on_a_text_column_prints_only_the_error(capsys, delays_csv
     assert captured.err == "error: column 'Origin' is not numeric\n"
 
 
+@pytest.mark.parametrize("job, bad", [
+    (["max", "--column", "nope"], "nope"),
+    (["keycount", "--key", "nope"], "nope"),
+    (["keycount", "--key", "nope", "--column", "Delay"], "nope"),
+    (["keycount", "--key", "TailNum", "--column", "nope"], "nope"),
+    (["keycount", "--key", "nope", "--column", "also_nope"], "nope"),
+    (["keycount", "--key", "TailNum", "--column", ""], ""),
+])
+def test_mapreduce_on_a_column_the_table_lacks_prints_only_the_error(capsys, servers_csv,
+                                                                     job, bad):
+    # the mapper checks the job's columns on the first chunk, before any progress
+    code = dispatch(["mapreduce", "run", "--job", *job, "--input", servers_csv,
+                     "--chunk-size", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: no column named {bad!r}\n"
+
+
 def test_numeric_keys_are_named_as_written(capsys, tmp_path):
     # delays and keycount name a numeric origin and carrier alike: 10, not 10.0
     path = tmp_path / "numeric.csv"
@@ -673,6 +692,16 @@ def test_regress_from_sums_at_a_million_degrees_of_freedom(capsys):
     assert float(regression.split()[-1]) == pytest.approx(0.5, abs=1e-3)
 
 
+def test_regress_from_sums_refuses_a_significance_it_cannot_give_accurately(capsys):
+    # 10^12 residual degrees of freedom: Significance F would be off in its
+    # third digit
+    assert dispatch(["regress", "--from-ss", "5", "10", "1000000000002", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: degrees of freedom (1000000000000.0, 1.0) are too")
+    assert captured.err.count("\n") == 1
+
+
 def test_regress_from_sums_reports_a_stalled_continued_fraction(capsys, monkeypatch):
     # cut Significance F's continued fraction off before it can converge
     monkeypatch.setattr(stats, "_BETA_MAX_ITER", 10)
@@ -753,14 +782,6 @@ def mixed_csv(tmp_path):
 def test_column_commands_read_the_table_in_one_pass(capsys, monkeypatch, tmp_path, argv):
     path = tmp_path / "full.csv"
     path.write_text("x,y,gap,t\n1,2,5,a\n2,3,4,b\n3,5,7,c\n4,4,8,d\n5,7,6,e\n")
-    resets = []
-    original = Datastore.reset
-
-    def counting_reset(self):
-        resets.append(self)
-        original(self)
-
-    monkeypatch.setattr(Datastore, "reset", counting_reset)
     reads = []
     original_read = Datastore.read
 
@@ -770,7 +791,6 @@ def test_column_commands_read_the_table_in_one_pass(capsys, monkeypatch, tmp_pat
 
     monkeypatch.setattr(Datastore, "read", counting_read)
     assert dispatch([*argv, "--input", str(path)]) == 0
-    assert len(resets) == 1
     assert len(reads) == 1  # the whole table comes back as one chunk
 
 

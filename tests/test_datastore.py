@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stagecost import datastore
-from stagecost.datastore import NUMERIC, TEXT, open_datastore
+from stagecost.datastore import NUMERIC, TEXT, TableChunk, open_datastore
 from stagecost.errors import (
     EmptyInput,
     HeaderMismatch,
@@ -253,8 +253,7 @@ def test_chunks_hold_arrays_lists_and_flag_bytes(servers_csv):
 
 
 def test_read_walks_chunks_then_stops(servers_csv):
-    ds = open_datastore(servers_csv, chunk_size=4)
-    ds.select_variables(["ActualElapsedTime"])
+    ds = open_datastore(servers_csv, chunk_size=4, columns=["ActualElapsedTime"])
     assert list(ds.read().column("ActualElapsedTime")) == [53.0, 63.0, 83.0, 59.0]
     assert ds.has_data()
     assert list(ds.read().column("ActualElapsedTime")) == [77.0, 61.0, 84.0, 155.0]
@@ -263,22 +262,6 @@ def test_read_walks_chunks_then_stops(servers_csv):
         ds.read()
     ds.reset()
     assert list(ds.read().column("ActualElapsedTime")) == [53.0, 63.0, 83.0, 59.0]
-
-
-def test_select_controls_both_columns_and_order(servers_csv):
-    ds = open_datastore(servers_csv, chunk_size=8)
-    ds.select_variables(["Delay", "ServerNum"])
-    chunk = ds.read()
-    assert [col.name for col in chunk.schema] == ["Delay", "ServerNum"]
-    assert [column[0] for column in chunk.columns] == [8.0, 1503.0]
-
-
-def test_select_unknown_variable(servers_csv):
-    ds = open_datastore(servers_csv)
-    with pytest.raises(UnknownVariable):
-        ds.select_variables(["Delay", "Nope"])
-    with pytest.raises(UnknownVariable, match="at least one variable"):
-        ds.select_variables([])
 
 
 # -- chunking invariance and round trips -----------------------------------------------
@@ -466,10 +449,13 @@ def test_a_projection_reads_like_the_full_table_restricted_to_it(monkeypatch, tm
                 with pytest.raises(UnknownVariable, match="no column is selected"):
                     part.read()
                 continue
-            full.select_variables(subset)
             full.reset()
             while full.has_data():
-                assert chunk_cells(part.read()) == chunk_cells(full.read())
+                whole = full.read()
+                at = [whole.column_index(c.name) for c in part.schema]
+                assert chunk_cells(part.read()) == chunk_cells(TableChunk(
+                    tuple(whole.schema[i] for i in at), tuple(whole.columns[i] for i in at),
+                    tuple(whole.missing[i] for i in at)))
             assert not part.has_data()
     # a text column alone holds its cells as csv reads them, stripped, None for NA
     for i, (name, kind) in enumerate(zip(names, kinds)):
@@ -479,12 +465,31 @@ def test_a_projection_reads_like_the_full_table_restricted_to_it(monkeypatch, tm
 
 
 def test_a_projection_keeps_header_order_and_ignores_unknown_names(servers_csv):
-    ds = open_datastore(servers_csv, columns=["Delay", "nope", "ServerNum", "Delay"])
+    ds = open_datastore(servers_csv, chunk_size=8,
+                        columns=["Delay", "nope", "ServerNum", "Delay"])
     assert [c.name for c in ds.schema] == ["ServerNum", "Delay"]
+    chunk = ds.read()
+    assert [c.name for c in chunk.schema] == ["ServerNum", "Delay"]
+    assert [chunk.column(name)[0] for name in ("Delay", "ServerNum")] == [8.0, 1503.0]
     with pytest.raises(UnknownVariable, match="no column named 'nope'"):
-        ds.select_variables(["nope"])
+        chunk.column_index("nope")
     with pytest.raises(UnknownVariable, match="no column named 'TailNum'"):
-        ds.select_variables(["TailNum"])
+        chunk.column_index("TailNum")
+
+
+@pytest.mark.parametrize("columns, message", [
+    (["nope", "also_nope"], "no column named 'nope'"),
+    (("zzz", "nope"), "no column named 'zzz'"),
+    ([], "no column is selected"),
+])
+def test_a_datastore_with_no_columns_names_the_first_one_asked_for(servers_csv, columns,
+                                                                   message):
+    ds = open_datastore(servers_csv, chunk_size=3, columns=columns)
+    assert ds.schema == ()
+    assert ds.total_rows == 8  # every row is still parsed and checked
+    with pytest.raises(UnknownVariable, match=f"^{message}$"):
+        ds.read()
+    assert ds.has_data()  # a refused read leaves the cursor where it was
 
 
 def test_a_text_column_is_kept_as_codes_not_as_one_string_per_cell(tmp_path):

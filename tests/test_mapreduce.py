@@ -195,6 +195,29 @@ def test_each_chunk_is_mapped_before_the_next_is_read(servers_csv):
     assert more_to_read == [True, True, False]
 
 
+class _Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad_chunk, events_seen", [(1, []), (2, [(0, 0), (33, 0)])])
+def test_a_mapper_that_raises_stops_the_progress_where_it_is(servers_csv, bad_chunk,
+                                                             events_seen):
+    # the first (0, 0) waits for the first chunk: a job the mapper refuses
+    # on it reports no progress at all
+    ds = open_datastore(servers_csv, chunk_size=3)  # 3 + 3 + 2 rows
+    chunks = []
+
+    def refusing_mapper(chunk, out):
+        chunks.append(chunk)
+        if len(chunks) == bad_chunk:
+            raise _Refused
+
+    events = []
+    with pytest.raises(_Refused):
+        map_reduce(ds, refusing_mapper, builtin_sum_reducer, progress_sink=events.append)
+    assert [(e.map_pct, e.reduce_pct) for e in events] == events_seen
+
+
 def test_custom_mapper_and_reducer(delays_csv):
     ds = open_datastore(delays_csv, chunk_size=3)
 

@@ -395,6 +395,15 @@ def test_cdf_is_monotone_and_bounded():
     assert 0.0 <= f_cdf(5e-324, 1, 1e300) < 1e-150
 
 
+@pytest.mark.parametrize("d2", [1e12, 1e15, 1e300])
+def test_cdf_refuses_degrees_too_large_to_be_accurate(d2):
+    # the log of the front factor rounds by 2^-52 of its terms, lgamma(d2 / 2)
+    # among them: 5.8e-3 of the result at 1e12, where scipy gives 0.68269
+    # and the fraction 0.68263, and far more beyond
+    with pytest.raises(DomainError, match="too large for an accurate F probability"):
+        f_cdf(1.0, 1, d2)
+
+
 def test_cdf_accepts_fractional_degrees():
     assert 0.0 < f_cdf(1.3, 2.5, 7.5) < 1.0
 
