@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -30,6 +31,10 @@ PROG = "stagecost"
 
 # Chunk size for commands that need whole columns: the table is one chunk.
 _WHOLE_TABLE = sys.maxsize
+
+# The variables OpenBLAS reads for its thread count, in its order; an empty
+# value counts as unset, as it does for OpenBLAS.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _fmt6(value) -> str:
@@ -119,16 +124,18 @@ def _cmd_mapreduce(args) -> int:
     from .datastore import open_datastore
 
     needed = [args.column] if args.job == "max" else [args.key, args.column]
+    # None is an option not given; '' names a column, as in the header ` ,a`.
+    # The file is read first, so a bad row is reported ahead of a missing option.
     ds = open_datastore(args.input, chunk_size=args.chunk_size,
-                        columns=[name for name in needed if name])
+                        columns=[name for name in needed if name is not None])
     # the mapper checks the columns on the first chunk, before any progress
     if args.job == "max":
-        if not args.column:
+        if args.column is None:
             raise ConfigError("--column is required for the max job")
         mapper = mapreduce.builtin_max_mapper(args.column)
         reducer = mapreduce.builtin_max_reducer
     else:
-        if not args.key:
+        if args.key is None:
             raise ConfigError("--key is required for the keycount job")
         mapper = mapreduce.builtin_keycount_mapper(args.key, args.column)
         reducer = mapreduce.builtin_sum_reducer
@@ -339,4 +346,15 @@ def dispatch(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    """The process entry point: runs ``dispatch`` on one BLAS thread.
+
+    numpy's OpenBLAS starts a pool of one thread per core when numpy is first
+    imported, and its idle workers spin after every call.  The commands run
+    single-threaded Python and make only small BLAS calls, so the pool adds
+    CPU time and saves no wall time.  The pool is sized from the environment
+    at that import, so one thread is asked for here, before any handler
+    imports numpy, unless the caller has set a variable OpenBLAS reads.
+    """
+    if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(dispatch(sys.argv[1:]))

@@ -576,6 +576,21 @@ def test_mapreduce_on_a_column_the_table_lacks_prints_only_the_error(capsys, ser
     assert captured.err == f"error: no column named {bad!r}\n"
 
 
+@pytest.mark.parametrize("job, expected", [
+    (["keycount", "--key", "a", "--column", ""], ["x\t2", "y\t1"]),
+    (["keycount", "--key", "", "--column", "a"], ["1\t1", "2\t1", "5\t1"]),
+    (["max", "--column", ""], ["MaxElapsedTime\t5"]),
+])
+def test_mapreduce_on_a_blank_named_column(capsys, tmp_path, job, expected):
+    # the header's first name is blank: '' names that column, it is not "no column"
+    path = tmp_path / "blank_name.csv"
+    path.write_text(" ,a\n1,x\n2,x\nNA,y\n5,y\n")
+    code = dispatch(["mapreduce", "run", "--job", *job, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert [line for line in captured.out.splitlines() if "\t" in line] == expected
+
+
 def test_numeric_keys_are_named_as_written(capsys, tmp_path):
     # delays and keycount name a numeric origin and carrier alike: 10, not 10.0
     path = tmp_path / "numeric.csv"
@@ -1022,3 +1037,67 @@ def test_each_command_loads_only_the_modules_it_calls(config_file, servers_csv, 
     expected = ["stagecost", "stagecost.cli", "stagecost.errors",
                 *(f"stagecost.{name}" for name in extra)]
     assert json.loads(done.stderr.splitlines()[-1]) == sorted(expected)
+
+
+# -- BLAS threads -----------------------------------------------------------------------------
+
+_BLAS_THREADS = """
+import atexit, json, os, sys
+from stagecost import cli
+
+
+def report():
+    # at exit OpenBLAS's pool, if one was started, is still alive
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    env = {name: os.environ.get(name) for name in cli._BLAS_THREAD_VARS}
+    sys.stderr.write("\\n" + json.dumps({"env": env, "tasks": tasks}))
+
+
+atexit.register(report)
+sys.argv = ["stagecost", *sys.argv[1:]]
+cli.main()
+"""
+
+
+def _run_pca_in_a_fresh_interpreter(tmp_path, **blas_env):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items()
+           if name not in cli._BLAS_THREAD_VARS}
+    env.update(PYTHONPATH=src, **blas_env)
+    done = subprocess.run([sys.executable, "-c", _BLAS_THREADS, "pca", "--input", str(wide)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("blas_env", [{}, {"OPENBLAS_NUM_THREADS": ""}],
+                         ids=["unset", "empty"])
+def test_commands_run_blas_on_one_thread(tmp_path, blas_env):
+    seen = _run_pca_in_a_fresh_interpreter(tmp_path, **blas_env)
+    assert seen["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                           "OMP_NUM_THREADS": None}
+    if seen["tasks"] is None:
+        pytest.skip("no /proc/self/task to count the process's threads")
+    assert seen["tasks"] == 1
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                  "OMP_NUM_THREADS"])
+def test_a_blas_thread_count_the_caller_set_is_left_alone(tmp_path, name):
+    seen = _run_pca_in_a_fresh_interpreter(tmp_path, **{name: "2"})
+    assert seen["env"] == {var: "2" if var == name else None
+                           for var in cli._BLAS_THREAD_VARS}
+
+
+def test_dispatch_leaves_the_environment_alone(capsys, monkeypatch, tmp_path):
+    # dispatch runs in-process for library callers and tests: only main() pins
+    for name in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
+    before = dict(os.environ)
+    assert dispatch(["pca", "--input", str(wide)]) == 0
+    capsys.readouterr()
+    assert dict(os.environ) == before
