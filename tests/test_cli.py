@@ -1,9 +1,11 @@
 """Command-line behaviour: outputs, exit codes, and the reporting helpers."""
 
 import csv
+import gc
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1101,3 +1103,146 @@ def test_dispatch_leaves_the_environment_alone(capsys, monkeypatch, tmp_path):
     assert dispatch(["pca", "--input", str(wide)]) == 0
     capsys.readouterr()
     assert dict(os.environ) == before
+
+
+# -- garbage collector ------------------------------------------------------------------------
+
+_COLLECTOR = """
+import atexit, gc, json, sys
+from stagecost import cli
+
+if sys.argv[1] == "off":
+    gc.disable()
+enabled = gc.isenabled()
+started = []  # the generation of each collection that starts while main() runs
+running = False
+
+
+def on_collect(phase, info):
+    if phase == "start" and running:
+        started.append(info["generation"])
+
+
+def report():
+    sys.stderr.write("\\n" + json.dumps({"started": started, "frozen": gc.get_freeze_count(),
+                                          "restored": gc.isenabled() == enabled}))
+
+
+gc.callbacks.append(on_collect)
+atexit.register(report)
+sys.argv = ["stagecost", *sys.argv[2:]]
+gc.collect()  # the next automatic collection is a full threshold of allocations away
+running = True
+try:
+    cli.main()
+finally:
+    running = False
+"""
+
+
+@pytest.mark.parametrize("state", ["on", "off"])
+@pytest.mark.parametrize("argv", [["pca", "--input", "{table}"],
+                                  ["mapreduce", "run", "--job", "keycount", "--key", "a",
+                                   "--input", "{table}"]],
+                         ids=["pca", "keycount"])
+def test_commands_run_without_the_collector_and_exit_frozen(tmp_path, state, argv):
+    # a fresh interpreter through main(): no collection starts while the
+    # command runs, every object is frozen at exit, and the collector is back
+    # in the state the caller left it in
+    table = tmp_path / "wide.csv"
+    table.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _COLLECTOR, state,
+                           *(arg.format(table=table) for arg in argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stderr.splitlines()[-1])
+    assert seen["started"] == []
+    assert seen["frozen"] > 0
+    assert seen["restored"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_dispatch_leaves_the_collector_alone(capsys, tmp_path, enabled):
+    # dispatch runs in-process for library callers and tests: only main()
+    # switches the collector off and freezes
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert dispatch(["pca", "--input", str(wide)]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def _cyclic_garbage(argv):
+    """``dispatch(argv)``'s exit status and the objects a collection frees after
+    it ran with the collector off, as it runs under main()."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        return dispatch(argv), gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _write_keyed_table(path, rows, missing):
+    """``rows`` rows of a text key and numeric x, y, z; with ``missing``, one z is NA."""
+    rng = random.Random(rows)
+    with open(path, "w") as fh:
+        fh.write("key,x,y,z\n")
+        for i in range(rows):
+            x, z = rng.random(), rng.random()
+            cell = "NA" if missing and i == rows // 2 else f"{z:.5f}"
+            fh.write(f"k{rng.randrange(30)},{x:.5f},{1 + 2 * x - z + rng.gauss(0, 0.1):.5f},"
+                     f"{cell}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    ("argv", "missing", "status"),
+    [
+        (["mapreduce", "run", "--job", "keycount", "--key", "key", "--input", "{table}",
+          "--chunk-size", "4"], False, 0),
+        (["mapreduce", "run", "--job", "max", "--column", "x", "--input", "{table}",
+          "--chunk-size", "4"], False, 0),
+        (["regress", "--input", "{table}", "--dependent", "y", "--independents", "x", "z"],
+         False, 0),
+        (["plotdata", "--input", "{table}", "--x", "x", "--y", "y", "--fit"], False, 0),
+        (["pca", "--input", "{table}"], False, 0),
+        (["pca", "--input", "{table}"], True, 1),
+    ],
+    ids=["keycount", "max", "regress", "plotdata-fit", "pca", "pca-missing-cell"],
+)
+def test_a_commands_cyclic_garbage_does_not_grow_with_its_table(capsys, tmp_path, argv,
+                                                                 missing, status):
+    # main() runs a command with the collector off; that is safe because what
+    # it leaves for the collector is the argument parser's graph, whatever
+    # the table's length
+    small = _write_keyed_table(tmp_path / "small.csv", 500, missing)
+    large = _write_keyed_table(tmp_path / "large.csv", 20_000, missing)
+    # the first run imports the command's modules; the next two are compared
+    runs = [_cyclic_garbage([arg.format(table=path) for arg in argv])
+            for path in (small, small, large)]
+    capsys.readouterr()
+    assert runs[1][0] == status
+    assert runs[2] == runs[1]
+
+
+def test_a_simulations_cyclic_garbage_does_not_grow_with_its_ticks(capsys, config_file,
+                                                                   tmp_path):
+    # tsim is 100 s: 10^2 ticks, then 10^4, each traced to a file
+    trace = str(tmp_path / "events.tsv")
+    runs = [_cyclic_garbage(["simulate", "--config", config_file, "--kernel", "k1",
+                             "--tick", tick, "--trace", trace])
+            for tick in ("1", "1", "0.01")]
+    capsys.readouterr()
+    assert runs[1][0] == 0
+    assert runs[2] == runs[1]
+
