@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import json
 import os
 import sys
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import ConfigError, MissingData, ToolkitError, TypeMismatch, UnknownVariable
+from .errors import ConfigError, MissingData, ToolkitError, TypeMismatch
 
 if TYPE_CHECKING:
     from . import stats
@@ -70,26 +69,17 @@ def _json_text(payload) -> str:
 def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
     """The values of each named numeric column, found by name in ``ds``'s one chunk.
 
-    ``ds`` must hold its whole table in one chunk, unread.  An error names the
-    first column in ``names`` that is unknown, is text or has a missing cell.
+    ``ds`` must hold its whole table in one chunk, unread.  The chunk checks
+    each column's kind; an error names the first column in ``names`` that is
+    unknown, is text or has a missing cell.
     """
-    from .datastore import NUMERIC
-
-    kinds = {col.name: col.kind for col in ds.schema}
-    good = list(itertools.takewhile(lambda name: kinds.get(name) == NUMERIC, names))
+    chunk = ds.read()
     columns: list[list[float]] = []
-    if good:
-        chunk = ds.read()
-        for name in good:
-            i = chunk.column_index(name)
-            if any(chunk.missing[i]):
-                raise MissingData(f"column {name!r} has missing cells")
-            columns.append(chunk.columns[i])
-    if len(good) < len(names):
-        name = names[len(good)]
-        if name in kinds:
-            raise TypeMismatch(f"column {name!r} is not numeric")
-        raise UnknownVariable(f"no column named {name!r}")
+    for name in names:
+        values, flags = chunk.numeric(name)
+        if any(flags):
+            raise MissingData(f"column {name!r} has missing cells")
+        columns.append(values)
     return columns
 
 
@@ -146,12 +136,12 @@ def _cmd_mapreduce(args) -> int:
 
     result = mapreduce.map_reduce(ds, mapper, reducer, progress_sink=show)
     for key, value in result.readall():
-        print(f"{key}\t{_fmt6(float(value))}")
+        print(f"{key}\t{_fmt6(value)}")
     return 0
 
 
 def _print_regression(summary: stats.RegressionSummary, table: stats.AnovaTable,
-                      labels: Optional[list[str]] = None) -> None:
+                      labels: Sequence[str] = ()) -> None:
     print("Regression Statistics")
     for label, value in (
         ("Multiple R", summary.multiple_r),
@@ -177,9 +167,7 @@ def _print_regression(summary: stats.RegressionSummary, table: stats.AnovaTable,
     if summary.coefficients is not None:
         print()
         print("Coefficients")
-        names = ["Intercept"] + (labels or
-                                 [f"X{i}" for i in range(1, len(summary.coefficients))])
-        for name, coef in zip(names, summary.coefficients):
+        for name, coef in zip(["Intercept", *labels], summary.coefficients):
             print(f"{name:<18} {_fmt6(coef)}")
 
 
@@ -206,7 +194,7 @@ def _cmd_regress(args) -> int:
     y, *columns = _numeric_columns(
         open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names), names)
     summary, table = stats.fit_ols(columns, y)
-    _print_regression(summary, table, labels=list(args.independents))
+    _print_regression(summary, table, labels=args.independents)
     return 0
 
 

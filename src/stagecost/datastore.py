@@ -43,6 +43,7 @@ from .errors import (
     MalformedCSV,
     MissingFile,
     ReadPastEnd,
+    TypeMismatch,
     UnknownVariable,
 )
 
@@ -68,13 +69,14 @@ class ColumnSchema:
 Values = Union[array, list]
 
 
-@dataclass(frozen=True)
+@dataclass
 class TableChunk:
     """A batch of rows by column: ``schema[i]``'s values and missing flags.
 
     A numeric column's values are an ``array('d')``, a text column's a list;
     the flags are a ``bytearray`` of 0 and 1.  Each is a fresh copy, so
-    changing it leaves the datastore as it was.
+    changing it leaves the datastore as it was.  ``numeric`` is the one check
+    that a column a reader needs as numbers is numeric.
     """
 
     schema: tuple[ColumnSchema, ...]
@@ -94,6 +96,16 @@ class TableChunk:
     def column(self, name: str) -> Values:
         """All values of one column (missing numeric cells come back as NaN)."""
         return self.columns[self.column_index(name)]
+
+    def numeric(self, name: str) -> tuple[array, bytearray]:
+        """The values and missing flags of the numeric column ``name``.
+
+        A name not there is an UnknownVariable, a text column a TypeMismatch.
+        """
+        i = self.column_index(name)
+        if self.schema[i].kind != NUMERIC:
+            raise TypeMismatch(f"column {name!r} is not numeric")
+        return self.columns[i], self.missing[i]
 
 
 def format_cell(value) -> str:

@@ -21,12 +21,12 @@ from operator import not_
 from typing import Callable, Iterable, Optional
 
 from .datastore import NUMERIC, Datastore, TableChunk, format_cell
-from .errors import EmptyJob, TypeMismatch
+from .errors import EmptyJob
 
 MAX_KEY = "MaxElapsedTime"  # key under which the built-in max job reports
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProgressEvent:
     map_pct: int
     reduce_pct: int
@@ -107,10 +107,7 @@ def builtin_max_mapper(column: str) -> Mapper:
     """Per-chunk maximum of a numeric column; all-missing chunks emit nothing."""
 
     def mapper(chunk: TableChunk, store: _Collector) -> None:
-        i = chunk.column_index(column)
-        if chunk.schema[i].kind != NUMERIC:
-            raise TypeMismatch(f"column {column!r} is not numeric")
-        values, flags = chunk.columns[i], chunk.missing[i]
+        values, flags = chunk.numeric(column)
         if 1 in flags:
             values = list(compress(values, map(not_, flags)))
         if values:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .datastore import NUMERIC, Datastore, format_cell
+from .datastore import Datastore, format_cell
 from .errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
 
 # -- delay records ---------------------------------------------------------------
@@ -48,8 +48,7 @@ def delay_records(ds: Datastore) -> list[DelayRecord]:
         chunk = ds.read()
         at = [chunk.column_index(name) for name in DELAY_COLUMNS]
         for name in ("ServerNum", "SendingDelay", "ReceivingDelay"):
-            if chunk.schema[chunk.column_index(name)].kind != NUMERIC:
-                raise TypeMismatch(f"column {name!r} is not numeric")
+            chunk.numeric(name)  # raises on a text column
         rows = zip(*(chunk.columns[i] for i in at))
         for row, flags in zip(rows, zip(*(chunk.missing[i] for i in at))):
             if any(flags):

@@ -615,6 +615,21 @@ def test_mapreduce_keycount_after_a_blank_first_line(capsys, tmp_path):
         "1\t2", "3\t1"]
 
 
+@pytest.mark.parametrize("extra, expected", [(999_997, "1000000"), (1_234_564, "1234567")])
+def test_keycount_prints_counts_of_a_million_and_more_exactly(capsys, monkeypatch, tmp_path,
+                                                             extra, expected):
+    # a count is an int and prints every digit; .6g would print 1e+06 and 1.23457e+06
+    from stagecost import mapreduce
+
+    monkeypatch.setattr(mapreduce, "builtin_sum_reducer",
+                        lambda key, values: sum(values) + extra)
+    path = tmp_path / "keys.csv"
+    path.write_text("k\na\na\na\n")
+    assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "k",
+                     "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"a\t{expected}"
+
+
 # -- regress ------------------------------------------------------------------------------
 
 

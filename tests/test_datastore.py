@@ -20,6 +20,7 @@ from stagecost.errors import (
     MalformedCSV,
     MissingFile,
     ReadPastEnd,
+    TypeMismatch,
     UnknownVariable,
 )
 
@@ -475,6 +476,32 @@ def test_a_projection_keeps_header_order_and_ignores_unknown_names(servers_csv):
         chunk.column_index("nope")
     with pytest.raises(UnknownVariable, match="no column named 'TailNum'"):
         chunk.column_index("TailNum")
+
+
+def test_numeric_hands_back_the_chunks_own_column_and_flags(servers_csv):
+    chunk = open_datastore(servers_csv, chunk_size=8).read()
+    i = chunk.column_index("ExtraTime")
+    values, flags = chunk.numeric("ExtraTime")
+    assert values is chunk.columns[i]
+    assert flags is chunk.missing[i]
+
+
+def test_numeric_refuses_a_text_column_and_an_unknown_name(servers_csv):
+    chunk = open_datastore(servers_csv, chunk_size=8).read()
+    with pytest.raises(TypeMismatch, match="^column 'TailNum' is not numeric$"):
+        chunk.numeric("TailNum")
+    with pytest.raises(UnknownVariable, match="^no column named 'nope'$"):
+        chunk.numeric("nope")
+
+
+def test_numeric_refuses_a_column_that_turns_text_in_a_later_block(monkeypatch, tmp_path):
+    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    path = tmp_path / "late_text.csv"
+    path.write_text("n,v\n1,1\n2,2\n3,3\n4,word\n")
+    chunk = open_datastore(path, chunk_size=100).read()
+    assert list(chunk.numeric("n")[0]) == [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(TypeMismatch, match="^column 'v' is not numeric$"):
+        chunk.numeric("v")
 
 
 @pytest.mark.parametrize("columns, message", [
