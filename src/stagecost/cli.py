@@ -124,17 +124,15 @@ def _cmd_mapreduce(args) -> int:
         if args.column is None:
             raise ConfigError("--column is required for the max job")
         mapper = mapreduce.builtin_max_mapper(args.column)
-        reducer = mapreduce.builtin_max_reducer
     else:
         if args.key is None:
             raise ConfigError("--key is required for the keycount job")
         mapper = mapreduce.builtin_keycount_mapper(args.key, args.column)
-        reducer = mapreduce.builtin_sum_reducer
 
     def show(event: mapreduce.ProgressEvent) -> None:
         print(f"Map {event.map_pct}% Reduce {event.reduce_pct}%")
 
-    result = mapreduce.map_reduce(ds, mapper, reducer, progress_sink=show)
+    result = mapreduce.map_reduce(ds, mapper, progress_sink=show)
     for key, value in result.readall():
         print(f"{key}\t{_fmt6(value)}")
     return 0

@@ -16,12 +16,7 @@ from conftest import make_config, make_workload, random_feasible
 
 from stagecost import energy, sim, stats
 from stagecost.datastore import open_datastore
-from stagecost.mapreduce import (
-    MAX_KEY,
-    builtin_max_mapper,
-    builtin_max_reducer,
-    map_reduce,
-)
+from stagecost.mapreduce import MAX_KEY, builtin_max_mapper, map_reduce
 from stagecost.pca import correlation_matrix, eigen_sym
 
 
@@ -90,7 +85,6 @@ def test_03_max_job_result_and_progress(request, servers_csv):
         result = map_reduce(
             ds,
             builtin_max_mapper("ActualElapsedTime"),
-            builtin_max_reducer,
             progress_sink=lambda e: lines.append(f"Map {e.map_pct}% Reduce {e.reduce_pct}%"),
         )
         assert result.value(MAX_KEY) == 155.0

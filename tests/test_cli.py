@@ -593,6 +593,18 @@ def test_mapreduce_on_a_blank_named_column(capsys, tmp_path, job, expected):
     assert [line for line in captured.out.splitlines() if "\t" in line] == expected
 
 
+@pytest.mark.parametrize("chunk_size", ["1", "5"])
+@pytest.mark.parametrize("cells, expected", [("-0\n0\n", "-0"), ("0\n-0\n", "0")])
+def test_mapreduce_max_keeps_the_first_of_equal_maxima(capsys, tmp_path, chunk_size, cells,
+                                                       expected):
+    # -0 and 0 are equal: the one nearer the top wins, within a chunk and across chunks
+    path = tmp_path / "zeros.csv"
+    path.write_text("v\n" + cells)
+    assert dispatch(["mapreduce", "run", "--job", "max", "--column", "v", "--input", str(path),
+                     "--chunk-size", chunk_size]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"MaxElapsedTime\t{expected}"
+
+
 def test_numeric_keys_are_named_as_written(capsys, tmp_path):
     # delays and keycount name a numeric origin and carrier alike: 10, not 10.0
     path = tmp_path / "numeric.csv"
@@ -621,8 +633,18 @@ def test_keycount_prints_counts_of_a_million_and_more_exactly(capsys, monkeypatc
     # a count is an int and prints every digit; .6g would print 1e+06 and 1.23457e+06
     from stagecost import mapreduce
 
-    monkeypatch.setattr(mapreduce, "builtin_sum_reducer",
-                        lambda key, values: sum(values) + extra)
+    keycount = mapreduce.builtin_keycount_mapper
+
+    def padded_keycount(*columns):
+        fold = keycount(*columns)
+
+        def mapper(chunk, counts):
+            fold(chunk, counts)
+            counts["a"] += extra  # once: the three rows are one chunk
+
+        return mapper
+
+    monkeypatch.setattr(mapreduce, "builtin_keycount_mapper", padded_keycount)
     path = tmp_path / "keys.csv"
     path.write_text("k\na\na\na\n")
     assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "k",
