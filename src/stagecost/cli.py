@@ -223,16 +223,15 @@ def _cmd_pca(args) -> int:
 
 def _cmd_delays(args) -> int:
     from .datastore import open_datastore
-    from .report import DELAY_COLUMNS, delay_records, delay_summary
+    from .report import DELAY_COLUMNS, delay_summary
 
     path = args.input
     if path is None:
         from . import fixtures
 
         path = str(fixtures.path("delays.csv"))
-    records = delay_records(open_datastore(path, chunk_size=_WHOLE_TABLE,
-                                           columns=DELAY_COLUMNS))
-    print(_json_text(asdict(delay_summary(records))))
+    ds = open_datastore(path, chunk_size=_WHOLE_TABLE, columns=DELAY_COLUMNS)
+    print(_json_text(asdict(delay_summary(ds))))
     return 0
 
 

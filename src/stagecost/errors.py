@@ -57,7 +57,7 @@ class MalformedCSV(ToolkitError):
 
 
 class EmptyInput(ToolkitError):
-    """No data rows (or records) were supplied."""
+    """No data rows were supplied."""
 
 
 class UnknownVariable(ToolkitError):

@@ -1,26 +1,18 @@
-"""Record-level reports: delay summaries and x/y plot series.
+"""Delay summaries, each one map-reduce fold, and x/y plot series.
 
 numpy is loaded only for a plot series with a fit, through ``stats``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .datastore import Datastore, format_cell
-from .errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
+from .datastore import Datastore, TableChunk
+from .errors import LengthMismatch, MissingData, TypeMismatch
 
-# -- delay records ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DelayRecord:
-    unique_carrier: str
-    server_num: int
-    sending_delay: float
-    receiving_delay: float
-    origin: str
+# -- delay summaries ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -40,45 +32,51 @@ class DelaySummary:
 DELAY_COLUMNS = ("UniqueCarrier", "ServerNum", "SendingDelay", "ReceivingDelay", "Origin")
 
 
-def delay_records(ds: Datastore) -> list[DelayRecord]:
-    """Materialise delay records from the standard columns of a datastore, found by name."""
-    ds.reset()
-    records = []
-    while ds.has_data():
-        chunk = ds.read()
+def delay_summary(ds: Datastore) -> DelaySummary:
+    """Mean/min/max of both delays, overall and per origin, over the whole table.
+
+    One fold keeps a list per origin, and one of every row: the row count, then
+    the sum (in row order), min and max (the first of equals) of each delay.
+    """
+    from .mapreduce import map_reduce
+
+    no_rows = (0, 0.0, math.inf, -math.inf, 0.0, math.inf, -math.inf)
+    overall = list(no_rows)
+
+    def fold(chunk: TableChunk, by_origin: dict) -> None:
         at = [chunk.column_index(name) for name in DELAY_COLUMNS]
-        for name in ("ServerNum", "SendingDelay", "ReceivingDelay"):
-            chunk.numeric(name)  # raises on a text column
-        rows = zip(*(chunk.columns[i] for i in at))
-        for row, flags in zip(rows, zip(*(chunk.missing[i] for i in at))):
-            if any(flags):
+        # ServerNum, SendingDelay and ReceivingDelay; a text column raises
+        server, sending, receiving = (chunk.numeric(name)[0] for name in DELAY_COLUMNS[1:4])
+        gaps = map(any, zip(*(chunk.missing[i] for i in at)))
+        for origin, srv, s, r, gap in zip(chunk.columns[at[4]], server, sending, receiving, gaps):
+            if gap:
                 raise MissingData("delay records must not have missing cells")
-            carrier, server, sending, receiving, origin = row
-            if not server.is_integer():
-                raise TypeMismatch(f"column 'ServerNum' holds {server!r}, not a whole number")
-            records.append(DelayRecord(format_cell(carrier), int(server), float(sending),
-                                       float(receiving), format_cell(origin)))
-    return records
+            if not srv.is_integer():
+                raise TypeMismatch(f"column 'ServerNum' holds {srv!r}, not a whole number")
+            group = by_origin.get(origin) or by_origin.setdefault(origin, list(no_rows))
+            for acc in (group, overall):
+                acc[0] += 1
+                acc[1] += s
+                if s < acc[2]:
+                    acc[2] = s
+                if s > acc[3]:
+                    acc[3] = s
+                acc[4] += r
+                if r < acc[5]:
+                    acc[5] = r
+                if r > acc[6]:
+                    acc[6] = r
+
+    ds.reset()
+    per_origin = map_reduce(ds, fold).pairs  # named as written and sorted by name
+    return DelaySummary(records=overall[0], overall=_both_delays(overall),
+                        per_origin={origin: _both_delays(acc) for origin, acc in per_origin})
 
 
-def _both_delays(records: Sequence[DelayRecord]) -> dict[str, DelayStats]:
-    delays = {"sending": [r.sending_delay for r in records],
-              "receiving": [r.receiving_delay for r in records]}
-    return {name: DelayStats(sum(v) / len(v), min(v), max(v)) for name, v in delays.items()}
-
-
-def delay_summary(records: Sequence[DelayRecord]) -> DelaySummary:
-    """Mean/min/max of both delays, overall and per origin."""
-    if not records:
-        raise EmptyInput("no delay records")
-    by_origin: dict[str, list[DelayRecord]] = {}
-    for r in records:
-        by_origin.setdefault(r.origin, []).append(r)
-    return DelaySummary(
-        records=len(records),
-        overall=_both_delays(records),
-        per_origin={origin: _both_delays(by_origin[origin]) for origin in sorted(by_origin)},
-    )
+def _both_delays(acc: list) -> dict[str, DelayStats]:
+    count, s_sum, s_min, s_max, r_sum, r_min, r_max = acc
+    return {"sending": DelayStats(s_sum / count, s_min, s_max),
+            "receiving": DelayStats(r_sum / count, r_min, r_max)}
 
 
 # -- plot data ---------------------------------------------------------------------

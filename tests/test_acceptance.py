@@ -185,9 +185,9 @@ def test_08_chunking_invariance(request, servers_csv, delays_csv):
 
 def test_09_delay_means(request, delays_csv):
     with criterion(request, 9, "delay record means"):
-        from stagecost.report import delay_records, delay_summary
+        from stagecost.report import delay_summary
 
-        summary = delay_summary(delay_records(open_datastore(delays_csv)))
+        summary = delay_summary(open_datastore(delays_csv))
         assert summary.records == 10
         assert abs(summary.overall["sending"].mean - 4.8) <= 1e-12
         assert abs(summary.overall["receiving"].mean - 3.1) <= 1e-12
