@@ -109,9 +109,9 @@ class TableChunk:
 
 
 def format_cell(value) -> str:
-    """A cell as text: a whole float below 1e15 without its ``.0``."""
+    """A cell as text: a whole float below 1e15 without its ``.0``, any other by ``repr``."""
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
+        if abs(value) < 1e15 and value == int(value):
             return str(int(value))
         return repr(value)
     return str(value)

@@ -72,10 +72,6 @@ class TypeMismatch(ToolkitError):
     """An operation was applied to a column of the wrong kind."""
 
 
-class EmptyJob(ToolkitError):
-    """A map-reduce run had no chunks to process."""
-
-
 # -- statistics --------------------------------------------------------------
 
 class InsufficientObservations(ToolkitError):

@@ -1,13 +1,14 @@
 """Deterministic map-reduce over datastore chunks, as one fold.
 
-A job is one in-order fold over the datastore, starting at its cursor: each
-chunk is read, folded and reported before the next one is read.  The mapper
-folds each chunk, in cursor order, into ``partials``: one dict, of one
-running value per key, that it changes in place.  So a job holds one value
-per distinct key, however many chunks it reads.  After the last chunk each
-key is named by ``format_cell`` and the pairs, sorted by name alone, are the
-result.  A count or a maximum keeps its answer as its partial; a mean or a
-variance keeps a fixed tuple, such as (n, mean, M2), that its caller finishes.
+A job is one pass over the whole datastore, wherever its cursor stood: it
+rewinds the cursor, then reads, folds and reports each chunk before it reads
+the next.  The mapper folds each chunk, in table order, into ``partials``:
+one dict, of one running value per key, that it changes in place.  So a job
+holds one value per distinct key, however many chunks it reads.  After the
+last chunk each key is named by ``format_cell`` and the pairs, sorted by name
+alone, are the result.  A count or a maximum keeps its answer as its partial;
+a mean or a variance keeps a fixed tuple, such as (n, mean, M2), that its
+caller finishes.
 
 Progress is reported as whole percentages: a (0, 0) event once the first
 chunk is mapped, one event after every mapped chunk, and one after every key
@@ -23,7 +24,6 @@ from operator import itemgetter, not_
 from typing import Callable, Optional
 
 from .datastore import Datastore, TableChunk, format_cell
-from .errors import EmptyJob
 
 MAX_KEY = "MaxElapsedTime"  # key under which the built-in max job reports
 
@@ -55,15 +55,14 @@ ProgressSink = Optional[Callable[[ProgressEvent], None]]
 
 
 def map_reduce(ds: Datastore, mapper: Mapper, progress_sink: ProgressSink = None) -> JobResult:
-    """Fold every remaining chunk of ``ds`` into one running value per key with ``mapper``.
+    """Fold every chunk of ``ds`` into one running value per key with ``mapper``.
 
-    Each chunk is read, folded and reported before the next one is read; the
-    first (0, 0) event waits until the first chunk is folded.  Raises
-    ``EmptyJob`` if the cursor has nothing left to read.
+    The job rewinds ``ds`` and reads it to the end.  Each chunk is read,
+    folded and reported before the next one is read; the first (0, 0) event
+    waits until the first chunk is folded.
     """
+    ds.reset()
     n = ds.chunks_left
-    if n == 0:
-        raise EmptyJob("the datastore has no chunks left to map")
 
     def emit(map_pct: int, reduce_pct: int) -> None:
         if progress_sink is not None:

@@ -1,4 +1,4 @@
-"""Delay summaries, each one map-reduce fold, and x/y plot series.
+"""Delay summaries, each one map-reduce pass over the whole table, and x/y plot series.
 
 numpy is loaded only for a plot series with a fit, through ``stats``.
 """
@@ -67,7 +67,6 @@ def delay_summary(ds: Datastore) -> DelaySummary:
                 if r > acc[6]:
                     acc[6] = r
 
-    ds.reset()
     per_origin = map_reduce(ds, fold).pairs  # named as written and sorted by name
     return DelaySummary(records=overall[0], overall=_both_delays(overall),
                         per_origin={origin: _both_delays(acc) for origin, acc in per_origin})

@@ -1,6 +1,7 @@
 """Map-reduce jobs: results, progress traces, and the order chunks are folded in."""
 
 import gc
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stagecost.datastore import format_cell, open_datastore
-from stagecost.errors import EmptyJob, TypeMismatch
+from stagecost.errors import TypeMismatch
 from stagecost.mapreduce import (
     MAX_KEY,
     builtin_keycount_mapper,
@@ -162,7 +163,6 @@ def test_a_jobs_memory_follows_its_keys_not_its_chunks(tmp_path, job):
         path.write_text("k,v\n" + "".join(f"k{i % 5},{i}\n" for i in range(rows)))
         ds = open_datastore(path, chunk_size=1)
         map_reduce(ds, job())
-        ds.reset()
         enabled = gc.isenabled()
         gc.disable()
         tracemalloc.start()
@@ -179,21 +179,30 @@ def test_a_jobs_memory_follows_its_keys_not_its_chunks(tmp_path, job):
 # -- mechanics -----------------------------------------------------------------------
 
 
-def test_job_consumes_the_cursor_and_a_second_run_is_empty(servers_csv):
-    ds = open_datastore(servers_csv, chunk_size=4)
-    map_reduce(ds, builtin_max_mapper("Delay"))
-    with pytest.raises(EmptyJob):
-        map_reduce(ds, builtin_max_mapper("Delay"))
-    ds.reset()
-    again = map_reduce(ds, builtin_max_mapper("Delay"))
-    assert again.value(MAX_KEY) == 59.0
+def _count_rows(chunk, partials):
+    partials["rows"] = partials.get("rows", 0) + len(chunk)
 
 
-def test_job_starts_from_the_cursor_not_the_top(servers_csv):
-    ds = open_datastore(servers_csv, chunk_size=4)
-    ds.read()  # drop the first half
-    result = map_reduce(ds, builtin_max_mapper("ServerNum"))
-    assert result.value(MAX_KEY) == 1800.0
+@settings(derandomize=True, database=None, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_keyed_tables(), before=st.lists(st.sampled_from(["read", "job"]), max_size=5))
+def test_a_job_reads_the_whole_table_wherever_the_cursor_stands(tmp_path, table, before):
+    # reads and earlier jobs move the cursor, yet a job gives the pairs and
+    # the progress of the same job on a fresh datastore; a row count tells
+    # the whole table from any suffix of it
+    keys, values = table
+    path = tmp_path / "keyed.csv"
+    path.write_text("k,v\n" + "".join(f"{k},{v}\n" for k, v in zip(keys, values)))
+    for chunk_size in range(1, len(keys) + 1):
+        for mapper in (_count_rows, builtin_keycount_mapper("k")):
+            ds = open_datastore(path, chunk_size=chunk_size)
+            for step in before:
+                if step == "job":
+                    map_reduce(ds, mapper)
+                elif ds.has_data():
+                    ds.read()
+            fresh = open_datastore(path, chunk_size=chunk_size)
+            assert run_with_trace(ds, mapper) == run_with_trace(fresh, mapper)
 
 
 def test_result_is_independent_of_chunk_size(delays_csv):
@@ -241,6 +250,17 @@ def test_the_result_is_what_the_mapper_left_named_and_sorted(servers_csv):
         ("3", 2),
         ("k", [1589.0, 1550.0, 1503.0, 1729.0, 1702.0, 1655.0, 1800.0, 1763.0]),
     ]
+
+
+def test_non_finite_float_keys_are_named_by_repr(servers_csv):
+    ds = open_datastore(servers_csv, chunk_size=3)  # 3 + 3 + 2 rows
+
+    def mapper(chunk, partials):
+        for key in (math.inf, -math.inf, math.nan):
+            partials[key] = partials.get(key, 0) + len(chunk)
+
+    result = map_reduce(ds, mapper)
+    assert result.readall() == [("-inf", 8), ("inf", 8), ("nan", 8)]
 
 
 def test_each_chunk_is_mapped_before_the_next_is_read(servers_csv):
