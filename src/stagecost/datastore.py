@@ -23,15 +23,25 @@ by column, with text decoded back to lists of words.  Every chunk holds
 exactly the columns the datastore was opened on, in header order, and a
 reader finds each one by name.  Missing numeric cells surface as IEEE NaN
 plus a flag, missing text cells as None plus a flag.
+
+A parse is kept in a column cache beside the first input, so that the next
+open of the same files and columns reads the columns back instead of
+parsing again; the inputs are hashed on every open, so an edit is always
+seen (see :func:`_cached_load`).
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
 import os
+import stat
+import sys
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, islice
 from operator import itemgetter
 from typing import Sequence, Union
@@ -54,6 +64,9 @@ MISSING_MARKER = "NA"  # the one missing-cell marker
 # to 2048 rows and 79-98 ms in blocks of 16k rows or more.
 _BLOCK_ROWS = 1024
 _NAN_FOR_MISSING = {MISSING_MARKER: math.nan}
+# The column cache's directory, made beside the first input; None switches it off.
+_CACHE_DIR = ".stagecost-cache"
+_HASH_BLOCK = 1 << 16  # bytes of an input hashed at a time: a small, fixed buffer
 
 NUMERIC = "numeric"
 TEXT = "text"
@@ -124,7 +137,7 @@ class Datastore:
         self._chunk_size = int(chunk_size)
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
-        names, loaded, self._total_rows = _load(paths, columns)
+        names, loaded, self._total_rows = _cached_load(paths, columns)
         if not self._total_rows:
             raise EmptyInput("no data rows in " + ", ".join(str(p) for p in paths))
         self._schema = tuple(ColumnSchema(name, col.kind) for name, col in zip(names, loaded))
@@ -194,9 +207,10 @@ class _Text:
 
     __slots__ = ("codes", "words")
 
-    def __init__(self):
-        self.codes = array("I")  # an index into words for each cell
-        self.words: list = [None]  # the distinct cells; code 0, None, is a missing cell
+    def __init__(self, codes: array | None = None, words: list | None = None):
+        self.codes = array("I") if codes is None else codes  # an index into words for each cell
+        # the distinct cells; code 0, None, is a missing cell
+        self.words: list = [None] if words is None else words
 
     def __getitem__(self, rows: slice) -> list:
         return list(map(self.words.__getitem__, self.codes[rows]))
@@ -384,3 +398,153 @@ def _undecodable_line(path) -> int:
     except UnicodeDecodeError as exc:
         return data.count(b"\n", 0, exc.start) + 1
     return 0  # the file changed since it failed to decode
+
+
+# -- the column cache -------------------------------------------------------------
+
+
+def _cached_load(paths, wanted=None) -> tuple[list[str], list[_Column], int]:
+    """What ``_load`` gives, read back from the column cache when it holds it.
+
+    An entry is the file ``_CACHE_DIR/<signature>`` in the first input's
+    directory.  The signature is a sha256 of the absolute input paths in
+    order, the set of columns asked for, the interpreter's version and byte
+    order, and this module's source, so an edit to the parse rules retires
+    every old entry.  The entry holds the sha256 of each input's bytes, which
+    are hashed again on every open.  An entry that is missing or fails a
+    check is parsed anew and written again, once the inputs are seen to hash
+    as they did before the parse.  Inputs that are not all regular files,
+    and an OSError on the cache, leave the parse alone to give the result.
+    """
+    if _CACHE_DIR is None or not paths:
+        return _load(paths, wanted)
+    try:
+        entry, key = _entry(paths, wanted)
+        inputs = _input_digests(paths)
+    except OSError:
+        inputs = None
+    if inputs is None:
+        return _load(paths, wanted)
+    loaded = _read_entry(entry, key, inputs)
+    if loaded is None:
+        loaded = _load(paths, wanted)
+        try:
+            if _input_digests(paths) == inputs:
+                _write_entry(entry, key, inputs, loaded)
+        except OSError:
+            pass  # a read-only or full directory, or a file where the cache goes
+    return loaded
+
+
+def _entry(paths, wanted) -> tuple[str, str]:
+    """The cache entry for opening ``paths`` on the columns ``wanted``, and its signature."""
+    absolute = [os.fsdecode(os.path.abspath(path)) for path in paths]
+    selected = None if wanted is None else sorted(set(wanted))
+    signature = hashlib.sha256(
+        json.dumps([absolute, selected, sys.version, sys.byteorder]).encode())
+    signature.update(_source())
+    key = signature.hexdigest()
+    return os.path.join(os.path.dirname(absolute[0]), _CACHE_DIR, key), key
+
+
+@cache
+def _source() -> bytes:
+    """The bytes of this module."""
+    with open(__file__, "rb") as fh:
+        return fh.read()
+
+
+def _input_digests(paths) -> list[str] | None:
+    """The sha256 of each input's bytes, or None if an input is not a regular file."""
+    buffer = bytearray(_HASH_BLOCK)
+    digests = []
+    for path in paths:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        digest = hashlib.sha256()
+        with open(path, "rb", buffering=0) as fh:
+            while size := fh.readinto(buffer):
+                digest.update(memoryview(buffer)[:size])
+        digests.append(digest.hexdigest())
+    return digests
+
+
+def _write_entry(entry: str, key: str, inputs: list[str], loaded) -> None:
+    """Keep ``loaded``, the parse of inputs whose digests are ``inputs``, in ``entry``.
+
+    The entry is one line of JSON (the signature, the input digests, the
+    names, kinds and row count, each text column's words and the byte
+    length of each array), then each column's values (numbers, or text
+    codes) and flags as raw bytes, then a sha256 of all that.  It is
+    written to a file of its own and moved into place, so a reader finds
+    a whole entry or none.
+    """
+    names, columns, rows = loaded
+    blobs = [blob for col in columns
+             for blob in (col.values.codes if col.kind == TEXT else col.values, col.flags)]
+    head = json.dumps({
+        "signature": key, "inputs": inputs, "names": names, "rows": rows,
+        "kinds": [col.kind for col in columns],
+        "words": [col.values.words if col.kind == TEXT else None for col in columns],
+        "lengths": [memoryview(blob).nbytes for blob in blobs],
+    }).encode() + b"\n"
+    os.makedirs(os.path.dirname(entry), exist_ok=True)
+    temp = f"{entry}.{os.getpid()}-{os.urandom(4).hex()}"
+    fh = open(temp, "xb")
+    try:
+        with fh:
+            digest = hashlib.sha256(head)
+            fh.write(head)
+            for blob in blobs:
+                fh.write(blob)
+                digest.update(blob)
+            fh.write(digest.digest())
+        os.replace(temp, entry)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise
+
+
+def _read_entry(entry: str, key: str, inputs: list[str]):
+    """The parse kept in ``entry``, or None if there is none or it fails a check.
+
+    The checks: the signature and the input digests that the entry was
+    written for, the byte lengths against the row count and the file's
+    size, each text code below its column's word count, and the sha256 over
+    the whole entry.  Each array is read straight into its final place.
+    """
+    try:
+        with open(entry, "rb") as fh:
+            line = fh.readline()
+            head = json.loads(line)
+            if head["signature"] != key or head["inputs"] != inputs:
+                return None
+            names, kinds, words, rows = head["names"], head["kinds"], head["words"], head["rows"]
+            types = ["I" if kind == TEXT else "d" for kind in kinds]
+            lengths = [n for code in types for n in (rows * array(code).itemsize, rows)]
+            if (head["lengths"] != lengths
+                    or len(line) + sum(lengths) + 32 != os.fstat(fh.fileno()).st_size):
+                return None
+            digest = hashlib.sha256(line)
+            columns = []
+            # strict: as many names, kinds and word lists as there are columns
+            for _, kind, code, text in zip(names, kinds, types, words, strict=True):
+                col = _Column()
+                col.kind, col.values, col.flags = kind, array(code, [0]) * rows, bytearray(rows)
+                for blob in (col.values, col.flags):
+                    if fh.readinto(blob) != memoryview(blob).nbytes:
+                        return None
+                    digest.update(blob)
+                if kind == TEXT:
+                    if rows and max(col.values) >= len(text):
+                        return None
+                    col.values = _Text(col.values, text)
+                columns.append(col)
+            if fh.read() != digest.digest():
+                return None
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+    return names, columns, rows

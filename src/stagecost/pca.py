@@ -128,52 +128,54 @@ def eigen_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one.  Sweeps stop when
     the off-diagonal norm falls under JACOBI_TOL relative to the matrix norm.
     Each eigenvector is flipped, if needed, so its largest-magnitude entry is
-    positive.
+    positive.  A matrix with a cell that is not finite is refused up front
+    with MissingData, since no rotation can turn it.
     """
     a = np.array(matrix, dtype=float)
     p = a.shape[0]
     if a.shape != (p, p):
         raise ValueError("matrix must be square")
-    v = np.eye(p)
+    if not np.isfinite(a).all():
+        raise MissingData("matrix contains missing or non-finite cells")
+    # a beside v transposed: one row rotation turns a's rows and v's columns
+    stacked = np.hstack([a, np.eye(p)])
+    a, vt = stacked[:, :p], stacked[:, p:]
     scale = max(float(np.linalg.norm(a)), 1e-300)
     steps = _round_robin(p)
 
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = a - np.diag(np.diag(a))
-        if float(np.linalg.norm(off)) <= JACOBI_TOL * scale:
-            break
-        for i, j in steps:
-            g = a[i, j]
-            # g == 0 makes theta infinite or NaN; such a pair is not rotated
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # g == 0 makes theta infinite or NaN; such a pair is not rotated
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(JACOBI_MAX_SWEEPS):
+            off = a - np.diag(np.diag(a))
+            if float(np.linalg.norm(off)) <= JACOBI_TOL * scale:
+                break
+            for i, j in steps:
+                g = a[i, j]
                 theta = (a[j, j] - a[i, i]) / (2.0 * g)
                 t = np.where(theta >= 0, 1.0, -1.0) / (
                     np.abs(theta) + np.sqrt(theta * theta + 1.0)
                 )
-            t[g == 0.0] = 0.0
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            # indexing by arrays copies, so each update reads the values
-            # from before it
-            row_i, row_j = a[i, :], a[j, :]
-            a[i, :] = c[:, None] * row_i - s[:, None] * row_j
-            a[j, :] = s[:, None] * row_i + c[:, None] * row_j
-            col_i, col_j = a[:, i], a[:, j]
-            a[:, i] = c * col_i - s * col_j
-            a[:, j] = s * col_i + c * col_j
-            a[i, j] = a[j, i] = 0.0
-            vec_i, vec_j = v[:, i], v[:, j]
-            v[:, i] = c * vec_i - s * vec_j
-            v[:, j] = s * vec_i + c * vec_j
-    else:
-        raise ConvergenceFailure(
-            f"Jacobi sweeps exhausted ({JACOBI_MAX_SWEEPS}) before convergence"
-        )
+                t[g == 0.0] = 0.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                # indexing by arrays copies, so each update reads the values
+                # from before it
+                row_i, row_j = stacked[i, :], stacked[j, :]
+                stacked[i, :] = c[:, None] * row_i - s[:, None] * row_j
+                stacked[j, :] = s[:, None] * row_i + c[:, None] * row_j
+                col_i, col_j = a[:, i], a[:, j]
+                a[:, i] = c * col_i - s * col_j
+                a[:, j] = s * col_i + c * col_j
+                a[i, j] = a[j, i] = 0.0
+        else:
+            raise ConvergenceFailure(
+                f"Jacobi sweeps exhausted ({JACOBI_MAX_SWEEPS}) before convergence"
+            )
 
     eigenvalues = np.diag(a).copy()
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
+    vectors = vt.T[:, order]
     for j in range(p):
         lead = int(np.argmax(np.abs(vectors[:, j])))
         if vectors[lead, j] < 0:

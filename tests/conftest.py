@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from stagecost import fixtures
+from stagecost import datastore, fixtures
 from stagecost.config import KernelRate, SystemConfig, Workload
 from stagecost.energy import e_active_ssd, e_idle_ssd, e_ssd2pfs
 
@@ -20,6 +20,23 @@ def pytest_configure(config):
     home = tempfile.mkdtemp(prefix="hypothesis-")
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
     set_hypothesis_home_dir(home)
+
+
+CACHE_DIR = datastore._CACHE_DIR  # read before any test switches the cache off
+
+
+@pytest.fixture(autouse=True)
+def no_column_cache(monkeypatch):
+    """Every open in a test parses its files, and no test leaves a cache entry;
+    the ``column_cache`` fixture switches the cache back on."""
+    monkeypatch.setattr(datastore, "_CACHE_DIR", None)
+
+
+@pytest.fixture
+def column_cache(monkeypatch) -> str:
+    """The column cache switched on; its directory's name."""
+    monkeypatch.setattr(datastore, "_CACHE_DIR", CACHE_DIR)
+    return CACHE_DIR
 
 
 def make_config(**overrides) -> SystemConfig:

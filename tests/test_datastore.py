@@ -1,8 +1,12 @@
 """Datastore parsing, cursor behaviour, and chunking invariance."""
 
 import csv
+import hashlib
 import itertools
+import json
+import os
 import random
+import shutil
 import tracemalloc
 from array import array
 from pathlib import Path
@@ -20,6 +24,7 @@ from stagecost.errors import (
     MalformedCSV,
     MissingFile,
     ReadPastEnd,
+    ToolkitError,
     TypeMismatch,
     UnknownVariable,
 )
@@ -537,3 +542,218 @@ def test_a_text_column_is_kept_as_codes_not_as_one_string_per_cell(tmp_path):
     assert [c.kind for c in ds.schema] == [TEXT, NUMERIC]
     assert ds.total_rows == 200_000
     assert retained < 4e6
+
+
+# -- the column cache -------------------------------------------------------------------
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A one-item list that counts the parses of the files of an open."""
+    done = [0]
+    parse = datastore._load
+
+    def counting_load(paths, wanted=None):
+        done[0] += 1
+        return parse(paths, wanted)
+
+    monkeypatch.setattr(datastore, "_load", counting_load)
+    return done
+
+
+def everything(paths, chunk_size, columns=None):
+    """The schema, row count and chunks of an open, or the error that it or a read raised."""
+    try:
+        ds = open_datastore(paths, chunk_size, columns)
+        chunks = []
+        while ds.has_data():
+            chunks.append(chunk_cells(ds.read()))
+        return ds.schema, ds.total_rows, chunks
+    except ToolkitError as exc:  # the error is the result to compare
+        return type(exc), str(exc)
+
+
+def parsed(monkeypatch, paths, chunk_size=100, columns=None):
+    """``everything`` with the cache switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(datastore, "_CACHE_DIR", None)
+        return everything(paths, chunk_size, columns)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables())
+def test_a_cache_hit_reads_like_the_parse_it_kept(monkeypatch, tmp_path, column_cache,
+                                                  parses, table):
+    # blocks of two rows: a column can turn text after its first block
+    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    shutil.rmtree(tmp_path / column_cache, ignore_errors=True)  # left by another example
+    paths = write_table(tmp_path, *table)
+    names = [f"c{i}" for i in range(len(table[0]))]
+    selections = [None] + [list(s) for r in range(len(names) + 1)
+                           for s in itertools.combinations(names, r)]
+    for columns in selections:
+        for chunk_size in range(1, len(table[0][0]) + 2):
+            # the first open of a selection parses and writes its entry, the others read it
+            before = parses[0]
+            got = everything(paths, chunk_size, columns)
+            assert parses[0] == before + (chunk_size == 1)
+            assert got == parsed(monkeypatch, paths, chunk_size, columns)
+    assert len(os.listdir(tmp_path / column_cache)) == len(selections)
+
+
+def test_an_entry_holds_each_array_as_raw_bytes(tmp_path, column_cache):
+    # 8 B a number, 4 B a text code, 1 B of flags a cell, beside one line of JSON
+    path = tmp_path / "t.csv"
+    path.write_text("k,x,y\na,1,NA\nb,NA,2\na,3,4\n")
+    open_datastore(path, columns=["k", "x"])
+    (entry,) = (tmp_path / column_cache).iterdir()
+    head, _, rest = entry.read_bytes().partition(b"\n")
+    assert len(rest) == 3 * (4 + 1) + 3 * (8 + 1) + 32
+    assert b'"words": [[null, ' in head
+
+
+def test_an_input_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, column_cache,
+                                                                    parses):
+    path = tmp_path / "t.csv"
+    path.write_text("k,v\na,1\nb,2\n")
+    stamp = path.stat()
+    for _ in range(2):
+        assert open_datastore(path, 10).read().column("k") == ["a", "b"]
+    assert parses == [1]
+    path.write_text("k,v\nc,1\nb,2\n")
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
+    assert open_datastore(path, 10).read().column("k") == ["c", "b"]
+    assert parses == [2]
+
+
+def write_two_entries(tmp_path, cache):
+    """A table with entries for two column selections; the table and the entries."""
+    path = tmp_path / "t.csv"
+    path.write_text("k,x,y\na,1,NA\nb,NA,2\nword,3,4\n")
+    open_datastore(path, columns=["k", "x"])
+    first = set((tmp_path / cache).iterdir())
+    open_datastore(path, columns=["y"])
+    (second,) = set((tmp_path / cache).iterdir()) - first
+    (first,) = first
+    return path, first, second
+
+
+def test_every_flipped_byte_of_an_entry_is_a_miss(monkeypatch, tmp_path, column_cache, parses):
+    path, entry, _ = write_two_entries(tmp_path, column_cache)
+    whole = entry.read_bytes()
+    want = parsed(monkeypatch, path, columns=["k", "x"])
+    for at in range(len(whole)):
+        entry.write_bytes(whole[:at] + bytes([whole[at] ^ 1]) + whole[at + 1:])
+        before = parses[0]
+        assert everything(path, 100, ["k", "x"]) == want
+        assert parses[0] == before + 1
+        assert entry.read_bytes() == whole  # the miss wrote the entry again
+
+
+def test_a_truncated_or_foreign_entry_is_a_miss(monkeypatch, tmp_path, column_cache, parses):
+    path, entry, other = write_two_entries(tmp_path, column_cache)
+    whole = entry.read_bytes()
+    want = parsed(monkeypatch, path, columns=["k", "x"])
+    before = parses[0]
+    for cut in range(len(whole)):
+        entry.write_bytes(whole[:cut])
+        assert everything(path, 100, ["k", "x"]) == want
+    entry.write_bytes(other.read_bytes())  # another selection's entry, valid in itself
+    assert everything(path, 100, ["k", "x"]) == want
+    assert parses[0] == before + len(whole) + 1
+    assert everything(path, 100, ["k", "x"]) == want
+    assert parses[0] == before + len(whole) + 1  # the last miss wrote it again
+
+
+@pytest.mark.parametrize("change", ["a word short", "a row short", "a column short"])
+def test_an_entry_that_disagrees_with_itself_is_a_miss(monkeypatch, tmp_path, column_cache,
+                                                       parses, change):
+    # an entry rewritten with its sha256 to match, as a writer with another
+    # bug would leave it: the digest alone does not let it through
+    path, entry, _ = write_two_entries(tmp_path, column_cache)
+    line, _, rest = entry.read_bytes().partition(b"\n")
+    head, payload = json.loads(line), rest[:-32]
+    if change == "a word short":
+        head["words"][0].pop()
+    elif change == "a row short":
+        head["rows"] -= 1
+    else:
+        del head["names"][1], head["kinds"][1], head["words"][1]
+    line = json.dumps(head).encode() + b"\n"
+    entry.write_bytes(line + payload + hashlib.sha256(line + payload).digest())
+    want = parsed(monkeypatch, path, columns=["k", "x"])
+    before = parses[0]
+    assert everything(path, 100, ["k", "x"]) == want
+    assert parses[0] == before + 1
+
+
+def test_a_file_where_the_cache_goes_leaves_the_parse(monkeypatch, tmp_path, column_cache,
+                                                      parses):
+    path = tmp_path / "t.csv"
+    path.write_text("k,x\na,1\nb,NA\n")
+    (tmp_path / column_cache).write_text("not a directory")
+    want = parsed(monkeypatch, path, 1)
+    before = parses[0]
+    for _ in range(2):
+        assert everything(path, 1) == want
+    assert parses[0] == before + 2
+    assert (tmp_path / column_cache).read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("case", ["short row", "bad UTF-8", "missing file", "FIFO"])
+def test_a_failing_input_leaves_no_entry_and_fails_the_same_way_again(tmp_path, column_cache,
+                                                                      case):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("a,b\n1,2\n")
+    if case == "short row":
+        bad.write_text("a,b\n1,2\n3\n")
+    elif case == "bad UTF-8":
+        bad.write_bytes(b"a,b\n1,\xff\n")
+    elif case == "FIFO":
+        os.mkfifo(bad)  # not a regular file: never opened, so never waited on
+    for paths in ([bad], [good, bad]):
+        errors = []
+        for _ in range(2):
+            with pytest.raises((HeaderMismatch, MalformedCSV, MissingFile)) as caught:
+                open_datastore(paths)
+            errors.append((caught.type, str(caught.value)))
+        assert errors[0] == errors[1]
+        assert not (tmp_path / column_cache).exists()
+
+
+def test_an_input_that_turns_bad_after_its_entry_fails_as_the_parse_does(monkeypatch, tmp_path,
+                                                                        column_cache):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n3,4\n")
+    open_datastore(path)
+    entries = list((tmp_path / column_cache).iterdir())
+    path.write_text("a,b\n1,2\n3\n")
+    want = parsed(monkeypatch, path)
+    assert want == (HeaderMismatch, f"{path}:3: expected 2 cells, got 1")
+    for _ in range(2):
+        assert everything(path, 100) == want
+    assert list((tmp_path / column_cache).iterdir()) == entries
+
+
+def test_a_hit_holds_little_beyond_the_columns_it_reads(tmp_path, column_cache, parses):
+    # 200k rows of a 300-word key and a number, as above: 2.8 MB of columns
+    rng = random.Random(5)
+    path = tmp_path / "keys.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("key,x\n")
+        fh.writelines(f"k{rng.randrange(300)},{rng.random():.4f}\n" for _ in range(200_000))
+    open_datastore(path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = open_datastore(path)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parses == [1]
+    assert ds.total_rows == 200_000
+    retained = now - before
+    assert 2.8e6 < retained < 3e6
+    assert peak - before <= 1.2 * retained

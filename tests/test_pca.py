@@ -202,6 +202,56 @@ def test_solver_is_deterministic():
     assert np.array_equal(first[1], second[1])
 
 
+def rotate_separately(matrix):
+    """The sweeps of ``eigen_sym`` with a's rows, a's columns and v's columns each
+    turned on their own, and ``errstate`` entered at each step: the reference."""
+    a = np.array(matrix, dtype=float)
+    p = a.shape[0]
+    v = np.eye(p)
+    scale = max(float(np.linalg.norm(a)), 1e-300)
+    for _ in range(pca.JACOBI_MAX_SWEEPS):
+        if float(np.linalg.norm(a - np.diag(np.diag(a)))) <= pca.JACOBI_TOL * scale:
+            break
+        for i, j in pca._round_robin(p):
+            g = a[i, j]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                theta = (a[j, j] - a[i, i]) / (2.0 * g)
+                t = np.where(theta >= 0, 1.0, -1.0) / (
+                    np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            t[g == 0.0] = 0.0
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            row_i, row_j = a[i, :], a[j, :]
+            a[i, :] = c[:, None] * row_i - s[:, None] * row_j
+            a[j, :] = s[:, None] * row_i + c[:, None] * row_j
+            col_i, col_j = a[:, i], a[:, j]
+            a[:, i] = c * col_i - s * col_j
+            a[:, j] = s * col_i + c * col_j
+            a[i, j] = a[j, i] = 0.0
+            vec_i, vec_j = v[:, i], v[:, j]
+            v[:, i] = c * vec_i - s * vec_j
+            v[:, j] = s * vec_i + c * vec_j
+    return a, v
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 64, 65])
+def test_one_rotation_of_a_beside_v_turns_both_as_separate_rotations_do(p):
+    # the same arithmetic on every element: bit for bit the same diagonal and vectors
+    rng = np.random.default_rng(p)
+    matrix = rng.standard_normal((p, p))
+    matrix += matrix.T
+    if p > 2:
+        matrix[1, :] = matrix[:, 1] = 0.0  # a zero row: pairs that are never rotated
+    for m in (matrix, correlation_matrix(rng.standard_normal((p, 3 * p + 5))).values):
+        a, v = rotate_separately(m)
+        order = np.argsort(-np.diag(a), kind="stable")
+        vectors = v[:, order] * np.where(
+            v[np.argmax(np.abs(v[:, order]), axis=0), order] < 0, -1.0, 1.0)
+        values, got = eigen_sym(m)
+        assert values.tobytes() == np.diag(a)[order].tobytes()
+        assert got.tobytes() == vectors.tobytes()
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8, 63, 64, 65])
 def test_round_robin_visits_every_pair_once_in_disjoint_steps(p):
     steps = pca._round_robin(p)
@@ -274,6 +324,14 @@ def test_random_symmetric_matrices_match_eigvalsh(matrix):
 def test_non_square_input_is_rejected():
     with pytest.raises(ValueError):
         eigen_sym(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+def test_a_matrix_with_a_cell_that_is_not_finite_is_refused(cell):
+    matrix = np.eye(3)
+    matrix[0, 2] = matrix[2, 0] = cell
+    with pytest.raises(MissingData, match="^matrix contains missing or non-finite cells$"):
+        eigen_sym(matrix)
 
 
 # -- factor extraction ------------------------------------------------------------------
