@@ -179,9 +179,11 @@ class Datastore:
             raise UnknownVariable(self._no_column)
         start = self._cursor
         self._cursor = min(start + self._chunk_size, self._total_rows)
-        rows = itemgetter(slice(start, self._cursor))
-        return TableChunk(self._schema, tuple(map(rows, self._values)),
-                          tuple(map(rows, self._flags)))
+        rows = slice(start, self._cursor)
+        # built from lists: tuple(map(...)) makes a longer tuple and shrinks it,
+        # so each chunk would add two tuples to the interpreter's free list
+        return TableChunk(self._schema, tuple([column[rows] for column in self._values]),
+                          tuple([flags[rows] for flags in self._flags]))
 
 
 def open_datastore(
@@ -414,13 +416,15 @@ def _cached_load(paths, wanted=None) -> tuple[list[str], list[_Column], int]:
     are hashed again on every open.  An entry that is missing or fails a
     check is parsed anew and written again, once the inputs are seen to hash
     as they did before the parse.  Inputs that are not all regular files,
-    and an OSError on the cache, leave the parse alone to give the result.
+    and an OSError on the cache, leave the parse alone to give the result;
+    so do inputs in this package's directory, such as the bundled samples,
+    where an installed package is no place for an entry.
     """
     if _CACHE_DIR is None or not paths:
         return _load(paths, wanted)
     try:
         entry, key = _entry(paths, wanted)
-        inputs = _input_digests(paths)
+        inputs = None if _in_package(entry) else _input_digests(paths)
     except OSError:
         inputs = None
     if inputs is None:
@@ -445,6 +449,12 @@ def _entry(paths, wanted) -> tuple[str, str]:
     signature.update(_source())
     key = signature.hexdigest()
     return os.path.join(os.path.dirname(absolute[0]), _CACHE_DIR, key), key
+
+
+def _in_package(entry: str) -> bool:
+    """Whether the cache entry ``entry`` would be made inside this package's directory."""
+    package = os.path.join(os.path.realpath(os.path.dirname(__file__)), "")
+    return os.path.realpath(entry).startswith(package)
 
 
 @cache

@@ -47,7 +47,9 @@ def delay_summary(ds: Datastore) -> DelaySummary:
         at = [chunk.column_index(name) for name in DELAY_COLUMNS]
         # ServerNum, SendingDelay and ReceivingDelay; a text column raises
         server, sending, receiving = (chunk.numeric(name)[0] for name in DELAY_COLUMNS[1:4])
-        gaps = map(any, zip(*(chunk.missing[i] for i in at)))
+        # unpacked from a list: from a generator, each chunk would leave a
+        # shrunken tuple in the interpreter's free list
+        gaps = map(any, zip(*[chunk.missing[i] for i in at]))
         for origin, srv, s, r, gap in zip(chunk.columns[at[4]], server, sending, receiving, gaps):
             if gap:
                 raise MissingData("delay records must not have missing cells")

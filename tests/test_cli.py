@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from conftest import make_config, make_workload
+from conftest import CACHE_DIR, make_config, make_workload
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -179,17 +180,15 @@ def test_the_first_bad_delay_row_wins(tmp_path, chunk_size, fractional_row, miss
 def test_delay_summary_memory_follows_its_origins_not_its_rows(tmp_path):
     # one running list per origin: a hundred times the rows over the same five
     # origins may not double the peak.  Measured without the cyclic collector,
-    # as the commands run, and after two warm-up calls, so that first calls are
-    # not counted: each chunk that Datastore.read builds leaves two 5-tuples in
-    # the interpreter's free list until it holds 2000, and one call over 625
-    # chunks does not fill it.
+    # as the commands run, and after a warm-up call, so that the first call's
+    # imports are not counted.  No chunk leaves a tuple behind in the
+    # interpreter's free lists, which over 625 chunks would double the peak.
     peaks = []
     for rows in (400, 40_000):
         path = tmp_path / f"rows{rows}.csv"
         path.write_text(_DELAY_HEADER + "".join(f"S{i % 3},{i},{i % 10},{-(i % 4)},C{i % 5}\n"
                                                 for i in range(rows)))
         ds = open_datastore(path, chunk_size=64)
-        delay_summary(ds)
         delay_summary(ds)
         enabled = gc.isenabled()
         gc.disable()
@@ -1183,10 +1182,14 @@ sys.stderr.write("\\n" + json.dumps(loaded))
 def test_each_command_loads_only_the_modules_it_calls(config_file, servers_csv, delays_csv,
                                                       tmp_path, argv, extra):
     # a fresh interpreter per command: the CLI module itself loads only errors,
-    # and each handler imports the stagecost modules it calls
+    # and each handler imports the stagecost modules it calls.  The column cache
+    # is on there, so the tables are copies: an entry goes beside its input.
     wide = tmp_path / "wide.csv"
     wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
-    argv = [arg.format(config=config_file, servers=servers_csv, delays=delays_csv, wide=wide)
+    servers, delays = tmp_path / "servers.csv", tmp_path / "delays.csv"
+    shutil.copyfile(servers_csv, servers)
+    shutil.copyfile(delays_csv, delays)
+    argv = [arg.format(config=config_file, servers=servers, delays=delays, wide=wide)
             for arg in argv]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -1196,6 +1199,19 @@ def test_each_command_loads_only_the_modules_it_calls(config_file, servers_csv, 
     expected = ["stagecost", "stagecost.cli", "stagecost.errors",
                 *(f"stagecost.{name}" for name in extra)]
     assert json.loads(done.stderr.splitlines()[-1]) == sorted(expected)
+
+
+def test_the_bundled_sample_leaves_no_cache_in_the_package():
+    # stagecost delays without --input reads the sample inside the package,
+    # which may be installed read-only or shared: no cache entry is written there
+    package = Path(cli.__file__).resolve().parent
+    src = str(package.parent)
+    done = subprocess.run([sys.executable, "-c", _LOADED_MODULES, "delays"],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["records"] > 0
+    assert not list(package.rglob(CACHE_DIR))
 
 
 # -- BLAS threads -----------------------------------------------------------------------------

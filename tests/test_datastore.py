@@ -270,6 +270,25 @@ def test_read_walks_chunks_then_stops(servers_csv):
     assert list(ds.read().column("ActualElapsedTime")) == [53.0, 63.0, 83.0, 59.0]
 
 
+def test_reads_retain_nothing(tmp_path):
+    # each chunk's two column tuples go with the chunk: none stays behind in
+    # the interpreter's free lists, which would hold 160 KB after 1000 chunks
+    path = tmp_path / "five.csv"
+    path.write_text("a,b,c,d,e\n" + "".join(f"{i},{i / 2},{-i},{i % 7},k{i % 9}\n"
+                                            for i in range(4000)))
+    ds = open_datastore(path, chunk_size=4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(1000):
+            ds.read()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert not ds.has_data()
+    assert retained < 8 * 1024, retained
+
+
 # -- chunking invariance and round trips -----------------------------------------------
 
 

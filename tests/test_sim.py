@@ -1,8 +1,14 @@
 """Simulator behaviour and its agreement with the closed-form terms."""
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from _oracles import simulate_by_events, trace_bytes
@@ -190,14 +196,8 @@ def test_trace_bytes_are_pinned(tmp_path, build, lines, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_ticks=st.integers(1, 2000),
-    load=st.sampled_from(["feasible", "overloaded", "no-analysis", "no-checkpoint"]),
-)
-def test_run_equals_the_event_object_oracle(tmp_path, seed, n_ticks, load):
+def _loaded(seed, n_ticks, load):
+    """A random config at one of four loads, and a tick that gives ``n_ticks`` ticks."""
     cfg, wl, _ = random_feasible(random.Random(seed))
     lambda_a, lambda_c = {
         "feasible": (wl.lambda_a, wl.lambda_c),
@@ -206,7 +206,18 @@ def test_run_equals_the_event_object_oracle(tmp_path, seed, n_ticks, load):
         "no-checkpoint": (wl.lambda_a, 0.0),
     }[load]
     wl = make_workload(lambda_a=lambda_a, lambda_c=lambda_c, alpha=wl.alpha, kernels=wl.kernels)
-    tick = cfg.tsim / n_ticks
+    return cfg, wl, cfg.tsim / n_ticks
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ticks=st.integers(1, 2000),
+    load=st.sampled_from(["feasible", "overloaded", "no-analysis", "no-checkpoint"]),
+)
+def test_run_equals_the_event_object_oracle(tmp_path, seed, n_ticks, load):
+    cfg, wl, tick = _loaded(seed, n_ticks, load)
     rep = sim.simulate(cfg, wl, "k1", tick=tick)
     oracle = simulate_by_events(cfg, wl, "k1", tick)
     assert rep.busy_seconds == oracle.busy_seconds
@@ -262,3 +273,192 @@ def test_drain_takes_the_checkpoint_first_at_equal_arrival_times(tmp_path):
     out = tmp_path / "events.tsv"
     sim.write_trace(rep, str(out))
     assert out.read_bytes() == trace_bytes(oracle.events)
+
+
+# -- the trace written in parts by forked children ------------------------------------------
+
+
+def test_trace_parts_hold_about_equal_events():
+    # the analyzer here ends its jobs ever later than their ticks (1.4 s of
+    # work a second), so parts of equal ticks would hold 44% and 56% of the
+    # events; the cuts follow the events instead
+    cfg, wl = make_config(), make_workload()
+    rep = sim.simulate(cfg, wl, "k1", tick=cfg.tsim / 2000)
+    events = rep.n_ticks + sum(map(len, rep.departures.values()))
+    for parts in (2, 3, 5):
+        sizes = [sum(hi - lo for lo, hi in part) for part in sim._part_ranges(rep, parts)]
+        assert sum(sizes) == events
+        assert max(sizes) - min(sizes) <= 10, sizes
+
+
+# pytest's own process holds numpy's BLAS threads, where write_trace writes
+# every part itself; so the tests below run the writer in fresh interpreters
+# and set the part count through sim._write_parts.
+
+_SPLIT_WRITER = """
+import atexit, errno, json, os, sys, tempfile
+from stagecost import sim
+from stagecost.config import KernelRate, SystemConfig, Workload
+
+case = json.loads(sys.argv[1])
+wl = dict(case["wl"], kernels=tuple(KernelRate(**k) for k in case["wl"]["kernels"]))
+report = sim.simulate(SystemConfig(**case["cfg"]), Workload(**wl), "k1", case["tick"])
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+# a child that flushed this process's buffers or ran its exit hooks would
+# repeat these lines on stdout
+sys.stdout.write("buffered\\n")
+atexit.register(sys.stdout.write, "exit hook\\n")
+if case["mode"] == "no-tempfile":
+    tempfile.tempdir = os.path.join(case["out"], "missing")
+elif case["mode"] == "failing-child":
+    parent, stream = os.getpid(), sim._event_stream
+    def failing(report, ranges):
+        if os.getpid() != parent:
+            raise RuntimeError("a child fails")
+        return stream(report, ranges)
+    sim._event_stream = failing
+elif case["mode"] == "no-sendfile":
+    def refused(*args):
+        raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
+    os.sendfile = refused
+elif case["mode"] == "interrupt":
+    def interrupted(child, fd):
+        raise KeyboardInterrupt
+    sim._Child.append_to = interrupted
+seen = {"may_fork": sim._may_fork(), "runs": []}
+for parts in case["parts"]:
+    del forks[:]
+    run = {"parts": parts}
+    try:
+        sim._write_parts(report, os.path.join(case["out"], f"{parts}.tsv"), parts)
+    except KeyboardInterrupt:
+        run["interrupted"] = True
+    run["forks"] = len(forks)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        run["reaped"] = False
+    except ChildProcessError:
+        run["reaped"] = True
+    seen["runs"].append(run)
+print(json.dumps(seen))
+"""
+
+PARTS = (1, 2, 3, 5)
+
+
+def _fresh_env(**extra):
+    src = str(Path(sim.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src, **extra}
+
+
+def _write_in_parts(tmp_path, cfg, wl, tick, mode="fork", parts=PARTS, **env):
+    """Run ``_write_parts`` at each part count in a fresh interpreter; what it saw, per run."""
+    case = {"cfg": asdict(cfg), "wl": asdict(wl), "tick": tick, "mode": mode,
+            "parts": list(parts), "out": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", _SPLIT_WRITER, json.dumps(case)],
+                          env=_fresh_env(**env), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""  # no child printed a traceback
+    buffered, seen, hook = done.stdout.splitlines()
+    assert (buffered, hook) == ("buffered", "exit hook")
+    seen = json.loads(seen)
+    assert seen["may_fork"]
+    for run in seen["runs"]:
+        assert run["reaped"], run  # no child outlives the writer
+    return seen["runs"]
+
+
+def _dyadic_ties():
+    # from 2 s on, every whole second is a tick, a stage, an analysis and a
+    # drain time: batch k is staged at k + 1 and analysed at k + 2, and the
+    # drain takes half a second a job
+    cfg = make_config(bw_host2ssd=512.0, bw_fm2c=2.0**70, bw_c2m=2.0**70, bw_pfs=1024.0,
+                      tsim=16.0)
+    wl = make_workload(lambda_a=64.0, lambda_c=64.0, alpha=1.0,
+                       kernels=(KernelRate("k1", 256.0, 1000.0),))
+    return cfg, wl, 1.0
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the trace is split by fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("load", ["feasible", "overloaded", "no-analysis", "no-checkpoint",
+                                  "ties"])
+def test_trace_parts_join_to_the_one_merge(tmp_path, load):
+    cfg, wl, tick = _dyadic_ties() if load == "ties" else _loaded(11, 400, load)
+    rep = sim.simulate(cfg, wl, "k1", tick=tick)
+    if load == "ties":
+        # each part after the first opens on a time that a stage, an analysis
+        # and a drain job end at
+        for parts in PARTS[1:]:
+            for (first, _), *cuts in sim._part_ranges(rep, parts)[1:]:
+                for name, (lo, _) in zip(("ssd_ingest", "ssd_analyze", "ssd_drain"), cuts):
+                    assert rep.departures[name][lo] == first * tick
+    expected = trace_bytes(simulate_by_events(cfg, wl, "k1", tick).events)
+    runs = _write_in_parts(tmp_path, cfg, wl, tick)
+    assert [run["forks"] for run in runs] == [parts - 1 for parts in PARTS]
+    for parts in PARTS:
+        assert (tmp_path / f"{parts}.tsv").read_bytes() == expected, parts
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "mode, env, forks",
+    [("fork", {"TMPDIR": "/nonexistent/stagecost-tmp"}, True),
+     ("no-tempfile", {}, False),
+     ("failing-child", {}, True),
+     ("no-sendfile", {}, True)],
+    ids=["tmpdir-missing", "no-tempfile", "failing-child", "no-sendfile"],
+)
+def test_parts_that_no_child_wrote_are_written_in_turn(tmp_path, mode, env, forks):
+    cfg, wl, tick = _loaded(11, 400, "feasible")
+    expected = trace_bytes(simulate_by_events(cfg, wl, "k1", tick).events)
+    runs = _write_in_parts(tmp_path, cfg, wl, tick, mode, **env)
+    assert [run["forks"] for run in runs] == [(parts - 1) * forks for parts in PARTS]
+    for parts in PARTS:
+        assert (tmp_path / f"{parts}.tsv").read_bytes() == expected, parts
+
+
+@needs_fork
+def test_an_interrupted_writer_reaps_its_children(tmp_path):
+    cfg, wl, tick = _loaded(11, 400, "overloaded")
+    runs = _write_in_parts(tmp_path, cfg, wl, tick, "interrupt", parts=(3, 5))
+    assert runs == [{"parts": 3, "interrupted": True, "forks": 2, "reaped": True},
+                    {"parts": 5, "interrupted": True, "forks": 4, "reaped": True}]
+
+
+_FULL_DEVICE = """
+import os, sys
+from stagecost import cli, sim
+
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+sim.write_trace = lambda report, path: sim._write_parts(report, path, 3)
+sys.argv = ["stagecost", *sys.argv[1:]]
+try:
+    cli.main()
+except SystemExit as exc:
+    code = exc.code
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(code, len(forks), reaped)
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_ends_the_split_writer_with_the_error(tmp_path):
+    config = tmp_path / "cluster.json"
+    cfg, wl = make_config(), make_workload()
+    config.write_text(json.dumps({**asdict(cfg), **asdict(wl)}))
+    done = subprocess.run(
+        [sys.executable, "-c", _FULL_DEVICE, "simulate", "--config", str(config),
+         "--kernel", "k1", "--tick", "0.1", "--trace", "/dev/full"],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert done.stdout == "1 2 True\n"
+    assert done.stderr == "error: [Errno 28] No space left on device\n"
