@@ -132,12 +132,31 @@ def _cmd_mapreduce(args) -> int:
             raise ConfigError("--key is required for the keycount job")
         mapper = mapreduce.builtin_keycount_mapper(args.key, args.column)
 
-    def show(event: mapreduce.ProgressEvent) -> None:
-        print(f"Map {event.map_pct}% Reduce {event.reduce_pct}%")
+    # one event a chunk, but at most ~200 distinct lines: a new line is written
+    # at once, and its repeats are held until the next new line or the end
+    line = "Map {}% Reduce {}%\n".format
+    held, count = None, 0  # the last line's percentages, and its repeats not yet written
 
-    result = mapreduce.map_reduce(ds, mapper, progress_sink=show)
-    for key, value in result.readall():
-        print(f"{key}\t{_fmt6(value)}")
+    def show(event: mapreduce.ProgressEvent) -> None:
+        nonlocal held, count
+        pct = event.map_pct, event.reduce_pct
+        if pct == held:
+            count += 1
+        else:
+            release(line(*pct))
+            held = pct
+
+    def release(new: str = "") -> None:  # zeroed first: a write that raised is not tried again
+        nonlocal count
+        text, count = (line(*held) * count if count else "") + new, 0
+        if text:
+            sys.stdout.write(text)
+
+    try:
+        result = mapreduce.map_reduce(ds, mapper, progress_sink=show)
+    finally:
+        release()  # the held lines go out before any error line
+    sys.stdout.write("".join(f"{key}\t{_fmt6(value)}\n" for key, value in result.readall()))
     return 0
 
 

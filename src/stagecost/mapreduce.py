@@ -12,8 +12,9 @@ caller finishes.
 
 Progress is reported as whole percentages: a (0, 0) event once the first
 chunk is mapped, one event after every mapped chunk, and one after every key
-of the result; the final event is always (100, 100).  The mapper checks the
-job's columns on the first chunk, so a job it refuses reports no progress.
+of the result; the final event is always (100, 100).  A built-in mapper
+finds and checks its columns once per table it folds, on the first chunk, so
+a job it refuses reports no progress.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter, not_
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .datastore import Datastore, TableChunk, format_cell
 
@@ -63,35 +64,59 @@ def map_reduce(ds: Datastore, mapper: Mapper, progress_sink: ProgressSink = None
     """
     ds.reset()
     n = ds.chunks_left
-
-    def emit(map_pct: int, reduce_pct: int) -> None:
-        if progress_sink is not None:
-            progress_sink(ProgressEvent(map_pct, reduce_pct))
+    read, sink = ds.read, _ignore if progress_sink is None else progress_sink
 
     partials: dict = {}
     for done in range(1, n + 1):
-        mapper(ds.read(), partials)
+        mapper(read(), partials)
         if done == 1:
-            emit(0, 0)
-        emit(100 * done // n, 0)
+            sink(ProgressEvent(0, 0))
+        sink(ProgressEvent(100 * done // n, 0))
 
     pairs = sorted(((format_cell(key), value) for key, value in partials.items()),
                    key=itemgetter(0))
     for done in range(1, len(pairs) + 1):
-        emit(100, 100 * done // len(pairs))
+        sink(ProgressEvent(100, 100 * done // len(pairs)))
     if not pairs:
-        emit(100, 100)  # nothing to reduce still finishes the job
+        sink(ProgressEvent(100, 100))  # nothing to reduce still finishes the job
     return JobResult(pairs=tuple(pairs))
+
+
+def _ignore(event: ProgressEvent) -> None:
+    """The sink of a job that no one watches."""
 
 
 # -- built-in jobs -------------------------------------------------------------
 
 
+def _once_per_table(find: Callable[[TableChunk], Any]) -> Callable[[TableChunk], Any]:
+    """``find(chunk)``, called again only for a chunk of another table.
+
+    A table's chunks share one schema object, so ``find`` runs on each
+    table's first chunk and its answer serves the table's other chunks.
+    """
+    found: list = [None, None]  # [schema, find's answer for it]
+
+    def cached(chunk: TableChunk) -> Any:
+        if chunk.schema is not found[0]:
+            found[:] = chunk.schema, find(chunk)
+        return found[1]
+
+    return cached
+
+
 def builtin_max_mapper(column: str) -> Mapper:
     """Running maximum of a numeric column; an all-missing chunk leaves it as it was."""
 
+    def find(chunk: TableChunk) -> int:
+        chunk.numeric(column)  # an unknown or text column raises here
+        return chunk.column_index(column)
+
+    where = _once_per_table(find)
+
     def mapper(chunk: TableChunk, partials: dict) -> None:
-        values, flags = chunk.numeric(column)
+        i = where(chunk)
+        values, flags = chunk.columns[i], chunk.missing[i]
         if 1 in flags:
             values = list(compress(values, map(not_, flags)))
         if values:
@@ -109,10 +134,15 @@ def builtin_keycount_mapper(key_column: str, value_column: str | None = None) ->
     are counted.  Rows whose key cell is missing are skipped.
     """
 
-    def mapper(chunk: TableChunk, counts: dict) -> None:
+    def find(chunk: TableChunk) -> tuple[int, int]:
         key_i = chunk.column_index(key_column)
         # no value column: the key's own flags are checked in its place
-        val_i = key_i if value_column is None else chunk.column_index(value_column)
+        return key_i, key_i if value_column is None else chunk.column_index(value_column)
+
+    where = _once_per_table(find)
+
+    def mapper(chunk: TableChunk, counts: dict) -> None:
+        key_i, val_i = where(chunk)
         # a numeric key is counted as a float: 0.0 and -0.0 are one key, and
         # distinct floats are named by distinct text
         for key, key_miss, val_miss in zip(

@@ -19,10 +19,10 @@ Energies are exactly ``p_ssd_busy * busy_seconds``.
 A run keeps numbers only: each station's departure times in an ``array('d')``
 (8 bytes a job) and one byte per drain job naming its source.  The event log
 (ticks and the three stations' completions) is rebuilt from them only when
-``write_trace`` writes it to a file.  It cuts the log at tick boundaries into
-one part per usable CPU and formats the parts at once, this process the first
-and forked children the others; each part streams its lines, and the parts
-are joined in order into the bytes of one merge over the whole log.
+``write_trace`` writes it to a file.  It cuts the log at multiples of the
+tick into one part per usable CPU and formats the parts at once, this process
+the first and forked children the others; each part streams its lines, and
+the parts are joined in order into the bytes of one merge over the whole log.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import errno
 import heapq
 import math
 import os
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -300,9 +301,9 @@ def validate_against_analytic(
 def write_trace(report: SimReport, path: str) -> None:
     """Write the event log to ``path`` as TSV (time, kind, payload_mb).
 
-    The log is cut at tick boundaries into one part per usable CPU, and at
-    most one per ``_PART_TICKS`` ticks, each part holding about as many
-    events as the next.  This process writes the first part, and forked
+    The log is cut at multiples of the tick into one part per usable CPU,
+    and at most one per ``_PART_TICKS`` ticks, each part holding about as
+    many events as the next.  This process writes the first part, and forked
     children format the others at the same time, each into an unlinked
     temporary file that is appended to the trace when it is done.  The bytes
     are those of one merge over the whole log.
@@ -315,17 +316,18 @@ def write_trace(report: SimReport, path: str) -> None:
 
 
 def _part_ranges(report: SimReport, parts: int) -> list:
-    """Cut the log at tick boundaries into ``parts`` parts of about equal numbers of events.
+    """Cut the log at multiples of the tick into ``parts`` parts of about equal events.
 
-    Part k holds the ticks from ``lo_k`` on and every event at a time in
-    ``[tick * lo_k, tick * lo_{k+1})``; the last part has no upper end.
-    Every stream is sorted, so its cut at a time is a ``bisect_left``: an
-    event at a boundary opens the later part, where the merge puts it after
-    the same time's events of earlier streams, as the merge over the whole
-    log does.  ``lo_k`` is the first tick with at least k / parts of the
-    events before it, or ``n_ticks``: an overloaded station's jobs end after
-    their ticks, so equal numbers of ticks would not make equal parts, and
-    its jobs that end after the last tick all fall in the last part.
+    Part k holds every event at a time in ``[tick * lo_k, tick * lo_{k+1})``;
+    the last part has no upper end.  Every stream is sorted, so its cut at a
+    time is a ``bisect_left``: an event at a boundary opens the later part,
+    where the merge puts it after the same time's events of earlier streams,
+    as the merge over the whole log does.  ``lo_k`` is the first multiple
+    with at least k / parts of the events before it.  An overloaded
+    station's jobs end ever later than their ticks, so equal numbers of
+    ticks would not make equal parts, and its jobs may end long after the
+    last tick: ``lo_k`` may pass ``n_ticks``, up to just past the last
+    departure, and a part that starts there holds no tick.
     Returns each part's index range in each stream, for ``_event_stream``.
     """
     from bisect import bisect_left
@@ -333,16 +335,19 @@ def _part_ranges(report: SimReport, parts: int) -> list:
     n = report.n_ticks
     streams = [report.departures[name] for name in ("ssd_ingest", "ssd_analyze", "ssd_drain")]
     events = n + sum(map(len, streams))
+    last = max((times[-1] for times in streams if times), default=0.0)
+    # a multiple of the tick past every departure; a range's length fits in sys.maxsize
+    top = max(n, int(min(last / report.tick, sys.maxsize - 1)) + 1)
 
-    def cuts(j):  # how many of each stream's events come before tick j's time
-        return [j, *(bisect_left(times, report.tick * j) for times in streams)]
+    def cuts(j):  # how many of each stream's events come before time tick * j
+        return [min(j, n), *(bisect_left(times, report.tick * j) for times in streams)]
 
     def before(j):
         return sum(cuts(j))
 
     bounds = [[0] * 4]
     for k in range(1, parts):
-        bounds.append(cuts(bisect_left(range(n), k * events // parts, key=before)))
+        bounds.append(cuts(bisect_left(range(top), k * events // parts, key=before)))
     bounds.append([n, *map(len, streams)])
     return [tuple(zip(bounds[k], bounds[k + 1])) for k in range(parts)]
 

@@ -1,4 +1,4 @@
-"""Shared builders for test configs and workloads."""
+"""Shared builders for test configs, workloads and keyed tables."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import shutil
 import tempfile
 
 import pytest
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from stagecost import datastore, fixtures
@@ -126,3 +127,17 @@ def servers_csv() -> str:
 def delays_csv() -> str:
     return str(fixtures.path("delays.csv"))
 
+
+_KEY_NUMBERS = ["0", "-0", "1", "1.0", " 2 ", "-3.5", "1e20", "NA"]
+_KEY_WORDS = ["a", "b", "x y", "1"]  # with a word among them, a key column is text
+_VALUE_CELLS = st.sampled_from(["0", "-0", "1.5", "-2", "7", "NA"])
+
+
+@st.composite
+def keyed_tables(draw):
+    """A key column and a numeric value column, both with missing cells."""
+    n_rows = draw(st.integers(1, 12))
+    pool = _KEY_NUMBERS + (_KEY_WORDS if draw(st.booleans()) else [])
+    keys = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    values = draw(st.lists(_VALUE_CELLS, min_size=n_rows, max_size=n_rows))
+    return keys, values

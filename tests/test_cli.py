@@ -15,7 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from conftest import CACHE_DIR, make_config, make_workload
+from conftest import CACHE_DIR, keyed_tables, make_config, make_workload
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -769,6 +769,140 @@ def test_keycount_prints_counts_of_a_million_and_more_exactly(capsys, monkeypatc
     assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "k",
                      "--input", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"a\t{expected}"
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=keyed_tables())
+def test_mapreduce_prints_a_line_per_progress_event_then_the_result(capsys, tmp_path, table):
+    # progress lines are held and written together, yet the output is still
+    # one line per event of the library job, then one line per result pair
+    from stagecost import mapreduce
+
+    keys, values = table
+    path = tmp_path / "keyed.csv"
+    path.write_text("k,v\n" + "".join(f"{k},{v}\n" for k, v in zip(keys, values)))
+    for job, mapper in [(["keycount", "--key", "k", "--column", "v"],
+                         lambda: mapreduce.builtin_keycount_mapper("k", "v")),
+                        (["max", "--column", "v"], lambda: mapreduce.builtin_max_mapper("v"))]:
+        for chunk_size in range(1, len(keys) + 1):
+            events = []
+            result = mapreduce.map_reduce(open_datastore(path, chunk_size=chunk_size), mapper(),
+                                          progress_sink=events.append)
+            expected = [f"Map {e.map_pct}% Reduce {e.reduce_pct}%" for e in events] + [
+                f"{key}\t{format(value, '.6g') if isinstance(value, float) else value}"
+                for key, value in result.readall()]
+            assert dispatch(["mapreduce", "run", "--job", *job, "--input", str(path),
+                             "--chunk-size", str(chunk_size)]) == 0
+            assert capsys.readouterr() == ("\n".join(expected) + "\n", "")
+
+
+class _CountedWrites(io.StringIO):
+    """A stdout that counts its writes; from write number ``fail_at`` on, each one raises EPIPE."""
+
+    def __init__(self, fail_at=None):
+        super().__init__()
+        self.writes, self.fail_at = 0, fail_at
+
+    def write(self, text):
+        self.writes += 1
+        if self.fail_at is not None and self.writes >= self.fail_at:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("job", [["keycount", "--key", "k"], ["max", "--column", "v"]])
+def test_mapreduce_writes_follow_the_percentages_not_the_chunks(monkeypatch, tmp_path, job):
+    # one write per distinct progress line and one for the result: as many
+    # at 1000 chunks as at 100
+    path = tmp_path / "keys.csv"
+    path.write_text("k,v\n" + "".join(f"k{i % 7},{i}\n" for i in range(1000)))
+    writes = []
+    for chunk_size in (1, 10):
+        out = _CountedWrites()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert dispatch(["mapreduce", "run", "--job", *job, "--input", str(path),
+                         "--chunk-size", str(chunk_size)]) == 0
+        assert out.getvalue().count("\n") == 1000 // chunk_size + 1 + 2 * (
+            7 if job[0] == "keycount" else 1)
+        writes.append(out.writes)
+    assert writes[0] == writes[1] <= 203, writes
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 500])
+def test_mapreduce_shows_each_new_percentage_before_the_next_chunk(monkeypatch, tmp_path,
+                                                                  chunk_size):
+    # only repeats are held: when a chunk is read, the percentage of the
+    # chunks before it is already written
+    from stagecost.datastore import Datastore
+
+    path = tmp_path / "keys.csv"
+    path.write_text("k\n" + "a\n" * 1000)
+    out, shown = io.StringIO(), []
+    read = Datastore.read
+
+    def watched_read(self):
+        shown.append(out.getvalue().splitlines()[-1:])
+        return read(self)
+
+    monkeypatch.setattr(Datastore, "read", watched_read)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "k", "--input", str(path),
+                     "--chunk-size", str(chunk_size)]) == 0
+    n = -(-1000 // chunk_size)
+    assert shown == [[]] + [[f"Map {100 * done // n}% Reduce 0%"] for done in range(1, n)]
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 50, 104, 105])
+def test_mapreduce_on_a_broken_pipe_prints_one_error(capsys, monkeypatch, tmp_path, fail_at):
+    # 200 chunks and 3 keys: the map percentages come twice each (but 0, with
+    # the first event, and 100), so 101 writes carry the map lines, each with
+    # the repeat of the line before, 3 the reduce lines and one the result;
+    # whichever write meets the closed pipe, the job stops there with one error
+    path = tmp_path / "keys.csv"
+    path.write_text("k\n" + "".join(f"k{i % 3}\n" for i in range(800)))
+    argv = ["mapreduce", "run", "--job", "keycount", "--key", "k", "--input", str(path)]
+    whole = _CountedWrites()
+    monkeypatch.setattr(sys, "stdout", whole)
+    assert dispatch(argv) == 0
+    out = _CountedWrites(fail_at)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert (dispatch(argv), capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
+    assert out.writes == fail_at  # a write that failed is not tried again
+    assert whole.writes == 105 and whole.getvalue().startswith(out.getvalue())
+
+
+@pytest.mark.parametrize("chunk_size, shown", [
+    ("100", "Map 0% Reduce 0%\nMap 25% Reduce 0%\nMap 50% Reduce 0%\n"),
+    ("1", "Map 0% Reduce 0%\n" * 3),  # all but the first are repeats, held when the job fails
+])
+def test_mapreduce_progress_goes_out_before_the_error_of_a_failing_job(monkeypatch, tmp_path,
+                                                                      chunk_size, shown):
+    from stagecost import mapreduce
+    from stagecost.errors import ToolkitError
+
+    keycount = mapreduce.builtin_keycount_mapper
+
+    def failing_keycount(*columns):
+        fold, seen = keycount(*columns), []
+
+        def mapper(chunk, counts):
+            seen.append(chunk)
+            if len(seen) == 3:
+                raise ToolkitError("the third chunk is refused")
+            fold(chunk, counts)
+
+        return mapper
+
+    monkeypatch.setattr(mapreduce, "builtin_keycount_mapper", failing_keycount)
+    path = tmp_path / "keys.csv"
+    path.write_text("k\n" + "a\n" * 400)
+    both = io.StringIO()  # stdout and stderr in one stream, as with 2>&1
+    monkeypatch.setattr(sys, "stdout", both)
+    monkeypatch.setattr(sys, "stderr", both)
+    assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "k", "--input", str(path),
+                     "--chunk-size", chunk_size]) == 1
+    assert both.getvalue() == shown + "error: the third chunk is refused\n"
 
 
 # -- regress ------------------------------------------------------------------------------

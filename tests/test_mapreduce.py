@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 from _oracles import read_csv_table
+from conftest import keyed_tables
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -110,24 +111,9 @@ def test_keycount_names_numeric_keys_as_written(tmp_path, chunk_size):
     assert result.readall() == [("0", 2), ("1.5", 1), ("10", 2), ("1e+20", 1)]
 
 
-_KEY_NUMBERS = ["0", "-0", "1", "1.0", " 2 ", "-3.5", "1e20", "NA"]
-_KEY_WORDS = ["a", "b", "x y", "1"]  # with a word among them, a key column is text
-_VALUE_CELLS = st.sampled_from(["0", "-0", "1.5", "-2", "7", "NA"])
-
-
-@st.composite
-def _keyed_tables(draw):
-    """A key column and a numeric value column, both with missing cells."""
-    n_rows = draw(st.integers(1, 12))
-    pool = _KEY_NUMBERS + (_KEY_WORDS if draw(st.booleans()) else [])
-    keys = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
-    values = draw(st.lists(_VALUE_CELLS, min_size=n_rows, max_size=n_rows))
-    return keys, values
-
-
 @settings(derandomize=True, database=None, max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(table=_keyed_tables())
+@given(table=keyed_tables())
 def test_any_table_folds_like_a_counter_and_a_plain_max(tmp_path, table):
     keys, values = table
     path = tmp_path / "keyed.csv"
@@ -185,7 +171,7 @@ def _count_rows(chunk, partials):
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(table=_keyed_tables(), before=st.lists(st.sampled_from(["read", "job"]), max_size=5))
+@given(table=keyed_tables(), before=st.lists(st.sampled_from(["read", "job"]), max_size=5))
 def test_a_job_reads_the_whole_table_wherever_the_cursor_stands(tmp_path, table, before):
     # reads and earlier jobs move the cursor, yet a job gives the pairs and
     # the progress of the same job on a fresh datastore; a row count tells
@@ -203,6 +189,25 @@ def test_a_job_reads_the_whole_table_wherever_the_cursor_stands(tmp_path, table,
                     ds.read()
             fresh = open_datastore(path, chunk_size=chunk_size)
             assert run_with_trace(ds, mapper) == run_with_trace(fresh, mapper)
+
+
+def test_a_builtin_mapper_finds_the_columns_of_each_table_it_folds(tmp_path):
+    # one mapper object over tables whose columns stand in other orders: it
+    # looks its columns up again for each table, and checks them again too
+    first, second, text = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    first.write_text("k,v\nx,1\ny,NA\nx,3\n")
+    second.write_text("v,pad,k\n5,0,y\nNA,0,x\n7,0,y\n-1,0,x\n")
+    text.write_text("k,v\nx,word\n")
+    count, top = builtin_keycount_mapper("k", "v"), builtin_max_mapper("v")
+    for path, counts, maximum in [(first, [("x", 2)], 3.0),
+                                  (second, [("x", 1), ("y", 2)], 7.0),
+                                  (first, [("x", 2)], 3.0)]:
+        for chunk_size in (1, 2, 4):
+            ds = open_datastore(path, chunk_size=chunk_size)
+            assert map_reduce(ds, count).readall() == counts
+            assert map_reduce(ds, top).readall() == [(MAX_KEY, maximum)]
+    with pytest.raises(TypeMismatch):
+        map_reduce(open_datastore(text), top)
 
 
 def test_result_is_independent_of_chunk_size(delays_csv):

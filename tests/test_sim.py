@@ -278,17 +278,22 @@ def test_drain_takes_the_checkpoint_first_at_equal_arrival_times(tmp_path):
 # -- the trace written in parts by forked children ------------------------------------------
 
 
-def test_trace_parts_hold_about_equal_events():
-    # the analyzer here ends its jobs ever later than their ticks (1.4 s of
-    # work a second), so parts of equal ticks would hold 44% and 56% of the
-    # events; the cuts follow the events instead
-    cfg, wl = make_config(), make_workload()
-    rep = sim.simulate(cfg, wl, "k1", tick=cfg.tsim / 2000)
+@pytest.mark.parametrize("lambda_a, n_ticks", [(50.0, 2000), (2000.0, 10**4)],
+                         ids=["slow-analyzer", "overloaded"])
+def test_trace_parts_hold_about_equal_events(lambda_a, n_ticks):
+    # slow-analyzer: the analyzer ends its jobs ever later than their ticks
+    # (1.4 s of work a second), so parts of equal ticks would hold 44% and 56%
+    # of the events; the cuts follow the events instead.  overloaded:
+    # generation at twice bw_host2ssd, and 60% of the events come after the
+    # last tick, so the cuts fall at multiples of the tick past it too.
+    cfg, wl = make_config(), make_workload(lambda_a=lambda_a)
+    rep = sim.simulate(cfg, wl, "k1", tick=cfg.tsim / n_ticks)
     events = rep.n_ticks + sum(map(len, rep.departures.values()))
     for parts in (2, 3, 5):
         sizes = [sum(hi - lo for lo, hi in part) for part in sim._part_ranges(rep, parts)]
         assert sum(sizes) == events
         assert max(sizes) - min(sizes) <= 10, sizes
+        assert all(abs(size - events / parts) <= 10 for size in sizes), sizes
 
 
 # pytest's own process holds numpy's BLAS threads, where write_trace writes
