@@ -9,6 +9,8 @@ A command runs as a fresh process, and its start-up, the interpreter and the
 imports, is most of the time a model command takes.  So this module imports
 only the standard library and ``errors`` at its top, and each handler imports
 the stagecost modules it calls: a command loads no module it does not use.
+The handlers of the table commands live in ``tablecmds``, which only they
+import, and a command builds the parser of its own subcommand alone.
 """
 
 from __future__ import annotations
@@ -19,31 +21,19 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .errors import ConfigError, MissingData, ToolkitError, TypeMismatch
-
-if TYPE_CHECKING:
-    from . import stats
-    from .datastore import Datastore
+from .errors import ConfigError, ToolkitError
 
 PROG = "stagecost"
 
-# Chunk size for commands that need whole columns: the table is one chunk.
-_WHOLE_TABLE = sys.maxsize
-# Rows per chunk that delays folds: a chunk copies the rows it holds, so on
-# a 10^6-row table this peaks at 53 MB max RSS, against 98 MB in one chunk.
-_DELAYS_CHUNK = 4096
+#: The subcommands, in the order the usage line and the help list them.
+_COMMANDS = ("energy", "compare", "simulate", "mapreduce", "regress", "pca", "delays",
+             "plotdata")
 
 # The variables OpenBLAS reads for its thread count, in its order; an empty
 # value counts as unset, as it does for OpenBLAS.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _fmt6(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
 
 
 # -- shared command plumbing --------------------------------------------------------
@@ -67,23 +57,6 @@ def _json_text(payload) -> str:
         return json.dumps(payload, indent=2, allow_nan=False)
     except ValueError:  # raised for an infinite or NaN float
         raise ToolkitError("the result holds an infinite or NaN number") from None
-
-
-def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
-    """The values of each named numeric column, found by name in ``ds``'s one chunk.
-
-    ``ds`` must hold its whole table in one chunk, unread.  The chunk checks
-    each column's kind; an error names the first column in ``names`` that is
-    unknown, is text or has a missing cell.
-    """
-    chunk = ds.read()
-    columns: list[list[float]] = []
-    for name in names:
-        values, flags = chunk.numeric(name)
-        if any(flags):
-            raise MissingData(f"column {name!r} has missing cells")
-        columns.append(values)
-    return columns
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -113,236 +86,111 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_mapreduce(args) -> int:
-    from . import mapreduce
-    from .datastore import open_datastore
+def _cmd_table(args) -> int:
+    """The table commands: ``args.table_handler`` names the handler in ``tablecmds``."""
+    from . import tablecmds
 
-    needed = [args.column] if args.job == "max" else [args.key, args.column]
-    # None is an option not given; '' names a column, as in the header ` ,a`.
-    # The file is read first, so a bad row is reported ahead of a missing option.
-    ds = open_datastore(args.input, chunk_size=args.chunk_size,
-                        columns=[name for name in needed if name is not None])
-    # the mapper checks the columns on the first chunk, before any progress
-    if args.job == "max":
-        if args.column is None:
-            raise ConfigError("--column is required for the max job")
-        mapper = mapreduce.builtin_max_mapper(args.column)
-    else:
-        if args.key is None:
-            raise ConfigError("--key is required for the keycount job")
-        mapper = mapreduce.builtin_keycount_mapper(args.key, args.column)
-
-    # one event a chunk, but at most ~200 distinct lines: a new line is written
-    # at once, and its repeats are held until the next new line or the end
-    line = "Map {}% Reduce {}%\n".format
-    held, count = None, 0  # the last line's percentages, and its repeats not yet written
-
-    def show(event: mapreduce.ProgressEvent) -> None:
-        nonlocal held, count
-        pct = event.map_pct, event.reduce_pct
-        if pct == held:
-            count += 1
-        else:
-            release(line(*pct))
-            held = pct
-
-    def release(new: str = "") -> None:  # zeroed first: a write that raised is not tried again
-        nonlocal count
-        text, count = (line(*held) * count if count else "") + new, 0
-        if text:
-            sys.stdout.write(text)
-
-    try:
-        result = mapreduce.map_reduce(ds, mapper, progress_sink=show)
-    finally:
-        release()  # the held lines go out before any error line
-    sys.stdout.write("".join(f"{key}\t{_fmt6(value)}\n" for key, value in result.readall()))
-    return 0
-
-
-def _print_regression(summary: stats.RegressionSummary, table: stats.AnovaTable,
-                      labels: Sequence[str] = ()) -> None:
-    print("Regression Statistics")
-    for label, value in (
-        ("Multiple R", summary.multiple_r),
-        ("R Square", summary.r_square),
-        ("Adjusted R Square", summary.adjusted_r_square),
-        ("Standard Error", summary.standard_error),
-        ("Observations", summary.n),
-    ):
-        print(f"{label:<18} {_fmt6(value)}")
-    print()
-    print("ANOVA")
-    header = ("", "df", "SS", "MS", "F", "Significance F")
-    rows = [
-        ("Regression", table.regression.df, table.regression.ss, table.regression.ms,
-         table.f_statistic, table.significance_f),
-        ("Residual", table.residual.df, table.residual.ss, table.residual.ms, "", ""),
-        ("Total", table.total.df, table.total.ss, "", "", ""),
-    ]
-    text = [[_fmt6(c) if c != "" else "" for c in row] for row in [header, *rows]]
-    widths = [max(len(row[i]) for row in text) for i in range(len(header))]
-    for row in text:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    if summary.coefficients is not None:
-        print()
-        print("Coefficients")
-        for name, coef in zip(["Intercept", *labels], summary.coefficients):
-            print(f"{name:<18} {_fmt6(coef)}")
-
-
-def _cmd_regress(args) -> int:
-    from . import stats
-
-    if args.from_ss:
-        try:
-            ss_reg, ss_total = float(args.from_ss[0]), float(args.from_ss[1])
-            n, k = int(args.from_ss[2]), int(args.from_ss[3])
-        except ValueError as exc:
-            raise ConfigError(f"--from-ss expects SS_REG SS_TOTAL N K: {exc}") from None
-        summary, table = stats.summary_from_ss(ss_reg, ss_total, n, k)
-        _print_regression(summary, table)
-        return 0
-    if not (args.input and args.dependent and args.independents):
-        raise ConfigError(
-            "regress needs either --from-ss or --input/--dependent/--independents"
-        )
-    from .datastore import open_datastore
-
-    # the columns are copies, so the datastore is let go before the fit
-    names = [args.dependent, *args.independents]
-    y, *columns = _numeric_columns(
-        open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names), names)
-    summary, table = stats.fit_ols(columns, y)
-    _print_regression(summary, table, labels=args.independents)
-    return 0
-
-
-def _cmd_pca(args) -> int:
-    from . import pca
-    from .datastore import NUMERIC, open_datastore
-
-    ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
-    numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
-    if not numeric:
-        raise TypeMismatch("input has no numeric columns")
-    corr = pca.correlation_matrix(_numeric_columns(ds, numeric), names=numeric)
-    threshold = pca.DEFAULT_VARIANCE_THRESHOLD if args.threshold is None else args.threshold
-    cutoff = pca.DEFAULT_LOADING_CUTOFF if args.cutoff is None else args.cutoff
-    model = pca.extract_factors(corr, variance_threshold=threshold)
-    suggestion = pca.suggest_schema(model, loading_cutoff=cutoff)
-
-    print("Component  Eigenvalue  CumulativeVariance")
-    for i, (value, cum) in enumerate(
-        zip(model.eigenvalues, model.cumulative_variance), start=1
-    ):
-        print(f"{i:<9}  {_fmt6(float(value)):<10}  {_fmt6(float(cum))}")
-    print(f"Selected components: {model.selected_components}")
-    print()
-    print(_json_text(asdict(suggestion)))
-    return 0
-
-
-def _cmd_delays(args) -> int:
-    from .datastore import open_datastore
-    from .report import DELAY_COLUMNS, delay_summary
-
-    path = args.input
-    if path is None:
-        from . import fixtures
-
-        path = str(fixtures.path("delays.csv"))
-    ds = open_datastore(path, chunk_size=_DELAYS_CHUNK, columns=DELAY_COLUMNS)
-    print(_json_text(asdict(delay_summary(ds))))
-    return 0
-
-
-def _cmd_plotdata(args) -> int:
-    from .datastore import open_datastore
-    from .report import emit_plot_data, write_plot_tsv
-
-    names = [args.x, args.y]
-    xs, ys = _numeric_columns(
-        open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names), names)
-    series = emit_plot_data(xs, ys, with_fit=args.fit)
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_plot_tsv(series, fh)
-    else:
-        write_plot_tsv(series, sys.stdout)
-    return 0
+    return getattr(tablecmds, args.table_handler)(args)
 
 
 # -- parser -----------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _config_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--kernel", required=True)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names one.
+
+    A parser of one subcommand builds in about a sixth of the time of all
+    eight, and it prints the same texts for that subcommand: its usage line
+    still lists every command.  The full parser names the choices itself, as
+    a metavar would rename the argument in its errors ("argument command:
+    invalid choice", "required: command"), which only it can raise.
+    """
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Staging-energy modelling and desk-scale data analysis.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    config_args = argparse.ArgumentParser(add_help=False)
-    config_args.add_argument("--config", required=True)
-    config_args.add_argument("--kernel", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    wanted = _COMMANDS if command is None else (command,)
 
-    p = sub.add_parser("energy", parents=[config_args], help="in-situ staging energy breakdown")
-    p.set_defaults(handler=_cmd_model, model="insitu_breakdown")
+    if "energy" in wanted:
+        p = sub.add_parser("energy", help="in-situ staging energy breakdown")
+        _config_options(p)
+        p.set_defaults(handler=_cmd_model, model="insitu_breakdown")
 
-    p = sub.add_parser("compare", parents=[config_args], help="in-situ vs offline energy and time")
-    p.set_defaults(handler=_cmd_model, model="compare")
+    if "compare" in wanted:
+        p = sub.add_parser("compare", help="in-situ vs offline energy and time")
+        _config_options(p)
+        p.set_defaults(handler=_cmd_model, model="compare")
 
-    p = sub.add_parser("simulate", parents=[config_args],
-                       help="queueing simulation of the staging tier")
-    p.add_argument("--tick", type=float, required=True)
-    p.add_argument("--trace", help="write the event log as TSV to this path")
-    p.set_defaults(handler=_cmd_simulate)
+    if "simulate" in wanted:
+        p = sub.add_parser("simulate", help="queueing simulation of the staging tier")
+        _config_options(p)
+        p.add_argument("--tick", type=float, required=True)
+        p.add_argument("--trace", help="write the event log as TSV to this path")
+        p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("mapreduce", help="keyed aggregation over CSV chunks")
-    run = p.add_subparsers(dest="action", required=True)
-    r = run.add_parser("run", help="run a built-in job")
-    r.add_argument("--job", choices=("max", "keycount"), required=True)
-    r.add_argument("--column", help="numeric column (max) or counted column (keycount)")
-    r.add_argument("--key", help="grouping column for the keycount job")
-    r.add_argument("--input", nargs="+", required=True)
-    r.add_argument("--chunk-size", type=int, default=4)
-    r.set_defaults(handler=_cmd_mapreduce)
+    if "mapreduce" in wanted:
+        p = sub.add_parser("mapreduce", help="keyed aggregation over CSV chunks")
+        run = p.add_subparsers(dest="action", required=True)
+        r = run.add_parser("run", help="run a built-in job")
+        r.add_argument("--job", choices=("max", "keycount"), required=True)
+        r.add_argument("--column", help="numeric column (max) or counted column (keycount)")
+        r.add_argument("--key", help="grouping column for the keycount job")
+        r.add_argument("--input", nargs="+", required=True)
+        r.add_argument("--chunk-size", type=int, default=4)
+        r.set_defaults(handler=_cmd_table, table_handler="cmd_mapreduce")
 
-    p = sub.add_parser("regress", help="least-squares fit or summary from sums")
-    p.add_argument("--from-ss", nargs=4, metavar=("SS_REG", "SS_TOTAL", "N", "K"))
-    p.add_argument("--input")
-    p.add_argument("--dependent")
-    p.add_argument("--independents", nargs="+")
-    p.set_defaults(handler=_cmd_regress)
+    if "regress" in wanted:
+        p = sub.add_parser("regress", help="least-squares fit or summary from sums")
+        p.add_argument("--from-ss", nargs=4, metavar=("SS_REG", "SS_TOTAL", "N", "K"))
+        p.add_argument("--input")
+        p.add_argument("--dependent")
+        p.add_argument("--independents", nargs="+")
+        p.set_defaults(handler=_cmd_table, table_handler="cmd_regress")
 
-    p = sub.add_parser("pca", help="correlation factoring and schema grouping")
-    p.add_argument("--input", required=True)
-    # None stands for pca's defaults, filled in by _cmd_pca: building the
-    # parser imports no stagecost module.
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--cutoff", type=float)
-    p.set_defaults(handler=_cmd_pca)
+    if "pca" in wanted:
+        p = sub.add_parser("pca", help="correlation factoring and schema grouping")
+        p.add_argument("--input", required=True)
+        # None stands for pca's defaults, filled in by tablecmds.cmd_pca:
+        # building the parser imports no stagecost module.
+        p.add_argument("--threshold", type=float)
+        p.add_argument("--cutoff", type=float)
+        p.set_defaults(handler=_cmd_table, table_handler="cmd_pca")
 
-    p = sub.add_parser("delays", help="summarise sending/receiving delay records")
-    p.add_argument("--input", help="CSV of delay records (bundled sample by default)")
-    p.set_defaults(handler=_cmd_delays)
+    if "delays" in wanted:
+        p = sub.add_parser("delays", help="summarise sending/receiving delay records")
+        p.add_argument("--input", help="CSV of delay records (bundled sample by default)")
+        p.set_defaults(handler=_cmd_table, table_handler="cmd_delays")
 
-    p = sub.add_parser("plotdata", help="x/y series as TSV, optionally with a fit")
-    p.add_argument("--input", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--fit", action="store_true")
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_plotdata)
+    if "plotdata" in wanted:
+        p = sub.add_parser("plotdata", help="x/y series as TSV, optionally with a fit")
+        p.add_argument("--input", required=True)
+        p.add_argument("--x", required=True)
+        p.add_argument("--y", required=True)
+        p.add_argument("--fit", action="store_true")
+        p.add_argument("--output")
+        p.set_defaults(handler=_cmd_table, table_handler="cmd_plotdata")
 
     return parser
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    """Parse and run one command; returns the process exit status."""
-    parser = _build_parser()
+    """Parse and run one command; returns the process exit status.
+
+    The parser of every subcommand is built only when the first argument
+    names none: to print the top-level help or refuse the command.
+    """
+    argv = list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         code = exc.code
         return code if isinstance(code, int) else 2

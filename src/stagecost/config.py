@@ -35,6 +35,8 @@ class KernelRate:
 
 @dataclass(frozen=True)
 class SystemConfig:
+    """The cluster: compute nodes, the SSD staging tier, the offline servers and the PFS."""
+
     compute_nodes: int        # N, nodes producing data
     staging_ssds: int         # S, SSDs in the staging tier
     offline_nodes: int        # M, server nodes used for offline analysis
@@ -52,6 +54,8 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class Workload:
+    """What each compute node produces per second, and the kernels that may analyse it."""
+
     lambda_a: float                   # MB/s per node, data to be analysed
     lambda_c: float                   # MB/s per node, checkpoint data
     alpha: float                      # output/input ratio of analysis, in (0, 1]
@@ -66,6 +70,8 @@ class Workload:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The invariants a config violates, and whether the staging tier can keep up."""
+
     passed: bool
     violations: tuple[str, ...]
     feasible: bool

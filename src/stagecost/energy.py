@@ -30,6 +30,8 @@ TIE_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
+    """The in-situ terms in joules, their signed sum, and the share of tsim saved on I/O."""
+
     e_node2ssd: float
     e_active_ssd: float
     e_ssd2pfs: float
@@ -41,6 +43,8 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class OfflineReport:
+    """The same analysis done after the run on the server pool: its data, time and energy."""
+
     kernel: str
     data_total: float   # MB written for post-hoc analysis
     t_offline: float    # s, wall time of the offline pass
@@ -49,6 +53,8 @@ class OfflineReport:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """In-situ against offline, and which of them wins on energy and on time."""
+
     insitu: EnergyBreakdown
     offline: OfflineReport
     winner_by_energy: str   # "insitu" | "offline" | "tie"

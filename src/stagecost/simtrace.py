@@ -1,0 +1,225 @@
+"""The event log of a simulation run, written to a file as a TSV trace.
+
+``sim.write_trace`` imports this module on its first call, so a run without a
+trace never compiles it.  The log (ticks and the three stations' completions)
+is rebuilt from the run's departure times.  ``write`` cuts it at multiples of
+the tick into one part per usable CPU and formats the parts at once, this
+process the first and forked children the others; each part streams its
+lines, and the parts are joined in order into the bytes of one merge over the
+whole log.
+"""
+
+from __future__ import annotations
+
+import errno
+import heapq
+import os
+import sys
+from bisect import bisect_left
+from itertools import repeat
+from operator import itemgetter
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .sim import SimReport
+
+#: Ticks of a run for each part that ``write`` cuts its trace into.  The
+#: fork-versus-format break-even lies between 500 and 1000 ticks a part: in a
+#: 48 MB process on a 2-vCPU VM, two parts took 1.44 times the one-part time
+#: on a 1000-tick run and 0.81 times on a 2000-tick run (medians of 15).
+_PART_TICKS = 1000
+
+
+def write(report: SimReport, path: str) -> None:
+    """Write the event log to ``path`` as TSV (time, kind, payload_mb).
+
+    The log is cut at multiples of the tick into one part per usable CPU,
+    and at most one per ``_PART_TICKS`` ticks, each part holding about as
+    many events as the next.  This process writes the first part, and forked
+    children format the others at the same time, each into an unlinked
+    temporary file that is appended to the trace when it is done.  The bytes
+    are those of one merge over the whole log.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    _write_parts(report, path, max(1, min(cpus, report.n_ticks // _PART_TICKS)))
+
+
+def _part_ranges(report: SimReport, parts: int) -> list:
+    """Cut the log at multiples of the tick into ``parts`` parts of about equal events.
+
+    Part k holds every event at a time in ``[tick * lo_k, tick * lo_{k+1})``;
+    the last part has no upper end.  Every stream is sorted, so its cut at a
+    time is a ``bisect_left``: an event at a boundary opens the later part,
+    where the merge puts it after the same time's events of earlier streams,
+    as the merge over the whole log does.  ``lo_k`` is the first multiple
+    with at least k / parts of the events before it.  An overloaded
+    station's jobs end ever later than their ticks, so equal numbers of
+    ticks would not make equal parts, and its jobs may end long after the
+    last tick: ``lo_k`` may pass ``n_ticks``, up to just past the last
+    departure, and a part that starts there holds no tick.
+    Returns each part's index range in each stream, for ``_event_stream``.
+    """
+    n = report.n_ticks
+    streams = [report.departures[name] for name in ("ssd_ingest", "ssd_analyze", "ssd_drain")]
+    events = n + sum(map(len, streams))
+    last = max((times[-1] for times in streams if times), default=0.0)
+    # a multiple of the tick past every departure; a range's length fits in sys.maxsize
+    top = max(n, int(min(last / report.tick, sys.maxsize - 1)) + 1)
+
+    def cuts(j):  # how many of each stream's events come before time tick * j
+        return [min(j, n), *(bisect_left(times, report.tick * j) for times in streams)]
+
+    def before(j):
+        return sum(cuts(j))
+
+    bounds = [[0] * 4]
+    for k in range(1, parts):
+        bounds.append(cuts(bisect_left(range(top), k * events // parts, key=before)))
+    bounds.append([n, *map(len, streams)])
+    return [tuple(zip(bounds[k], bounds[k + 1])) for k in range(parts)]
+
+
+def _event_stream(report: SimReport, ranges):
+    """The events of one part of a run's log as lines of its TSV trace, in time order.
+
+    ``ranges`` gives the part's index range in each of the log's four
+    streams: the ticks, then the ingest, analyze and drain departures, each
+    read through a memoryview rather than copied.  Each stream's payload is
+    fixed (the drain's by its source), so the text after the time is built
+    once per stream and source, not once per event.  heapq.merge is lazy and
+    stable: at equal times it yields the stream passed first, so the log
+    follows the order of ``sim.EVENT_KINDS``.
+    """
+    (t0, t1), (s0, s1), (a0, a1), (d0, d1) = ranges
+    dep = report.departures
+    drain_tails = tuple(f"\tdrain_complete\t{mb!r}\n" for mb in report.drain_mb)
+    stream = heapq.merge(
+        zip(map(report.tick.__mul__, range(t0, t1)),
+            repeat(f"\tgeneration_tick\t{report.batch_mb!r}\n")),
+        zip(memoryview(dep["ssd_ingest"])[s0:s1],
+            repeat(f"\tstage_complete\t{report.batch_mb!r}\n")),
+        zip(memoryview(dep["ssd_analyze"])[a0:a1],
+            repeat(f"\tanalyze_complete\t{report.analysis_mb!r}\n")),
+        zip(memoryview(dep["ssd_drain"])[d0:d1],
+            map(drain_tails.__getitem__, memoryview(report.drain_sources)[d0:d1])),
+        key=itemgetter(0),
+    )
+    return (f"{t!r}{tail}" for t, tail in stream)
+
+
+def _write_parts(report: SimReport, path: str, parts: int) -> None:
+    """``write`` with the log cut into ``parts`` parts.
+
+    Parts after the first are forked off only when this process may fork
+    (``_may_fork``); a part whose child failed, or could not start, or whose
+    file cannot be appended with ``os.sendfile``, is written by this process
+    in its turn.  However the writer leaves, no child outlives it.
+    """
+    ranges = _part_ranges(report, parts)
+    with open(path, "w", encoding="utf-8") as fh:
+        children = []
+        try:
+            if parts > 1 and _may_fork():
+                for r in ranges[1:]:
+                    children.append(_Child(report, r))
+            fh.write("time\tkind\tpayload_mb\n")
+            fh.writelines(_event_stream(report, ranges[0]))
+            for k, r in enumerate(ranges[1:]):
+                fh.flush()  # the text written so far goes first
+                if not (children and children[k].append_to(fh.fileno())):
+                    fh.writelines(_event_stream(report, r))
+        finally:
+            for child in children:
+                child.close()
+
+
+def _may_fork() -> bool:
+    """Whether this process can fork safely: ``os.fork`` exists and it runs one OS thread.
+
+    A child gets only the forking thread, and every lock that another thread
+    held at the fork stays held in it for good.  Threads started outside
+    Python, such as numpy's OpenBLAS pool, show only in ``/proc/self/task``.
+    """
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc
+        import threading
+
+        return threading.active_count() == 1
+
+
+class _Child:
+    """A forked child that formats one part of a trace into an unlinked temporary file.
+
+    The child leaves only by ``os._exit``: it never flushes this process's
+    buffers nor runs its ``atexit`` hooks.  ``pid`` is None once the child
+    is reaped, or when no temporary file or child could be made.
+    """
+
+    def __init__(self, report: SimReport, ranges) -> None:
+        import tempfile
+
+        self.pid = self.file = None
+        try:
+            self.file = tempfile.TemporaryFile()
+            pid = os.fork()
+        except OSError:  # no usable temporary directory, or no room for a process
+            return
+        if pid == 0:
+            status = 1
+            try:
+                with open(self.file.fileno(), "w", encoding="utf-8", closefd=False) as out:
+                    out.writelines(_event_stream(report, ranges))
+                status = 0
+            finally:
+                os._exit(status)
+        self.pid = pid
+
+    def append_to(self, fd: int) -> bool:
+        """Wait for the child, then append its part to ``fd``; False if there is none to append.
+
+        An output that ``os.sendfile`` refuses (/dev/full; on macOS and the
+        BSDs, anything but a socket) gets no part either, provided nothing
+        was sent yet.
+        """
+        if self.pid is None:
+            return False
+        try:
+            _, status = os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped elsewhere, as when SIGCHLD is ignored
+            status = -1
+        self.pid = None
+        if status != 0:
+            return False
+        size, sent = os.fstat(self.file.fileno()).st_size, 0
+        try:
+            while sent < size:
+                sent += os.sendfile(fd, self.file.fileno(), sent, size - sent)
+        except OSError as exc:
+            if sent or exc.errno not in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK,
+                                         errno.EOPNOTSUPP):
+                raise
+            return False
+        return True
+
+    def close(self) -> None:
+        """Kill and reap the child if it still runs, and drop its file."""
+        if self.pid is not None:
+            import signal
+
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            try:
+                os.waitpid(self.pid, 0)
+            except ChildProcessError:
+                pass
+            self.pid = None
+        if self.file is not None:
+            self.file.close()

@@ -1,0 +1,208 @@
+"""The table commands: mapreduce, regress, pca, delays and plotdata.
+
+``cli`` imports this module only when one of them runs, so a model command
+never compiles it.  Each handler takes the parsed arguments, imports the
+stagecost modules it calls and returns the exit status.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import asdict
+from typing import TYPE_CHECKING, Sequence
+
+from .cli import _json_text
+from .errors import ConfigError, MissingData, TypeMismatch
+
+if TYPE_CHECKING:
+    from . import stats
+    from .datastore import Datastore
+
+# Chunk size for commands that need whole columns: the table is one chunk.
+_WHOLE_TABLE = sys.maxsize
+# Rows per chunk that delays folds: a chunk copies the rows it holds, so on
+# a 10^6-row table this peaks at 53 MB max RSS, against 98 MB in one chunk.
+_DELAYS_CHUNK = 4096
+
+
+def _fmt6(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".6g")
+    return str(value)
+
+
+def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[list[float]]:
+    """The values of each named numeric column, found by name in ``ds``'s one chunk.
+
+    ``ds`` must hold its whole table in one chunk, unread.  The chunk checks
+    each column's kind; an error names the first column in ``names`` that is
+    unknown, is text or has a missing cell.
+    """
+    chunk = ds.read()
+    columns: list[list[float]] = []
+    for name in names:
+        values, flags = chunk.numeric(name)
+        if any(flags):
+            raise MissingData(f"column {name!r} has missing cells")
+        columns.append(values)
+    return columns
+
+
+def cmd_mapreduce(args) -> int:
+    from . import mapreduce
+    from .datastore import open_datastore
+
+    needed = [args.column] if args.job == "max" else [args.key, args.column]
+    # None is an option not given; '' names a column, as in the header ` ,a`.
+    # The file is read first, so a bad row is reported ahead of a missing option.
+    ds = open_datastore(args.input, chunk_size=args.chunk_size,
+                        columns=[name for name in needed if name is not None])
+    # the mapper checks the columns on the first chunk, before any progress
+    if args.job == "max":
+        if args.column is None:
+            raise ConfigError("--column is required for the max job")
+        mapper = mapreduce.builtin_max_mapper(args.column)
+    else:
+        if args.key is None:
+            raise ConfigError("--key is required for the keycount job")
+        mapper = mapreduce.builtin_keycount_mapper(args.key, args.column)
+
+    # one event a chunk, but at most ~200 distinct lines: a new line is written
+    # at once, and its repeats are held until the next new line or the end
+    line = "Map {}% Reduce {}%\n".format
+    held, count = None, 0  # the last line's percentages, and its repeats not yet written
+
+    def show(event: mapreduce.ProgressEvent) -> None:
+        nonlocal held, count
+        pct = event.map_pct, event.reduce_pct
+        if pct == held:
+            count += 1
+        else:
+            release(line(*pct))
+            held = pct
+
+    def release(new: str = "") -> None:  # zeroed first: a write that raised is not tried again
+        nonlocal count
+        text, count = (line(*held) * count if count else "") + new, 0
+        if text:
+            sys.stdout.write(text)
+
+    try:
+        result = mapreduce.map_reduce(ds, mapper, progress_sink=show)
+    finally:
+        release()  # the held lines go out before any error line
+    sys.stdout.write("".join(f"{key}\t{_fmt6(value)}\n" for key, value in result.readall()))
+    return 0
+
+
+def _print_regression(summary: stats.RegressionSummary, table: stats.AnovaTable,
+                      labels: Sequence[str] = ()) -> None:
+    print("Regression Statistics")
+    for label, value in (
+        ("Multiple R", summary.multiple_r),
+        ("R Square", summary.r_square),
+        ("Adjusted R Square", summary.adjusted_r_square),
+        ("Standard Error", summary.standard_error),
+        ("Observations", summary.n),
+    ):
+        print(f"{label:<18} {_fmt6(value)}")
+    print()
+    print("ANOVA")
+    header = ("", "df", "SS", "MS", "F", "Significance F")
+    rows = [
+        ("Regression", table.regression.df, table.regression.ss, table.regression.ms,
+         table.f_statistic, table.significance_f),
+        ("Residual", table.residual.df, table.residual.ss, table.residual.ms, "", ""),
+        ("Total", table.total.df, table.total.ss, "", "", ""),
+    ]
+    text = [[_fmt6(c) if c != "" else "" for c in row] for row in [header, *rows]]
+    widths = [max(len(row[i]) for row in text) for i in range(len(header))]
+    for row in text:
+        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    if summary.coefficients is not None:
+        print()
+        print("Coefficients")
+        for name, coef in zip(["Intercept", *labels], summary.coefficients):
+            print(f"{name:<18} {_fmt6(coef)}")
+
+
+def cmd_regress(args) -> int:
+    from . import stats
+
+    if args.from_ss:
+        try:
+            ss_reg, ss_total = float(args.from_ss[0]), float(args.from_ss[1])
+            n, k = int(args.from_ss[2]), int(args.from_ss[3])
+        except ValueError as exc:
+            raise ConfigError(f"--from-ss expects SS_REG SS_TOTAL N K: {exc}") from None
+        summary, table = stats.summary_from_ss(ss_reg, ss_total, n, k)
+        _print_regression(summary, table)
+        return 0
+    if not (args.input and args.dependent and args.independents):
+        raise ConfigError(
+            "regress needs either --from-ss or --input/--dependent/--independents"
+        )
+    from .datastore import open_datastore
+
+    # the columns are copies, so the datastore is let go before the fit
+    names = [args.dependent, *args.independents]
+    y, *columns = _numeric_columns(
+        open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names), names)
+    summary, table = stats.fit_ols(columns, y)
+    _print_regression(summary, table, labels=args.independents)
+    return 0
+
+
+def cmd_pca(args) -> int:
+    from . import pca
+    from .datastore import NUMERIC, open_datastore
+
+    ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
+    numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
+    if not numeric:
+        raise TypeMismatch("input has no numeric columns")
+    corr = pca.correlation_matrix(_numeric_columns(ds, numeric), names=numeric)
+    threshold = pca.DEFAULT_VARIANCE_THRESHOLD if args.threshold is None else args.threshold
+    cutoff = pca.DEFAULT_LOADING_CUTOFF if args.cutoff is None else args.cutoff
+    model = pca.extract_factors(corr, variance_threshold=threshold)
+    suggestion = pca.suggest_schema(model, loading_cutoff=cutoff)
+
+    print("Component  Eigenvalue  CumulativeVariance")
+    for i, (value, cum) in enumerate(
+        zip(model.eigenvalues, model.cumulative_variance), start=1
+    ):
+        print(f"{i:<9}  {_fmt6(float(value)):<10}  {_fmt6(float(cum))}")
+    print(f"Selected components: {model.selected_components}")
+    print()
+    print(_json_text(asdict(suggestion)))
+    return 0
+
+
+def cmd_delays(args) -> int:
+    from .datastore import open_datastore
+    from .report import DELAY_COLUMNS, delay_summary
+
+    path = args.input
+    if path is None:
+        from . import fixtures
+
+        path = str(fixtures.path("delays.csv"))
+    ds = open_datastore(path, chunk_size=_DELAYS_CHUNK, columns=DELAY_COLUMNS)
+    print(_json_text(asdict(delay_summary(ds))))
+    return 0
+
+
+def cmd_plotdata(args) -> int:
+    from .datastore import open_datastore
+    from .report import emit_plot_data, write_plot_tsv
+
+    names = [args.x, args.y]
+    xs, ys = _numeric_columns(
+        open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names), names)
+    series = emit_plot_data(xs, ys, with_fit=args.fit)
+    if args.output is not None:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            write_plot_tsv(series, fh)
+    else:
+        write_plot_tsv(series, sys.stdout)
+    return 0

@@ -19,7 +19,7 @@ from conftest import CACHE_DIR, keyed_tables, make_config, make_workload
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stagecost import cli, energy, stats
+from stagecost import cli, energy, sim, stats
 from stagecost.datastore import Datastore, open_datastore
 from stagecost.errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
 from stagecost.cli import dispatch
@@ -348,6 +348,24 @@ def test_simulate_command_reports_and_traces(capsys, config_file, tmp_path):
     first = lines[1].split("\t")
     assert first[1] == "generation_tick"
     assert float(first[2]) == 400.0  # 4 nodes x 100 MB/s x 1 s tick
+
+
+def test_simulate_writes_its_trace_through_sim_write_trace(capsys, monkeypatch, config_file,
+                                                         tmp_path):
+    # the command calls the name sim.write_trace when it runs, so a function
+    # put there (as a tracer's wrapper is) receives the run and the path
+    trace = str(tmp_path / "events.tsv")
+    calls = []
+    monkeypatch.setattr(sim, "write_trace", lambda report, path: calls.append((report, path)))
+    code = dispatch(["simulate", "--config", config_file, "--kernel", "k1",
+                     "--tick", "1", "--trace", trace])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    [(report, path)] = calls
+    assert path == trace
+    assert isinstance(report, sim.SimReport)
+    assert (report.n_ticks, report.energies) == (100, payload["energies"])
+    assert not os.path.exists(trace)
 
 
 @pytest.mark.parametrize("change", [{"lambda_a": 1e304, "bw_host2ssd": 0.01},
@@ -1297,33 +1315,38 @@ sys.stderr.write("\\n" + json.dumps(loaded))
         (["compare", "--config", "{config}", "--kernel", "k1"], ["config", "energy"]),
         (["simulate", "--config", "{config}", "--kernel", "k1", "--tick", "1"],
          ["config", "sim"]),
+        (["simulate", "--config", "{config}", "--kernel", "k1", "--tick", "1",
+          "--trace", "{trace}"], ["config", "sim", "simtrace"]),
         (["mapreduce", "run", "--job", "max", "--column", "ActualElapsedTime",
-          "--input", "{servers}"], ["datastore", "mapreduce"]),
+          "--input", "{servers}"], ["datastore", "mapreduce", "tablecmds"]),
         (["regress", "--input", "{servers}", "--dependent", "ActualElapsedTime",
-          "--independents", "CRSElapsedTime"], ["datastore", "stats"]),
-        (["regress", "--from-ss", "15", "82.5", "10", "2"], ["stats"]),
-        (["pca", "--input", "{wide}"], ["datastore", "pca"]),
+          "--independents", "CRSElapsedTime"], ["datastore", "stats", "tablecmds"]),
+        (["regress", "--from-ss", "15", "82.5", "10", "2"], ["stats", "tablecmds"]),
+        (["pca", "--input", "{wide}"], ["datastore", "pca", "tablecmds"]),
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
-          "--y", "CRSElapsedTime"], ["datastore", "report"]),
+          "--y", "CRSElapsedTime"], ["datastore", "report", "tablecmds"]),
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
-          "--y", "CRSElapsedTime", "--fit"], ["datastore", "report", "stats"]),
-        (["delays"], ["datastore", "fixtures", "mapreduce", "report"]),
-        (["delays", "--input", "{delays}"], ["datastore", "mapreduce", "report"]),
+          "--y", "CRSElapsedTime", "--fit"], ["datastore", "report", "stats", "tablecmds"]),
+        (["delays"], ["datastore", "fixtures", "mapreduce", "report", "tablecmds"]),
+        (["delays", "--input", "{delays}"], ["datastore", "mapreduce", "report", "tablecmds"]),
     ],
-    ids=["import", "energy", "compare", "simulate", "mapreduce", "regress",
+    ids=["import", "energy", "compare", "simulate", "simulate-trace", "mapreduce", "regress",
          "regress-from-ss", "pca", "plotdata", "plotdata-fit", "delays", "delays-input"],
 )
 def test_each_command_loads_only_the_modules_it_calls(config_file, servers_csv, delays_csv,
                                                       tmp_path, argv, extra):
     # a fresh interpreter per command: the CLI module itself loads only errors,
-    # and each handler imports the stagecost modules it calls.  The column cache
-    # is on there, so the tables are copies: an entry goes beside its input.
+    # each handler imports the stagecost modules it calls, the table commands'
+    # handlers are in tablecmds and the trace writer is in simtrace.  The
+    # column cache is on there, so the tables are copies: an entry goes
+    # beside its input.
     wide = tmp_path / "wide.csv"
     wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
     servers, delays = tmp_path / "servers.csv", tmp_path / "delays.csv"
     shutil.copyfile(servers_csv, servers)
     shutil.copyfile(delays_csv, delays)
-    argv = [arg.format(config=config_file, servers=servers, delays=delays, wide=wide)
+    argv = [arg.format(config=config_file, servers=servers, delays=delays, wide=wide,
+                       trace=tmp_path / "events.tsv")
             for arg in argv]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

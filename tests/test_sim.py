@@ -16,7 +16,7 @@ from conftest import make_config, make_workload, random_feasible
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stagecost import energy, sim
+from stagecost import energy, sim, simtrace
 from stagecost.config import KernelRate
 from stagecost.errors import InfeasibleConfig, KernelNotFound, NonPositiveTick
 
@@ -290,7 +290,7 @@ def test_trace_parts_hold_about_equal_events(lambda_a, n_ticks):
     rep = sim.simulate(cfg, wl, "k1", tick=cfg.tsim / n_ticks)
     events = rep.n_ticks + sum(map(len, rep.departures.values()))
     for parts in (2, 3, 5):
-        sizes = [sum(hi - lo for lo, hi in part) for part in sim._part_ranges(rep, parts)]
+        sizes = [sum(hi - lo for lo, hi in part) for part in simtrace._part_ranges(rep, parts)]
         assert sum(sizes) == events
         assert max(sizes) - min(sizes) <= 10, sizes
         assert all(abs(size - events / parts) <= 10 for size in sizes), sizes
@@ -298,11 +298,11 @@ def test_trace_parts_hold_about_equal_events(lambda_a, n_ticks):
 
 # pytest's own process holds numpy's BLAS threads, where write_trace writes
 # every part itself; so the tests below run the writer in fresh interpreters
-# and set the part count through sim._write_parts.
+# and set the part count through simtrace._write_parts.
 
 _SPLIT_WRITER = """
 import atexit, errno, json, os, sys, tempfile
-from stagecost import sim
+from stagecost import sim, simtrace
 from stagecost.config import KernelRate, SystemConfig, Workload
 
 case = json.loads(sys.argv[1])
@@ -317,12 +317,12 @@ atexit.register(sys.stdout.write, "exit hook\\n")
 if case["mode"] == "no-tempfile":
     tempfile.tempdir = os.path.join(case["out"], "missing")
 elif case["mode"] == "failing-child":
-    parent, stream = os.getpid(), sim._event_stream
+    parent, stream = os.getpid(), simtrace._event_stream
     def failing(report, ranges):
         if os.getpid() != parent:
             raise RuntimeError("a child fails")
         return stream(report, ranges)
-    sim._event_stream = failing
+    simtrace._event_stream = failing
 elif case["mode"] == "no-sendfile":
     def refused(*args):
         raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
@@ -330,13 +330,13 @@ elif case["mode"] == "no-sendfile":
 elif case["mode"] == "interrupt":
     def interrupted(child, fd):
         raise KeyboardInterrupt
-    sim._Child.append_to = interrupted
-seen = {"may_fork": sim._may_fork(), "runs": []}
+    simtrace._Child.append_to = interrupted
+seen = {"may_fork": simtrace._may_fork(), "runs": []}
 for parts in case["parts"]:
     del forks[:]
     run = {"parts": parts}
     try:
-        sim._write_parts(report, os.path.join(case["out"], f"{parts}.tsv"), parts)
+        simtrace._write_parts(report, os.path.join(case["out"], f"{parts}.tsv"), parts)
     except KeyboardInterrupt:
         run["interrupted"] = True
     run["forks"] = len(forks)
@@ -398,7 +398,7 @@ def test_trace_parts_join_to_the_one_merge(tmp_path, load):
         # each part after the first opens on a time that a stage, an analysis
         # and a drain job end at
         for parts in PARTS[1:]:
-            for (first, _), *cuts in sim._part_ranges(rep, parts)[1:]:
+            for (first, _), *cuts in simtrace._part_ranges(rep, parts)[1:]:
                 for name, (lo, _) in zip(("ssd_ingest", "ssd_analyze", "ssd_drain"), cuts):
                     assert rep.departures[name][lo] == first * tick
     expected = trace_bytes(simulate_by_events(cfg, wl, "k1", tick).events)
@@ -436,11 +436,11 @@ def test_an_interrupted_writer_reaps_its_children(tmp_path):
 
 _FULL_DEVICE = """
 import os, sys
-from stagecost import cli, sim
+from stagecost import cli, sim, simtrace
 
 forks = []
 os.register_at_fork(after_in_parent=lambda: forks.append(1))
-sim.write_trace = lambda report, path: sim._write_parts(report, path, 3)
+sim.write_trace = lambda report, path: simtrace._write_parts(report, path, 3)
 sys.argv = ["stagecost", *sys.argv[1:]]
 try:
     cli.main()
