@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress, islice
 from operator import itemgetter
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     EmptyInput,
@@ -64,7 +64,7 @@ MISSING_MARKER = "NA"  # the one missing-cell marker
 # to 2048 rows and 79-98 ms in blocks of 16k rows or more.
 _BLOCK_ROWS = 1024
 _NAN_FOR_MISSING = {MISSING_MARKER: math.nan}
-# The column cache's directory, made beside the first input; None switches it off.
+# The column cache's directory, made beside the first input.
 _CACHE_DIR = ".stagecost-cache"
 _HASH_BLOCK = 1 << 16  # bytes of an input hashed at a time: a small, fixed buffer
 
@@ -189,7 +189,7 @@ class Datastore:
 def open_datastore(
     paths: Sequence[str | os.PathLike] | str | os.PathLike,
     chunk_size: int = 4,
-    columns: Sequence[str] | None = None,
+    columns: Iterable[str] | str | None = None,
 ) -> Datastore:
     """Open one or more CSV files that share a header as a single datastore.
 
@@ -197,11 +197,14 @@ def open_datastore(
     kept, in header order, and every chunk holds just those; a name the header
     lacks is no error here, but looking it up on a chunk is.  Every row is
     checked either way.  If no named column is in the header, ``read`` names
-    the first one asked for.
+    the first one asked for.  A lone path or column name may be given as it
+    is, not in a list.
     """
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
-    return Datastore(list(paths), chunk_size, columns)
+    if isinstance(columns, str):
+        columns = [columns]
+    return Datastore(list(paths), chunk_size, None if columns is None else list(columns))
 
 
 class _Text:
@@ -420,7 +423,7 @@ def _cached_load(paths, wanted=None) -> tuple[list[str], list[_Column], int]:
     so do inputs in this package's directory, such as the bundled samples,
     where an installed package is no place for an entry.
     """
-    if _CACHE_DIR is None or not paths:
+    if not paths:
         return _load(paths, wanted)
     try:
         entry, key = _entry(paths, wanted)

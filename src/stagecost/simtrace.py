@@ -5,13 +5,12 @@ trace never compiles it.  The log (ticks and the three stations' completions)
 is rebuilt from the run's departure times.  ``write`` cuts it at multiples of
 the tick into one part per usable CPU and formats the parts at once, this
 process the first and forked children the others; each part streams its
-lines, and the parts are joined in order into the bytes of one merge over the
-whole log.
+lines, and the parts are copied in order into the trace, which holds the
+bytes of one merge over the whole log.
 """
 
 from __future__ import annotations
 
-import errno
 import heapq
 import os
 import sys
@@ -114,9 +113,9 @@ def _write_parts(report: SimReport, path: str, parts: int) -> None:
     """``write`` with the log cut into ``parts`` parts.
 
     Parts after the first are forked off only when this process may fork
-    (``_may_fork``); a part whose child failed, or could not start, or whose
-    file cannot be appended with ``os.sendfile``, is written by this process
-    in its turn.  However the writer leaves, no child outlives it.
+    (``_may_fork``); a part whose child failed or could not start is written
+    by this process in its turn.  However the writer leaves, no child
+    outlives it.
     """
     ranges = _part_ranges(report, parts)
     with open(path, "w", encoding="utf-8") as fh:
@@ -129,7 +128,7 @@ def _write_parts(report: SimReport, path: str, parts: int) -> None:
             fh.writelines(_event_stream(report, ranges[0]))
             for k, r in enumerate(ranges[1:]):
                 fh.flush()  # the text written so far goes first
-                if not (children and children[k].append_to(fh.fileno())):
+                if not (children and children[k].append_to(fh.buffer)):
                     fh.writelines(_event_stream(report, r))
         finally:
             for child in children:
@@ -180,13 +179,8 @@ class _Child:
                 os._exit(status)
         self.pid = pid
 
-    def append_to(self, fd: int) -> bool:
-        """Wait for the child, then append its part to ``fd``; False if there is none to append.
-
-        An output that ``os.sendfile`` refuses (/dev/full; on macOS and the
-        BSDs, anything but a socket) gets no part either, provided nothing
-        was sent yet.
-        """
+    def append_to(self, out) -> bool:
+        """Wait for the child, then copy its part to the binary file ``out``; False if none."""
         if self.pid is None:
             return False
         try:
@@ -196,15 +190,10 @@ class _Child:
         self.pid = None
         if status != 0:
             return False
-        size, sent = os.fstat(self.file.fileno()).st_size, 0
-        try:
-            while sent < size:
-                sent += os.sendfile(fd, self.file.fileno(), sent, size - sent)
-        except OSError as exc:
-            if sent or exc.errno not in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK,
-                                         errno.EOPNOTSUPP):
-                raise
-            return False
+        import shutil  # tempfile imported it already
+
+        self.file.seek(0)
+        shutil.copyfileobj(self.file, out)
         return True
 
     def close(self) -> None:

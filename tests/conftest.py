@@ -1,4 +1,9 @@
-"""Shared builders for test configs, workloads and keyed tables."""
+"""Shared builders for test configs, workloads and keyed tables.
+
+Every test opens its tables through the column cache, as the commands do; a
+test that must see a parse opens a path that no test opened before, or forces
+a miss inside the test.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from stagecost import datastore, fixtures
+from stagecost import fixtures
 from stagecost.config import KernelRate, SystemConfig, Workload
 from stagecost.energy import e_active_ssd, e_idle_ssd, e_ssd2pfs
 
@@ -21,23 +26,6 @@ def pytest_configure(config):
     home = tempfile.mkdtemp(prefix="hypothesis-")
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
     set_hypothesis_home_dir(home)
-
-
-CACHE_DIR = datastore._CACHE_DIR  # read before any test switches the cache off
-
-
-@pytest.fixture(autouse=True)
-def no_column_cache(monkeypatch):
-    """Every open in a test parses its files, and no test leaves a cache entry;
-    the ``column_cache`` fixture switches the cache back on."""
-    monkeypatch.setattr(datastore, "_CACHE_DIR", None)
-
-
-@pytest.fixture
-def column_cache(monkeypatch) -> str:
-    """The column cache switched on; its directory's name."""
-    monkeypatch.setattr(datastore, "_CACHE_DIR", CACHE_DIR)
-    return CACHE_DIR
 
 
 def make_config(**overrides) -> SystemConfig:

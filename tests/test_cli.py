@@ -15,11 +15,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from conftest import CACHE_DIR, keyed_tables, make_config, make_workload
+from conftest import keyed_tables, make_config, make_workload
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stagecost import cli, energy, sim, stats
+from stagecost import cli, datastore, energy, sim, stats
 from stagecost.datastore import Datastore, open_datastore
 from stagecost.errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
 from stagecost.cli import dispatch
@@ -1368,7 +1368,7 @@ def test_the_bundled_sample_leaves_no_cache_in_the_package():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["records"] > 0
-    assert not list(package.rglob(CACHE_DIR))
+    assert not list(package.rglob(datastore._CACHE_DIR))
 
 
 # -- BLAS threads -----------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from stagecost.errors import (
     UnknownVariable,
 )
 
+CACHE = datastore._CACHE_DIR
+
 
 def read_everything(ds):
     ds.reset()
@@ -362,10 +364,12 @@ def test_each_cell_is_parsed_at_most_once(monkeypatch, tmp_path, servers_csv):
         return float(cell)
 
     monkeypatch.setattr(datastore, "float", counting_float, raising=False)
-    late = tmp_path / "late.csv"  # v turns text in its third block of two rows
-    late.write_text("n,v\n1,1.50\nNA, 2 \n3, NA \n4,3\n5,word\n6,7\n")
     for block_rows in (2, 1024):
         monkeypatch.setattr(datastore, "_BLOCK_ROWS", block_rows)
+        # a path of its own for each block size, so that each open parses it;
+        # v turns text in its third block of two rows
+        late = tmp_path / f"late-{block_rows}.csv"
+        late.write_text("n,v\n1,1.50\nNA, 2 \n3, NA \n4,3\n5,word\n6,7\n")
         for path in (servers_csv, late):
             calls.clear()
             ds = open_datastore(path)
@@ -502,6 +506,27 @@ def test_a_projection_keeps_header_order_and_ignores_unknown_names(servers_csv):
         chunk.column_index("TailNum")
 
 
+def test_a_lone_column_name_is_one_name_not_its_letters(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("G,a,Gap,x\n1,2,3,4\n5,6,7,8\n")
+    for columns in ("Gap", ["Gap"]):
+        ds = open_datastore(path, chunk_size=8, columns=columns)
+        assert [c.name for c in ds.schema] == ["Gap"]
+        assert list(ds.read().column("Gap")) == [3.0, 7.0]
+    assert len(list((tmp_path / CACHE).iterdir())) == 1  # the same selection, one entry
+
+
+def test_an_iterator_of_column_names_selects_them_all(tmp_path, parses):
+    path = tmp_path / "t.csv"
+    path.write_text("G,a,Gap,x\n1,2,3,4\n5,6,7,8\n")
+    for _ in range(2):  # a parse, then a cache hit
+        ds = open_datastore(path, chunk_size=8, columns=(name for name in ["x", "G"]))
+        assert [c.name for c in ds.schema] == ["G", "x"]
+        chunk = ds.read()
+        assert [list(chunk.column(name)) for name in ("G", "x")] == [[1.0, 5.0], [4.0, 8.0]]
+    assert parses == [1]
+
+
 def test_numeric_hands_back_the_chunks_own_column_and_flags(servers_csv):
     chunk = open_datastore(servers_csv, chunk_size=8).read()
     i = chunk.column_index("ExtraTime")
@@ -593,20 +618,24 @@ def everything(paths, chunk_size, columns=None):
 
 
 def parsed(monkeypatch, paths, chunk_size=100, columns=None):
-    """``everything`` with the cache switched off."""
+    """``everything`` from a parse: the open meets an OSError at the cache,
+    so it neither reads nor writes an entry."""
+
+    def unreachable(paths, wanted):
+        raise PermissionError("the cache is out of reach")
+
     with monkeypatch.context() as patch:
-        patch.setattr(datastore, "_CACHE_DIR", None)
+        patch.setattr(datastore, "_entry", unreachable)
         return everything(paths, chunk_size, columns)
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_tables())
-def test_a_cache_hit_reads_like_the_parse_it_kept(monkeypatch, tmp_path, column_cache,
-                                                  parses, table):
+def test_a_cache_hit_reads_like_the_parse_it_kept(monkeypatch, tmp_path, parses, table):
     # blocks of two rows: a column can turn text after its first block
     monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
-    shutil.rmtree(tmp_path / column_cache, ignore_errors=True)  # left by another example
+    shutil.rmtree(tmp_path / CACHE, ignore_errors=True)  # left by another example
     paths = write_table(tmp_path, *table)
     names = [f"c{i}" for i in range(len(table[0]))]
     selections = [None] + [list(s) for r in range(len(names) + 1)
@@ -618,22 +647,21 @@ def test_a_cache_hit_reads_like_the_parse_it_kept(monkeypatch, tmp_path, column_
             got = everything(paths, chunk_size, columns)
             assert parses[0] == before + (chunk_size == 1)
             assert got == parsed(monkeypatch, paths, chunk_size, columns)
-    assert len(os.listdir(tmp_path / column_cache)) == len(selections)
+    assert len(os.listdir(tmp_path / CACHE)) == len(selections)
 
 
-def test_an_entry_holds_each_array_as_raw_bytes(tmp_path, column_cache):
+def test_an_entry_holds_each_array_as_raw_bytes(tmp_path):
     # 8 B a number, 4 B a text code, 1 B of flags a cell, beside one line of JSON
     path = tmp_path / "t.csv"
     path.write_text("k,x,y\na,1,NA\nb,NA,2\na,3,4\n")
     open_datastore(path, columns=["k", "x"])
-    (entry,) = (tmp_path / column_cache).iterdir()
+    (entry,) = (tmp_path / CACHE).iterdir()
     head, _, rest = entry.read_bytes().partition(b"\n")
     assert len(rest) == 3 * (4 + 1) + 3 * (8 + 1) + 32
     assert b'"words": [[null, ' in head
 
 
-def test_an_input_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, column_cache,
-                                                                    parses):
+def test_an_input_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, parses):
     path = tmp_path / "t.csv"
     path.write_text("k,v\na,1\nb,2\n")
     stamp = path.stat()
@@ -647,20 +675,20 @@ def test_an_input_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, co
     assert parses == [2]
 
 
-def write_two_entries(tmp_path, cache):
+def write_two_entries(tmp_path):
     """A table with entries for two column selections; the table and the entries."""
     path = tmp_path / "t.csv"
     path.write_text("k,x,y\na,1,NA\nb,NA,2\nword,3,4\n")
     open_datastore(path, columns=["k", "x"])
-    first = set((tmp_path / cache).iterdir())
+    first = set((tmp_path / CACHE).iterdir())
     open_datastore(path, columns=["y"])
-    (second,) = set((tmp_path / cache).iterdir()) - first
+    (second,) = set((tmp_path / CACHE).iterdir()) - first
     (first,) = first
     return path, first, second
 
 
-def test_every_flipped_byte_of_an_entry_is_a_miss(monkeypatch, tmp_path, column_cache, parses):
-    path, entry, _ = write_two_entries(tmp_path, column_cache)
+def test_every_flipped_byte_of_an_entry_is_a_miss(monkeypatch, tmp_path, parses):
+    path, entry, _ = write_two_entries(tmp_path)
     whole = entry.read_bytes()
     want = parsed(monkeypatch, path, columns=["k", "x"])
     for at in range(len(whole)):
@@ -671,8 +699,8 @@ def test_every_flipped_byte_of_an_entry_is_a_miss(monkeypatch, tmp_path, column_
         assert entry.read_bytes() == whole  # the miss wrote the entry again
 
 
-def test_a_truncated_or_foreign_entry_is_a_miss(monkeypatch, tmp_path, column_cache, parses):
-    path, entry, other = write_two_entries(tmp_path, column_cache)
+def test_a_truncated_or_foreign_entry_is_a_miss(monkeypatch, tmp_path, parses):
+    path, entry, other = write_two_entries(tmp_path)
     whole = entry.read_bytes()
     want = parsed(monkeypatch, path, columns=["k", "x"])
     before = parses[0]
@@ -687,11 +715,10 @@ def test_a_truncated_or_foreign_entry_is_a_miss(monkeypatch, tmp_path, column_ca
 
 
 @pytest.mark.parametrize("change", ["a word short", "a row short", "a column short"])
-def test_an_entry_that_disagrees_with_itself_is_a_miss(monkeypatch, tmp_path, column_cache,
-                                                       parses, change):
+def test_an_entry_that_disagrees_with_itself_is_a_miss(monkeypatch, tmp_path, parses, change):
     # an entry rewritten with its sha256 to match, as a writer with another
     # bug would leave it: the digest alone does not let it through
-    path, entry, _ = write_two_entries(tmp_path, column_cache)
+    path, entry, _ = write_two_entries(tmp_path)
     line, _, rest = entry.read_bytes().partition(b"\n")
     head, payload = json.loads(line), rest[:-32]
     if change == "a word short":
@@ -708,22 +735,20 @@ def test_an_entry_that_disagrees_with_itself_is_a_miss(monkeypatch, tmp_path, co
     assert parses[0] == before + 1
 
 
-def test_a_file_where_the_cache_goes_leaves_the_parse(monkeypatch, tmp_path, column_cache,
-                                                      parses):
+def test_a_file_where_the_cache_goes_leaves_the_parse(monkeypatch, tmp_path, parses):
     path = tmp_path / "t.csv"
     path.write_text("k,x\na,1\nb,NA\n")
-    (tmp_path / column_cache).write_text("not a directory")
+    (tmp_path / CACHE).write_text("not a directory")
     want = parsed(monkeypatch, path, 1)
     before = parses[0]
     for _ in range(2):
         assert everything(path, 1) == want
     assert parses[0] == before + 2
-    assert (tmp_path / column_cache).read_text() == "not a directory"
+    assert (tmp_path / CACHE).read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("case", ["short row", "bad UTF-8", "missing file", "FIFO"])
-def test_a_failing_input_leaves_no_entry_and_fails_the_same_way_again(tmp_path, column_cache,
-                                                                      case):
+def test_a_failing_input_leaves_no_entry_and_fails_the_same_way_again(tmp_path, case):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     good.write_text("a,b\n1,2\n")
     if case == "short row":
@@ -739,24 +764,23 @@ def test_a_failing_input_leaves_no_entry_and_fails_the_same_way_again(tmp_path, 
                 open_datastore(paths)
             errors.append((caught.type, str(caught.value)))
         assert errors[0] == errors[1]
-        assert not (tmp_path / column_cache).exists()
+        assert not (tmp_path / CACHE).exists()
 
 
-def test_an_input_that_turns_bad_after_its_entry_fails_as_the_parse_does(monkeypatch, tmp_path,
-                                                                        column_cache):
+def test_an_input_that_turns_bad_after_its_entry_fails_as_the_parse_does(monkeypatch, tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n3,4\n")
     open_datastore(path)
-    entries = list((tmp_path / column_cache).iterdir())
+    entries = list((tmp_path / CACHE).iterdir())
     path.write_text("a,b\n1,2\n3\n")
     want = parsed(monkeypatch, path)
     assert want == (HeaderMismatch, f"{path}:3: expected 2 cells, got 1")
     for _ in range(2):
         assert everything(path, 100) == want
-    assert list((tmp_path / column_cache).iterdir()) == entries
+    assert list((tmp_path / CACHE).iterdir()) == entries
 
 
-def test_a_hit_holds_little_beyond_the_columns_it_reads(tmp_path, column_cache, parses):
+def test_a_hit_holds_little_beyond_the_columns_it_reads(tmp_path, parses):
     # 200k rows of a 300-word key and a number, as above: 2.8 MB of columns
     rng = random.Random(5)
     path = tmp_path / "keys.csv"

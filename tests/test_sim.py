@@ -301,7 +301,7 @@ def test_trace_parts_hold_about_equal_events(lambda_a, n_ticks):
 # and set the part count through simtrace._write_parts.
 
 _SPLIT_WRITER = """
-import atexit, errno, json, os, sys, tempfile
+import atexit, errno, json, os, sys, tempfile, tracemalloc
 from stagecost import sim, simtrace
 from stagecost.config import KernelRate, SystemConfig, Workload
 
@@ -314,32 +314,46 @@ os.register_at_fork(after_in_parent=lambda: forks.append(1))
 # repeat these lines on stdout
 sys.stdout.write("buffered\\n")
 atexit.register(sys.stdout.write, "exit hook\\n")
+parent = os.getpid()
 if case["mode"] == "no-tempfile":
     tempfile.tempdir = os.path.join(case["out"], "missing")
 elif case["mode"] == "failing-child":
-    parent, stream = os.getpid(), simtrace._event_stream
+    stream = simtrace._event_stream
     def failing(report, ranges):
         if os.getpid() != parent:
             raise RuntimeError("a child fails")
         return stream(report, ranges)
     simtrace._event_stream = failing
-elif case["mode"] == "no-sendfile":
+elif case["mode"] == "sendfile-refused":  # as on macOS and the BSDs, to a file
     def refused(*args):
         raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
     os.sendfile = refused
+elif case["mode"] == "sendfile-absent":
+    del os.sendfile
 elif case["mode"] == "interrupt":
-    def interrupted(child, fd):
+    def interrupted(child, out):
         raise KeyboardInterrupt
     simtrace._Child.append_to = interrupted
+# the parts that this process formats itself
+streamed, counted = [], simtrace._event_stream
+def counting(report, ranges):
+    if os.getpid() == parent:
+        streamed.append(ranges)
+    return counted(report, ranges)
+simtrace._event_stream = counting
 seen = {"may_fork": simtrace._may_fork(), "runs": []}
 for parts in case["parts"]:
-    del forks[:]
+    del forks[:], streamed[:]
     run = {"parts": parts}
+    tracemalloc.start()
     try:
         simtrace._write_parts(report, os.path.join(case["out"], f"{parts}.tsv"), parts)
     except KeyboardInterrupt:
         run["interrupted"] = True
+    run["peak"] = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     run["forks"] = len(forks)
+    run["streamed"] = list(map(simtrace._part_ranges(report, parts).index, streamed))
     try:
         os.waitpid(-1, os.WNOHANG)
         run["reaped"] = False
@@ -404,6 +418,7 @@ def test_trace_parts_join_to_the_one_merge(tmp_path, load):
     expected = trace_bytes(simulate_by_events(cfg, wl, "k1", tick).events)
     runs = _write_in_parts(tmp_path, cfg, wl, tick)
     assert [run["forks"] for run in runs] == [parts - 1 for parts in PARTS]
+    assert [run["streamed"] for run in runs] == [[0]] * len(PARTS)
     for parts in PARTS:
         assert (tmp_path / f"{parts}.tsv").read_bytes() == expected, parts
 
@@ -413,25 +428,56 @@ def test_trace_parts_join_to_the_one_merge(tmp_path, load):
     "mode, env, forks",
     [("fork", {"TMPDIR": "/nonexistent/stagecost-tmp"}, True),
      ("no-tempfile", {}, False),
-     ("failing-child", {}, True),
-     ("no-sendfile", {}, True)],
-    ids=["tmpdir-missing", "no-tempfile", "failing-child", "no-sendfile"],
+     ("failing-child", {}, True)],
+    ids=["tmpdir-missing", "no-tempfile", "failing-child"],
 )
 def test_parts_that_no_child_wrote_are_written_in_turn(tmp_path, mode, env, forks):
+    # a missing TMPDIR sends tempfile to the next usable directory, where the
+    # children write their parts; without one, or when a child fails, this
+    # process formats every part itself
     cfg, wl, tick = _loaded(11, 400, "feasible")
     expected = trace_bytes(simulate_by_events(cfg, wl, "k1", tick).events)
     runs = _write_in_parts(tmp_path, cfg, wl, tick, mode, **env)
     assert [run["forks"] for run in runs] == [(parts - 1) * forks for parts in PARTS]
+    children_wrote = mode == "fork"
+    assert [run["streamed"] for run in runs] == [
+        [0] if children_wrote else list(range(parts)) for parts in PARTS]
     for parts in PARTS:
         assert (tmp_path / f"{parts}.tsv").read_bytes() == expected, parts
+
+
+@needs_fork
+@pytest.mark.parametrize("mode", ["sendfile-refused", "sendfile-absent"])
+def test_each_part_a_child_wrote_is_copied_without_sendfile(tmp_path, mode):
+    # os.sendfile sends only to a socket on macOS and the BSDs, and is absent
+    # on some platforms; the parts that children wrote reach the trace anyway,
+    # and this process formats only the first
+    cfg, wl, tick = _loaded(11, 400, "feasible")
+    expected = trace_bytes(simulate_by_events(cfg, wl, "k1", tick).events)
+    runs = _write_in_parts(tmp_path, cfg, wl, tick, mode, parts=(2, 3, 5))
+    assert [run["forks"] for run in runs] == [1, 2, 4]
+    assert [run["streamed"] for run in runs] == [[0], [0], [0]]
+    for parts in (2, 3, 5):
+        assert (tmp_path / f"{parts}.tsv").read_bytes() == expected, parts
+
+
+@needs_fork
+def test_the_split_writer_streams_the_event_log(tmp_path):
+    # the 8 MB trace of test_write_trace_streams_the_event_log, in two parts:
+    # this process formats one and copies the other from its child's file
+    cfg, wl = make_config(), make_workload()
+    (run,) = _write_in_parts(tmp_path, cfg, wl, cfg.tsim / (5 * 10**4), parts=(2,))
+    assert (run["forks"], run["streamed"]) == (1, [0])
+    assert (tmp_path / "2.tsv").stat().st_size > 4 * 2**20
+    assert run["peak"] < 2**20
 
 
 @needs_fork
 def test_an_interrupted_writer_reaps_its_children(tmp_path):
     cfg, wl, tick = _loaded(11, 400, "overloaded")
     runs = _write_in_parts(tmp_path, cfg, wl, tick, "interrupt", parts=(3, 5))
-    assert runs == [{"parts": 3, "interrupted": True, "forks": 2, "reaped": True},
-                    {"parts": 5, "interrupted": True, "forks": 4, "reaped": True}]
+    assert [(run["parts"], run.get("interrupted"), run["forks"], run["streamed"])
+            for run in runs] == [(3, True, 2, [0]), (5, True, 4, [0])]
 
 
 _FULL_DEVICE = """
