@@ -9,6 +9,7 @@ A command runs as a fresh process, and its start-up, the interpreter and the
 imports, is most of the time a model command takes.  So this module imports
 only the standard library and ``errors`` at its top, and each handler imports
 the stagecost modules it calls: a command loads no module it does not use.
+Only the model commands, whose records are dataclasses, load ``dataclasses``.
 The handlers of the table commands live in ``tablecmds``, which only they
 import, and a command builds the parser of its own subcommand alone.
 """
@@ -20,7 +21,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Sequence
 
 from .errors import ConfigError, ToolkitError
@@ -64,6 +64,8 @@ def _json_text(payload) -> str:
 
 def _cmd_model(args) -> int:
     """energy and compare: ``args.model`` names the energy-model function to report."""
+    from dataclasses import asdict
+
     from . import energy
 
     cfg, wl = _load_validated(args.config)

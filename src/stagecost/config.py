@@ -5,7 +5,8 @@ data, an SSD staging tier that absorbs it, and a pool of server nodes that
 can do the same analysis after the fact.  A :class:`Workload` describes what
 the nodes produce per second and which analysis kernels may run on it.
 
-Both objects are immutable after construction.  ``validate`` never raises:
+Both are frozen dataclasses, whose fields the benchmark under ``perfbench/``
+reads through ``dataclasses``.  ``validate`` never raises:
 it returns a report listing every violated invariant, plus a feasibility
 flag saying whether the staging tier can absorb the offered load at all.
 """

@@ -40,11 +40,10 @@ import os
 import stat
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress, islice
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     EmptyInput,
@@ -72,8 +71,7 @@ NUMERIC = "numeric"
 TEXT = "text"
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
+class ColumnSchema(NamedTuple):
     name: str
     kind: str  # NUMERIC or TEXT
 
@@ -82,19 +80,21 @@ class ColumnSchema:
 Values = Union[array, list]
 
 
-@dataclass
 class TableChunk:
     """A batch of rows by column: ``schema[i]``'s values and missing flags.
 
     A numeric column's values are an ``array('d')``, a text column's a list;
     the flags are a ``bytearray`` of 0 and 1.  Each is a fresh copy, so
     changing it leaves the datastore as it was.  ``numeric`` is the one check
-    that a column a reader needs as numbers is numeric.
+    that a column a reader needs as numbers is numeric.  Its ``len`` is its
+    row count, which is why it is not a tuple.
     """
 
-    schema: tuple[ColumnSchema, ...]
-    columns: tuple[Values, ...]
-    missing: tuple[bytearray, ...]
+    __slots__ = ("schema", "columns", "missing")
+
+    def __init__(self, schema: tuple[ColumnSchema, ...], columns: tuple[Values, ...],
+                 missing: tuple[bytearray, ...]):
+        self.schema, self.columns, self.missing = schema, columns, missing
 
     def __len__(self) -> int:
         return len(self.missing[0])
@@ -131,9 +131,12 @@ def format_cell(value) -> str:
 
 
 class Datastore:
-    """Cursor-based access to one logical table spread over CSV files."""
+    """Cursor-based access to one logical table spread over CSV files (see open_datastore)."""
 
     def __init__(self, paths, chunk_size, columns=None):
+        paths = [paths] if isinstance(paths, (str, os.PathLike)) else list(paths)
+        if columns is not None:
+            columns = [columns] if isinstance(columns, str) else list(columns)
         self._chunk_size = int(chunk_size)
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
@@ -198,13 +201,9 @@ def open_datastore(
     lacks is no error here, but looking it up on a chunk is.  Every row is
     checked either way.  If no named column is in the header, ``read`` names
     the first one asked for.  A lone path or column name may be given as it
-    is, not in a list.
+    is, not in a list, and an iterator of names is read once.
     """
-    if isinstance(paths, (str, os.PathLike)):
-        paths = [paths]
-    if isinstance(columns, str):
-        columns = [columns]
-    return Datastore(list(paths), chunk_size, None if columns is None else list(columns))
+    return Datastore(paths, chunk_size, columns)
 
 
 class _Text:

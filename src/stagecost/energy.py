@@ -13,7 +13,8 @@ come out in joules.  Busy times are volumes divided by bandwidths:
 
 ``insitu_breakdown`` combines them; ``offline_report`` prices the same
 analysis done after the run on a pool of server nodes, and ``compare``
-puts the two side by side.
+puts the two side by side.  The reports are frozen dataclasses, printed by
+``asdict``.
 """
 
 from __future__ import annotations

@@ -10,33 +10,31 @@ alone, are the result.  A count or a maximum keeps its answer as its partial;
 a mean or a variance keeps a fixed tuple, such as (n, mean, M2), that its
 caller finishes.
 
-Progress is reported as whole percentages: a (0, 0) event once the first
-chunk is mapped, one event after every mapped chunk, and one after every key
-of the result; the final event is always (100, 100).  A built-in mapper
-finds and checks its columns once per table it folds, on the first chunk, so
-a job it refuses reports no progress.
+Progress is reported as whole percentages, each event a named tuple
+(map_pct, reduce_pct): a (0, 0) event once the first chunk is mapped, one
+event after every mapped chunk, and one after every key of the result; the
+final event is always (100, 100).  A built-in mapper finds and checks its
+columns once per table it folds, on the first chunk, so a job it refuses
+reports no progress.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter, not_
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .datastore import Datastore, TableChunk, format_cell
 
 MAX_KEY = "MaxElapsedTime"  # key under which the built-in max job reports
 
 
-@dataclass
-class ProgressEvent:
+class ProgressEvent(NamedTuple):
     map_pct: int
     reduce_pct: int
 
 
-@dataclass(frozen=True)
-class JobResult:
+class JobResult(NamedTuple):
     """Named (key, value) pairs, keys in lexicographic order."""
 
     pairs: tuple[tuple[str, object], ...]

@@ -9,8 +9,7 @@ dimensions by the size of their loadings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,14 +22,12 @@ DEFAULT_LOADING_CUTOFF = 0.5
 _THRESHOLD_SLACK = 1e-12  # absorbs rounding when cumulative variance ~ threshold
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     names: tuple[str, ...]
     values: np.ndarray  # p x p, symmetric, unit diagonal
 
 
-@dataclass(frozen=True)
-class FactorModel:
+class FactorModel(NamedTuple):
     names: tuple[str, ...]
     eigenvalues: np.ndarray          # descending, >= 0
     loadings: np.ndarray             # column j = unit eigenvector of component j
@@ -39,8 +36,7 @@ class FactorModel:
     variance_threshold: float
 
 
-@dataclass(frozen=True)
-class CandidateDimension:
+class CandidateDimension(NamedTuple):
     name: str
     component: int                          # 1-based component index
     eigenvalue: float
@@ -48,8 +44,7 @@ class CandidateDimension:
     empty: bool
 
 
-@dataclass(frozen=True)
-class SchemaSuggestion:
+class SchemaSuggestion(NamedTuple):
     dimensions: tuple[CandidateDimension, ...]
     loading_cutoff: float
 

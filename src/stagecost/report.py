@@ -1,13 +1,13 @@
 """Delay summaries, each one map-reduce pass over the whole table, and x/y plot series.
 
-numpy is loaded only for a plot series with a fit, through ``stats``.
+Both are named tuples.  numpy is loaded only for a plot series with a fit,
+through ``stats``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .datastore import Datastore, TableChunk
 from .errors import LengthMismatch, MissingData, TypeMismatch
@@ -15,15 +15,13 @@ from .errors import LengthMismatch, MissingData, TypeMismatch
 # -- delay summaries ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DelayStats:
+class DelayStats(NamedTuple):
     mean: float
     minimum: float
     maximum: float
 
 
-@dataclass(frozen=True)
-class DelaySummary:
+class DelaySummary(NamedTuple):
     records: int
     overall: dict
     per_origin: dict
@@ -83,8 +81,7 @@ def _both_delays(acc: list) -> dict[str, DelayStats]:
 # -- plot data ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlotSeries:
+class PlotSeries(NamedTuple):
     x: tuple[float, ...]
     y: tuple[float, ...]
     fitted: Optional[tuple[float, ...]]

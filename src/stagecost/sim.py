@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import sub
+from typing import NamedTuple
 
 from .config import SystemConfig, Workload, validate
 from .errors import ConfigError, InfeasibleConfig, NonPositiveTick, TickMismatch, TooManyTicks
@@ -51,8 +51,7 @@ TERM_TO_ANALYTIC = {
 }
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """The outcome of one run, and the numbers its event log is built from.
 
     ``departures`` maps each station to its departure times in service order
@@ -74,8 +73,7 @@ class SimReport:
     drain_sources: bytearray
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     """Each busy term's relative gap between simulation and closed form, and the verdict."""
 
     relative: dict[str, float]

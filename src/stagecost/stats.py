@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import (
     CollinearDesign,
@@ -50,8 +49,7 @@ _BETA_MAX_ITER = 100_000
 _FRONT_MAX_REL_ERROR = 1e-6
 
 
-@dataclass(frozen=True)
-class RegressionSummary:
+class RegressionSummary(NamedTuple):
     coefficients: Optional[tuple[float, ...]]  # (intercept, b1..bk); None if from sums
     multiple_r: float
     r_square: float
@@ -61,15 +59,13 @@ class RegressionSummary:
     k: int
 
 
-@dataclass(frozen=True)
-class AnovaRow:
+class AnovaRow(NamedTuple):
     df: int
     ss: float
     ms: Optional[float]  # None on the total row
 
 
-@dataclass(frozen=True)
-class AnovaTable:
+class AnovaTable(NamedTuple):
     regression: AnovaRow
     residual: AnovaRow
     total: AnovaRow

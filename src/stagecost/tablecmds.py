@@ -8,14 +8,13 @@ stagecost modules it calls and returns the exit status.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Sequence
 
 from .cli import _json_text
 from .errors import ConfigError, MissingData, TypeMismatch
 
 if TYPE_CHECKING:
-    from . import stats
+    from . import report, stats
     from .datastore import Datastore
 
 # Chunk size for commands that need whole columns: the table is one chunk.
@@ -70,16 +69,15 @@ def cmd_mapreduce(args) -> int:
     # one event a chunk, but at most ~200 distinct lines: a new line is written
     # at once, and its repeats are held until the next new line or the end
     line = "Map {}% Reduce {}%\n".format
-    held, count = None, 0  # the last line's percentages, and its repeats not yet written
+    held, count = None, 0  # the last line's event, and its repeats not yet written
 
     def show(event: mapreduce.ProgressEvent) -> None:
         nonlocal held, count
-        pct = event.map_pct, event.reduce_pct
-        if pct == held:
+        if event == held:
             count += 1
         else:
-            release(line(*pct))
-            held = pct
+            release(line(*event))
+            held = event
 
     def release(new: str = "") -> None:  # zeroed first: a write that raised is not tried again
         nonlocal count
@@ -174,7 +172,8 @@ def cmd_pca(args) -> int:
         print(f"{i:<9}  {_fmt6(float(value)):<10}  {_fmt6(float(cum))}")
     print(f"Selected components: {model.selected_components}")
     print()
-    print(_json_text(asdict(suggestion)))
+    print(_json_text({**suggestion._asdict(),
+                      "dimensions": [dim._asdict() for dim in suggestion.dimensions]}))
     return 0
 
 
@@ -188,8 +187,18 @@ def cmd_delays(args) -> int:
 
         path = str(fixtures.path("delays.csv"))
     ds = open_datastore(path, chunk_size=_DELAYS_CHUNK, columns=DELAY_COLUMNS)
-    print(_json_text(asdict(delay_summary(ds))))
+    print(_json_text(_delays_doc(delay_summary(ds))))
     return 0
+
+
+def _delays_doc(summary: report.DelaySummary) -> dict:
+    """The JSON object that delays prints: the summary's fields, each DelayStats an object."""
+
+    def both(delays: dict) -> dict:
+        return {name: delay._asdict() for name, delay in delays.items()}
+
+    return {**summary._asdict(), "overall": both(summary.overall),
+            "per_origin": {origin: both(delays) for origin, delays in summary.per_origin.items()}}
 
 
 def cmd_plotdata(args) -> int:

@@ -11,7 +11,6 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from conftest import keyed_tables, make_config, make_workload
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stagecost import cli, datastore, energy, sim, stats
+from stagecost import cli, datastore, energy, sim, stats, tablecmds
 from stagecost.datastore import Datastore, open_datastore
 from stagecost.errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
 from stagecost.cli import dispatch
@@ -150,10 +149,12 @@ def _delay_oracle(path) -> dict:
 def test_delay_summary_equals_the_row_by_row_oracle(tmp_path, rows):
     path = tmp_path / "delays.csv"
     path.write_text(_DELAY_HEADER + "".join(",".join(map(str, row)) + "\n" for row in rows))
-    # repr tells -0.0 from 0.0, which == does not
+    # repr tells -0.0 from 0.0, which == does not; the summary is compared as
+    # the object that the delays command prints
     want = repr(_delay_oracle(path))
     for chunk_size in range(1, len(rows) + 1):
-        assert repr(asdict(delay_summary(open_datastore(path, chunk_size=chunk_size)))) == want
+        summary = delay_summary(open_datastore(path, chunk_size=chunk_size))
+        assert repr(tablecmds._delays_doc(summary)) == want
 
 
 @pytest.mark.parametrize("chunk_size", [1, 2, 4, 6])
@@ -1302,43 +1303,55 @@ if sys.argv[1:]:
     except SystemExit as exc:
         if exc.code != 0:
             raise
-loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "stagecost")
+loaded = sorted(name for name in sys.modules
+                if name.partition(".")[0] == "stagecost" or name in ("dataclasses", "inspect"))
 sys.stderr.write("\\n" + json.dumps(loaded))
 """
 
 
+# The standard modules that the test reports besides stagecost's own: config
+# and energy keep frozen dataclasses, and numpy imports inspect.
+_DATACLASSES = ["dataclasses", "inspect"]
+_NUMPY = ["inspect"]
+
+
 @pytest.mark.parametrize(
-    ("argv", "extra"),
+    ("argv", "extra", "standard"),
     [
-        ([], []),
-        (["energy", "--config", "{config}", "--kernel", "k1"], ["config", "energy"]),
-        (["compare", "--config", "{config}", "--kernel", "k1"], ["config", "energy"]),
+        ([], [], []),
+        (["energy", "--config", "{config}", "--kernel", "k1"], ["config", "energy"],
+         _DATACLASSES),
+        (["compare", "--config", "{config}", "--kernel", "k1"], ["config", "energy"],
+         _DATACLASSES),
         (["simulate", "--config", "{config}", "--kernel", "k1", "--tick", "1"],
-         ["config", "sim"]),
+         ["config", "sim"], _DATACLASSES),
         (["simulate", "--config", "{config}", "--kernel", "k1", "--tick", "1",
-          "--trace", "{trace}"], ["config", "sim", "simtrace"]),
+          "--trace", "{trace}"], ["config", "sim", "simtrace"], _DATACLASSES),
         (["mapreduce", "run", "--job", "max", "--column", "ActualElapsedTime",
-          "--input", "{servers}"], ["datastore", "mapreduce", "tablecmds"]),
+          "--input", "{servers}"], ["datastore", "mapreduce", "tablecmds"], []),
         (["regress", "--input", "{servers}", "--dependent", "ActualElapsedTime",
-          "--independents", "CRSElapsedTime"], ["datastore", "stats", "tablecmds"]),
-        (["regress", "--from-ss", "15", "82.5", "10", "2"], ["stats", "tablecmds"]),
-        (["pca", "--input", "{wide}"], ["datastore", "pca", "tablecmds"]),
+          "--independents", "CRSElapsedTime"], ["datastore", "stats", "tablecmds"], _NUMPY),
+        (["regress", "--from-ss", "15", "82.5", "10", "2"], ["stats", "tablecmds"], []),
+        (["pca", "--input", "{wide}"], ["datastore", "pca", "tablecmds"], _NUMPY),
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
-          "--y", "CRSElapsedTime"], ["datastore", "report", "tablecmds"]),
+          "--y", "CRSElapsedTime"], ["datastore", "report", "tablecmds"], []),
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
-          "--y", "CRSElapsedTime", "--fit"], ["datastore", "report", "stats", "tablecmds"]),
-        (["delays"], ["datastore", "fixtures", "mapreduce", "report", "tablecmds"]),
-        (["delays", "--input", "{delays}"], ["datastore", "mapreduce", "report", "tablecmds"]),
+          "--y", "CRSElapsedTime", "--fit"], ["datastore", "report", "stats", "tablecmds"],
+         _NUMPY),
+        (["delays"], ["datastore", "fixtures", "mapreduce", "report", "tablecmds"], []),
+        (["delays", "--input", "{delays}"], ["datastore", "mapreduce", "report", "tablecmds"],
+         []),
     ],
     ids=["import", "energy", "compare", "simulate", "simulate-trace", "mapreduce", "regress",
          "regress-from-ss", "pca", "plotdata", "plotdata-fit", "delays", "delays-input"],
 )
 def test_each_command_loads_only_the_modules_it_calls(config_file, servers_csv, delays_csv,
-                                                      tmp_path, argv, extra):
+                                                      tmp_path, argv, extra, standard):
     # a fresh interpreter per command: the CLI module itself loads only errors,
     # each handler imports the stagecost modules it calls, the table commands'
-    # handlers are in tablecmds and the trace writer is in simtrace.  The
-    # column cache is on there, so the tables are copies: an entry goes
+    # handlers are in tablecmds and the trace writer is in simtrace.  Only the
+    # model commands load dataclasses, and with it inspect, through config.
+    # The column cache is on there, so the tables are copies: an entry goes
     # beside its input.
     wide = tmp_path / "wide.csv"
     wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
@@ -1354,7 +1367,7 @@ def test_each_command_loads_only_the_modules_it_calls(config_file, servers_csv, 
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     expected = ["stagecost", "stagecost.cli", "stagecost.errors",
-                *(f"stagecost.{name}" for name in extra)]
+                *(f"stagecost.{name}" for name in extra), *standard]
     assert json.loads(done.stderr.splitlines()[-1]) == sorted(expected)
 
 

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stagecost import datastore
-from stagecost.datastore import NUMERIC, TEXT, TableChunk, open_datastore
+from stagecost.datastore import NUMERIC, TEXT, Datastore, TableChunk, open_datastore
 from stagecost.errors import (
     EmptyInput,
     HeaderMismatch,
@@ -509,8 +509,10 @@ def test_a_projection_keeps_header_order_and_ignores_unknown_names(servers_csv):
 def test_a_lone_column_name_is_one_name_not_its_letters(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("G,a,Gap,x\n1,2,3,4\n5,6,7,8\n")
-    for columns in ("Gap", ["Gap"]):
-        ds = open_datastore(path, chunk_size=8, columns=columns)
+    # the class takes a lone path or name as open_datastore does
+    for open_table, where, columns in itertools.product(
+            (open_datastore, Datastore), (path, str(path), [str(path)]), ("Gap", ["Gap"])):
+        ds = open_table(where, chunk_size=8, columns=columns)
         assert [c.name for c in ds.schema] == ["Gap"]
         assert list(ds.read().column("Gap")) == [3.0, 7.0]
     assert len(list((tmp_path / CACHE).iterdir())) == 1  # the same selection, one entry
@@ -519,8 +521,8 @@ def test_a_lone_column_name_is_one_name_not_its_letters(tmp_path):
 def test_an_iterator_of_column_names_selects_them_all(tmp_path, parses):
     path = tmp_path / "t.csv"
     path.write_text("G,a,Gap,x\n1,2,3,4\n5,6,7,8\n")
-    for _ in range(2):  # a parse, then a cache hit
-        ds = open_datastore(path, chunk_size=8, columns=(name for name in ["x", "G"]))
+    for open_table in (Datastore, open_datastore):  # a parse, then a cache hit
+        ds = open_table([path], chunk_size=8, columns=(name for name in ["x", "G"]))
         assert [c.name for c in ds.schema] == ["G", "x"]
         chunk = ds.read()
         assert [list(chunk.column(name)) for name in ("G", "x")] == [[1.0, 5.0], [4.0, 8.0]]
