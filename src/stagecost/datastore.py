@@ -134,7 +134,9 @@ class Datastore:
     """Cursor-based access to one logical table spread over CSV files (see open_datastore)."""
 
     def __init__(self, paths, chunk_size, columns=None):
-        paths = [paths] if isinstance(paths, (str, os.PathLike)) else list(paths)
+        # as text, so that a message names a bytes path as it names the others
+        paths = list(map(os.fsdecode, [paths] if isinstance(paths, (str, bytes, os.PathLike))
+                         else paths))
         if columns is not None:
             columns = [columns] if isinstance(columns, str) else list(columns)
         self._chunk_size = int(chunk_size)
@@ -142,7 +144,7 @@ class Datastore:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
         names, loaded, self._total_rows = _cached_load(paths, columns)
         if not self._total_rows:
-            raise EmptyInput("no data rows in " + ", ".join(str(p) for p in paths))
+            raise EmptyInput("no data rows in " + ", ".join(paths))
         self._schema = tuple(ColumnSchema(name, col.kind) for name, col in zip(names, loaded))
         self._values = [col.values for col in loaded]
         self._flags = [col.flags for col in loaded]
@@ -190,7 +192,7 @@ class Datastore:
 
 
 def open_datastore(
-    paths: Sequence[str | os.PathLike] | str | os.PathLike,
+    paths: Sequence[str | bytes | os.PathLike] | str | bytes | os.PathLike,
     chunk_size: int = 4,
     columns: Iterable[str] | str | None = None,
 ) -> Datastore:
@@ -200,8 +202,9 @@ def open_datastore(
     kept, in header order, and every chunk holds just those; a name the header
     lacks is no error here, but looking it up on a chunk is.  Every row is
     checked either way.  If no named column is in the header, ``read`` names
-    the first one asked for.  A lone path or column name may be given as it
-    is, not in a list, and an iterator of names is read once.
+    the first one asked for.  A lone path (``str``, ``bytes`` or path-like) or
+    column name may be given as it is, not in a list, and an iterator of
+    names is read once.
     """
     return Datastore(paths, chunk_size, columns)
 
@@ -444,7 +447,7 @@ def _cached_load(paths, wanted=None) -> tuple[list[str], list[_Column], int]:
 
 def _entry(paths, wanted) -> tuple[str, str]:
     """The cache entry for opening ``paths`` on the columns ``wanted``, and its signature."""
-    absolute = [os.fsdecode(os.path.abspath(path)) for path in paths]
+    absolute = list(map(os.path.abspath, paths))
     selected = None if wanted is None else sorted(set(wanted))
     signature = hashlib.sha256(
         json.dumps([absolute, selected, sys.version, sys.byteorder]).encode())

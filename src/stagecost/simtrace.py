@@ -4,18 +4,19 @@
 trace never compiles it.  The log (ticks and the three stations' completions)
 is rebuilt from the run's departure times.  ``write`` cuts it at multiples of
 the tick into one part per usable CPU and formats the parts at once, this
-process the first and forked children the others; each part streams its
-lines, and the parts are copied in order into the trace, which holds the
-bytes of one merge over the whole log.
+process the first and forked children the others.  Each part is cut the same
+way into windows of about ``_WINDOW_EVENTS`` events, and written a window at a
+time: one stable sort puts a window's events in time order, and one join
+makes its text.  The parts are copied in order into the trace, which holds
+the bytes of one stable sort over the whole log.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import sys
 from bisect import bisect_left
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -28,6 +29,13 @@ if TYPE_CHECKING:
 #: on a 1000-tick run and 0.81 times on a 2000-tick run (medians of 15).
 _PART_TICKS = 1000
 
+#: Events of a part that are sorted and formatted at a time.  A window's
+#: pairs and lines are most of what the writer holds: over the whole
+#: 250,000-event log of a simulate-long run, written in one part, the
+#: tracemalloc peak was 0.45 to 0.46 MiB at 2048 events and 0.79 to 0.80 MiB
+#: at 4096 (perfbench seeds 1 to 4).
+_WINDOW_EVENTS = 2048
+
 
 def write(report: SimReport, path: str) -> None:
     """Write the event log to ``path`` as TSV (time, kind, payload_mb).
@@ -37,7 +45,7 @@ def write(report: SimReport, path: str) -> None:
     many events as the next.  This process writes the first part, and forked
     children format the others at the same time, each into an unlinked
     temporary file that is appended to the trace when it is done.  The bytes
-    are those of one merge over the whole log.
+    are those of one stable sort by time over the whole log.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -52,61 +60,87 @@ def _part_ranges(report: SimReport, parts: int) -> list:
     Part k holds every event at a time in ``[tick * lo_k, tick * lo_{k+1})``;
     the last part has no upper end.  Every stream is sorted, so its cut at a
     time is a ``bisect_left``: an event at a boundary opens the later part,
-    where the merge puts it after the same time's events of earlier streams,
-    as the merge over the whole log does.  ``lo_k`` is the first multiple
-    with at least k / parts of the events before it.  An overloaded
-    station's jobs end ever later than their ticks, so equal numbers of
-    ticks would not make equal parts, and its jobs may end long after the
-    last tick: ``lo_k`` may pass ``n_ticks``, up to just past the last
-    departure, and a part that starts there holds no tick.
+    where the stable sort of its window puts it after the same time's events
+    of earlier streams, as one sort over the whole log would.  ``lo_k`` is
+    the first multiple with at least k / parts of the events before it, so
+    the cuts of ``parts * m`` parts include those of ``parts``: ``_part_windows``
+    cuts each part into windows that way.  An overloaded station's jobs end
+    ever later than their ticks, so equal numbers of ticks would not make
+    equal parts, and its jobs may end long after the last tick: ``lo_k`` may
+    pass ``n_ticks``, up to just past the last departure, and a part that
+    starts there holds no tick.
     Returns each part's index range in each stream, for ``_event_stream``.
     """
-    n = report.n_ticks
-    streams = [report.departures[name] for name in ("ssd_ingest", "ssd_analyze", "ssd_drain")]
+    n, tick = report.n_ticks, report.tick
+    ingest, analyze, drain = streams = [report.departures[name]
+                                        for name in ("ssd_ingest", "ssd_analyze", "ssd_drain")]
     events = n + sum(map(len, streams))
     last = max((times[-1] for times in streams if times), default=0.0)
     # a multiple of the tick past every departure; a range's length fits in sys.maxsize
-    top = max(n, int(min(last / report.tick, sys.maxsize - 1)) + 1)
+    top = max(n, int(min(last / tick, sys.maxsize - 1)) + 1)
 
     def cuts(j):  # how many of each stream's events come before time tick * j
-        return [min(j, n), *(bisect_left(times, report.tick * j) for times in streams)]
+        t = tick * j
+        return [min(j, n), bisect_left(ingest, t), bisect_left(analyze, t), bisect_left(drain, t)]
 
     def before(j):
         return sum(cuts(j))
 
-    bounds = [[0] * 4]
+    bounds, j = [[0] * 4], 0
     for k in range(1, parts):
-        bounds.append(cuts(bisect_left(range(top), k * events // parts, key=before)))
+        # Each cut is at or past the one before it.  Up to the last tick each
+        # tick is an event, so the cut is at most as many ticks further as
+        # events are still wanted.
+        target = k * events // parts
+        end = j + max(0, target - sum(bounds[-1]))
+        j = bisect_left(range(top), target, j, end if end <= n else top, key=before)
+        bounds.append(cuts(j))
     bounds.append([n, *map(len, streams)])
     return [tuple(zip(bounds[k], bounds[k + 1])) for k in range(parts)]
 
 
-def _event_stream(report: SimReport, ranges):
-    """The events of one part of a run's log as lines of its TSV trace, in time order.
+def _part_windows(report: SimReport, parts: int) -> list:
+    """The log cut into ``parts`` parts, each a list of windows of about ``_WINDOW_EVENTS`` events.
 
-    ``ranges`` gives the part's index range in each of the log's four
+    The windows are the ``parts * m`` parts of ``_part_ranges``, and part k
+    is windows ``k * m`` to ``(k + 1) * m``.  Window ``k * m``'s cut aims at
+    ``k * m * events // (parts * m)``, which is ``k * events // parts``, so
+    every part starts where ``_part_ranges(report, parts)`` starts it.
+    """
+    events = report.n_ticks + sum(map(len, report.departures.values()))
+    m = max(1, events // (parts * _WINDOW_EVENTS))
+    windows = _part_ranges(report, parts * m)
+    return [windows[k * m:(k + 1) * m] for k in range(parts)]
+
+
+def _event_stream(report: SimReport, windows):
+    """The events of one part of a run's log as the text of its TSV trace, a window at a time.
+
+    ``windows`` gives each window's index range in each of the log's four
     streams: the ticks, then the ingest, analyze and drain departures, each
     read through a memoryview rather than copied.  Each stream's payload is
     fixed (the drain's by its source), so the text after the time is built
-    once per stream and source, not once per event.  heapq.merge is lazy and
-    stable: at equal times it yields the stream passed first, so the log
-    follows the order of ``sim.EVENT_KINDS``.
+    once per stream and source, not once per event.  A window's events are
+    put in time order by one ``sorted`` call, which is stable: the streams
+    are chained in the order of ``sim.EVENT_KINDS``, so the log follows it
+    at equal times.
     """
-    (t0, t1), (s0, s1), (a0, a1), (d0, d1) = ranges
-    dep = report.departures
+    tick = report.tick
+    ingest, analyze, drain = (memoryview(report.departures[name])
+                              for name in ("ssd_ingest", "ssd_analyze", "ssd_drain"))
+    sources = memoryview(report.drain_sources)
+    tick_tail = f"\tgeneration_tick\t{report.batch_mb!r}\n"
+    stage_tail = f"\tstage_complete\t{report.batch_mb!r}\n"
+    analyze_tail = f"\tanalyze_complete\t{report.analysis_mb!r}\n"
     drain_tails = tuple(f"\tdrain_complete\t{mb!r}\n" for mb in report.drain_mb)
-    stream = heapq.merge(
-        zip(map(report.tick.__mul__, range(t0, t1)),
-            repeat(f"\tgeneration_tick\t{report.batch_mb!r}\n")),
-        zip(memoryview(dep["ssd_ingest"])[s0:s1],
-            repeat(f"\tstage_complete\t{report.batch_mb!r}\n")),
-        zip(memoryview(dep["ssd_analyze"])[a0:a1],
-            repeat(f"\tanalyze_complete\t{report.analysis_mb!r}\n")),
-        zip(memoryview(dep["ssd_drain"])[d0:d1],
-            map(drain_tails.__getitem__, memoryview(report.drain_sources)[d0:d1])),
-        key=itemgetter(0),
-    )
-    return (f"{t!r}{tail}" for t, tail in stream)
+    for (t0, t1), (s0, s1), (a0, a1), (d0, d1) in windows:
+        pairs = chain(zip(map(tick.__mul__, range(t0, t1)), repeat(tick_tail)),
+                      zip(ingest[s0:s1], repeat(stage_tail)),
+                      zip(analyze[a0:a1], repeat(analyze_tail)),
+                      zip(drain[d0:d1], map(drain_tails.__getitem__, sources[d0:d1])))
+        # one expression, so that no name holds the sorted pairs or the lines
+        # once the text is joined
+        yield "".join([f"{t!r}{tail}" for t, tail in sorted(pairs, key=itemgetter(0))])
 
 
 def _write_parts(report: SimReport, path: str, parts: int) -> None:
@@ -117,19 +151,19 @@ def _write_parts(report: SimReport, path: str, parts: int) -> None:
     by this process in its turn.  However the writer leaves, no child
     outlives it.
     """
-    ranges = _part_ranges(report, parts)
+    part_windows = _part_windows(report, parts)
     with open(path, "w", encoding="utf-8") as fh:
         children = []
         try:
             if parts > 1 and _may_fork():
-                for r in ranges[1:]:
-                    children.append(_Child(report, r))
+                for windows in part_windows[1:]:
+                    children.append(_Child(report, windows))
             fh.write("time\tkind\tpayload_mb\n")
-            fh.writelines(_event_stream(report, ranges[0]))
-            for k, r in enumerate(ranges[1:]):
+            fh.writelines(_event_stream(report, part_windows[0]))
+            for k, windows in enumerate(part_windows[1:]):
                 fh.flush()  # the text written so far goes first
                 if not (children and children[k].append_to(fh.buffer)):
-                    fh.writelines(_event_stream(report, r))
+                    fh.writelines(_event_stream(report, windows))
         finally:
             for child in children:
                 child.close()
@@ -160,7 +194,7 @@ class _Child:
     is reaped, or when no temporary file or child could be made.
     """
 
-    def __init__(self, report: SimReport, ranges) -> None:
+    def __init__(self, report: SimReport, windows) -> None:
         import tempfile
 
         self.pid = self.file = None
@@ -173,7 +207,7 @@ class _Child:
             status = 1
             try:
                 with open(self.file.fileno(), "w", encoding="utf-8", closefd=False) as out:
-                    out.writelines(_event_stream(report, ranges))
+                    out.writelines(_event_stream(report, windows))
                 status = 0
             finally:
                 os._exit(status)

@@ -509,13 +509,18 @@ def test_a_projection_keeps_header_order_and_ignores_unknown_names(servers_csv):
 def test_a_lone_column_name_is_one_name_not_its_letters(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("G,a,Gap,x\n1,2,3,4\n5,6,7,8\n")
-    # the class takes a lone path or name as open_datastore does
+    # the class takes a lone path (bytes too, as os takes it) or name as
+    # open_datastore does
     for open_table, where, columns in itertools.product(
-            (open_datastore, Datastore), (path, str(path), [str(path)]), ("Gap", ["Gap"])):
+            (open_datastore, Datastore), (path, str(path), os.fsencode(path), [str(path)]),
+            ("Gap", ["Gap"])):
         ds = open_table(where, chunk_size=8, columns=columns)
         assert [c.name for c in ds.schema] == ["Gap"]
         assert list(ds.read().column("Gap")) == [3.0, 7.0]
     assert len(list((tmp_path / CACHE).iterdir())) == 1  # the same selection, one entry
+    with pytest.raises(MissingFile) as missing:  # a bytes path is named as text
+        Datastore(os.fsencode(tmp_path / "u.csv"), chunk_size=8)
+    assert str(missing.value) == f"input file {tmp_path / 'u.csv'} does not exist"
 
 
 def test_an_iterator_of_column_names_selects_them_all(tmp_path, parses):

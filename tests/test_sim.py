@@ -319,10 +319,10 @@ if case["mode"] == "no-tempfile":
     tempfile.tempdir = os.path.join(case["out"], "missing")
 elif case["mode"] == "failing-child":
     stream = simtrace._event_stream
-    def failing(report, ranges):
+    def failing(report, windows):
         if os.getpid() != parent:
             raise RuntimeError("a child fails")
-        return stream(report, ranges)
+        return stream(report, windows)
     simtrace._event_stream = failing
 elif case["mode"] == "sendfile-refused":  # as on macOS and the BSDs, to a file
     def refused(*args):
@@ -334,12 +334,12 @@ elif case["mode"] == "interrupt":
     def interrupted(child, out):
         raise KeyboardInterrupt
     simtrace._Child.append_to = interrupted
-# the parts that this process formats itself
+# the parts that this process formats itself, as their lists of windows
 streamed, counted = [], simtrace._event_stream
-def counting(report, ranges):
+def counting(report, windows):
     if os.getpid() == parent:
-        streamed.append(ranges)
-    return counted(report, ranges)
+        streamed.append(windows)
+    return counted(report, windows)
 simtrace._event_stream = counting
 seen = {"may_fork": simtrace._may_fork(), "runs": []}
 for parts in case["parts"]:
@@ -353,7 +353,7 @@ for parts in case["parts"]:
     run["peak"] = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     run["forks"] = len(forks)
-    run["streamed"] = list(map(simtrace._part_ranges(report, parts).index, streamed))
+    run["streamed"] = list(map(simtrace._part_windows(report, parts).index, streamed))
     try:
         os.waitpid(-1, os.WNOHANG)
         run["reaped"] = False
@@ -421,6 +421,26 @@ def test_trace_parts_join_to_the_one_merge(tmp_path, load):
     assert [run["streamed"] for run in runs] == [[0]] * len(PARTS)
     for parts in PARTS:
         assert (tmp_path / f"{parts}.tsv").read_bytes() == expected, parts
+
+
+@pytest.mark.parametrize("load", ["ties", "overloaded"])
+def test_any_window_size_gives_the_one_merge(tmp_path, monkeypatch, load):
+    # ties: every whole second from 2 s on is four events, which a cut at that
+    # second sends to the later window together; overloaded: most events come
+    # after the last tick, where the windows are cut too
+    cfg, wl, tick = _dyadic_ties() if load == "ties" else _loaded(11, 400, "overloaded")
+    rep = sim.simulate(cfg, wl, "k1", tick=tick)
+    events = rep.n_ticks + sum(map(len, rep.departures.values()))
+    expected = trace_bytes(simulate_by_events(cfg, wl, "k1", tick).events)
+    out = tmp_path / "events.tsv"
+    for size in (1, 2, 3, 7, simtrace._WINDOW_EVENTS):
+        monkeypatch.setattr(simtrace, "_WINDOW_EVENTS", size)
+        for parts in (1, 2, 3):
+            windows = simtrace._part_windows(rep, parts)
+            assert len(windows) == parts
+            assert all(len(part) == max(1, events // (parts * size)) for part in windows)
+            simtrace._write_parts(rep, str(out), parts)
+            assert out.read_bytes() == expected, (size, parts)
 
 
 @needs_fork
