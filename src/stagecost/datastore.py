@@ -27,7 +27,8 @@ plus a flag, missing text cells as None plus a flag.
 A parse is kept in a column cache beside the first input, so that the next
 open of the same files and columns reads the columns back instead of
 parsing again; the inputs are hashed on every open, so an edit is always
-seen (see :func:`_cached_load`).
+seen (see :func:`_cached`).  A result derived from the whole table, such as
+``pca``'s factorization, can be kept there too (see :func:`cached_result`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from array import array
 from functools import cache
 from itertools import compress, islice
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import (
     EmptyInput,
@@ -69,6 +70,8 @@ _HASH_BLOCK = 1 << 16  # bytes of an input hashed at a time: a small, fixed buff
 
 NUMERIC = "numeric"
 TEXT = "text"
+
+_T = TypeVar("_T")
 
 
 class ColumnSchema(NamedTuple):
@@ -131,18 +134,20 @@ def format_cell(value) -> str:
 
 
 class Datastore:
-    """Cursor-based access to one logical table spread over CSV files (see open_datastore)."""
+    """Cursor-based access to one logical table spread over CSV files (see open_datastore).
 
-    def __init__(self, paths, chunk_size, columns=None):
-        # as text, so that a message names a bytes path as it names the others
-        paths = list(map(os.fsdecode, [paths] if isinstance(paths, (str, bytes, os.PathLike))
-                         else paths))
+    ``digests``, the sha256 of each input that the caller hashed just now,
+    spare the open hashing them again before it looks in the column cache.
+    """
+
+    def __init__(self, paths, chunk_size, columns=None, *, digests=None):
+        paths = _path_list(paths)
         if columns is not None:
             columns = [columns] if isinstance(columns, str) else list(columns)
         self._chunk_size = int(chunk_size)
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
-        names, loaded, self._total_rows = _cached_load(paths, columns)
+        names, loaded, self._total_rows = _cached_load(paths, columns, digests)
         if not self._total_rows:
             raise EmptyInput("no data rows in " + ", ".join(paths))
         self._schema = tuple(ColumnSchema(name, col.kind) for name, col in zip(names, loaded))
@@ -207,6 +212,13 @@ def open_datastore(
     names is read once.
     """
     return Datastore(paths, chunk_size, columns)
+
+
+def _path_list(paths) -> list[str]:
+    """A lone path or a sequence of them as a list of text paths, so that a
+    message names a bytes path as it names the others."""
+    return list(map(os.fsdecode, [paths] if isinstance(paths, (str, bytes, os.PathLike))
+                    else paths))
 
 
 class _Text:
@@ -341,8 +353,12 @@ def _row_blocks(path):
     whose cell count is not the header's, CSV that the reader rejects and
     bytes that are not UTF-8 are errors that name the physical line.
     """
-    if not os.path.isfile(path):
-        raise MissingFile(f"input file {path} does not exist")
+    try:
+        mode = os.stat(path).st_mode
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        raise MissingFile(f"input file {path} does not exist") from None
+    if not stat.S_ISREG(mode):  # a pipe or a directory: the parse may open it again
+        raise MissingFile(f"input file {path} is not a regular file")
     failure: list[MalformedCSV] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -410,48 +426,81 @@ def _undecodable_line(path) -> int:
 # -- the column cache -------------------------------------------------------------
 
 
-def _cached_load(paths, wanted=None) -> tuple[list[str], list[_Column], int]:
-    """What ``_load`` gives, read back from the column cache when it holds it.
+def cached_result(paths, tag: str, sources: Sequence[str], derive: Callable[[Datastore], _T],
+                  pack: Callable[[_T], tuple[dict, list]],
+                  unpack: Callable[[dict, list], _T | None]) -> _T:
+    """What ``derive(ds)`` gives, kept in the column cache beside the inputs.
+
+    ``ds`` is a datastore over every column of ``paths`` in one chunk.  The
+    result is an entry of its own, keyed on ``tag``, a name, which no column
+    selection can be, and on the bytes of the files ``sources`` besides what
+    a parse's entry is keyed on (see :func:`_cached`).  ``pack(result)``
+    gives the entry's JSON fields and its arrays, and ``unpack(fields,
+    arrays)`` makes the result of them again, or None if they disagree.  A
+    hit hashes each input once and opens no datastore.  A result that
+    ``derive`` does not return, because it raised, is not kept.
+    """
+    paths = _path_list(paths)
+    return _cached(paths, tag, lambda inputs: derive(Datastore(paths, sys.maxsize, digests=inputs)),
+                   pack, unpack, sources)
+
+
+def _cached_load(paths, wanted=None, inputs=None) -> tuple[list[str], list[_Column], int]:
+    """What ``_load`` gives, read back from the column cache when it holds it."""
+    return _cached(paths, None if wanted is None else sorted(set(wanted)),
+                   lambda _: _load(paths, wanted), _pack_columns, _unpack_columns,
+                   inputs=inputs)
+
+
+def _cached(paths, tag, make, pack, unpack, sources=(), inputs=None):
+    """What ``make(inputs)`` gives, read back from the column cache when it holds it.
 
     An entry is the file ``_CACHE_DIR/<signature>`` in the first input's
     directory.  The signature is a sha256 of the absolute input paths in
-    order, the set of columns asked for, the interpreter's version and byte
-    order, and this module's source, so an edit to the parse rules retires
+    order, ``tag`` (the set of columns asked for, or the name of a derived
+    result), the interpreter's version and byte order, this module's source
+    and the bytes of the files ``sources``, so an edit to the rules retires
     every old entry.  The entry holds the sha256 of each input's bytes, which
-    are hashed again on every open.  An entry that is missing or fails a
-    check is parsed anew and written again, once the inputs are seen to hash
-    as they did before the parse.  Inputs that are not all regular files,
-    and an OSError on the cache, leave the parse alone to give the result;
-    so do inputs in this package's directory, such as the bundled samples,
-    where an installed package is no place for an entry.
+    are hashed again on every open, unless the caller hashed them just now
+    and passes them as ``inputs``.  An entry that is missing or fails a
+    check is made anew and written again, once the inputs are seen to hash
+    as they did before ``make`` ran.  Inputs that are not all regular
+    files, and an OSError on the cache, leave ``make(None)`` to give the
+    result; so do inputs in this package's directory, such as the bundled
+    samples, where an installed package is no place for an entry.
     """
     if not paths:
-        return _load(paths, wanted)
+        return make(None)
     try:
-        entry, key = _entry(paths, wanted)
-        inputs = None if _in_package(entry) else _input_digests(paths)
-    except OSError:
+        entry, key = _entry(paths, tag, sources)
+        if _in_package(entry):
+            inputs = None
+        elif inputs is None:
+            inputs = _input_digests(paths)
+    except (OSError, ValueError):  # ValueError: a NUL in a path
         inputs = None
     if inputs is None:
-        return _load(paths, wanted)
-    loaded = _read_entry(entry, key, inputs)
-    if loaded is None:
-        loaded = _load(paths, wanted)
-        try:
-            if _input_digests(paths) == inputs:
-                _write_entry(entry, key, inputs, loaded)
-        except OSError:
-            pass  # a read-only or full directory, or a file where the cache goes
-    return loaded
+        return make(None)
+    found = _read_entry(entry, key, inputs, unpack)
+    if found is not None:
+        return found
+    made = make(inputs)
+    try:
+        if _input_digests(paths) == inputs:
+            _write_entry(entry, key, inputs, *pack(made))
+    except OSError:
+        pass  # a read-only or full directory, or a file where the cache goes
+    return made
 
 
-def _entry(paths, wanted) -> tuple[str, str]:
-    """The cache entry for opening ``paths`` on the columns ``wanted``, and its signature."""
+def _entry(paths, tag, sources=()) -> tuple[str, str]:
+    """The cache entry for ``tag`` made of ``paths``, and its signature."""
     absolute = list(map(os.path.abspath, paths))
-    selected = None if wanted is None else sorted(set(wanted))
-    signature = hashlib.sha256(
-        json.dumps([absolute, selected, sys.version, sys.byteorder]).encode())
+    signature = hashlib.sha256(json.dumps([absolute, tag, sys.version, sys.byteorder]).encode())
     signature.update(_source())
+    for source in sources:
+        with open(source, "rb") as fh:
+            signature.update(fh.read())
     key = signature.hexdigest()
     return os.path.join(os.path.dirname(absolute[0]), _CACHE_DIR, key), key
 
@@ -484,24 +533,18 @@ def _input_digests(paths) -> list[str] | None:
     return digests
 
 
-def _write_entry(entry: str, key: str, inputs: list[str], loaded) -> None:
-    """Keep ``loaded``, the parse of inputs whose digests are ``inputs``, in ``entry``.
+def _write_entry(entry: str, key: str, inputs: list[str], fields: dict, blobs: list) -> None:
+    """Keep ``fields`` and the arrays ``blobs``, made of inputs whose digests are ``inputs``.
 
-    The entry is one line of JSON (the signature, the input digests, the
-    names, kinds and row count, each text column's words and the byte
-    length of each array), then each column's values (numbers, or text
-    codes) and flags as raw bytes, then a sha256 of all that.  It is
-    written to a file of its own and moved into place, so a reader finds
-    a whole entry or none.
+    The entry is one line of JSON (the signature, the input digests,
+    ``fields``, and the type code and byte length of each array), then each
+    array as raw bytes, then a sha256 of all that.  It is written to a file
+    of its own and moved into place, so a reader finds a whole entry or none.
     """
-    names, columns, rows = loaded
-    blobs = [blob for col in columns
-             for blob in (col.values.codes if col.kind == TEXT else col.values, col.flags)]
+    views = list(map(memoryview, blobs))
     head = json.dumps({
-        "signature": key, "inputs": inputs, "names": names, "rows": rows,
-        "kinds": [col.kind for col in columns],
-        "words": [col.values.words if col.kind == TEXT else None for col in columns],
-        "lengths": [memoryview(blob).nbytes for blob in blobs],
+        "signature": key, "inputs": inputs, **fields,
+        "types": [view.format for view in views], "lengths": [view.nbytes for view in views],
     }).encode() + b"\n"
     os.makedirs(os.path.dirname(entry), exist_ok=True)
     temp = f"{entry}.{os.getpid()}-{os.urandom(4).hex()}"
@@ -510,9 +553,9 @@ def _write_entry(entry: str, key: str, inputs: list[str], loaded) -> None:
         with fh:
             digest = hashlib.sha256(head)
             fh.write(head)
-            for blob in blobs:
-                fh.write(blob)
-                digest.update(blob)
+            for view in views:
+                fh.write(view)
+                digest.update(view)
             fh.write(digest.digest())
         os.replace(temp, entry)
     except BaseException:
@@ -523,13 +566,15 @@ def _write_entry(entry: str, key: str, inputs: list[str], loaded) -> None:
         raise
 
 
-def _read_entry(entry: str, key: str, inputs: list[str]):
-    """The parse kept in ``entry``, or None if there is none or it fails a check.
+def _read_entry(entry: str, key: str, inputs: list[str], unpack):
+    """``unpack(fields, arrays)`` of the entry ``entry``, or None if there is
+    none, it fails a check or ``unpack`` gives None.
 
     The checks: the signature and the input digests that the entry was
-    written for, the byte lengths against the row count and the file's
-    size, each text code below its column's word count, and the sha256 over
-    the whole entry.  Each array is read straight into its final place.
+    written for, the byte lengths against the file's size, and the sha256
+    over the whole entry.  An array of type ``B`` comes back as a
+    ``bytearray``, any other as an ``array`` of that type, each read
+    straight into its final place.
     """
     try:
         with open(entry, "rb") as fh:
@@ -537,29 +582,53 @@ def _read_entry(entry: str, key: str, inputs: list[str]):
             head = json.loads(line)
             if head["signature"] != key or head["inputs"] != inputs:
                 return None
-            names, kinds, words, rows = head["names"], head["kinds"], head["words"], head["rows"]
-            types = ["I" if kind == TEXT else "d" for kind in kinds]
-            lengths = [n for code in types for n in (rows * array(code).itemsize, rows)]
-            if (head["lengths"] != lengths
+            lengths = head["lengths"]
+            if (min(lengths, default=0) < 0
                     or len(line) + sum(lengths) + 32 != os.fstat(fh.fileno()).st_size):
                 return None
             digest = hashlib.sha256(line)
-            columns = []
-            # strict: as many names, kinds and word lists as there are columns
-            for _, kind, code, text in zip(names, kinds, types, words, strict=True):
-                col = _Column()
-                col.kind, col.values, col.flags = kind, array(code, [0]) * rows, bytearray(rows)
-                for blob in (col.values, col.flags):
-                    if fh.readinto(blob) != memoryview(blob).nbytes:
-                        return None
-                    digest.update(blob)
-                if kind == TEXT:
-                    if rows and max(col.values) >= len(text):
-                        return None
-                    col.values = _Text(col.values, text)
-                columns.append(col)
+            blobs = []
+            for code, length in zip(head["types"], lengths, strict=True):
+                blob = (bytearray(length) if code == "B"
+                        else array(code, [0]) * (length // array(code).itemsize))
+                if memoryview(blob).nbytes != length or fh.readinto(blob) != length:
+                    return None
+                digest.update(blob)
+                blobs.append(blob)
             if fh.read() != digest.digest():
                 return None
+            return unpack(head, blobs)
     except (OSError, ValueError, LookupError, TypeError):
         return None
+
+
+def _pack_columns(loaded) -> tuple[dict, list]:
+    """A parse's entry: the names, kinds and row count, each text column's
+    words, and each column's values (numbers, or text codes) and flags."""
+    names, columns, rows = loaded
+    fields = {"names": names, "rows": rows, "kinds": [col.kind for col in columns],
+              "words": [col.values.words if col.kind == TEXT else None for col in columns]}
+    return fields, [blob for col in columns
+                    for blob in (col.values.codes if col.kind == TEXT else col.values, col.flags)]
+
+
+def _unpack_columns(head: dict, blobs: list):
+    """The parse an entry keeps, or None if its arrays disagree with its row
+    count and kinds, or a text code is past its column's words."""
+    names, kinds, words, rows = head["names"], head["kinds"], head["words"], head["rows"]
+    types = [code for kind in kinds for code in ("I" if kind == TEXT else "d", "B")]
+    if head["types"] != types or head["lengths"] != [rows * array(code).itemsize
+                                                     for code in types]:
+        return None
+    columns = []
+    # strict: as many names, kinds and word lists as there are columns
+    for _, kind, text, values, flags in zip(names, kinds, words, blobs[::2], blobs[1::2],
+                                            strict=True):
+        col = _Column()
+        col.kind, col.values, col.flags = kind, values, flags
+        if kind == TEXT:
+            if rows and max(values) >= len(text):
+                return None
+            col.values = _Text(values, text)
+        columns.append(col)
     return names, columns, rows

@@ -45,7 +45,7 @@ class InfeasibleConfig(ToolkitError):
 # -- tabular data ------------------------------------------------------------
 
 class MissingFile(ToolkitError):
-    """An input path does not exist."""
+    """An input path does not exist, or is not a regular file."""
 
 
 class HeaderMismatch(ToolkitError):

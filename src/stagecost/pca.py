@@ -5,13 +5,19 @@ with cyclic Jacobi in round-robin order (no LAPACK behind it, so every
 rotation is inspectable), keep the leading components that explain a
 requested share of the variance, and group variables into candidate schema
 dimensions by the size of their loadings.
+
+numpy is imported only by the functions that work on arrays.  What the
+factorization gives, a :class:`FactorTable` of plain floats, is what the
+``pca`` command keeps in the column cache; choosing the components and
+grouping the variables then needs no numpy, so a command that reads the
+table back does not load it.  The one selection rule and the one grouping
+rule serve both :class:`FactorModel` and :class:`FactorTable`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
+import os
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import ConstantColumn, ConvergenceFailure, InvalidParameter, MissingData
 
@@ -20,6 +26,9 @@ JACOBI_MAX_SWEEPS = 100
 DEFAULT_VARIANCE_THRESHOLD = 0.8
 DEFAULT_LOADING_CUTOFF = 0.5
 _THRESHOLD_SLACK = 1e-12  # absorbs rounding when cumulative variance ~ threshold
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CorrelationMatrix(NamedTuple):
@@ -62,6 +71,8 @@ def correlation_matrix(
     scale no sum of squares or product overflows, and no sum of squares
     underflows to zero.
     """
+    import numpy as np
+
     x = np.array(columns, dtype=float, ndmin=2)  # p rows, n columns
     p = x.shape[0]
     if names is None:
@@ -99,6 +110,8 @@ def _round_robin(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     odd p a dummy index p joins the circle and its pair is dropped, so a
     sweep has p - 1 steps of p/2 pairs (p even) or p steps of (p - 1)/2.
     """
+    import numpy as np
+
     m = p + p % 2
     half = m // 2
     ring = np.arange(1, m)
@@ -126,6 +139,8 @@ def eigen_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     positive.  A matrix with a cell that is not finite is refused up front
     with MissingData, since no rotation can turn it.
     """
+    import numpy as np
+
     a = np.array(matrix, dtype=float)
     p = a.shape[0]
     if a.shape != (p, p):
@@ -186,23 +201,18 @@ def extract_factors(
     The selected count is the smallest m whose cumulative explained variance
     V(m) = (sum of the m largest eigenvalues) / p reaches the threshold.
     """
-    if not 0 < variance_threshold <= 1:
-        raise InvalidParameter(f"variance_threshold must be in (0, 1], got {variance_threshold}")
+    import numpy as np
+
+    _check_share("variance_threshold", variance_threshold)
     eigenvalues, vectors = eigen_sym(corr.values)
     eigenvalues = np.maximum(eigenvalues, 0.0)  # clip rounding-level negatives
-    p = len(eigenvalues)
-    cumulative = np.cumsum(eigenvalues) / p
-    selected = p
-    for m in range(1, p + 1):
-        if cumulative[m - 1] >= variance_threshold - _THRESHOLD_SLACK:
-            selected = m
-            break
+    cumulative = np.cumsum(eigenvalues) / len(eigenvalues)
     return FactorModel(
         names=corr.names,
         eigenvalues=eigenvalues,
         loadings=vectors,
         cumulative_variance=cumulative,
-        selected_components=selected,
+        selected_components=_selected(cumulative, variance_threshold),
         variance_threshold=variance_threshold,
     )
 
@@ -216,24 +226,78 @@ def suggest_schema(
     component reaches the cutoff; it may appear in several dimensions, or in
     none.  Dimensions that attract no variable are kept and flagged empty.
     """
-    if not 0 < loading_cutoff <= 1:
-        raise InvalidParameter(f"loading_cutoff must be in (0, 1], got {loading_cutoff}")
+    _check_share("loading_cutoff", loading_cutoff)
+    return _suggestion(model.names, model.eigenvalues, model.loadings.T,
+                       model.selected_components, loading_cutoff)
+
+
+class FactorTable(NamedTuple):
+    """A factorization as plain floats: what the column cache keeps of a FactorModel.
+
+    ``rows[k]`` is component k + 1: its eigenvalue, the cumulative variance
+    V(k + 1), then each variable's loading, in the order of ``names``.
+    """
+
+    names: tuple[str, ...]
+    rows: Sequence[Sequence[float]]
+
+    @classmethod
+    def of(cls, model: FactorModel) -> FactorTable:
+        """The rows of ``model``, each float as it is there."""
+        import numpy as np
+
+        rows = np.column_stack([model.eigenvalues, model.cumulative_variance, model.loadings.T])
+        return cls(model.names, rows.tolist())
+
+    def suggest(self, variance_threshold: float,
+                loading_cutoff: float) -> tuple[int, SchemaSuggestion]:
+        """The components kept at ``variance_threshold``, as extract_factors
+        keeps them, and suggest_schema's grouping of them at ``loading_cutoff``."""
+        _check_share("variance_threshold", variance_threshold)
+        _check_share("loading_cutoff", loading_cutoff)
+        selected = _selected([row[1] for row in self.rows], variance_threshold)
+        return selected, _suggestion(self.names, [row[0] for row in self.rows],
+                                     [row[2:] for row in self.rows], selected, loading_cutoff)
+
+
+def factor_sources() -> list[str]:
+    """The files a kept factorization depends on besides the datastore: this
+    module and numpy's ``version.py``, found without importing numpy."""
+    from importlib.util import find_spec
+
+    return [__file__, os.path.join(os.path.dirname(find_spec("numpy").origin), "version.py")]
+
+
+def _check_share(name: str, value: float) -> None:
+    if not 0 < value <= 1:
+        raise InvalidParameter(f"{name} must be in (0, 1], got {value}")
+
+
+def _selected(cumulative: Sequence[float], variance_threshold: float) -> int:
+    """The smallest m with V(m) at the threshold or above, or p if there is none."""
+    for m, share in enumerate(cumulative, start=1):
+        if share >= variance_threshold - _THRESHOLD_SLACK:
+            return m
+    return len(cumulative)
+
+
+def _suggestion(names: Sequence[str], eigenvalues: Sequence[float],
+                components: Sequence[Sequence[float]], selected: int,
+                loading_cutoff: float) -> SchemaSuggestion:
+    """One dimension for each of the first ``selected`` components; component
+    k's loadings are ``components[k]``, in the order of ``names``."""
     dimensions = []
-    for comp in range(model.selected_components):
-        loadings = model.loadings[:, comp]
+    for comp in range(selected):
         members = sorted(
-            (
-                (model.names[j], float(loadings[j]))
-                for j in range(len(model.names))
-                if abs(loadings[j]) >= loading_cutoff
-            ),
+            ((name, float(loading)) for name, loading in zip(names, components[comp])
+             if abs(loading) >= loading_cutoff),
             key=lambda item: (-abs(item[1]), item[0]),
         )
         dimensions.append(
             CandidateDimension(
                 name=f"dim{comp + 1}",
                 component=comp + 1,
-                eigenvalue=float(model.eigenvalues[comp]),
+                eigenvalue=float(eigenvalues[comp]),
                 members=tuple(members),
                 empty=not members,
             )

@@ -2,19 +2,23 @@
 
 ``cli`` imports this module only when one of them runs, so a model command
 never compiles it.  Each handler takes the parsed arguments, imports the
-stagecost modules it calls and returns the exit status.
+stagecost modules it calls and returns the exit status.  ``pca`` keeps its
+factor table in the column cache beside the table, so that a later ``pca``
+on the same bytes reads it back and imports no numpy.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 from .cli import _json_text
 from .errors import ConfigError, MissingData, TypeMismatch
 
 if TYPE_CHECKING:
-    from . import report, stats
+    from . import pca, report, stats
     from .datastore import Datastore
 
 # Chunk size for commands that need whole columns: the table is one chunk.
@@ -22,6 +26,8 @@ _WHOLE_TABLE = sys.maxsize
 # Rows per chunk that delays folds: a chunk copies the rows it holds, so on
 # a 10^6-row table this peaks at 53 MB max RSS, against 98 MB in one chunk.
 _DELAYS_CHUNK = 4096
+# The column cache's name for pca's factor table: a name, which no column selection can be.
+_FACTORS = "pca factors"
 
 
 def _fmt6(value) -> str:
@@ -152,29 +158,52 @@ def cmd_regress(args) -> int:
 
 
 def cmd_pca(args) -> int:
+    """pca: the factorization is kept in the column cache, so a run on inputs
+    whose bytes are unchanged, at any threshold and cutoff, reads it back
+    and loads neither the table's columns nor numpy."""
     from . import pca
-    from .datastore import NUMERIC, open_datastore
+    from .datastore import NUMERIC, cached_result
 
-    ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE)
-    numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
-    if not numeric:
-        raise TypeMismatch("input has no numeric columns")
-    corr = pca.correlation_matrix(_numeric_columns(ds, numeric), names=numeric)
     threshold = pca.DEFAULT_VARIANCE_THRESHOLD if args.threshold is None else args.threshold
     cutoff = pca.DEFAULT_LOADING_CUTOFF if args.cutoff is None else args.cutoff
-    model = pca.extract_factors(corr, variance_threshold=threshold)
-    suggestion = pca.suggest_schema(model, loading_cutoff=cutoff)
 
+    def factor(ds: Datastore) -> pca.FactorTable:
+        numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
+        if not numeric:
+            raise TypeMismatch("input has no numeric columns")
+        corr = pca.correlation_matrix(_numeric_columns(ds, numeric), names=numeric)
+        model = pca.extract_factors(corr, variance_threshold=threshold)
+        pca.suggest_schema(model, loading_cutoff=cutoff)  # so no table is kept for a bad cutoff
+        return pca.FactorTable.of(model)
+
+    table = cached_result(args.input, _FACTORS, pca.factor_sources(), factor, _pack_factors,
+                          _unpack_factors)
+    selected, suggestion = table.suggest(threshold, cutoff)
     print("Component  Eigenvalue  CumulativeVariance")
-    for i, (value, cum) in enumerate(
-        zip(model.eigenvalues, model.cumulative_variance), start=1
-    ):
-        print(f"{i:<9}  {_fmt6(float(value)):<10}  {_fmt6(float(cum))}")
-    print(f"Selected components: {model.selected_components}")
+    for i, row in enumerate(table.rows, start=1):
+        print(f"{i:<9}  {_fmt6(row[0]):<10}  {_fmt6(row[1])}")
+    print(f"Selected components: {selected}")
     print()
     print(_json_text({**suggestion._asdict(),
                       "dimensions": [dim._asdict() for dim in suggestion.dimensions]}))
     return 0
+
+
+def _pack_factors(table: pca.FactorTable) -> tuple[dict, list]:
+    """A factor table's cache entry: the names, and the rows as one array of float64."""
+    return {"names": table.names}, [array("d", chain.from_iterable(table.rows))]
+
+
+def _unpack_factors(fields: dict, blobs: list) -> pca.FactorTable | None:
+    """The factor table an entry keeps, or None if its array is not p rows of p + 2 floats."""
+    from .pca import FactorTable
+
+    names = tuple(fields["names"])
+    (flat,) = blobs
+    width = len(names) + 2
+    if memoryview(flat).format != "d" or len(flat) != len(names) * width:
+        return None
+    return FactorTable(names, [flat[start:start + width] for start in range(0, len(flat), width)])
 
 
 def cmd_delays(args) -> int:

@@ -18,7 +18,7 @@ from conftest import keyed_tables, make_config, make_workload
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stagecost import cli, datastore, energy, sim, stats, tablecmds
+from stagecost import cli, datastore, energy, pca, sim, stats, tablecmds
 from stagecost.datastore import Datastore, open_datastore
 from stagecost.errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
 from stagecost.cli import dispatch
@@ -1088,6 +1088,188 @@ def test_pca_refuses_a_column_of_equal_inexact_cells(capsys, tmp_path):
     assert captured.out == ""
 
 
+# -- pca's factor table in the column cache ------------------------------------------------
+
+
+def _pca(capsys, path, *options):
+    """The exit status, stdout and stderr of ``pca --input path options``."""
+    status = dispatch(["pca", "--input", str(path), *options])
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def _factor_entry(path) -> Path:
+    """Where the column cache keeps the factor table of the table ``path``."""
+    entry, _ = datastore._entry([str(path)], tablecmds._FACTORS, pca.factor_sources())
+    return Path(entry)
+
+
+@pytest.fixture
+def factorings(monkeypatch):
+    """A one-item list that counts the eigen_sym calls, one for each factoring."""
+    done = [0]
+    original = pca.eigen_sym
+
+    def counting_eigen_sym(matrix):
+        done[0] += 1
+        return original(matrix)
+
+    monkeypatch.setattr(pca, "eigen_sym", counting_eigen_sym)
+    return done
+
+
+_SHARES = st.one_of(st.sampled_from([0.3, 0.5, 0.8, 0.9, 1.0]), st.floats(0.01, 1.0))
+
+
+@st.composite
+def _numeric_tables(draw):
+    """A table of 1 to 8 numeric columns and 3 to 12 rows, and two (threshold, cutoff) pairs."""
+    p, n = draw(st.integers(1, 8)), draw(st.integers(3, 12))
+    cells = st.integers(-50, 50).map(lambda k: k / 4)
+    rows = draw(st.lists(st.lists(cells, min_size=p, max_size=p), min_size=n, max_size=n))
+    options = draw(st.lists(st.tuples(_SHARES, _SHARES), min_size=2, max_size=2))
+    return [f"c{j}" for j in range(p)], rows, options
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_numeric_tables())
+def test_a_factor_table_read_back_prints_what_a_factoring_prints(capsys, tmp_path, factorings,
+                                                                  case):
+    # each miss is on a copy of the table at a new path, so it factors; the
+    # second run on a path reads the table back, at any threshold and cutoff
+    names, rows, options = case
+    text = ",".join(names) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    shutil.rmtree(tmp_path / datastore._CACHE_DIR, ignore_errors=True)
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    status, *_ = _pca(capsys, table, "--threshold", "0.5")
+    for k, (threshold, cutoff) in enumerate(options):
+        argv = ("--threshold", repr(threshold), "--cutoff", repr(cutoff))
+        fresh = tmp_path / f"fresh{k}.csv"
+        fresh.write_text(text)
+        before = factorings[0]
+        missed = _pca(capsys, fresh, *argv)
+        assert factorings[0] == before + (status == 0)
+        hit = _pca(capsys, table, *argv)
+        assert factorings[0] == before + (status == 0)  # a failing table is never kept
+        assert hit == missed
+        assert missed[0] == status
+
+
+def test_an_edit_that_keeps_size_and_mtime_is_factored_again(capsys, tmp_path, factorings):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
+    stamp = path.stat()
+    first = _pca(capsys, path)
+    assert _pca(capsys, path) == first
+    assert factorings == [1]
+    path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,7\n")
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
+    edited = _pca(capsys, path)
+    assert factorings == [2]
+    assert edited[0] == 0 and edited != first
+    fresh = tmp_path / "fresh.csv"
+    shutil.copyfile(path, fresh)
+    assert _pca(capsys, fresh) == edited
+
+
+def test_a_hit_hashes_the_table_once_and_a_miss_once_more_than_an_open(capsys, monkeypatch,
+                                                                       tmp_path, factorings):
+    hashes = [0]
+    digests = datastore._input_digests
+
+    def counting_digests(paths):
+        hashes[0] += 1
+        return digests(paths)
+
+    monkeypatch.setattr(datastore, "_input_digests", counting_digests)
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
+
+    def run():
+        """pca's output, and the hashes of the table and the factorings it made."""
+        before = (hashes[0], factorings[0])
+        return _pca(capsys, path), (hashes[0] - before[0], factorings[0] - before[1])
+
+    first = run()  # an open that parses hashes twice, and pca once more
+    assert first[1] == (3, 1)
+    assert run() == (first[0], (1, 0))
+    _factor_entry(path).unlink()
+    assert run() == (first[0], (2, 1))  # the open reads the columns back
+
+
+def test_an_edit_to_pca_or_to_numpy_factors_again(capsys, monkeypatch, tmp_path, factorings):
+    # the key holds the bytes of pca.py and of numpy's version.py, found without importing numpy
+    import numpy
+
+    sources = pca.factor_sources()
+    assert sources[0] == pca.__file__
+    assert Path(sources[1]).parent == Path(numpy.__file__).parent
+    assert numpy.__version__ in Path(sources[1]).read_text()
+    copies = [tmp_path / "pca.py", tmp_path / "version.py"]
+    for source, copy in zip(sources, copies):
+        shutil.copyfile(source, copy)
+    monkeypatch.setattr(pca, "factor_sources", lambda: list(map(str, copies)))
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
+    want = _pca(capsys, path)
+    assert _pca(capsys, path) == want
+    assert factorings == [1]
+    for edits, copy in enumerate(copies, start=2):
+        copy.write_bytes(copy.read_bytes() + b"\n")
+        assert _pca(capsys, path) == want
+        assert factorings == [edits]
+
+
+def test_every_flipped_byte_of_a_factor_entry_is_a_miss(capsys, tmp_path, factorings):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n2,5\n3,4\n")
+    want = _pca(capsys, path)
+    entry = _factor_entry(path)
+    whole = entry.read_bytes()
+    for at in range(len(whole)):
+        entry.write_bytes(whole[:at] + bytes([whole[at] ^ 1]) + whole[at + 1:])
+        before = factorings[0]
+        assert _pca(capsys, path) == want
+        assert factorings[0] == before + 1
+        assert entry.read_bytes() == whole  # the miss wrote the entry again
+
+
+@pytest.mark.parametrize("text, options, error", [
+    ("a,b\nx,y\nz,w\n", (), "error: input has no numeric columns\n"),
+    ("a,b\n1,2\n2,NA\n3,5\n", (), "error: column 'b' has missing cells\n"),
+    ("x,flat\n1,0.1\n2,0.1\n4,0.1\n", (), "error: column 'flat' has zero variance\n"),
+    ("a,b\n1,2\n2,5\n3,4\n", ("--threshold", "0"),
+     "error: variance_threshold must be in (0, 1], got 0.0\n"),
+    ("a,b\n1,2\n2,5\n3,4\n", ("--cutoff", "1.5"),
+     "error: loading_cutoff must be in (0, 1], got 1.5\n"),
+], ids=["text-only", "missing-cell", "constant-column", "bad-threshold", "bad-cutoff"])
+def test_a_failing_pca_keeps_no_factor_table_and_fails_the_same_way_again(capsys, tmp_path,
+                                                                          text, options, error):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    for _ in range(2):
+        assert _pca(capsys, path, *options) == (1, "", error)
+        assert not _factor_entry(path).exists()
+
+
+@pytest.mark.parametrize("options", [("--cutoff", "0"), ("--cutoff", "nan"),
+                                     ("--threshold", "1.5"), ("--threshold", "0", "--cutoff", "2")])
+def test_a_bad_option_fails_the_same_way_on_a_hit_as_on_a_miss(capsys, tmp_path, factorings,
+                                                               options):
+    path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+    for table in (path, fresh):
+        table.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
+    assert _pca(capsys, path)[0] == 0
+    hit = _pca(capsys, path, *options)
+    assert factorings == [1]
+    missed = _pca(capsys, fresh, *options)
+    assert hit[0] == 1 and hit[2].startswith("error: ")
+    assert hit == missed
+
+
 @pytest.fixture
 def mixed_csv(tmp_path):
     """Numeric columns x, y and gap (gap has a missing cell) and a text column t."""
@@ -1211,6 +1393,26 @@ def test_delays_with_an_empty_input_path_is_an_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("kind", ["FIFO", "directory"])
+@pytest.mark.parametrize("argv", [["mapreduce", "run", "--job", "max", "--column", "a"],
+                                  ["pca"], ["regress", "--dependent", "a", "--independents", "b"]],
+                         ids=["max", "pca", "regress"])
+def test_an_input_that_is_not_a_regular_file_is_named_so(capsys, tmp_path, kind, argv):
+    # the parse may open an input again, so only a regular file is read; a
+    # FIFO is never opened, so nothing waits on a writer
+    path = tmp_path / "p.csv"
+    if kind == "FIFO":
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+    for _ in range(2):
+        assert dispatch([*argv, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: input file {path} is not a regular file\n"
+    assert not (tmp_path / datastore._CACHE_DIR).exists()
+
+
 def test_plotdata_writes_tsv_to_stdout(capsys, tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("t,v\n0,1\n1,3\n2,5\n")
@@ -1266,12 +1468,16 @@ sys.stderr.write(json.dumps(loaded))
 """
 
 
-def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path):
+def test_only_the_array_commands_import_numpy(capsys, config_file, servers_csv, tmp_path):
     # a fresh interpreter: importing the CLI and running the model, simulator
     # and table commands (plotdata without a fit, regress from sums) leaves
-    # numpy unloaded; pca loads it
-    wide = tmp_path / "wide.csv"
-    wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
+    # numpy unloaded, and so does a pca that reads its factor table back from
+    # the column cache; a pca that factors loads it
+    wide, cached = tmp_path / "wide.csv", tmp_path / "cached.csv"
+    for path in (wide, cached):
+        path.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
+    assert dispatch(["pca", "--input", str(cached)]) == 0
+    capsys.readouterr()
     runs = [
         ["energy", "--config", config_file, "--kernel", "k1"],
         ["compare", "--config", config_file, "--kernel", "k1"],
@@ -1282,6 +1488,7 @@ def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path
         ["plotdata", "--input", servers_csv, "--x", "ActualElapsedTime",
          "--y", "CRSElapsedTime"],
         ["regress", "--from-ss", "19", "82.5", "10", "3"],
+        ["pca", "--input", str(cached)],
         ["pca", "--input", str(wide)],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -1289,7 +1496,7 @@ def test_only_the_array_commands_import_numpy(config_file, servers_csv, tmp_path
     done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(runs)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr) == [False] * 8 + [True]
+    assert json.loads(done.stderr) == [False] * 9 + [True]
 
 
 _LOADED_MODULES = """
@@ -1333,6 +1540,7 @@ _NUMPY = ["inspect"]
           "--independents", "CRSElapsedTime"], ["datastore", "stats", "tablecmds"], _NUMPY),
         (["regress", "--from-ss", "15", "82.5", "10", "2"], ["stats", "tablecmds"], []),
         (["pca", "--input", "{wide}"], ["datastore", "pca", "tablecmds"], _NUMPY),
+        (["pca", "--input", "{wide}"], ["datastore", "pca", "tablecmds"], []),
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
           "--y", "CRSElapsedTime"], ["datastore", "report", "tablecmds"], []),
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
@@ -1343,16 +1551,18 @@ _NUMPY = ["inspect"]
          []),
     ],
     ids=["import", "energy", "compare", "simulate", "simulate-trace", "mapreduce", "regress",
-         "regress-from-ss", "pca", "plotdata", "plotdata-fit", "delays", "delays-input"],
+         "regress-from-ss", "pca", "pca-cached", "plotdata", "plotdata-fit", "delays", "delays-input"],
 )
-def test_each_command_loads_only_the_modules_it_calls(config_file, servers_csv, delays_csv,
-                                                      tmp_path, argv, extra, standard):
+def test_each_command_loads_only_the_modules_it_calls(request, capsys, config_file, servers_csv,
+                                                      delays_csv, tmp_path, argv, extra,
+                                                      standard):
     # a fresh interpreter per command: the CLI module itself loads only errors,
     # each handler imports the stagecost modules it calls, the table commands'
     # handlers are in tablecmds and the trace writer is in simtrace.  Only the
     # model commands load dataclasses, and with it inspect, through config.
     # The column cache is on there, so the tables are copies: an entry goes
-    # beside its input.
+    # beside its input.  pca-cached runs after a pca on its table, whose
+    # factor table it reads back without numpy.
     wide = tmp_path / "wide.csv"
     wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
     servers, delays = tmp_path / "servers.csv", tmp_path / "delays.csv"
@@ -1361,6 +1571,9 @@ def test_each_command_loads_only_the_modules_it_calls(config_file, servers_csv, 
     argv = [arg.format(config=config_file, servers=servers, delays=delays, wide=wide,
                        trace=tmp_path / "events.tsv")
             for arg in argv]
+    if request.node.callspec.id == "pca-cached":
+        assert dispatch(argv) == 0
+        capsys.readouterr()
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv], env=env,
@@ -1569,13 +1782,16 @@ def test_a_commands_cyclic_garbage_does_not_grow_with_its_table(capsys, tmp_path
     # it leaves for the collector is the argument parser's graph, whatever
     # the table's length
     small = _write_keyed_table(tmp_path / "small.csv", 500, missing)
+    fresh = shutil.copyfile(small, tmp_path / "fresh.csv")
     large = _write_keyed_table(tmp_path / "large.csv", 20_000, missing)
-    # the first run imports the command's modules; the next two are compared
+    # the first run imports the command's modules; then two misses of the
+    # column cache, whose entries the last two runs read back, are compared
     runs = [_cyclic_garbage([arg.format(table=path) for arg in argv])
-            for path in (small, small, large)]
+            for path in (small, fresh, large, fresh, large)]
     capsys.readouterr()
     assert runs[1][0] == status
     assert runs[2] == runs[1]
+    assert runs[4] == runs[3]
 
 
 def test_a_simulations_cyclic_garbage_does_not_grow_with_its_ticks(capsys, config_file,

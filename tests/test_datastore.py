@@ -81,6 +81,20 @@ def test_missing_file():
         open_datastore([])
 
 
+@pytest.mark.parametrize("kind", ["FIFO", "directory"])
+def test_an_input_that_is_not_a_regular_file_is_not_opened(tmp_path, kind):
+    good, odd = tmp_path / "good.csv", tmp_path / "odd.csv"
+    good.write_text("a,b\n1,2\n")
+    if kind == "FIFO":
+        os.mkfifo(odd)  # an open would wait for a writer
+    else:
+        odd.mkdir()
+    for paths in ([odd], [good, odd]):
+        with pytest.raises(MissingFile) as caught:
+            open_datastore(paths)
+        assert str(caught.value) == f"input file {odd} is not a regular file"
+
+
 def test_header_only_file_is_empty_input(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("a,b\n")
@@ -628,7 +642,7 @@ def parsed(monkeypatch, paths, chunk_size=100, columns=None):
     """``everything`` from a parse: the open meets an OSError at the cache,
     so it neither reads nor writes an entry."""
 
-    def unreachable(paths, wanted):
+    def unreachable(paths, tag, sources=()):
         raise PermissionError("the cache is out of reach")
 
     with monkeypatch.context() as patch:

@@ -463,3 +463,28 @@ def test_cutoff_out_of_range(bad):
     model = extract_factors(corr)
     with pytest.raises(ValueError):
         suggest_schema(model, loading_cutoff=bad)
+
+
+# -- the factor table -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("threshold, cutoff", [(0.5, 0.2), (0.8, 0.5), (0.9, 0.3), (1.0, 1.0)])
+def test_a_factor_table_chooses_and_groups_as_the_model_does(threshold, cutoff):
+    corr = correlated_blocks(random.Random(43))
+    model = extract_factors(corr, variance_threshold=threshold)
+    table = pca.FactorTable.of(model)
+    assert table.rows == np.column_stack(
+        [model.eigenvalues, model.cumulative_variance, model.loadings.T]).tolist()
+    assert table.suggest(threshold, cutoff) == (model.selected_components,
+                                                suggest_schema(model, loading_cutoff=cutoff))
+
+
+@pytest.mark.parametrize("threshold, cutoff, message", [
+    (0.0, 0.5, r"^variance_threshold must be in \(0, 1\], got 0.0$"),
+    (0.8, 1.5, r"^loading_cutoff must be in \(0, 1\], got 1.5$"),
+    (2.0, 0.0, r"^variance_threshold must be in \(0, 1\], got 2.0$"),
+])
+def test_a_factor_table_refuses_what_the_model_refuses(threshold, cutoff, message):
+    model = extract_factors(correlation_matrix([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]]))
+    with pytest.raises(ValueError, match=message):
+        pca.FactorTable.of(model).suggest(threshold, cutoff)
