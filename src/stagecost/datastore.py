@@ -27,8 +27,9 @@ plus a flag, missing text cells as None plus a flag.
 A parse is kept in a column cache beside the first input, so that the next
 open of the same files and columns reads the columns back instead of
 parsing again; the inputs are hashed on every open, so an edit is always
-seen (see :func:`_cached`).  A result derived from the whole table, such as
-``pca``'s factorization, can be kept there too (see :func:`cached_result`).
+seen (see :func:`_cached`).  A result derived from a table, such as
+``pca``'s factorization or ``regress``'s fit, can be kept there too (see
+:func:`cached_result`).
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class Datastore:
         self._chunk_size = int(chunk_size)
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
-        names, loaded, self._total_rows = _cached_load(paths, columns, digests)
+        (names, loaded, self._total_rows), self._digests = _cached_load(paths, columns, digests)
         if not self._total_rows:
             raise EmptyInput("no data rows in " + ", ".join(paths))
         self._schema = tuple(ColumnSchema(name, col.kind) for name, col in zip(names, loaded))
@@ -167,6 +168,13 @@ class Datastore:
     @property
     def total_rows(self) -> int:
         return self._total_rows
+
+    @property
+    def digests(self) -> list[str] | None:
+        """The sha256 of each input that the columns were read back or parsed
+        from, or None if the column cache was not used or an input changed
+        meanwhile: what :func:`cached_result` may look a result up under."""
+        return self._digests
 
     @property
     def chunks_left(self) -> int:
@@ -426,34 +434,47 @@ def _undecodable_line(path) -> int:
 # -- the column cache -------------------------------------------------------------
 
 
-def cached_result(paths, tag: str, sources: Sequence[str], derive: Callable[[Datastore], _T],
+def cached_result(paths, tag: str, sources: Sequence[str],
+                  derive: Callable[[Callable[[], Datastore]], _T],
                   pack: Callable[[_T], tuple[dict, list]],
-                  unpack: Callable[[dict, list], _T | None]) -> _T:
-    """What ``derive(ds)`` gives, kept in the column cache beside the inputs.
+                  unpack: Callable[[dict, list], _T | None],
+                  columns: Iterable[str] | None = None,
+                  digests: list[str] | None = None) -> _T:
+    """What ``derive(open_table)`` gives, kept in the column cache beside the inputs.
 
-    ``ds`` is a datastore over every column of ``paths`` in one chunk.  The
-    result is an entry of its own, keyed on ``tag``, a name, which no column
-    selection can be, and on the bytes of the files ``sources`` besides what
-    a parse's entry is keyed on (see :func:`_cached`).  ``pack(result)``
-    gives the entry's JSON fields and its arrays, and ``unpack(fields,
-    arrays)`` makes the result of them again, or None if they disagree.  A
-    hit hashes each input once and opens no datastore.  A result that
-    ``derive`` does not return, because it raised, is not kept.
+    ``open_table()`` opens a datastore over the columns of ``paths`` named in
+    ``columns`` (every column if None) in one chunk, through the parse's own
+    entry; a ``derive`` that has the columns already need not call it.
+    ``digests``, the :attr:`Datastore.digests` of an open of ``paths`` just
+    now, spare hashing the inputs again; a ``derive`` that uses columns of
+    an open whose digests are None, because an input changed while it was
+    read, must not be kept under the inputs' new bytes.  The result is an entry of its own,
+    keyed on ``tag``, a name, which no column selection can be, and on the
+    bytes of the files ``sources`` besides what a parse's entry is keyed on
+    (see :func:`_cached`).  ``pack(result)`` gives the entry's JSON fields
+    and its arrays, and ``unpack(fields, arrays)`` makes the result of them
+    again, or None if they disagree.  A hit hashes each input at most once
+    and opens no datastore.  A result that ``derive`` does not return,
+    because it raised, is not kept.
     """
     paths = _path_list(paths)
-    return _cached(paths, tag, lambda inputs: derive(Datastore(paths, sys.maxsize, digests=inputs)),
-                   pack, unpack, sources)
+    return _cached(paths, tag,
+                   lambda inputs: derive(lambda: Datastore(paths, sys.maxsize, columns,
+                                                           digests=inputs)),
+                   pack, unpack, sources, digests)[0]
 
 
-def _cached_load(paths, wanted=None, inputs=None) -> tuple[list[str], list[_Column], int]:
-    """What ``_load`` gives, read back from the column cache when it holds it."""
+def _cached_load(paths, wanted=None, inputs=None):
+    """What ``_load`` gives, read back from the column cache when it holds it,
+    and the digests it is keyed on (see :func:`_cached`)."""
     return _cached(paths, None if wanted is None else sorted(set(wanted)),
                    lambda _: _load(paths, wanted), _pack_columns, _unpack_columns,
                    inputs=inputs)
 
 
 def _cached(paths, tag, make, pack, unpack, sources=(), inputs=None):
-    """What ``make(inputs)`` gives, read back from the column cache when it holds it.
+    """What ``make(inputs)`` gives, read back from the column cache when it
+    holds it, and the input digests that it is made of, or None if unknown.
 
     An entry is the file ``_CACHE_DIR/<signature>`` in the first input's
     directory.  The signature is a sha256 of the absolute input paths in
@@ -470,7 +491,7 @@ def _cached(paths, tag, make, pack, unpack, sources=(), inputs=None):
     samples, where an installed package is no place for an entry.
     """
     if not paths:
-        return make(None)
+        return make(None), None
     try:
         entry, key = _entry(paths, tag, sources)
         if _in_package(entry):
@@ -480,17 +501,21 @@ def _cached(paths, tag, make, pack, unpack, sources=(), inputs=None):
     except (OSError, ValueError):  # ValueError: a NUL in a path
         inputs = None
     if inputs is None:
-        return make(None)
+        return make(None), None
     found = _read_entry(entry, key, inputs, unpack)
     if found is not None:
-        return found
+        return found, inputs
     made = make(inputs)
     try:
-        if _input_digests(paths) == inputs:
-            _write_entry(entry, key, inputs, *pack(made))
+        if _input_digests(paths) != inputs:
+            return made, None  # an input changed while it was read
+    except OSError:
+        return made, None  # or went away
+    try:
+        _write_entry(entry, key, inputs, *pack(made))
     except OSError:
         pass  # a read-only or full directory, or a file where the cache goes
-    return made
+    return made, inputs
 
 
 def _entry(paths, tag, sources=()) -> tuple[str, str]:

@@ -16,7 +16,6 @@ rule serve both :class:`FactorModel` and :class:`FactorTable`.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import ConstantColumn, ConvergenceFailure, InvalidParameter, MissingData
@@ -258,14 +257,6 @@ class FactorTable(NamedTuple):
         selected = _selected([row[1] for row in self.rows], variance_threshold)
         return selected, _suggestion(self.names, [row[0] for row in self.rows],
                                      [row[2:] for row in self.rows], selected, loading_cutoff)
-
-
-def factor_sources() -> list[str]:
-    """The files a kept factorization depends on besides the datastore: this
-    module and numpy's ``version.py``, found without importing numpy."""
-    from importlib.util import find_spec
-
-    return [__file__, os.path.join(os.path.dirname(find_spec("numpy").origin), "version.py")]
 
 
 def _check_share(name: str, value: float) -> None:

@@ -1,7 +1,7 @@
 """Delay summaries, each one map-reduce pass over the whole table, and x/y plot series.
 
-Both are named tuples.  numpy is loaded only for a plot series with a fit,
-through ``stats``.
+Both are named tuples.  A plot series' line is given by its coefficients,
+so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -89,28 +89,39 @@ class PlotSeries(NamedTuple):
     slope: Optional[float]
 
 
+# Lines of a plot TSV formatted and written at a time: one write per block,
+# and never the whole of a long series as one string.
+_PLOT_BLOCK_ROWS = 4096
+
+
 def emit_plot_data(
-    x: Sequence[float], y: Sequence[float], with_fit: bool = False
+    x: Sequence[float], y: Sequence[float], coefficients: Optional[Sequence[float]] = None
 ) -> PlotSeries:
-    """Pair up a series for plotting, optionally with a least-squares line."""
-    xs = tuple(float(v) for v in x)
-    ys = tuple(float(v) for v in y)
+    """Pair up a series for plotting, with the line ``coefficients``, an
+    (intercept, slope) pair such as ``stats.ols_coefficients([x], y)``, if given."""
+    xs = tuple(map(float, x))
+    ys = tuple(map(float, y))
     if len(xs) != len(ys):
         raise LengthMismatch(f"x has {len(xs)} points, y has {len(ys)}")
-    if not with_fit:
+    if coefficients is None:
         return PlotSeries(x=xs, y=ys, fitted=None, intercept=None, slope=None)
-    from . import stats
-
-    intercept, slope = stats.ols_coefficients([xs], ys)
-    fitted = tuple(intercept + slope * v for v in xs)
+    intercept, slope = coefficients
+    fitted = tuple([intercept + slope * v for v in xs])
     return PlotSeries(x=xs, y=ys, fitted=fitted, intercept=intercept, slope=slope)
 
 
 def write_plot_tsv(series: PlotSeries, fh) -> None:
-    """A header line, then one line per point, each value as its ``repr``."""
-    columns = {"x": series.x, "y": series.y}
-    if series.fitted is not None:
-        columns["fitted"] = series.fitted
-    fh.write("\t".join(columns) + "\n")
-    for row in zip(*columns.values()):
-        fh.write("\t".join(map(repr, row)) + "\n")
+    """A header line, then one line per point, each value as its ``repr``.
+
+    The lines are written a block of ``_PLOT_BLOCK_ROWS`` at a time.
+    """
+    xs, ys, fitted = series.x, series.y, series.fitted
+    fh.write("x\ty\n" if fitted is None else "x\ty\tfitted\n")
+    for start in range(0, len(xs), _PLOT_BLOCK_ROWS):
+        rows = slice(start, start + _PLOT_BLOCK_ROWS)
+        if fitted is None:
+            lines = [f"{x!r}\t{y!r}\n" for x, y in zip(xs[rows], ys[rows])]
+        else:
+            lines = [f"{x!r}\t{y!r}\t{f!r}\n"
+                     for x, y, f in zip(xs[rows], ys[rows], fitted[rows])]
+        fh.write("".join(lines))

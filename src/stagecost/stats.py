@@ -16,7 +16,9 @@ symmetric tail when that converges faster.  The fraction may take
 300 + 10 (a + b)^(1/3) passes, and at most 10^5, before it is reported as
 :class:`ConvergenceFailure`.  No statistics library is involved, so the
 numbers can be audited end to end.  numpy is imported only by the fit, so
-``summary_from_ss`` and ``f_cdf`` load no arrays.
+``summary_from_ss`` and ``f_cdf`` load no arrays, and neither does
+``summarise_ols``: ``fit_ols`` is ``summarise_ols(ols_terms(x, y))``, and a
+caller that kept a fit's :class:`OlsTerms` summarises them again without it.
 """
 
 from __future__ import annotations
@@ -162,10 +164,17 @@ def _require_finite(what: str, *arrays) -> None:
         raise NumericOverflow(f"{what} overflow the float range")
 
 
-def fit_ols(
-    x: Sequence[Sequence[float]], y: Sequence[float]
-) -> tuple[RegressionSummary, AnovaTable]:
-    """Fit ``y ~ 1 + x`` and summarise it the spreadsheet way.
+class OlsTerms(NamedTuple):
+    """What the numpy part of a fit gives: all that its summary is made of."""
+
+    coefficients: tuple[float, ...]  # (intercept, b1..bk)
+    ss_res: float
+    ss_total: float  # of y about its mean
+    n: int
+
+
+def ols_terms(x: Sequence[Sequence[float]], y: Sequence[float]) -> OlsTerms:
+    """Fit ``y ~ 1 + x``: the coefficients and the residual and total sums of squares.
 
     ``x`` holds the k predictor columns, each as long as ``y``.  Requires
     n >= k + 2 so the residual mean square is defined.
@@ -179,9 +188,22 @@ def fit_ols(
         ss_res = float(np.einsum("i,i", qty[m:], qty[m:]))
         ss_total = float(np.einsum("i,i", qty, qty))
     _require_finite("the sums of squares", ss_res, ss_total)
+    return OlsTerms(tuple(map(float, beta)), ss_res, ss_total, len(qty))
+
+
+def summarise_ols(terms: OlsTerms) -> tuple[RegressionSummary, AnovaTable]:
+    """Summarise a fit the spreadsheet way, in plain Python: no numpy."""
     # ss_res can round above ss_total when y is all but constant
-    ss_reg = max(ss_total - ss_res, 0.0)
-    return _summarise(tuple(map(float, beta)), ss_reg, ss_total, ss_res, len(qty), m - 1)
+    ss_reg = max(terms.ss_total - terms.ss_res, 0.0)
+    return _summarise(terms.coefficients, ss_reg, terms.ss_total, terms.ss_res, terms.n,
+                      len(terms.coefficients) - 1)
+
+
+def fit_ols(
+    x: Sequence[Sequence[float]], y: Sequence[float]
+) -> tuple[RegressionSummary, AnovaTable]:
+    """Fit ``y ~ 1 + x`` and summarise it the spreadsheet way (see :func:`ols_terms`)."""
+    return summarise_ols(ols_terms(x, y))
 
 
 def summary_from_ss(

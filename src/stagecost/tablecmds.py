@@ -2,17 +2,21 @@
 
 ``cli`` imports this module only when one of them runs, so a model command
 never compiles it.  Each handler takes the parsed arguments, imports the
-stagecost modules it calls and returns the exit status.  ``pca`` keeps its
-factor table in the column cache beside the table, so that a later ``pca``
-on the same bytes reads it back and imports no numpy.
+stagecost modules it calls and returns the exit status.  What numpy computes
+for a command is kept in the column cache beside the table: ``pca``'s factor
+table, ``regress``'s fit and ``plotdata --fit``'s line.  So a later run on
+the same bytes and columns reads it back and imports no numpy.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import sys
 from array import array
+from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cli import _json_text
 from .errors import ConfigError, MissingData, TypeMismatch
@@ -28,6 +32,29 @@ _WHOLE_TABLE = sys.maxsize
 _DELAYS_CHUNK = 4096
 # The column cache's name for pca's factor table: a name, which no column selection can be.
 _FACTORS = "pca factors"
+
+
+def _fit_tag(kind: str, names: Sequence[str]) -> str:
+    """The column cache's name for the fit of ``kind`` on the columns ``names``, in order."""
+    return json.dumps([kind, *names])
+
+
+def _sources(module: str) -> list[str]:
+    """The files that a result kept in the column cache depends on besides the
+    datastore: ``module``, the stagecost module that derives it, this one,
+    which picks its columns and refuses missing cells, and numpy's
+    ``version.py``, found without importing numpy."""
+    from importlib.util import find_spec
+
+    here = os.path.dirname(__file__)
+    return [os.path.join(here, f"{module}.py"), __file__,
+            os.path.join(os.path.dirname(find_spec("numpy").origin), "version.py")]
+
+
+def _floats(blobs: list, count: int) -> array | None:
+    """An entry's one array, if it is ``count`` float64s, else None."""
+    (flat,) = blobs
+    return flat if memoryview(flat).format == "d" and len(flat) == count else None
 
 
 def _fmt6(value) -> str:
@@ -146,15 +173,34 @@ def cmd_regress(args) -> int:
         raise ConfigError(
             "regress needs either --from-ss or --input/--dependent/--independents"
         )
-    from .datastore import open_datastore
+    from .datastore import cached_result
 
-    # the columns are copies, so the datastore is let go before the fit
     names = [args.dependent, *args.independents]
-    y, *columns = _numeric_columns(
-        open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names), names)
-    summary, table = stats.fit_ols(columns, y)
+
+    def fit(open_table: Callable[[], Datastore]) -> stats.OlsTerms:
+        # the columns are copies, so the datastore is let go before the fit
+        y, *columns = _numeric_columns(open_table(), names)
+        return stats.ols_terms(columns, y)
+
+    # a run on the same bytes and names reads the fit back: no columns, no numpy
+    terms = cached_result(args.input, _fit_tag("regress", names), _sources("stats"), fit,
+                          _pack_terms, partial(_unpack_terms, len(names)), columns=names)
+    summary, table = stats.summarise_ols(terms)
     _print_regression(summary, table, labels=args.independents)
     return 0
+
+
+def _pack_terms(terms: stats.OlsTerms) -> tuple[dict, list]:
+    """A fit's cache entry: n, and the coefficients and the two sums as one array of float64."""
+    return {"n": terms.n}, [array("d", [*terms.coefficients, terms.ss_res, terms.ss_total])]
+
+
+def _unpack_terms(width: int, fields: dict, blobs: list) -> stats.OlsTerms | None:
+    """The fit an entry keeps, or None if its array is not ``width`` coefficients and two sums."""
+    from .stats import OlsTerms
+
+    flat = _floats(blobs, width + 2)
+    return None if flat is None else OlsTerms(tuple(flat[:width]), *flat[width:], fields["n"])
 
 
 def cmd_pca(args) -> int:
@@ -167,7 +213,8 @@ def cmd_pca(args) -> int:
     threshold = pca.DEFAULT_VARIANCE_THRESHOLD if args.threshold is None else args.threshold
     cutoff = pca.DEFAULT_LOADING_CUTOFF if args.cutoff is None else args.cutoff
 
-    def factor(ds: Datastore) -> pca.FactorTable:
+    def factor(open_table: Callable[[], Datastore]) -> pca.FactorTable:
+        ds = open_table()
         numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
         if not numeric:
             raise TypeMismatch("input has no numeric columns")
@@ -176,7 +223,7 @@ def cmd_pca(args) -> int:
         pca.suggest_schema(model, loading_cutoff=cutoff)  # so no table is kept for a bad cutoff
         return pca.FactorTable.of(model)
 
-    table = cached_result(args.input, _FACTORS, pca.factor_sources(), factor, _pack_factors,
+    table = cached_result(args.input, _FACTORS, _sources("pca"), factor, _pack_factors,
                           _unpack_factors)
     selected, suggestion = table.suggest(threshold, cutoff)
     print("Component  Eigenvalue  CumulativeVariance")
@@ -199,9 +246,9 @@ def _unpack_factors(fields: dict, blobs: list) -> pca.FactorTable | None:
     from .pca import FactorTable
 
     names = tuple(fields["names"])
-    (flat,) = blobs
     width = len(names) + 2
-    if memoryview(flat).format != "d" or len(flat) != len(names) * width:
+    flat = _floats(blobs, len(names) * width)
+    if flat is None:
         return None
     return FactorTable(names, [flat[start:start + width] for start in range(0, len(flat), width)])
 
@@ -231,16 +278,43 @@ def _delays_doc(summary: report.DelaySummary) -> dict:
 
 
 def cmd_plotdata(args) -> int:
-    from .datastore import open_datastore
+    """plotdata: the fitted line's coefficients are kept in the column cache,
+    so a ``--fit`` on the same bytes and columns reads them back and loads no numpy."""
+    from .datastore import cached_result, open_datastore
     from .report import emit_plot_data, write_plot_tsv
 
     names = [args.x, args.y]
-    xs, ys = _numeric_columns(
-        open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names), names)
-    series = emit_plot_data(xs, ys, with_fit=args.fit)
+    ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names)
+    xs, ys = _numeric_columns(ds, names)
+    digests = ds.digests
+    del ds  # the columns are copies, so the datastore is let go before the fit
+    line = None
+    if args.fit:
+        def fit(_: Callable[[], Datastore] | None = None) -> tuple[float, ...]:
+            from .stats import ols_coefficients
+
+            return ols_coefficients([xs], ys)
+
+        # the columns are read already, so a miss fits them and opens nothing; only
+        # columns read under known digests (not of an input that changed meanwhile) key a line
+        line = fit() if digests is None else cached_result(
+            args.input, _fit_tag("plotdata", names), _sources("stats"), fit, _pack_line,
+            _unpack_line, digests=digests)
+    series = emit_plot_data(xs, ys, coefficients=line)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             write_plot_tsv(series, fh)
     else:
         write_plot_tsv(series, sys.stdout)
     return 0
+
+
+def _pack_line(line: tuple[float, ...]) -> tuple[dict, list]:
+    """A fitted line's cache entry: the intercept and the slope as one array of float64."""
+    return {}, [array("d", line)]
+
+
+def _unpack_line(fields: dict, blobs: list) -> tuple[float, ...] | None:
+    """The line an entry keeps, or None if its array is not two floats."""
+    flat = _floats(blobs, 2)
+    return None if flat is None else tuple(flat)

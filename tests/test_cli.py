@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 
 from stagecost import cli, datastore, energy, pca, sim, stats, tablecmds
 from stagecost.datastore import Datastore, open_datastore
-from stagecost.errors import EmptyInput, LengthMismatch, MissingData, TypeMismatch
+from stagecost.errors import (
+    DomainError,
+    EmptyInput,
+    LengthMismatch,
+    MissingData,
+    TypeMismatch,
+)
 from stagecost.cli import dispatch
 from stagecost.report import DELAY_COLUMNS, delay_summary, emit_plot_data, write_plot_tsv
 
@@ -248,14 +254,16 @@ def test_plot_series_without_fit():
 
 
 def test_plot_series_fit_matches_the_hand_fit():
-    series = emit_plot_data([1, 2, 3], [1, 2, 4], with_fit=True)
+    x, y = [1, 2, 3], [1, 2, 4]
+    series = emit_plot_data(x, y, stats.ols_coefficients([x], y))
     assert series.intercept == pytest.approx(-2.0 / 3.0, rel=1e-12)
     assert series.slope == pytest.approx(1.5, rel=1e-12)
     assert series.fitted[1] == pytest.approx(series.intercept + 2 * series.slope)
 
 
 def test_plot_series_fit_through_two_points_is_exact():
-    series = emit_plot_data([0.0, 2.0], [1.0, 5.0], with_fit=True)
+    x, y = [0.0, 2.0], [1.0, 5.0]
+    series = emit_plot_data(x, y, stats.ols_coefficients([x], y))
     assert series.fitted == pytest.approx((1.0, 5.0), abs=1e-12)
 
 
@@ -265,13 +273,40 @@ def test_plot_series_length_mismatch():
 
 
 def test_plot_tsv_round_trips_full_precision():
-    series = emit_plot_data([0.1, 0.2], [1 / 3, 2 / 3], with_fit=True)
+    x, y = [0.1, 0.2], [1 / 3, 2 / 3]
+    series = emit_plot_data(x, y, stats.ols_coefficients([x], y))
     buffer = io.StringIO()
     write_plot_tsv(series, buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "x\ty\tfitted"
     x, y, fitted = (float(cell) for cell in lines[1].split("\t"))
     assert (x, y, fitted) == (series.x[0], series.y[0], series.fitted[0])
+
+
+def test_a_plot_series_with_given_coefficients_draws_their_line():
+    series = emit_plot_data([1.0, 2.0, 3.0], [1.0, 2.0, 4.0], coefficients=(0.5, 2.0))
+    assert (series.intercept, series.slope, series.fitted) == (0.5, 2.0, (2.5, 4.5, 6.5))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 10_000])
+@pytest.mark.parametrize("fit", [False, True], ids=["points", "line"])
+def test_a_plot_tsv_in_blocks_is_a_line_of_reprs_per_point(rows, fit):
+    rng = random.Random(rows)
+    x = [rng.uniform(-1e6, 1e6) for _ in range(rows)]
+    y = [rng.gauss(0.0, 1.0) / 3 for _ in range(rows)]
+    series = emit_plot_data(x, y, coefficients=(1 / 3, 0.1) if fit else None)
+    columns = [series.x, series.y, *([series.fitted] if fit else [])]
+    want = ("x\ty\tfitted\n" if fit else "x\ty\n") + "".join(
+        "\t".join(map(repr, row)) + "\n" for row in zip(*columns))
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    write_plot_tsv(series, Recorder())
+    assert "".join(writes) == want
+    assert len(writes) == 1 + -(-rows // 4096)  # the header, then a write per block
 
 
 # -- dispatch and exit codes ------------------------------------------------------------
@@ -1100,7 +1135,7 @@ def _pca(capsys, path, *options):
 
 def _factor_entry(path) -> Path:
     """Where the column cache keeps the factor table of the table ``path``."""
-    entry, _ = datastore._entry([str(path)], tablecmds._FACTORS, pca.factor_sources())
+    entry, _ = datastore._entry([str(path)], tablecmds._FACTORS, tablecmds._sources("pca"))
     return Path(entry)
 
 
@@ -1201,17 +1236,18 @@ def test_a_hit_hashes_the_table_once_and_a_miss_once_more_than_an_open(capsys, m
 
 
 def test_an_edit_to_pca_or_to_numpy_factors_again(capsys, monkeypatch, tmp_path, factorings):
-    # the key holds the bytes of pca.py and of numpy's version.py, found without importing numpy
+    # the key holds the bytes of pca.py, of tablecmds.py and of numpy's
+    # version.py, found without importing numpy
     import numpy
 
-    sources = pca.factor_sources()
-    assert sources[0] == pca.__file__
-    assert Path(sources[1]).parent == Path(numpy.__file__).parent
-    assert numpy.__version__ in Path(sources[1]).read_text()
-    copies = [tmp_path / "pca.py", tmp_path / "version.py"]
+    sources = tablecmds._sources("pca")
+    assert sources[:2] == [pca.__file__, tablecmds.__file__]
+    assert Path(sources[2]).parent == Path(numpy.__file__).parent
+    assert numpy.__version__ in Path(sources[2]).read_text()
+    copies = [tmp_path / "pca.py", tmp_path / "tablecmds.py", tmp_path / "version.py"]
     for source, copy in zip(sources, copies):
         shutil.copyfile(source, copy)
-    monkeypatch.setattr(pca, "factor_sources", lambda: list(map(str, copies)))
+    monkeypatch.setattr(tablecmds, "_sources", lambda module: list(map(str, copies)))
     path = tmp_path / "t.csv"
     path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
     want = _pca(capsys, path)
@@ -1268,6 +1304,277 @@ def test_a_bad_option_fails_the_same_way_on_a_hit_as_on_a_miss(capsys, tmp_path,
     missed = _pca(capsys, fresh, *options)
     assert hit[0] == 1 and hit[2].startswith("error: ")
     assert hit == missed
+
+
+def test_an_edit_to_tablecmds_factors_again(capsys, monkeypatch, tmp_path, factorings):
+    # tablecmds picks the numeric columns and refuses missing cells, so the
+    # key holds its bytes too: the module's files are copied, and the module
+    # is pointed at the copies, so the copy of tablecmds.py can be edited
+    package = Path(tablecmds.__file__).parent
+    copies = tmp_path / "stagecost"
+    copies.mkdir()
+    for name in ("pca.py", "stats.py", "tablecmds.py"):
+        shutil.copyfile(package / name, copies / name)
+    monkeypatch.setattr(tablecmds, "__file__", str(copies / "tablecmds.py"))
+    assert tablecmds._sources("stats")[:2] == [str(copies / "stats.py"),
+                                               str(copies / "tablecmds.py")]
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
+    want = _pca(capsys, path)
+    assert _pca(capsys, path) == want
+    assert factorings == [1]
+    edited = copies / "tablecmds.py"
+    edited.write_bytes(edited.read_bytes() + b"\n")
+    assert _pca(capsys, path) == want
+    assert factorings == [2]
+    assert _pca(capsys, path) == want
+    assert factorings == [2]
+
+
+# -- regress's and plotdata's fits in the column cache ---------------------------------------
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """A one-item list that counts the least-squares fits, of regress and of plotdata --fit."""
+    done = [0]
+
+    def counting(fit):
+        def counted(x, y):
+            done[0] += 1
+            return fit(x, y)
+        return counted
+
+    for name in ("ols_terms", "ols_coefficients"):
+        monkeypatch.setattr(stats, name, counting(getattr(stats, name)))
+    return done
+
+
+def _fit_argv(path, kind, names, output) -> list:
+    """regress of names[0] on the rest, or plotdata --fit of y = names[1] on x = names[0]."""
+    if kind == "regress":
+        return ["regress", "--input", str(path), "--dependent", names[0],
+                "--independents", *names[1:]]
+    return ["plotdata", "--input", str(path), "--x", names[0], "--y", names[1], "--fit",
+            "--output", str(output)]
+
+
+def _fit_run(capsys, tmp_path, path, kind, names):
+    """The exit status, stdout, stderr and plot TSV (None if none was written) of a fit."""
+    output = tmp_path / "plot.tsv"
+    output.unlink(missing_ok=True)
+    status = dispatch(_fit_argv(path, kind, names, output))
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err, output.read_text() if output.exists() else None
+
+
+def _fit_entry(path, kind, names) -> Path:
+    """Where the column cache keeps the fit of ``kind`` on the columns ``names`` of ``path``."""
+    entry, _ = datastore._entry([str(path)], tablecmds._fit_tag(kind, names),
+                                tablecmds._sources("stats"))
+    return Path(entry)
+
+
+@st.composite
+def _fit_tables(draw):
+    """A table of y and 1 to 4 predictors over 1 to 8 rows, which may hold a
+    missing cell, a word or a predictor twice another, and a regress and a
+    plotdata --fit on it."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    cells = st.integers(-20, 20).map(lambda v: repr(v / 4))
+    columns = [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(k + 1)]
+    shape = draw(st.sampled_from(["plain", "twice", "missing", "word"]))
+    row = draw(st.integers(0, n - 1))
+    if shape == "twice":
+        columns[k] = [repr(2 * float(cell)) for cell in columns[1]]
+    elif shape == "missing":
+        columns[draw(st.integers(0, k))][row] = "NA"
+    elif shape == "word":
+        columns[k][row] = "w"
+    names = ["y", *(f"x{j}" for j in range(1, k + 1))]
+    independents = draw(st.lists(st.sampled_from(names[1:]), min_size=1, max_size=4))
+    text = ",".join(names) + "\n" + "".join(",".join(cells) + "\n" for cells in zip(*columns))
+    return text, [("regress", ["y", *independents]),
+                  ("plotdata", [draw(st.sampled_from(names[1:])), "y"])]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_fit_tables())
+def test_a_fit_read_back_prints_what_a_fit_prints(capsys, tmp_path, fits, case):
+    # the first run on the table keeps a good fit; a run on a fresh copy of
+    # the table fits, and a second run on the table reads the fit back
+    text, commands = case
+    shutil.rmtree(tmp_path / datastore._CACHE_DIR, ignore_errors=True)
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    for k, (kind, names) in enumerate(commands):
+        first = _fit_run(capsys, tmp_path, table, kind, names)
+        assert _fit_entry(table, kind, names).exists() == (first[0] == 0)
+        fresh = tmp_path / f"fresh{k}.csv"
+        fresh.write_text(text)
+        missed = _fit_run(capsys, tmp_path, fresh, kind, names)
+        before = fits[0]
+        hit = _fit_run(capsys, tmp_path, table, kind, names)
+        assert hit == missed == first
+        if first[0] == 0:
+            assert fits[0] == before  # read back, not fitted
+        else:
+            assert first[1] == "" and first[2].startswith("error: ") and first[3] is None
+
+
+_FIT_TABLE = "y,x,z,c,gap,t\n1,2,3,5,1,a\n2,4,1,5,NA,b\n3,1,2,5,4,c\n5,3,3,5,2,d\n"
+
+
+@pytest.mark.parametrize("text, kind, names, error", [
+    (_FIT_TABLE, "regress", ["y", "gap"], "error: column 'gap' has missing cells\n"),
+    (_FIT_TABLE, "regress", ["y", "t"], "error: column 't' is not numeric\n"),
+    (_FIT_TABLE, "regress", ["y", "x", "x"],
+     "error: predictor 2 lies in the span of the columns before it\n"),
+    (_FIT_TABLE, "regress", ["y", "x", "z", "c"],
+     "error: need at least 5 rows for 3 predictors, got 4\n"),
+    (_FIT_TABLE, "plotdata", ["gap", "y"], "error: column 'gap' has missing cells\n"),
+    (_FIT_TABLE, "plotdata", ["t", "y"], "error: column 't' is not numeric\n"),
+    (_FIT_TABLE, "plotdata", ["c", "y"],
+     "error: predictor 1 lies in the span of the columns before it\n"),
+    ("y,x\n1,2\n", "plotdata", ["x", "y"],
+     "error: need at least 2 rows for 1 predictors, got 1\n"),
+    ("y,x\n1,2\n2,3\n3,4\n4\n", "regress", ["y", "x"],
+     "error: t.csv:5: expected 2 cells, got 1\n"),
+], ids=["missing-cell", "text", "collinear", "too-few-rows", "plot-missing-cell", "plot-text",
+        "plot-collinear", "plot-too-few-rows", "bad-row"])
+def test_a_failing_fit_keeps_no_entry_and_fails_the_same_way_again(capsys, monkeypatch,
+                                                                   tmp_path, text, kind, names,
+                                                                   error):
+    monkeypatch.chdir(tmp_path)
+    path = Path("t.csv")
+    path.write_text(text)
+    for _ in range(2):
+        assert _fit_run(capsys, tmp_path, path, kind, names) == (1, "", error, None)
+        assert not _fit_entry(path, kind, names).exists()
+
+
+def test_a_summary_that_fails_after_its_fit_fails_the_same_way_on_a_hit(capsys, monkeypatch,
+                                                                        tmp_path, fits):
+    # the entry holds the fit, and the summary is made from it on every run
+    def failing_f_cdf(x, d1, d2):
+        raise DomainError("degrees of freedom are too large")
+
+    monkeypatch.setattr(stats, "f_cdf", failing_f_cdf)
+    path = tmp_path / "t.csv"
+    path.write_text("y,x\n1,2\n2,5\n4,4\n3,9\n")
+    failed = (1, "", "error: degrees of freedom are too large\n", None)
+    assert _fit_run(capsys, tmp_path, path, "regress", ["y", "x"]) == failed
+    assert fits == [1]
+    assert _fit_run(capsys, tmp_path, path, "regress", ["y", "x"]) == failed
+    assert fits == [1]
+
+
+@pytest.mark.parametrize("kind, names", [("regress", ["y", "x", "z"]), ("plotdata", ["x", "y"])])
+def test_every_flipped_byte_of_a_fit_entry_is_a_miss(capsys, tmp_path, fits, kind, names):
+    path = tmp_path / "t.csv"
+    path.write_text("y,x,z\n1,2,3\n2,5,1\n4,4,4\n3,9,2\n")
+    want = _fit_run(capsys, tmp_path, path, kind, names)
+    assert want[0] == 0
+    entry = _fit_entry(path, kind, names)
+    whole = entry.read_bytes()
+    for at in range(len(whole)):
+        entry.write_bytes(whole[:at] + bytes([whole[at] ^ 1]) + whole[at + 1:])
+        before = fits[0]
+        assert _fit_run(capsys, tmp_path, path, kind, names) == want
+        assert fits[0] == before + 1
+        assert entry.read_bytes() == whole  # the miss wrote the entry again
+
+
+@pytest.mark.parametrize("kind, names", [("regress", ["y", "x", "z"]), ("plotdata", ["x", "y"])])
+def test_an_edit_that_keeps_size_and_mtime_is_fitted_again(capsys, tmp_path, fits, kind, names):
+    path = tmp_path / "t.csv"
+    path.write_text("y,x,z\n1,2,3\n2,5,1\n4,4,4\n3,9,2\n")
+    stamp = path.stat()
+    first = _fit_run(capsys, tmp_path, path, kind, names)
+    assert _fit_run(capsys, tmp_path, path, kind, names) == first
+    assert fits == [1]
+    path.write_text("y,x,z\n1,2,3\n2,5,1\n4,4,4\n7,9,2\n")
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
+    edited = _fit_run(capsys, tmp_path, path, kind, names)
+    assert fits == [2]
+    assert edited[0] == 0 and edited != first
+    fresh = tmp_path / "fresh.csv"
+    shutil.copyfile(path, fresh)
+    assert _fit_run(capsys, tmp_path, fresh, kind, names) == edited
+
+
+@pytest.mark.parametrize("kind, names, other", [
+    ("regress", ["y", "x", "z"], ["y", "z", "x"]),
+    ("regress", ["y", "x"], ["y", "x", "x"]),
+    ("regress", ["y", "x"], ["x", "y"]),
+    ("plotdata", ["x", "y"], ["y", "x"]),
+], ids=["independents-swapped", "independent-repeated", "dependent-swapped", "axes-swapped"])
+def test_a_fit_on_other_names_reads_no_entry_of_these(capsys, tmp_path, fits, kind, names, other):
+    # the key holds the names in order, duplicates included
+    path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+    for table in (path, fresh):
+        table.write_text("y,x,z\n1,2,3\n2,5,1\n4,4,4\n3,9,2\n")
+    assert _fit_run(capsys, tmp_path, path, kind, names)[0] == 0
+    assert fits == [1]
+    got = _fit_run(capsys, tmp_path, path, kind, other)
+    assert fits == [2]
+    assert got == _fit_run(capsys, tmp_path, fresh, kind, other)
+    assert got != _fit_run(capsys, tmp_path, fresh, kind, names)
+
+
+@pytest.mark.parametrize("kind, names", [("regress", ["y", "x"]), ("plotdata", ["x", "y"])])
+def test_a_fit_hit_hashes_the_table_once_and_a_miss_once_more_than_an_open(capsys, monkeypatch,
+                                                                           tmp_path, fits, kind,
+                                                                           names):
+    hashes = [0]
+    digests = datastore._input_digests
+
+    def counting_digests(paths):
+        hashes[0] += 1
+        return digests(paths)
+
+    monkeypatch.setattr(datastore, "_input_digests", counting_digests)
+    path = tmp_path / "t.csv"
+    path.write_text("y,x\n1,2\n2,5\n4,4\n3,9\n")
+
+    def run():
+        """The command's output, and the hashes of the table and the fits it made."""
+        before = (hashes[0], fits[0])
+        return (_fit_run(capsys, tmp_path, path, kind, names),
+                (hashes[0] - before[0], fits[0] - before[1]))
+
+    first = run()  # an open that parses hashes twice, and the fit once more
+    assert first[1] == (3, 1)
+    assert run() == (first[0], (1, 0))
+    _fit_entry(path, kind, names).unlink()
+    assert run() == (first[0], (2, 1))  # the columns are read back
+
+
+@pytest.mark.parametrize("kind, names", [("regress", ["y", "x"]), ("plotdata", ["x", "y"])])
+def test_a_table_edited_while_it_is_parsed_keeps_no_fit(capsys, monkeypatch, tmp_path, fits,
+                                                        kind, names):
+    # the columns are of the old bytes, so no fit of them may be keyed on the new
+    path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+    path.write_text("y,x\n1,2\n2,5\n4,4\n3,9\n")
+    edited = "y,x\n1,2\n2,5\n4,4\n7,9\n"
+    fresh.write_text(edited)
+    load = datastore._load
+
+    def load_then_edit(paths, wanted=None):
+        loaded = load(paths, wanted)
+        path.write_text(edited)
+        return loaded
+
+    monkeypatch.setattr(datastore, "_load", load_then_edit)
+    first = _fit_run(capsys, tmp_path, path, kind, names)
+    assert first[0] == 0 and fits == [1]
+    assert not _fit_entry(path, kind, names).exists()
+    monkeypatch.setattr(datastore, "_load", load)
+    assert _fit_run(capsys, tmp_path, path, kind, names) == _fit_run(capsys, tmp_path, fresh,
+                                                                     kind, names) != first
+    assert fits == [3]  # the edited table is fitted, not read back
 
 
 @pytest.fixture
@@ -1471,12 +1778,15 @@ sys.stderr.write(json.dumps(loaded))
 def test_only_the_array_commands_import_numpy(capsys, config_file, servers_csv, tmp_path):
     # a fresh interpreter: importing the CLI and running the model, simulator
     # and table commands (plotdata without a fit, regress from sums) leaves
-    # numpy unloaded, and so does a pca that reads its factor table back from
-    # the column cache; a pca that factors loads it
+    # numpy unloaded, and so do a pca, a regress and a plotdata --fit that
+    # read what numpy gave back from the column cache; a pca that factors loads it
     wide, cached = tmp_path / "wide.csv", tmp_path / "cached.csv"
     for path in (wide, cached):
         path.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
-    assert dispatch(["pca", "--input", str(cached)]) == 0
+    regress = ["regress", "--input", str(cached), "--dependent", "b", "--independents", "a"]
+    plot_fit = ["plotdata", "--input", str(cached), "--x", "a", "--y", "b", "--fit"]
+    for argv in (["pca", "--input", str(cached)], regress, plot_fit):
+        assert dispatch(argv) == 0
     capsys.readouterr()
     runs = [
         ["energy", "--config", config_file, "--kernel", "k1"],
@@ -1489,6 +1799,8 @@ def test_only_the_array_commands_import_numpy(capsys, config_file, servers_csv, 
          "--y", "CRSElapsedTime"],
         ["regress", "--from-ss", "19", "82.5", "10", "3"],
         ["pca", "--input", str(cached)],
+        regress,
+        plot_fit,
         ["pca", "--input", str(wide)],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -1496,7 +1808,7 @@ def test_only_the_array_commands_import_numpy(capsys, config_file, servers_csv, 
     done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(runs)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr) == [False] * 9 + [True]
+    assert json.loads(done.stderr) == [False] * 11 + [True]
 
 
 _LOADED_MODULES = """
@@ -1538,6 +1850,8 @@ _NUMPY = ["inspect"]
           "--input", "{servers}"], ["datastore", "mapreduce", "tablecmds"], []),
         (["regress", "--input", "{servers}", "--dependent", "ActualElapsedTime",
           "--independents", "CRSElapsedTime"], ["datastore", "stats", "tablecmds"], _NUMPY),
+        (["regress", "--input", "{servers}", "--dependent", "ActualElapsedTime",
+          "--independents", "CRSElapsedTime"], ["datastore", "stats", "tablecmds"], []),
         (["regress", "--from-ss", "15", "82.5", "10", "2"], ["stats", "tablecmds"], []),
         (["pca", "--input", "{wide}"], ["datastore", "pca", "tablecmds"], _NUMPY),
         (["pca", "--input", "{wide}"], ["datastore", "pca", "tablecmds"], []),
@@ -1546,12 +1860,15 @@ _NUMPY = ["inspect"]
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
           "--y", "CRSElapsedTime", "--fit"], ["datastore", "report", "stats", "tablecmds"],
          _NUMPY),
+        (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
+          "--y", "CRSElapsedTime", "--fit"], ["datastore", "report", "tablecmds"], []),
         (["delays"], ["datastore", "fixtures", "mapreduce", "report", "tablecmds"], []),
         (["delays", "--input", "{delays}"], ["datastore", "mapreduce", "report", "tablecmds"],
          []),
     ],
     ids=["import", "energy", "compare", "simulate", "simulate-trace", "mapreduce", "regress",
-         "regress-from-ss", "pca", "pca-cached", "plotdata", "plotdata-fit", "delays", "delays-input"],
+         "regress-cached", "regress-from-ss", "pca", "pca-cached", "plotdata", "plotdata-fit",
+         "plotdata-fit-cached", "delays", "delays-input"],
 )
 def test_each_command_loads_only_the_modules_it_calls(request, capsys, config_file, servers_csv,
                                                       delays_csv, tmp_path, argv, extra,
@@ -1561,8 +1878,9 @@ def test_each_command_loads_only_the_modules_it_calls(request, capsys, config_fi
     # handlers are in tablecmds and the trace writer is in simtrace.  Only the
     # model commands load dataclasses, and with it inspect, through config.
     # The column cache is on there, so the tables are copies: an entry goes
-    # beside its input.  pca-cached runs after a pca on its table, whose
-    # factor table it reads back without numpy.
+    # beside its input.  Each *-cached command runs after the same command on
+    # its table, and reads back what numpy gave, without numpy: pca's factor
+    # table, regress's fit, plotdata's line.
     wide = tmp_path / "wide.csv"
     wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
     servers, delays = tmp_path / "servers.csv", tmp_path / "delays.csv"
@@ -1571,7 +1889,7 @@ def test_each_command_loads_only_the_modules_it_calls(request, capsys, config_fi
     argv = [arg.format(config=config_file, servers=servers, delays=delays, wide=wide,
                        trace=tmp_path / "events.tsv")
             for arg in argv]
-    if request.node.callspec.id == "pca-cached":
+    if request.node.callspec.id.endswith("-cached"):
         assert dispatch(argv) == 0
         capsys.readouterr()
     src = str(Path(cli.__file__).resolve().parents[1])
