@@ -11,7 +11,9 @@ only the standard library and ``errors`` at its top, and each handler imports
 the stagecost modules it calls: a command loads no module it does not use.
 Only the model commands, whose records are dataclasses, load ``dataclasses``.
 The handlers of the table commands live in ``tablecmds``, which only they
-import, and a command builds the parser of its own subcommand alone.
+import, but ``pca``'s is in ``pcacmd``, so that a ``pca`` that reads its
+factor table back compiles no other handler.  A command builds the parser of
+its own subcommand alone.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ def _load_validated(path):
         print("warning: generation rate exceeds bw_host2ssd (staging infeasible)",
               file=sys.stderr)
     return cfg, wl
+
+
+def _fmt6(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".6g")
+    return str(value)
 
 
 def _json_text(payload) -> str:
@@ -93,6 +101,12 @@ def _cmd_table(args) -> int:
     from . import tablecmds
 
     return getattr(tablecmds, args.table_handler)(args)
+
+
+def _cmd_pca(args) -> int:
+    from .pcacmd import cmd_pca
+
+    return cmd_pca(args)
 
 
 # -- parser -----------------------------------------------------------------------
@@ -160,11 +174,11 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if "pca" in wanted:
         p = sub.add_parser("pca", help="correlation factoring and schema grouping")
         p.add_argument("--input", required=True)
-        # None stands for pca's defaults, filled in by tablecmds.cmd_pca:
+        # None stands for pca's defaults, filled in by pcacmd.cmd_pca:
         # building the parser imports no stagecost module.
         p.add_argument("--threshold", type=float)
         p.add_argument("--cutoff", type=float)
-        p.set_defaults(handler=_cmd_table, table_handler="cmd_pca")
+        p.set_defaults(handler=_cmd_pca)
 
     if "delays" in wanted:
         p = sub.add_parser("delays", help="summarise sending/receiving delay records")

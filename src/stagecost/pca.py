@@ -6,25 +6,24 @@ rotation is inspectable), keep the leading components that explain a
 requested share of the variance, and group variables into candidate schema
 dimensions by the size of their loadings.
 
-numpy is imported only by the functions that work on arrays.  What the
-factorization gives, a :class:`FactorTable` of plain floats, is what the
-``pca`` command keeps in the column cache; choosing the components and
-grouping the variables then needs no numpy, so a command that reads the
-table back does not load it.  The one selection rule and the one grouping
-rule serve both :class:`FactorModel` and :class:`FactorTable`.
+numpy is imported only by the functions that work on arrays.  The factor
+table that the ``pca`` command keeps in the column cache, the records of a
+suggestion and the selection and grouping rules are in ``factors``, which
+needs no numpy, and are imported here, so a command that reads the table
+back loads neither numpy nor this module.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .errors import ConstantColumn, ConvergenceFailure, InvalidParameter, MissingData
+from .errors import ConstantColumn, ConvergenceFailure, MissingData
+from .factors import (DEFAULT_LOADING_CUTOFF, DEFAULT_VARIANCE_THRESHOLD,  # noqa: F401
+                      CandidateDimension, FactorTable, SchemaSuggestion, _check_share, _selected,
+                      _suggestion)
 
 JACOBI_TOL = 1e-12       # off-diagonal Frobenius norm, relative to the matrix
 JACOBI_MAX_SWEEPS = 100
-DEFAULT_VARIANCE_THRESHOLD = 0.8
-DEFAULT_LOADING_CUTOFF = 0.5
-_THRESHOLD_SLACK = 1e-12  # absorbs rounding when cumulative variance ~ threshold
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,19 +41,6 @@ class FactorModel(NamedTuple):
     cumulative_variance: np.ndarray  # V(m) = sum of first m eigenvalues / p
     selected_components: int
     variance_threshold: float
-
-
-class CandidateDimension(NamedTuple):
-    name: str
-    component: int                          # 1-based component index
-    eigenvalue: float
-    members: tuple[tuple[str, float], ...]  # (variable, loading), |loading| desc
-    empty: bool
-
-
-class SchemaSuggestion(NamedTuple):
-    dimensions: tuple[CandidateDimension, ...]
-    loading_cutoff: float
 
 
 def correlation_matrix(
@@ -228,69 +214,3 @@ def suggest_schema(
     _check_share("loading_cutoff", loading_cutoff)
     return _suggestion(model.names, model.eigenvalues, model.loadings.T,
                        model.selected_components, loading_cutoff)
-
-
-class FactorTable(NamedTuple):
-    """A factorization as plain floats: what the column cache keeps of a FactorModel.
-
-    ``rows[k]`` is component k + 1: its eigenvalue, the cumulative variance
-    V(k + 1), then each variable's loading, in the order of ``names``.
-    """
-
-    names: tuple[str, ...]
-    rows: Sequence[Sequence[float]]
-
-    @classmethod
-    def of(cls, model: FactorModel) -> FactorTable:
-        """The rows of ``model``, each float as it is there."""
-        import numpy as np
-
-        rows = np.column_stack([model.eigenvalues, model.cumulative_variance, model.loadings.T])
-        return cls(model.names, rows.tolist())
-
-    def suggest(self, variance_threshold: float,
-                loading_cutoff: float) -> tuple[int, SchemaSuggestion]:
-        """The components kept at ``variance_threshold``, as extract_factors
-        keeps them, and suggest_schema's grouping of them at ``loading_cutoff``."""
-        _check_share("variance_threshold", variance_threshold)
-        _check_share("loading_cutoff", loading_cutoff)
-        selected = _selected([row[1] for row in self.rows], variance_threshold)
-        return selected, _suggestion(self.names, [row[0] for row in self.rows],
-                                     [row[2:] for row in self.rows], selected, loading_cutoff)
-
-
-def _check_share(name: str, value: float) -> None:
-    if not 0 < value <= 1:
-        raise InvalidParameter(f"{name} must be in (0, 1], got {value}")
-
-
-def _selected(cumulative: Sequence[float], variance_threshold: float) -> int:
-    """The smallest m with V(m) at the threshold or above, or p if there is none."""
-    for m, share in enumerate(cumulative, start=1):
-        if share >= variance_threshold - _THRESHOLD_SLACK:
-            return m
-    return len(cumulative)
-
-
-def _suggestion(names: Sequence[str], eigenvalues: Sequence[float],
-                components: Sequence[Sequence[float]], selected: int,
-                loading_cutoff: float) -> SchemaSuggestion:
-    """One dimension for each of the first ``selected`` components; component
-    k's loadings are ``components[k]``, in the order of ``names``."""
-    dimensions = []
-    for comp in range(selected):
-        members = sorted(
-            ((name, float(loading)) for name, loading in zip(names, components[comp])
-             if abs(loading) >= loading_cutoff),
-            key=lambda item: (-abs(item[1]), item[0]),
-        )
-        dimensions.append(
-            CandidateDimension(
-                name=f"dim{comp + 1}",
-                component=comp + 1,
-                eigenvalue=float(eigenvalues[comp]),
-                members=tuple(members),
-                empty=not members,
-            )
-        )
-    return SchemaSuggestion(dimensions=tuple(dimensions), loading_cutoff=loading_cutoff)

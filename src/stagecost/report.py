@@ -1,12 +1,15 @@
 """Delay summaries, each one map-reduce pass over the whole table, and x/y plot series.
 
-Both are named tuples.  A plot series' line is given by its coefficients,
-so this module loads no numpy.
+Both are named tuples.  A plot series holds its points as two ``array('d')``
+and its line as its coefficients; the fitted values are computed a block at
+a time as the TSV is written, so no column is copied into Python floats and
+this module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import NamedTuple, Optional, Sequence
 
 from .datastore import Datastore, TableChunk
@@ -82,10 +85,9 @@ def _both_delays(acc: list) -> dict[str, DelayStats]:
 
 
 class PlotSeries(NamedTuple):
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    fitted: Optional[tuple[float, ...]]
-    intercept: Optional[float]
+    x: array  # array('d')
+    y: array  # array('d')
+    intercept: Optional[float]  # the line's, or None without one
     slope: Optional[float]
 
 
@@ -98,30 +100,32 @@ def emit_plot_data(
     x: Sequence[float], y: Sequence[float], coefficients: Optional[Sequence[float]] = None
 ) -> PlotSeries:
     """Pair up a series for plotting, with the line ``coefficients``, an
-    (intercept, slope) pair such as ``stats.ols_coefficients([x], y)``, if given."""
-    xs = tuple(map(float, x))
-    ys = tuple(map(float, y))
+    (intercept, slope) pair such as ``stats.ols_coefficients([x], y)``, if given.
+
+    An ``array('d')`` is kept as it is, not copied; any other sequence is
+    converted by ``float`` into one.
+    """
+    xs, ys = (v if isinstance(v, array) and v.typecode == "d" else array("d", map(float, v))
+              for v in (x, y))
     if len(xs) != len(ys):
         raise LengthMismatch(f"x has {len(xs)} points, y has {len(ys)}")
-    if coefficients is None:
-        return PlotSeries(x=xs, y=ys, fitted=None, intercept=None, slope=None)
-    intercept, slope = coefficients
-    fitted = tuple([intercept + slope * v for v in xs])
-    return PlotSeries(x=xs, y=ys, fitted=fitted, intercept=intercept, slope=slope)
+    intercept, slope = (None, None) if coefficients is None else coefficients
+    return PlotSeries(x=xs, y=ys, intercept=intercept, slope=slope)
 
 
 def write_plot_tsv(series: PlotSeries, fh) -> None:
     """A header line, then one line per point, each value as its ``repr``.
 
+    With a line, each point's fitted value ``intercept + slope * x`` follows.
     The lines are written a block of ``_PLOT_BLOCK_ROWS`` at a time.
     """
-    xs, ys, fitted = series.x, series.y, series.fitted
-    fh.write("x\ty\n" if fitted is None else "x\ty\tfitted\n")
+    xs, ys, intercept, slope = series
+    fh.write("x\ty\n" if intercept is None else "x\ty\tfitted\n")
     for start in range(0, len(xs), _PLOT_BLOCK_ROWS):
         rows = slice(start, start + _PLOT_BLOCK_ROWS)
-        if fitted is None:
+        if intercept is None:
             lines = [f"{x!r}\t{y!r}\n" for x, y in zip(xs[rows], ys[rows])]
         else:
-            lines = [f"{x!r}\t{y!r}\t{f!r}\n"
-                     for x, y, f in zip(xs[rows], ys[rows], fitted[rows])]
+            lines = [f"{x!r}\t{y!r}\t{intercept + slope * x!r}\n"
+                     for x, y in zip(xs[rows], ys[rows])]
         fh.write("".join(lines))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from stagecost import fixtures
+from stagecost import csvload, fixtures
 from stagecost.config import KernelRate, SystemConfig, Workload
 from stagecost.energy import e_active_ssd, e_idle_ssd, e_ssd2pfs
 
@@ -26,6 +26,20 @@ def pytest_configure(config):
     home = tempfile.mkdtemp(prefix="hypothesis-")
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
     set_hypothesis_home_dir(home)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A one-item list that counts the parses of the files of an open."""
+    done = [0]
+    parse = csvload._load
+
+    def counting_load(paths, wanted=None):
+        done[0] += 1
+        return parse(paths, wanted)
+
+    monkeypatch.setattr(csvload, "_load", counting_load)
+    return done
 
 
 def make_config(**overrides) -> SystemConfig:

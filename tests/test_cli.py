@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from conftest import keyed_tables, make_config, make_workload
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stagecost import cli, datastore, energy, pca, sim, stats, tablecmds
+from stagecost import cli, colcache, csvload, energy, pca, pcacmd, sim, stats, tablecmds
 from stagecost.datastore import Datastore, open_datastore
 from stagecost.errors import (
     DomainError,
@@ -246,11 +247,27 @@ def test_the_delays_command_folds_in_bounded_chunks(tmp_path, capsys):
 # -- plot series ----------------------------------------------------------------------
 
 
+def _plot_columns(series) -> list[tuple[float, ...]]:
+    """The columns of the TSV that ``write_plot_tsv`` writes of ``series``, read back."""
+    buffer = io.StringIO()
+    write_plot_tsv(series, buffer)
+    rows = [tuple(map(float, line.split("\t"))) for line in buffer.getvalue().splitlines()[1:]]
+    return list(zip(*rows))
+
+
 def test_plot_series_without_fit():
     series = emit_plot_data([1, 2, 3], [4.0, 5.0, 6.5])
-    assert series.x == (1.0, 2.0, 3.0)
-    assert series.y == (4.0, 5.0, 6.5)
-    assert series.fitted is None and series.slope is None and series.intercept is None
+    assert series.x == array("d", [1.0, 2.0, 3.0])
+    assert series.y == array("d", [4.0, 5.0, 6.5])
+    assert series.slope is None and series.intercept is None
+    assert len(_plot_columns(series)) == 2
+
+
+def test_plot_series_keeps_float_arrays_without_a_copy():
+    x, y = array("d", [1.0, 2.0]), array("d", [3.0, 4.0])
+    series = emit_plot_data(x, y)
+    assert series.x is x and series.y is y
+    assert emit_plot_data(["1.5", 2], (3, 4.0)).x == array("d", [1.5, 2.0])
 
 
 def test_plot_series_fit_matches_the_hand_fit():
@@ -258,13 +275,13 @@ def test_plot_series_fit_matches_the_hand_fit():
     series = emit_plot_data(x, y, stats.ols_coefficients([x], y))
     assert series.intercept == pytest.approx(-2.0 / 3.0, rel=1e-12)
     assert series.slope == pytest.approx(1.5, rel=1e-12)
-    assert series.fitted[1] == pytest.approx(series.intercept + 2 * series.slope)
+    assert _plot_columns(series)[2][1] == pytest.approx(series.intercept + 2 * series.slope)
 
 
 def test_plot_series_fit_through_two_points_is_exact():
     x, y = [0.0, 2.0], [1.0, 5.0]
     series = emit_plot_data(x, y, stats.ols_coefficients([x], y))
-    assert series.fitted == pytest.approx((1.0, 5.0), abs=1e-12)
+    assert _plot_columns(series)[2] == pytest.approx((1.0, 5.0), abs=1e-12)
 
 
 def test_plot_series_length_mismatch():
@@ -280,12 +297,13 @@ def test_plot_tsv_round_trips_full_precision():
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "x\ty\tfitted"
     x, y, fitted = (float(cell) for cell in lines[1].split("\t"))
-    assert (x, y, fitted) == (series.x[0], series.y[0], series.fitted[0])
+    assert (x, y, fitted) == (series.x[0], series.y[0], series.intercept + series.slope * 0.1)
 
 
 def test_a_plot_series_with_given_coefficients_draws_their_line():
     series = emit_plot_data([1.0, 2.0, 3.0], [1.0, 2.0, 4.0], coefficients=(0.5, 2.0))
-    assert (series.intercept, series.slope, series.fitted) == (0.5, 2.0, (2.5, 4.5, 6.5))
+    assert (series.intercept, series.slope) == (0.5, 2.0)
+    assert _plot_columns(series)[2] == (2.5, 4.5, 6.5)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 10_000])
@@ -295,7 +313,7 @@ def test_a_plot_tsv_in_blocks_is_a_line_of_reprs_per_point(rows, fit):
     x = [rng.uniform(-1e6, 1e6) for _ in range(rows)]
     y = [rng.gauss(0.0, 1.0) / 3 for _ in range(rows)]
     series = emit_plot_data(x, y, coefficients=(1 / 3, 0.1) if fit else None)
-    columns = [series.x, series.y, *([series.fitted] if fit else [])]
+    columns = [x, y, *([[1 / 3 + 0.1 * v for v in x]] if fit else [])]
     want = ("x\ty\tfitted\n" if fit else "x\ty\n") + "".join(
         "\t".join(map(repr, row)) + "\n" for row in zip(*columns))
     writes = []
@@ -1135,7 +1153,7 @@ def _pca(capsys, path, *options):
 
 def _factor_entry(path) -> Path:
     """Where the column cache keeps the factor table of the table ``path``."""
-    entry, _ = datastore._entry([str(path)], tablecmds._FACTORS, tablecmds._sources("pca"))
+    entry, _ = colcache._entry([str(path)], pcacmd._FACTORS, "factors")
     return Path(entry)
 
 
@@ -1175,7 +1193,7 @@ def test_a_factor_table_read_back_prints_what_a_factoring_prints(capsys, tmp_pat
     # second run on a path reads the table back, at any threshold and cutoff
     names, rows, options = case
     text = ",".join(names) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
-    shutil.rmtree(tmp_path / datastore._CACHE_DIR, ignore_errors=True)
+    shutil.rmtree(tmp_path / colcache._CACHE_DIR, ignore_errors=True)
     table = tmp_path / "table.csv"
     table.write_text(text)
     status, *_ = _pca(capsys, table, "--threshold", "0.5")
@@ -1213,13 +1231,13 @@ def test_an_edit_that_keeps_size_and_mtime_is_factored_again(capsys, tmp_path, f
 def test_a_hit_hashes_the_table_once_and_a_miss_once_more_than_an_open(capsys, monkeypatch,
                                                                        tmp_path, factorings):
     hashes = [0]
-    digests = datastore._input_digests
+    digests = colcache._input_digests
 
     def counting_digests(paths):
         hashes[0] += 1
         return digests(paths)
 
-    monkeypatch.setattr(datastore, "_input_digests", counting_digests)
+    monkeypatch.setattr(colcache, "_input_digests", counting_digests)
     path = tmp_path / "t.csv"
     path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
 
@@ -1233,30 +1251,6 @@ def test_a_hit_hashes_the_table_once_and_a_miss_once_more_than_an_open(capsys, m
     assert run() == (first[0], (1, 0))
     _factor_entry(path).unlink()
     assert run() == (first[0], (2, 1))  # the open reads the columns back
-
-
-def test_an_edit_to_pca_or_to_numpy_factors_again(capsys, monkeypatch, tmp_path, factorings):
-    # the key holds the bytes of pca.py, of tablecmds.py and of numpy's
-    # version.py, found without importing numpy
-    import numpy
-
-    sources = tablecmds._sources("pca")
-    assert sources[:2] == [pca.__file__, tablecmds.__file__]
-    assert Path(sources[2]).parent == Path(numpy.__file__).parent
-    assert numpy.__version__ in Path(sources[2]).read_text()
-    copies = [tmp_path / "pca.py", tmp_path / "tablecmds.py", tmp_path / "version.py"]
-    for source, copy in zip(sources, copies):
-        shutil.copyfile(source, copy)
-    monkeypatch.setattr(tablecmds, "_sources", lambda module: list(map(str, copies)))
-    path = tmp_path / "t.csv"
-    path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
-    want = _pca(capsys, path)
-    assert _pca(capsys, path) == want
-    assert factorings == [1]
-    for edits, copy in enumerate(copies, start=2):
-        copy.write_bytes(copy.read_bytes() + b"\n")
-        assert _pca(capsys, path) == want
-        assert factorings == [edits]
 
 
 def test_every_flipped_byte_of_a_factor_entry_is_a_miss(capsys, tmp_path, factorings):
@@ -1306,29 +1300,87 @@ def test_a_bad_option_fails_the_same_way_on_a_hit_as_on_a_miss(capsys, tmp_path,
     assert hit == missed
 
 
-def test_an_edit_to_tablecmds_factors_again(capsys, monkeypatch, tmp_path, factorings):
-    # tablecmds picks the numeric columns and refuses missing cells, so the
-    # key holds its bytes too: the module's files are copied, and the module
-    # is pointed at the copies, so the copy of tablecmds.py can be edited
-    package = Path(tablecmds.__file__).parent
-    copies = tmp_path / "stagecost"
+def test_each_entry_kind_is_keyed_on_its_modules_and_on_numpy():
+    # every entry on the cache, the cursor and the parser; a factor table also
+    # on the modules that factor, select and print it, a fit on those that fit
+    # and print it, and both on numpy's version.py, found without importing numpy
+    import numpy
+
+    package = Path(colcache.__file__).parent
+
+    def files(*names):
+        return [str(package / f"{name}.py") for name in names]
+
+    version = colcache._key_files("fit")[-1]
+    assert Path(version) == Path(numpy.__file__).parent / "version.py"
+    assert numpy.__version__ in Path(version).read_text()
+    assert colcache._key_files() == files("colcache", "datastore", "csvload")
+    assert colcache._key_files("factors") == [*files("colcache", "datastore", "csvload", "pca",
+                                                     "factors", "pcacmd"), version]
+    assert colcache._key_files("fit") == [*files("colcache", "datastore", "csvload", "stats",
+                                                 "tablecmds"), version]
+
+
+_KEYED = {  # each file that keys an entry, and the entry kinds keyed on it
+    "colcache.py": {"parse", "factors", "fit"},
+    "datastore.py": {"parse", "factors", "fit"},
+    "csvload.py": {"parse", "factors", "fit"},
+    "pca.py": {"factors"},
+    "factors.py": {"factors"},
+    "pcacmd.py": {"factors"},
+    "stats.py": {"fit"},
+    "tablecmds.py": {"fit"},
+    "version.py": {"factors", "fit"},  # numpy's
+}
+
+
+@pytest.mark.parametrize("edited", list(_KEYED))
+def test_an_edit_to_a_file_that_keys_an_entry_makes_the_entry_miss(capsys, monkeypatch, tmp_path,
+                                                                    parses, factorings, fits,
+                                                                    edited):
+    # the keys are made of copies of the files, so that a copy can be edited:
+    # one byte appended to a file that keys an entry kind makes the next run
+    # on the unchanged table miss that kind, and print the same bytes
+    copies = tmp_path / "keyed"
     copies.mkdir()
-    for name in ("pca.py", "stats.py", "tablecmds.py"):
-        shutil.copyfile(package / name, copies / name)
-    monkeypatch.setattr(tablecmds, "__file__", str(copies / "tablecmds.py"))
-    assert tablecmds._sources("stats")[:2] == [str(copies / "stats.py"),
-                                               str(copies / "tablecmds.py")]
-    path = tmp_path / "t.csv"
+    listed = colcache._key_files
+
+    def copied(kind=None):
+        names = [Path(source).name for source in listed(kind)]
+        for source, name in zip(listed(kind), names):
+            if not (copies / name).exists():
+                shutil.copyfile(source, copies / name)
+        return [str(copies / name) for name in names]
+
+    monkeypatch.setattr(colcache, "_key_files", copied)
+    path, output = tmp_path / "t.csv", tmp_path / "plot.tsv"
     path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
-    want = _pca(capsys, path)
-    assert _pca(capsys, path) == want
-    assert factorings == [1]
-    edited = copies / "tablecmds.py"
-    edited.write_bytes(edited.read_bytes() + b"\n")
-    assert _pca(capsys, path) == want
-    assert factorings == [2]
-    assert _pca(capsys, path) == want
-    assert factorings == [2]
+    commands = [  # each command, and the kind of the entry it derives, if any
+        (["mapreduce", "run", "--job", "keycount", "--key", "a", "--chunk-size", "4096"], None),
+        (["pca"], "factors"),
+        (["regress", "--dependent", "a", "--independents", "b", "c"], "fit"),
+        (["plotdata", "--x", "b", "--y", "a", "--fit", "--output", str(output)], "fit"),
+    ]
+
+    def run(argv):
+        """The output of ``argv`` on the table, and the parses and the
+        factorings or fits it made."""
+        output.unlink(missing_ok=True)
+        before = (parses[0], factorings[0] + fits[0])
+        status = dispatch([*argv, "--input", str(path)])
+        captured = capsys.readouterr()
+        return ((status, captured.out, captured.err,
+                 output.read_text() if output.exists() else None),
+                (parses[0] - before[0], factorings[0] + fits[0] - before[1]))
+
+    first = [run(argv)[0] for argv, _ in commands]
+    assert [run(argv) for argv, _ in commands] == [(out, (0, 0)) for out in first]
+    copy = copies / edited
+    copy.write_bytes(copy.read_bytes() + b"\n")
+    assert [run(argv) for argv, _ in commands] == [
+        (out, ("parse" in _KEYED[edited], kind in _KEYED[edited]))
+        for out, (_, kind) in zip(first, commands)]
+    assert [run(argv) for argv, _ in commands] == [(out, (0, 0)) for out in first]
 
 
 # -- regress's and plotdata's fits in the column cache ---------------------------------------
@@ -1370,8 +1422,7 @@ def _fit_run(capsys, tmp_path, path, kind, names):
 
 def _fit_entry(path, kind, names) -> Path:
     """Where the column cache keeps the fit of ``kind`` on the columns ``names`` of ``path``."""
-    entry, _ = datastore._entry([str(path)], tablecmds._fit_tag(kind, names),
-                                tablecmds._sources("stats"))
+    entry, _ = colcache._entry([str(path)], tablecmds._fit_tag(kind, names), "fit")
     return Path(entry)
 
 
@@ -1405,7 +1456,7 @@ def test_a_fit_read_back_prints_what_a_fit_prints(capsys, tmp_path, fits, case):
     # the first run on the table keeps a good fit; a run on a fresh copy of
     # the table fits, and a second run on the table reads the fit back
     text, commands = case
-    shutil.rmtree(tmp_path / datastore._CACHE_DIR, ignore_errors=True)
+    shutil.rmtree(tmp_path / colcache._CACHE_DIR, ignore_errors=True)
     table = tmp_path / "table.csv"
     table.write_text(text)
     for k, (kind, names) in enumerate(commands):
@@ -1529,13 +1580,13 @@ def test_a_fit_hit_hashes_the_table_once_and_a_miss_once_more_than_an_open(capsy
                                                                            tmp_path, fits, kind,
                                                                            names):
     hashes = [0]
-    digests = datastore._input_digests
+    digests = colcache._input_digests
 
     def counting_digests(paths):
         hashes[0] += 1
         return digests(paths)
 
-    monkeypatch.setattr(datastore, "_input_digests", counting_digests)
+    monkeypatch.setattr(colcache, "_input_digests", counting_digests)
     path = tmp_path / "t.csv"
     path.write_text("y,x\n1,2\n2,5\n4,4\n3,9\n")
 
@@ -1560,18 +1611,18 @@ def test_a_table_edited_while_it_is_parsed_keeps_no_fit(capsys, monkeypatch, tmp
     path.write_text("y,x\n1,2\n2,5\n4,4\n3,9\n")
     edited = "y,x\n1,2\n2,5\n4,4\n7,9\n"
     fresh.write_text(edited)
-    load = datastore._load
+    load = csvload._load
 
     def load_then_edit(paths, wanted=None):
         loaded = load(paths, wanted)
         path.write_text(edited)
         return loaded
 
-    monkeypatch.setattr(datastore, "_load", load_then_edit)
+    monkeypatch.setattr(csvload, "_load", load_then_edit)
     first = _fit_run(capsys, tmp_path, path, kind, names)
     assert first[0] == 0 and fits == [1]
     assert not _fit_entry(path, kind, names).exists()
-    monkeypatch.setattr(datastore, "_load", load)
+    monkeypatch.setattr(csvload, "_load", load)
     assert _fit_run(capsys, tmp_path, path, kind, names) == _fit_run(capsys, tmp_path, fresh,
                                                                      kind, names) != first
     assert fits == [3]  # the edited table is fitted, not read back
@@ -1717,7 +1768,7 @@ def test_an_input_that_is_not_a_regular_file_is_named_so(capsys, tmp_path, kind,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: input file {path} is not a regular file\n"
-    assert not (tmp_path / datastore._CACHE_DIR).exists()
+    assert not (tmp_path / colcache._CACHE_DIR).exists()
 
 
 def test_plotdata_writes_tsv_to_stdout(capsys, tmp_path):
@@ -1822,16 +1873,20 @@ if sys.argv[1:]:
     except SystemExit as exc:
         if exc.code != 0:
             raise
+standard = ("csv", "dataclasses", "inspect")
 loaded = sorted(name for name in sys.modules
-                if name.partition(".")[0] == "stagecost" or name in ("dataclasses", "inspect"))
+                if name.partition(".")[0] == "stagecost" or name in standard)
 sys.stderr.write("\\n" + json.dumps(loaded))
 """
 
 
 # The standard modules that the test reports besides stagecost's own: config
-# and energy keep frozen dataclasses, and numpy imports inspect.
+# and energy keep frozen dataclasses, numpy imports inspect and the parser csv.
 _DATACLASSES = ["dataclasses", "inspect"]
 _NUMPY = ["inspect"]
+_CSV = ["csv"]
+# The stagecost modules of a table command that parses its table.
+_PARSE = ["colcache", "csvload", "datastore"]
 
 
 @pytest.mark.parametrize(
@@ -1847,40 +1902,44 @@ _NUMPY = ["inspect"]
         (["simulate", "--config", "{config}", "--kernel", "k1", "--tick", "1",
           "--trace", "{trace}"], ["config", "sim", "simtrace"], _DATACLASSES),
         (["mapreduce", "run", "--job", "max", "--column", "ActualElapsedTime",
-          "--input", "{servers}"], ["datastore", "mapreduce", "tablecmds"], []),
+          "--input", "{servers}"], [*_PARSE, "mapreduce", "tablecmds"], _CSV),
+        (["mapreduce", "run", "--job", "max", "--column", "ActualElapsedTime",
+          "--input", "{servers}"], ["colcache", "datastore", "mapreduce", "tablecmds"], []),
         (["regress", "--input", "{servers}", "--dependent", "ActualElapsedTime",
-          "--independents", "CRSElapsedTime"], ["datastore", "stats", "tablecmds"], _NUMPY),
+          "--independents", "CRSElapsedTime"], [*_PARSE, "stats", "tablecmds"], _NUMPY + _CSV),
         (["regress", "--input", "{servers}", "--dependent", "ActualElapsedTime",
-          "--independents", "CRSElapsedTime"], ["datastore", "stats", "tablecmds"], []),
+          "--independents", "CRSElapsedTime"], ["colcache", "stats", "tablecmds"], []),
         (["regress", "--from-ss", "15", "82.5", "10", "2"], ["stats", "tablecmds"], []),
-        (["pca", "--input", "{wide}"], ["datastore", "pca", "tablecmds"], _NUMPY),
-        (["pca", "--input", "{wide}"], ["datastore", "pca", "tablecmds"], []),
+        (["pca", "--input", "{wide}"], [*_PARSE, "factors", "pca", "pcacmd"], _NUMPY + _CSV),
+        (["pca", "--input", "{wide}"], ["colcache", "factors", "pcacmd"], []),
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
-          "--y", "CRSElapsedTime"], ["datastore", "report", "tablecmds"], []),
+          "--y", "CRSElapsedTime"], [*_PARSE, "report", "tablecmds"], _CSV),
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
-          "--y", "CRSElapsedTime", "--fit"], ["datastore", "report", "stats", "tablecmds"],
-         _NUMPY),
+          "--y", "CRSElapsedTime", "--fit"], [*_PARSE, "report", "stats", "tablecmds"],
+         _NUMPY + _CSV),
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
-          "--y", "CRSElapsedTime", "--fit"], ["datastore", "report", "tablecmds"], []),
-        (["delays"], ["datastore", "fixtures", "mapreduce", "report", "tablecmds"], []),
-        (["delays", "--input", "{delays}"], ["datastore", "mapreduce", "report", "tablecmds"],
+          "--y", "CRSElapsedTime", "--fit"], ["colcache", "datastore", "report", "tablecmds"],
          []),
+        (["delays"], [*_PARSE, "fixtures", "mapreduce", "report", "tablecmds"], _CSV),
+        (["delays", "--input", "{delays}"], [*_PARSE, "mapreduce", "report", "tablecmds"],
+         _CSV),
     ],
-    ids=["import", "energy", "compare", "simulate", "simulate-trace", "mapreduce", "regress",
-         "regress-cached", "regress-from-ss", "pca", "pca-cached", "plotdata", "plotdata-fit",
-         "plotdata-fit-cached", "delays", "delays-input"],
+    ids=["import", "energy", "compare", "simulate", "simulate-trace", "mapreduce",
+         "mapreduce-cached", "regress", "regress-cached", "regress-from-ss", "pca", "pca-cached",
+         "plotdata", "plotdata-fit", "plotdata-fit-cached", "delays", "delays-input"],
 )
 def test_each_command_loads_only_the_modules_it_calls(request, capsys, config_file, servers_csv,
                                                       delays_csv, tmp_path, argv, extra,
                                                       standard):
     # a fresh interpreter per command: the CLI module itself loads only errors,
     # each handler imports the stagecost modules it calls, the table commands'
-    # handlers are in tablecmds and the trace writer is in simtrace.  Only the
-    # model commands load dataclasses, and with it inspect, through config.
-    # The column cache is on there, so the tables are copies: an entry goes
-    # beside its input.  Each *-cached command runs after the same command on
-    # its table, and reads back what numpy gave, without numpy: pca's factor
-    # table, regress's fit, plotdata's line.
+    # handlers are in tablecmds, pca's in pcacmd, and the trace writer is in
+    # simtrace.  Only the model commands load dataclasses, and with it inspect,
+    # through config.  The column cache is on there, so the tables are copies:
+    # an entry goes beside its input.  Each *-cached command runs after the
+    # same command on its table, and reads back its columns without the parser
+    # and csv, and what numpy gave without numpy: pca's factor table and
+    # regress's fit without the datastore either, plotdata's line.
     wide = tmp_path / "wide.csv"
     wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
     servers, delays = tmp_path / "servers.csv", tmp_path / "delays.csv"
@@ -1912,7 +1971,7 @@ def test_the_bundled_sample_leaves_no_cache_in_the_package():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["records"] > 0
-    assert not list(package.rglob(datastore._CACHE_DIR))
+    assert not list(package.rglob(colcache._CACHE_DIR))
 
 
 # -- BLAS threads -----------------------------------------------------------------------------

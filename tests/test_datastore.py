@@ -16,7 +16,7 @@ from _oracles import chunk_as_plain, read_csv_table
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stagecost import datastore
+from stagecost import colcache, csvload, datastore
 from stagecost.datastore import NUMERIC, TEXT, Datastore, TableChunk, open_datastore
 from stagecost.errors import (
     EmptyInput,
@@ -29,7 +29,7 @@ from stagecost.errors import (
     UnknownVariable,
 )
 
-CACHE = datastore._CACHE_DIR
+CACHE = colcache._CACHE_DIR
 
 
 def read_everything(ds):
@@ -175,7 +175,7 @@ def test_a_short_row_is_reported_at_its_physical_line(tmp_path):
 
 def test_a_column_that_turns_text_in_a_later_block_keeps_its_cells_as_written(
         monkeypatch, tmp_path):
-    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
     path = tmp_path / "late_text.csv"
     path.write_text("n,v\n1,1.50\n2, 2 \n3,NA\n4, NA \n5,1e3\n6,word\n7,7.0\n")
     ds = open_datastore(path, chunk_size=100)
@@ -188,7 +188,7 @@ def test_a_column_that_turns_text_in_a_later_block_keeps_its_cells_as_written(
 
 def test_a_column_that_turns_text_past_the_first_full_block(tmp_path):
     # the first two blocks convert as numbers; the third holds the word
-    rows = datastore._BLOCK_ROWS * 2 + 5
+    rows = csvload._BLOCK_ROWS * 2 + 5
     cells = [f"{i}.50" for i in range(rows)] + ["word"]
     path = tmp_path / "late_text.csv"
     path.write_text("v,w\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells)))
@@ -198,7 +198,7 @@ def test_a_column_that_turns_text_past_the_first_full_block(tmp_path):
 
 
 def test_columns_that_turn_text_in_different_files(monkeypatch, tmp_path):
-    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     first.write_text("x,y,z\n1,1,1\n2,2,2\n3,oops,3\n")
     second.write_text("x,y,z\n4,4,4\n5,5,5\n6,6,6.00\n7,7,-\n")
@@ -212,7 +212,7 @@ def test_columns_that_turn_text_in_different_files(monkeypatch, tmp_path):
 def test_a_short_row_in_a_later_block_is_reported_at_its_physical_line(
         monkeypatch, tmp_path):
     # records: header (line 1), "x\ny" (2-3), 2 (4), "p\nq\nr" (5-7), 5 (8), short (9)
-    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
     path = tmp_path / "multiline.csv"
     path.write_text('a,b\n"x\ny",1\n2,3\n"p\nq\nr",4\n5,6\n7\n8,9\n')
     with pytest.raises(HeaderMismatch, match=r":9: expected 2 cells, got 1$"):
@@ -232,7 +232,7 @@ def test_a_short_row_ahead_of_bad_csv_in_the_same_block_is_reported_first(tmp_pa
 
 def test_blank_lines_on_block_boundaries_are_skipped(monkeypatch, tmp_path):
     # blocks of two records: (1, 2), (blank, blank), (3, blank), (4)
-    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
     path = tmp_path / "blank.csv"
     path.write_text("v\n1\n2\n\n\n3\n\n4\n")
     ds = open_datastore(path, chunk_size=100)
@@ -377,9 +377,9 @@ def test_each_cell_is_parsed_at_most_once(monkeypatch, tmp_path, servers_csv):
         calls.append(cell)
         return float(cell)
 
-    monkeypatch.setattr(datastore, "float", counting_float, raising=False)
+    monkeypatch.setattr(csvload, "float", counting_float, raising=False)
     for block_rows in (2, 1024):
-        monkeypatch.setattr(datastore, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(csvload, "_BLOCK_ROWS", block_rows)
         # a path of its own for each block size, so that each open parses it;
         # v turns text in its third block of two rows
         late = tmp_path / f"late-{block_rows}.csv"
@@ -441,7 +441,7 @@ def write_table(directory, columns, split, blank_after=()):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_tables())
 def test_any_table_reads_like_the_reference_parse(monkeypatch, tmp_path, table):
-    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)  # every table spans blocks
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)  # every table spans blocks
     paths = write_table(tmp_path, *table)
     names, kinds, want_rows, want_flags = read_csv_table(paths)
 
@@ -460,7 +460,7 @@ def test_any_table_reads_like_the_reference_parse(monkeypatch, tmp_path, table):
 def test_any_table_reopens_as_written(monkeypatch, tmp_path, table):
     # numbers, NA, empty cells and text with quotes, commas and line breaks
     # all survive write_chunk: the writer's missing marker is the reader's
-    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)  # every table spans blocks
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)  # every table spans blocks
     ds = open_datastore(write_table(tmp_path, *table), chunk_size=len(table[0][0]))
     assert_reopens_as_written(ds.read(), tmp_path / "copy.csv")
 
@@ -478,7 +478,7 @@ def chunk_cells(chunk):
 def test_a_projection_reads_like_the_full_table_restricted_to_it(monkeypatch, tmp_path,
                                                                  table, blank_after):
     # blocks of two rows: a column can turn text after its first block
-    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
     paths = write_table(tmp_path, *table, blank_after=blank_after)
     names, kinds, want_rows, _ = read_csv_table(paths)
     subsets = [list(s) for r in range(len(names) + 1) for s in itertools.combinations(names, r)]
@@ -565,7 +565,7 @@ def test_numeric_refuses_a_text_column_and_an_unknown_name(servers_csv):
 
 
 def test_numeric_refuses_a_column_that_turns_text_in_a_later_block(monkeypatch, tmp_path):
-    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
     path = tmp_path / "late_text.csv"
     path.write_text("n,v\n1,1\n2,2\n3,3\n4,word\n")
     chunk = open_datastore(path, chunk_size=100).read()
@@ -612,20 +612,6 @@ def test_a_text_column_is_kept_as_codes_not_as_one_string_per_cell(tmp_path):
 # -- the column cache -------------------------------------------------------------------
 
 
-@pytest.fixture
-def parses(monkeypatch):
-    """A one-item list that counts the parses of the files of an open."""
-    done = [0]
-    parse = datastore._load
-
-    def counting_load(paths, wanted=None):
-        done[0] += 1
-        return parse(paths, wanted)
-
-    monkeypatch.setattr(datastore, "_load", counting_load)
-    return done
-
-
 def everything(paths, chunk_size, columns=None):
     """The schema, row count and chunks of an open, or the error that it or a read raised."""
     try:
@@ -642,11 +628,11 @@ def parsed(monkeypatch, paths, chunk_size=100, columns=None):
     """``everything`` from a parse: the open meets an OSError at the cache,
     so it neither reads nor writes an entry."""
 
-    def unreachable(paths, tag, sources=()):
+    def unreachable(paths, tag, kind=None):
         raise PermissionError("the cache is out of reach")
 
     with monkeypatch.context() as patch:
-        patch.setattr(datastore, "_entry", unreachable)
+        patch.setattr(colcache, "_entry", unreachable)
         return everything(paths, chunk_size, columns)
 
 
@@ -655,7 +641,7 @@ def parsed(monkeypatch, paths, chunk_size=100, columns=None):
 @given(table=_tables())
 def test_a_cache_hit_reads_like_the_parse_it_kept(monkeypatch, tmp_path, parses, table):
     # blocks of two rows: a column can turn text after its first block
-    monkeypatch.setattr(datastore, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
     shutil.rmtree(tmp_path / CACHE, ignore_errors=True)  # left by another example
     paths = write_table(tmp_path, *table)
     names = [f"c{i}" for i in range(len(table[0]))]
