@@ -12,14 +12,16 @@ Each station's departures follow Lindley's recursion
 ``d_i = max(a_i, d_{i-1}) + mb_i / rate``: ingest serves the ticks, analyze
 the staged analysis data, and drain the checkpoints and analysis output in
 arrival order.  Busy seconds are the sum of each station's service times
-``mb / rate``, counted job by job rather than taken from the closed-form
-model, which is what makes this module a usable cross-check for it.
-Energies are exactly ``p_ssd_busy * busy_seconds``.
+``mb / rate``, summed over the jobs each station serves rather than taken
+from the closed-form model, which is what makes this module a usable
+cross-check for it.  Energies are exactly ``p_ssd_busy * busy_seconds``.
 
-A run keeps numbers only: each station's departure times in an ``array('d')``
-(8 bytes a job) and one byte per drain job naming its source.  The event log
-(ticks and the three stations' completions) is rebuilt from them only when
-``write_trace`` writes it to a file, through ``simtrace``.
+A run computes only what it reports.  Its backlog and completion come from
+the ingest departures, which it keeps in an ``array('d')`` (8 bytes a tick);
+the analyze and drain busy seconds need only the number of jobs of each
+size, not when they end.  So the analyze and drain recursions run only in
+``event_log``, which ``write_trace`` calls to write the event log (ticks and
+the three stations' completions) to a file, through ``simtrace``.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from .errors import ConfigError, InfeasibleConfig, NonPositiveTick, TickMismatch
 EVENT_KINDS = ("generation_tick", "stage_complete", "analyze_complete", "drain_complete")
 
 #: Largest number of ticks one run may have; a finer tick is rejected before
-#: anything is allocated (a run stores four departure times and one byte per
-#: tick).
+#: anything is allocated (a run stores one departure time per tick, and its
+#: event log three more and two bytes).
 MAX_TICKS = 10**6
 
-#: Source of a drain job, as stored in ``SimReport.drain_sources``.
+#: Source of a drain job, as stored in ``EventLog.drain_sources``.
 CHECKPOINT, OUTPUT = 0, 1
 
 #: SimReport term -> closed-form term it must agree with.
@@ -54,16 +56,36 @@ TERM_TO_ANALYTIC = {
 class SimReport(NamedTuple):
     """The outcome of one run, and the numbers its event log is built from.
 
-    ``departures`` maps each station to its departure times in service order
-    (``array('d')``), and ``drain_sources`` holds one byte per drain job,
-    ``CHECKPOINT`` or ``OUTPUT``, whose size ``drain_mb`` gives in that order.
-    Every tick generates ``batch_mb``, of which ``analysis_mb`` is analysed.
+    Every tick generates ``batch_mb``, staged at the times in ``staged``
+    (the ingest departures, ``array('d')``), of which ``analysis_mb`` is
+    analysed at ``analyze_rate``.  The drain serves checkpoints and analysis
+    output, of the sizes ``drain_mb`` gives in that order, at ``drain_rate``.
+    ``event_log`` runs those two stations from these numbers.
     """
 
     busy_seconds: dict[str, float]
     energies: dict[str, float]
     backlog_mb_max: float
     completed: bool
+    tick: float
+    n_ticks: int
+    batch_mb: float
+    analysis_mb: float
+    drain_mb: tuple[float, float]
+    staged: array
+    analyze_rate: float
+    drain_rate: float
+
+
+class EventLog(NamedTuple):
+    """The numbers a run's event log is written from, by ``simtrace``.
+
+    ``departures`` maps each station to its departure times in service order
+    (``array('d')``), and ``drain_sources`` holds one byte per drain job,
+    ``CHECKPOINT`` or ``OUTPUT``, whose size ``drain_mb`` gives in that order.
+    The other fields are those of the ``SimReport``.
+    """
+
     tick: float
     n_ticks: int
     batch_mb: float
@@ -82,24 +104,47 @@ class DiscrepancyReport(NamedTuple):
     failed_terms: tuple[str, ...]
 
 
-def _fifo(arrivals, mb: float, rate: float) -> tuple[array, float]:
+def _fifo(arrivals, mb: float, rate: float) -> array:
     """Serve jobs of ``mb`` each, arriving at ``arrivals`` in order, on one FIFO server.
 
     Departures follow Lindley's recursion ``d_i = max(a_i, d_{i-1}) + mb / rate``.
-    Returns the departure times and the busy seconds, the sum of the service
-    times: n copies of one service time sum to the correctly rounded n times
-    it, or inf past the float range.  Jobs of no size are not served.
+    Returns the departure times.  Jobs of no size are not served.
     """
     done = array("d")
     if not mb > 0:
-        return done, 0.0
+        return done
     service = mb / rate
     append = done.append
     d = 0.0
     for a in arrivals:
         d = (d if d > a else a) + service
         append(d)
-    return done, len(done) * service
+    return done
+
+
+def _busy(jobs: int, mb: float, rate: float) -> float:
+    """The busy seconds of ``_fifo`` serving ``jobs`` jobs of ``mb`` each.
+
+    That is the sum of their service times: n copies of one service time sum
+    to the correctly rounded n times it, or inf past the float range.  Jobs
+    of no size are not served.
+    """
+    return jobs * (mb / rate) if mb > 0 else 0.0
+
+
+def _drain_busy(checkpoints: int, outputs: int, mb: tuple[float, float], rate: float) -> float:
+    """The busy seconds of ``_drain`` serving ``checkpoints`` and ``outputs`` jobs.
+
+    That is the correctly rounded sum of their service times.  Jobs of no
+    size are not served.
+    """
+    s_cp, s_out = mb[CHECKPOINT] / rate, mb[OUTPUT] / rate
+    n_cp = checkpoints if mb[CHECKPOINT] > 0 else 0
+    n_out = outputs if mb[OUTPUT] > 0 else 0
+    try:
+        return math.fsum(chain(repeat(s_cp, n_cp), repeat(s_out, n_out)))
+    except OverflowError:  # the terms are positive, so their sum is past the float range
+        return math.inf
 
 
 def _drain(checkpoints, outputs, mb: tuple[float, float], rate: float):
@@ -109,8 +154,8 @@ def _drain(checkpoints, outputs, mb: tuple[float, float], rate: float):
     times the checkpoint goes first.  Both arrival streams are sorted, so
     before each output the checkpoints that arrived by then are served, then
     the checkpoints left after the last output.  The recursion is that of
-    ``_fifo``.  Returns the departure times, the source of each job
-    (``CHECKPOINT`` or ``OUTPUT``) and the busy seconds.
+    ``_fifo``.  Returns the departure times and the source of each job
+    (``CHECKPOINT`` or ``OUTPUT``).
     """
     cp = checkpoints if mb[CHECKPOINT] > 0 else ()
     out = outputs if mb[OUTPUT] > 0 else ()
@@ -134,11 +179,7 @@ def _drain(checkpoints, outputs, mb: tuple[float, float], rate: float):
         d = (d if d > a else a) + s_cp
         append(d)
         mark(CHECKPOINT)
-    try:
-        busy = math.fsum(chain(repeat(s_cp, n_cp), repeat(s_out, len(out))))
-    except OverflowError:  # the terms are positive, so their sum is past the float range
-        busy = math.inf
-    return done, sources, busy
+    return done, sources
 
 
 def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimReport:
@@ -178,12 +219,15 @@ def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimRe
 
     # Generation ticks arrive at ingest; every staged batch sends its analysis
     # data to the analyzer and its checkpoint to the drain, which also takes
-    # each analysed batch's output.
-    busy = {}
-    ticks = map(tick.__mul__, range(n_ticks))
-    staged, busy["ssd_ingest"] = _fifo(ticks, batch_mb, rates["ssd_ingest"])
-    analyzed, busy["ssd_analyze"] = _fifo(staged, analysis_per_tick, rates["ssd_analyze"])
-    drained, sources, busy["ssd_drain"] = _drain(staged, analyzed, drain_mb, rates["ssd_drain"])
+    # each analysed batch's output.  Only ingest's departure times are needed
+    # here: the other two stations' busy seconds follow from their job counts.
+    staged = _fifo(map(tick.__mul__, range(n_ticks)), batch_mb, rates["ssd_ingest"])
+    analyzed = len(staged) if analysis_per_tick > 0 else 0
+    busy = {
+        "ssd_ingest": _busy(len(staged), batch_mb, rates["ssd_ingest"]),
+        "ssd_analyze": _busy(len(staged), analysis_per_tick, rates["ssd_analyze"]),
+        "ssd_drain": _drain_busy(len(staged), analyzed, drain_mb, rates["ssd_drain"]),
+    }
 
     # Unfinished ingest work just before each tick: the previous batch's
     # departure minus the tick time, times the rate.  Below ``dust`` it is
@@ -211,6 +255,28 @@ def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimRe
         batch_mb=batch_mb,
         analysis_mb=analysis_per_tick,
         drain_mb=drain_mb,
+        staged=staged,
+        analyze_rate=rates["ssd_analyze"],
+        drain_rate=rates["ssd_drain"],
+    )
+
+
+def event_log(report: SimReport) -> EventLog:
+    """The numbers of a run's event log: every station's departure times.
+
+    Runs the analyze and drain stations, with the recursions of ``_fifo`` and
+    ``_drain``, on the run's staged batches; ``simulate`` needs only their
+    job counts.
+    """
+    staged = report.staged
+    analyzed = _fifo(staged, report.analysis_mb, report.analyze_rate)
+    drained, sources = _drain(staged, analyzed, report.drain_mb, report.drain_rate)
+    return EventLog(
+        tick=report.tick,
+        n_ticks=report.n_ticks,
+        batch_mb=report.batch_mb,
+        analysis_mb=report.analysis_mb,
+        drain_mb=report.drain_mb,
         departures={"ssd_ingest": staged, "ssd_analyze": analyzed, "ssd_drain": drained},
         drain_sources=sources,
     )
@@ -260,9 +326,10 @@ def validate_against_analytic(
 def write_trace(report: SimReport, path: str) -> None:
     """Write the event log to ``path`` as TSV (time, kind, payload_mb).
 
-    The writer is ``simtrace.write``, imported on the first call, so that a
-    run without a trace never compiles it.
+    The log is ``event_log(report)``, and the writer ``simtrace.write``,
+    imported on the first call, so that a run without a trace never runs the
+    analyze and drain stations nor compiles the writer.
     """
     from . import simtrace
 
-    simtrace.write(report, path)
+    simtrace.write(event_log(report), path)

@@ -2,7 +2,8 @@
 
 ``sim.write_trace`` imports this module on its first call, so a run without a
 trace never compiles it.  The log (ticks and the three stations' completions)
-is rebuilt from the run's departure times.  ``write`` cuts it at multiples of
+is rebuilt from a ``sim.EventLog``, the ticks and every station's departure
+times, which ``sim.event_log`` computes.  ``write`` cuts it at multiples of
 the tick into one part per usable CPU and formats the parts at once, this
 process the first and forked children the others.  Each part is cut the same
 way into windows of about ``_WINDOW_EVENTS`` events, and written a window at a
@@ -21,7 +22,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .sim import SimReport
+    from .sim import EventLog
 
 #: Ticks of a run for each part that ``write`` cuts its trace into.  The
 #: fork-versus-format break-even lies between 500 and 1000 ticks a part: in a
@@ -37,7 +38,7 @@ _PART_TICKS = 1000
 _WINDOW_EVENTS = 2048
 
 
-def write(report: SimReport, path: str) -> None:
+def write(log: EventLog, path: str) -> None:
     """Write the event log to ``path`` as TSV (time, kind, payload_mb).
 
     The log is cut at multiples of the tick into one part per usable CPU,
@@ -51,10 +52,10 @@ def write(report: SimReport, path: str) -> None:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    _write_parts(report, path, max(1, min(cpus, report.n_ticks // _PART_TICKS)))
+    _write_parts(log, path, max(1, min(cpus, log.n_ticks // _PART_TICKS)))
 
 
-def _part_ranges(report: SimReport, parts: int) -> list:
+def _part_ranges(log: EventLog, parts: int) -> list:
     """Cut the log at multiples of the tick into ``parts`` parts of about equal events.
 
     Part k holds every event at a time in ``[tick * lo_k, tick * lo_{k+1})``;
@@ -71,8 +72,8 @@ def _part_ranges(report: SimReport, parts: int) -> list:
     starts there holds no tick.
     Returns each part's index range in each stream, for ``_event_stream``.
     """
-    n, tick = report.n_ticks, report.tick
-    ingest, analyze, drain = streams = [report.departures[name]
+    n, tick = log.n_ticks, log.tick
+    ingest, analyze, drain = streams = [log.departures[name]
                                         for name in ("ssd_ingest", "ssd_analyze", "ssd_drain")]
     events = n + sum(map(len, streams))
     last = max((times[-1] for times in streams if times), default=0.0)
@@ -99,21 +100,21 @@ def _part_ranges(report: SimReport, parts: int) -> list:
     return [tuple(zip(bounds[k], bounds[k + 1])) for k in range(parts)]
 
 
-def _part_windows(report: SimReport, parts: int) -> list:
+def _part_windows(log: EventLog, parts: int) -> list:
     """The log cut into ``parts`` parts, each a list of windows of about ``_WINDOW_EVENTS`` events.
 
     The windows are the ``parts * m`` parts of ``_part_ranges``, and part k
     is windows ``k * m`` to ``(k + 1) * m``.  Window ``k * m``'s cut aims at
     ``k * m * events // (parts * m)``, which is ``k * events // parts``, so
-    every part starts where ``_part_ranges(report, parts)`` starts it.
+    every part starts where ``_part_ranges(log, parts)`` starts it.
     """
-    events = report.n_ticks + sum(map(len, report.departures.values()))
+    events = log.n_ticks + sum(map(len, log.departures.values()))
     m = max(1, events // (parts * _WINDOW_EVENTS))
-    windows = _part_ranges(report, parts * m)
+    windows = _part_ranges(log, parts * m)
     return [windows[k * m:(k + 1) * m] for k in range(parts)]
 
 
-def _event_stream(report: SimReport, windows):
+def _event_stream(log: EventLog, windows):
     """The events of one part of a run's log as the text of its TSV trace, a window at a time.
 
     ``windows`` gives each window's index range in each of the log's four
@@ -125,14 +126,14 @@ def _event_stream(report: SimReport, windows):
     are chained in the order of ``sim.EVENT_KINDS``, so the log follows it
     at equal times.
     """
-    tick = report.tick
-    ingest, analyze, drain = (memoryview(report.departures[name])
+    tick = log.tick
+    ingest, analyze, drain = (memoryview(log.departures[name])
                               for name in ("ssd_ingest", "ssd_analyze", "ssd_drain"))
-    sources = memoryview(report.drain_sources)
-    tick_tail = f"\tgeneration_tick\t{report.batch_mb!r}\n"
-    stage_tail = f"\tstage_complete\t{report.batch_mb!r}\n"
-    analyze_tail = f"\tanalyze_complete\t{report.analysis_mb!r}\n"
-    drain_tails = tuple(f"\tdrain_complete\t{mb!r}\n" for mb in report.drain_mb)
+    sources = memoryview(log.drain_sources)
+    tick_tail = f"\tgeneration_tick\t{log.batch_mb!r}\n"
+    stage_tail = f"\tstage_complete\t{log.batch_mb!r}\n"
+    analyze_tail = f"\tanalyze_complete\t{log.analysis_mb!r}\n"
+    drain_tails = tuple(f"\tdrain_complete\t{mb!r}\n" for mb in log.drain_mb)
     for (t0, t1), (s0, s1), (a0, a1), (d0, d1) in windows:
         pairs = chain(zip(map(tick.__mul__, range(t0, t1)), repeat(tick_tail)),
                       zip(ingest[s0:s1], repeat(stage_tail)),
@@ -143,7 +144,7 @@ def _event_stream(report: SimReport, windows):
         yield "".join([f"{t!r}{tail}" for t, tail in sorted(pairs, key=itemgetter(0))])
 
 
-def _write_parts(report: SimReport, path: str, parts: int) -> None:
+def _write_parts(log: EventLog, path: str, parts: int) -> None:
     """``write`` with the log cut into ``parts`` parts.
 
     Parts after the first are forked off only when this process may fork
@@ -151,19 +152,19 @@ def _write_parts(report: SimReport, path: str, parts: int) -> None:
     by this process in its turn.  However the writer leaves, no child
     outlives it.
     """
-    part_windows = _part_windows(report, parts)
+    part_windows = _part_windows(log, parts)
     with open(path, "w", encoding="utf-8") as fh:
         children = []
         try:
             if parts > 1 and _may_fork():
                 for windows in part_windows[1:]:
-                    children.append(_Child(report, windows))
+                    children.append(_Child(log, windows))
             fh.write("time\tkind\tpayload_mb\n")
-            fh.writelines(_event_stream(report, part_windows[0]))
+            fh.writelines(_event_stream(log, part_windows[0]))
             for k, windows in enumerate(part_windows[1:]):
                 fh.flush()  # the text written so far goes first
                 if not (children and children[k].append_to(fh.buffer)):
-                    fh.writelines(_event_stream(report, windows))
+                    fh.writelines(_event_stream(log, windows))
         finally:
             for child in children:
                 child.close()
@@ -194,7 +195,7 @@ class _Child:
     is reaped, or when no temporary file or child could be made.
     """
 
-    def __init__(self, report: SimReport, windows) -> None:
+    def __init__(self, log: EventLog, windows) -> None:
         import tempfile
 
         self.pid = self.file = None
@@ -207,7 +208,7 @@ class _Child:
             status = 1
             try:
                 with open(self.file.fileno(), "w", encoding="utf-8", closefd=False) as out:
-                    out.writelines(_event_stream(report, windows))
+                    out.writelines(_event_stream(log, windows))
                 status = 0
             finally:
                 os._exit(status)

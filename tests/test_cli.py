@@ -422,6 +422,41 @@ def test_simulate_writes_its_trace_through_sim_write_trace(capsys, monkeypatch, 
     assert not os.path.exists(trace)
 
 
+def _counting_stations(monkeypatch, drain=True):
+    """Count the calls of sim._fifo and sim._drain; a _drain call raises unless ``drain``."""
+    calls = {"_fifo": 0, "_drain": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "_drain" and not drain:
+                raise AssertionError("an untraced run served the drain")
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+    return calls
+
+
+def test_simulate_without_trace_runs_only_the_ingest_station(capsys, monkeypatch, config_file):
+    # what it prints needs no analyze or drain departure times
+    calls = _counting_stations(monkeypatch, drain=False)
+    assert dispatch(["simulate", "--config", config_file, "--kernel", "k1", "--tick", "1"]) == 0
+    assert calls == {"_fifo": 1, "_drain": 0}
+    assert json.loads(capsys.readouterr().out)["completed"] is True
+
+
+def test_simulate_with_trace_runs_each_station_once(capsys, monkeypatch, config_file, tmp_path):
+    calls = _counting_stations(monkeypatch)
+    trace = tmp_path / "events.tsv"
+    assert dispatch(["simulate", "--config", config_file, "--kernel", "k1", "--tick", "1",
+                     "--trace", str(trace)]) == 0
+    assert calls == {"_fifo": 2, "_drain": 1}  # ingest and analyze, then the drain
+    assert len(trace.read_text().splitlines()) == 1 + 5 * 100
+
+
 @pytest.mark.parametrize("change", [{"lambda_a": 1e304, "bw_host2ssd": 0.01},
                                     {"bw_pfs": 2e-304}], ids=["ingest", "drain"])
 def test_simulate_with_a_result_past_the_float_range_writes_no_trace(capsys, config_file,

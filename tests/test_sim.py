@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -230,8 +231,9 @@ def test_run_equals_the_event_object_oracle(tmp_path, seed, n_ticks, load):
 
 
 def test_run_without_trace_keeps_only_departure_times():
-    # 10^5 ticks: four departure times and one source byte per tick, about 3.3 MB;
-    # an event object per event would retain over 40 MB
+    # 10^5 ticks: one ingest departure time per tick, 0.8 MB; the analyze and
+    # drain departures and the drain's sources would add 3.2 MB more, and an
+    # event object per event over 40 MB
     cfg, wl = make_config(), make_workload()
     tracemalloc.start()
     try:
@@ -239,19 +241,41 @@ def test_run_without_trace_keeps_only_departure_times():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rep.departures["ssd_drain"]) == 2 * 10**5
-    assert retained < 10 * 2**20
-    assert peak < 20 * 2**20
+    assert len(rep.staged) == 10**5
+    assert retained < 2 * 2**20
+    assert peak < 2 * 2**20
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ticks=st.integers(1, 2000),
+    load=st.sampled_from(["feasible", "overloaded", "no-analysis", "no-checkpoint"]),
+)
+def test_busy_seconds_from_job_counts_equal_the_logs_job_by_job_sums(seed, n_ticks, load):
+    cfg, wl, tick = _loaded(seed, n_ticks, load)
+    rep = sim.simulate(cfg, wl, "k1", tick=tick)
+    log = sim.event_log(rep)
+    rates = {"ssd_ingest": cfg.bw_host2ssd, "ssd_analyze": rep.analyze_rate}
+    for station, mb in (("ssd_ingest", rep.batch_mb), ("ssd_analyze", rep.analysis_mb)):
+        served = len(log.departures[station])
+        assert served == (n_ticks if mb > 0 else 0)
+        assert rep.busy_seconds[station] == served * (mb / rates[station])
+    services = [mb / rep.drain_rate for mb in rep.drain_mb]
+    assert len(log.drain_sources) == len(log.departures["ssd_drain"])
+    assert rep.busy_seconds["ssd_drain"] == math.fsum(map(services.__getitem__,
+                                                          log.drain_sources))
 
 
 def test_write_trace_streams_the_event_log(tmp_path):
     # 5 * 10^4 ticks give an 8 MB trace; its lines are written as they are made
+    # from the run's event log, whose departure times exist before it starts
     cfg, wl = make_config(), make_workload()
-    rep = sim.simulate(cfg, wl, "k1", tick=cfg.tsim / (5 * 10**4))
+    log = sim.event_log(sim.simulate(cfg, wl, "k1", tick=cfg.tsim / (5 * 10**4)))
     out = tmp_path / "events.tsv"
     tracemalloc.start()
     try:
-        sim.write_trace(rep, str(out))
+        simtrace.write(log, str(out))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -266,9 +290,10 @@ def test_drain_takes_the_checkpoint_first_at_equal_arrival_times(tmp_path):
     wl = make_workload(lambda_a=64.0, lambda_c=64.0,
                        kernels=(KernelRate("k1", 256.0, 1000.0),))
     rep = sim.simulate(cfg, wl, "k1", tick=1.0)
-    staged, analyzed = rep.departures["ssd_ingest"], rep.departures["ssd_analyze"]
+    log = sim.event_log(rep)
+    staged, analyzed = log.departures["ssd_ingest"], log.departures["ssd_analyze"]
     assert list(analyzed[:-1]) == list(staged[1:])
-    assert bytes(rep.drain_sources) == bytes([0] + [0, 1] * 7 + [1])
+    assert bytes(log.drain_sources) == bytes([0] + [0, 1] * 7 + [1])
     oracle = simulate_by_events(cfg, wl, "k1", 1.0)
     out = tmp_path / "events.tsv"
     sim.write_trace(rep, str(out))
@@ -287,10 +312,10 @@ def test_trace_parts_hold_about_equal_events(lambda_a, n_ticks):
     # generation at twice bw_host2ssd, and 60% of the events come after the
     # last tick, so the cuts fall at multiples of the tick past it too.
     cfg, wl = make_config(), make_workload(lambda_a=lambda_a)
-    rep = sim.simulate(cfg, wl, "k1", tick=cfg.tsim / n_ticks)
-    events = rep.n_ticks + sum(map(len, rep.departures.values()))
+    log = sim.event_log(sim.simulate(cfg, wl, "k1", tick=cfg.tsim / n_ticks))
+    events = log.n_ticks + sum(map(len, log.departures.values()))
     for parts in (2, 3, 5):
-        sizes = [sum(hi - lo for lo, hi in part) for part in simtrace._part_ranges(rep, parts)]
+        sizes = [sum(hi - lo for lo, hi in part) for part in simtrace._part_ranges(log, parts)]
         assert sum(sizes) == events
         assert max(sizes) - min(sizes) <= 10, sizes
         assert all(abs(size - events / parts) <= 10 for size in sizes), sizes
@@ -307,7 +332,8 @@ from stagecost.config import KernelRate, SystemConfig, Workload
 
 case = json.loads(sys.argv[1])
 wl = dict(case["wl"], kernels=tuple(KernelRate(**k) for k in case["wl"]["kernels"]))
-report = sim.simulate(SystemConfig(**case["cfg"]), Workload(**wl), "k1", case["tick"])
+log = sim.event_log(sim.simulate(SystemConfig(**case["cfg"]), Workload(**wl), "k1",
+                                 case["tick"]))
 forks = []
 os.register_at_fork(after_in_parent=lambda: forks.append(1))
 # a child that flushed this process's buffers or ran its exit hooks would
@@ -319,10 +345,10 @@ if case["mode"] == "no-tempfile":
     tempfile.tempdir = os.path.join(case["out"], "missing")
 elif case["mode"] == "failing-child":
     stream = simtrace._event_stream
-    def failing(report, windows):
+    def failing(log, windows):
         if os.getpid() != parent:
             raise RuntimeError("a child fails")
-        return stream(report, windows)
+        return stream(log, windows)
     simtrace._event_stream = failing
 elif case["mode"] == "sendfile-refused":  # as on macOS and the BSDs, to a file
     def refused(*args):
@@ -336,10 +362,10 @@ elif case["mode"] == "interrupt":
     simtrace._Child.append_to = interrupted
 # the parts that this process formats itself, as their lists of windows
 streamed, counted = [], simtrace._event_stream
-def counting(report, windows):
+def counting(log, windows):
     if os.getpid() == parent:
         streamed.append(windows)
-    return counted(report, windows)
+    return counted(log, windows)
 simtrace._event_stream = counting
 seen = {"may_fork": simtrace._may_fork(), "runs": []}
 for parts in case["parts"]:
@@ -347,13 +373,13 @@ for parts in case["parts"]:
     run = {"parts": parts}
     tracemalloc.start()
     try:
-        simtrace._write_parts(report, os.path.join(case["out"], f"{parts}.tsv"), parts)
+        simtrace._write_parts(log, os.path.join(case["out"], f"{parts}.tsv"), parts)
     except KeyboardInterrupt:
         run["interrupted"] = True
     run["peak"] = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     run["forks"] = len(forks)
-    run["streamed"] = list(map(simtrace._part_windows(report, parts).index, streamed))
+    run["streamed"] = list(map(simtrace._part_windows(log, parts).index, streamed))
     try:
         os.waitpid(-1, os.WNOHANG)
         run["reaped"] = False
@@ -407,14 +433,14 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the trace is sp
                                   "ties"])
 def test_trace_parts_join_to_the_one_merge(tmp_path, load):
     cfg, wl, tick = _dyadic_ties() if load == "ties" else _loaded(11, 400, load)
-    rep = sim.simulate(cfg, wl, "k1", tick=tick)
     if load == "ties":
         # each part after the first opens on a time that a stage, an analysis
         # and a drain job end at
+        log = sim.event_log(sim.simulate(cfg, wl, "k1", tick=tick))
         for parts in PARTS[1:]:
-            for (first, _), *cuts in simtrace._part_ranges(rep, parts)[1:]:
+            for (first, _), *cuts in simtrace._part_ranges(log, parts)[1:]:
                 for name, (lo, _) in zip(("ssd_ingest", "ssd_analyze", "ssd_drain"), cuts):
-                    assert rep.departures[name][lo] == first * tick
+                    assert log.departures[name][lo] == first * tick
     expected = trace_bytes(simulate_by_events(cfg, wl, "k1", tick).events)
     runs = _write_in_parts(tmp_path, cfg, wl, tick)
     assert [run["forks"] for run in runs] == [parts - 1 for parts in PARTS]
@@ -429,17 +455,17 @@ def test_any_window_size_gives_the_one_merge(tmp_path, monkeypatch, load):
     # second sends to the later window together; overloaded: most events come
     # after the last tick, where the windows are cut too
     cfg, wl, tick = _dyadic_ties() if load == "ties" else _loaded(11, 400, "overloaded")
-    rep = sim.simulate(cfg, wl, "k1", tick=tick)
-    events = rep.n_ticks + sum(map(len, rep.departures.values()))
+    log = sim.event_log(sim.simulate(cfg, wl, "k1", tick=tick))
+    events = log.n_ticks + sum(map(len, log.departures.values()))
     expected = trace_bytes(simulate_by_events(cfg, wl, "k1", tick).events)
     out = tmp_path / "events.tsv"
     for size in (1, 2, 3, 7, simtrace._WINDOW_EVENTS):
         monkeypatch.setattr(simtrace, "_WINDOW_EVENTS", size)
         for parts in (1, 2, 3):
-            windows = simtrace._part_windows(rep, parts)
+            windows = simtrace._part_windows(log, parts)
             assert len(windows) == parts
             assert all(len(part) == max(1, events // (parts * size)) for part in windows)
-            simtrace._write_parts(rep, str(out), parts)
+            simtrace._write_parts(log, str(out), parts)
             assert out.read_bytes() == expected, (size, parts)
 
 
@@ -506,7 +532,7 @@ from stagecost import cli, sim, simtrace
 
 forks = []
 os.register_at_fork(after_in_parent=lambda: forks.append(1))
-sim.write_trace = lambda report, path: simtrace._write_parts(report, path, 3)
+sim.write_trace = lambda report, path: simtrace._write_parts(sim.event_log(report), path, 3)
 sys.argv = ["stagecost", *sys.argv[1:]]
 try:
     cli.main()
