@@ -42,8 +42,8 @@ def cached_result(paths, tag: str, kind: str,
     """What ``derive(open_table)`` gives, kept in the column cache beside the inputs.
 
     ``open_table()`` opens a datastore over the columns of ``paths`` named in
-    ``columns`` (every column if None) in one chunk, through the parse's own
-    entry; a ``derive`` that has the columns already need not call it.
+    ``columns`` (every column if None), through the parse's own entry; a
+    ``derive`` that has the columns already need not call it.
     ``digests``, the :attr:`Datastore.digests` of an open of ``paths`` just
     now, spare hashing the inputs again; a ``derive`` that uses columns of
     an open whose digests are None, because an input changed while it was
@@ -63,7 +63,7 @@ def cached_result(paths, tag: str, kind: str,
         def open_table() -> Datastore:
             from .datastore import Datastore
 
-            return Datastore(paths, sys.maxsize, columns, digests=inputs)
+            return Datastore(paths, columns=columns, digests=inputs)
 
         return derive(open_table)
 

@@ -16,7 +16,7 @@ from itertools import compress, islice
 from operator import itemgetter
 from typing import Sequence
 
-from .datastore import MISSING_MARKER, NUMERIC, TEXT, _Text
+from .datastore import MISSING_MARKER, NUMERIC, TEXT, ColumnSchema, TableChunk, _Text
 from .errors import EmptyInput, HeaderMismatch, MalformedCSV, MissingFile
 
 # Records read, transposed and converted at a time.  Small blocks keep few row
@@ -90,9 +90,9 @@ class _Column:
         return True
 
 
-def _load(paths, wanted=None) -> tuple[list[str], list[_Column], int]:
-    """The names, the columns and the number of data rows of the CSV files
-    ``paths``: all columns, or those named in ``wanted``, in header order."""
+def _load(paths, wanted=None) -> tuple[TableChunk, int]:
+    """The table of the CSV files ``paths`` as one chunk, text as codes, and its
+    number of data rows: all columns, or those named in ``wanted``, in header order."""
     if not paths:
         raise MissingFile("no input paths given")
     header: list[str] | None = None
@@ -118,7 +118,9 @@ def _load(paths, wanted=None) -> tuple[list[str], list[_Column], int]:
     late = [(i, col) for i, col in zip(compress(range(len(header)), keep), columns)
             if col.values is None]
     _reread_text(paths, late, rows)
-    return list(compress(header, keep)), columns, rows
+    schema = tuple(map(ColumnSchema, compress(header, keep), [col.kind for col in columns]))
+    return TableChunk(schema, tuple(col.values for col in columns),
+                      tuple(col.flags for col in columns)), rows
 
 
 def _reread_text(paths, late: list[tuple[int, _Column]], rows: int) -> None:

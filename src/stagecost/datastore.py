@@ -18,11 +18,12 @@ One that turns text later has had its earlier cells converted, and
 ``repr(1.5)`` is not ``"1.50"``, so its text is read again from the files
 once every block is in.
 
-Rows come back through a cursor in fixed-size :class:`TableChunk` batches
-by column, with text decoded back to lists of words.  Every chunk holds
-exactly the columns the datastore was opened on, in header order, and a
-reader finds each one by name.  Missing numeric cells surface as IEEE NaN
-plus a flag, missing text cells as None plus a flag.
+The whole table is kept as one :class:`TableChunk`, text as codes.  A cursor
+gives fixed-size chunks sliced from it, copies with text decoded to words; a
+command that needs whole numeric columns takes the stored arrays from
+:func:`_numeric_columns` instead.  Every chunk holds exactly the columns the
+datastore was opened on, in header order, and a reader finds each by name.
+Missing numeric cells are IEEE NaN plus a flag, missing text None plus a flag.
 
 A parse is kept in the column cache (``colcache``) beside the first input,
 so that the next open of the same files and columns reads the columns back
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .colcache import _cached, _path_list
@@ -68,11 +68,11 @@ Values = Union[array, list]
 class TableChunk:
     """A batch of rows by column: ``schema[i]``'s values and missing flags.
 
-    A numeric column's values are an ``array('d')``, a text column's a list;
-    the flags are a ``bytearray`` of 0 and 1.  Each is a fresh copy, so
-    changing it leaves the datastore as it was.  ``numeric`` is the one check
-    that a column a reader needs as numbers is numeric.  Its ``len`` is its
-    row count, which is why it is not a tuple.
+    A numeric column's values are an ``array('d')``, a text column's a list
+    (``_Text`` codes in the datastore's own table); the flags are a
+    ``bytearray`` of 0 and 1.  In a chunk that ``read`` gives, each is a fresh
+    copy.  ``numeric`` is the one check that a column a reader needs as
+    numbers is numeric.  Its ``len`` is its row count, so it is not a tuple.
     """
 
     __slots__ = ("schema", "columns", "missing")
@@ -122,21 +122,18 @@ class Datastore:
     spare the open hashing them again before it looks in the column cache.
     """
 
-    def __init__(self, paths, chunk_size, columns=None, *, digests=None):
+    def __init__(self, paths, chunk_size=4, columns=None, *, digests=None):
         paths = _path_list(paths)
         if columns is not None:
             columns = [columns] if isinstance(columns, str) else list(columns)
         self._chunk_size = int(chunk_size)
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
-        (names, loaded, self._total_rows), self._digests = _cached_load(paths, columns, digests)
+        (self._table, self._total_rows), self._digests = _cached_load(paths, columns, digests)
         if not self._total_rows:
             raise EmptyInput("no data rows in " + ", ".join(paths))
-        self._schema = tuple(ColumnSchema(name, col.kind) for name, col in zip(names, loaded))
-        self._values = [col.values for col in loaded]
-        self._flags = [col.flags for col in loaded]
         # read's error when the header lacks every name asked for, or none was asked
-        self._no_column = None if self._schema else (
+        self._no_column = None if self._table.schema else (
             f"no column named {columns[0]!r}" if columns else "no column is selected")
         self._cursor = 0
 
@@ -144,7 +141,7 @@ class Datastore:
 
     @property
     def schema(self) -> tuple[ColumnSchema, ...]:
-        return self._schema
+        return self._table.schema
 
     @property
     def total_rows(self) -> int:
@@ -178,11 +175,11 @@ class Datastore:
             raise UnknownVariable(self._no_column)
         start = self._cursor
         self._cursor = min(start + self._chunk_size, self._total_rows)
-        rows = slice(start, self._cursor)
+        rows, table = slice(start, self._cursor), self._table
         # built from lists: tuple(map(...)) makes a longer tuple and shrinks it,
         # so each chunk would add two tuples to the interpreter's free list
-        return TableChunk(self._schema, tuple([column[rows] for column in self._values]),
-                          tuple([flags[rows] for flags in self._flags]))
+        return TableChunk(table.schema, tuple([column[rows] for column in table.columns]),
+                          tuple([flags[rows] for flags in table.missing]))
 
 
 def open_datastore(
@@ -204,16 +201,14 @@ def open_datastore(
 
 
 def _numeric_columns(ds: Datastore, names: Sequence[str]) -> list[array]:
-    """The values of each named numeric column, found by name in ``ds``'s one chunk.
+    """The values of each named numeric column of ``ds``: its stored arrays, not copies.
 
-    ``ds`` must hold its whole table in one chunk, unread.  The chunk checks
-    each column's kind; an error names the first column in ``names`` that is
-    unknown, is text or has a missing cell.
+    The stored table checks each column's kind; an error names the first
+    column in ``names`` that is unknown, is text or has a missing cell.
     """
-    chunk = ds.read()
     columns: list[array] = []
     for name in names:
-        values, flags = chunk.numeric(name)
+        values, flags = ds._table.numeric(name)
         if any(flags):
             raise MissingData(f"column {name!r} has missing cells")
         columns.append(values)
@@ -235,9 +230,9 @@ class _Text:
 
 
 def _cached_load(paths, wanted=None, inputs=None):
-    """What ``csvload._load`` gives, read back from the column cache when it
-    holds it, and the digests it is keyed on (see :func:`colcache._cached`).
-    The parser is imported only to parse."""
+    """What ``csvload._load`` gives, the table and its row count, read back
+    from the column cache when it holds it, and the digests it is keyed on
+    (see :func:`colcache._cached`).  The parser is imported only to parse."""
 
     def parse(_):
         from .csvload import _load
@@ -248,20 +243,22 @@ def _cached_load(paths, wanted=None, inputs=None):
                    _pack_columns, _unpack_columns, inputs=inputs)
 
 
-def _pack_columns(loaded) -> tuple[dict, list]:
+def _pack_columns(loaded: tuple[TableChunk, int]) -> tuple[dict, list]:
     """A parse's entry: the names, kinds and row count, each text column's
     words, and each column's values (numbers, or text codes) and flags."""
-    names, columns, rows = loaded
-    fields = {"names": names, "rows": rows, "kinds": [col.kind for col in columns],
-              "words": [col.values.words if col.kind == TEXT else None for col in columns]}
-    return fields, [blob for col in columns
-                    for blob in (col.values.codes if col.kind == TEXT else col.values, col.flags)]
+    table, rows = loaded
+    kinds = [col.kind for col in table.schema]
+    fields = {"names": [col.name for col in table.schema], "rows": rows, "kinds": kinds,
+              "words": [values.words if kind == TEXT else None
+                        for kind, values in zip(kinds, table.columns)]}
+    return fields, [blob for kind, values, flags in zip(kinds, table.columns, table.missing)
+                    for blob in (values.codes if kind == TEXT else values, flags)]
 
 
-def _unpack_columns(head: dict, blobs: list):
-    """The parse an entry keeps, its columns read as the parser's are, or None
-    if its arrays disagree with its row count and kinds, or a text code is
-    past its column's words."""
+def _unpack_columns(head: dict, blobs: list) -> tuple[TableChunk, int] | None:
+    """The parse an entry keeps, as the parser gives it, or None if its
+    arrays disagree with its row count and kinds, or a text code is past
+    its column's words."""
     names, kinds, words, rows = head["names"], head["kinds"], head["words"], head["rows"]
     types = [code for kind in kinds for code in ("I" if kind == TEXT else "d", "B")]
     if head["types"] != types or head["lengths"] != [rows * array(code).itemsize
@@ -269,11 +266,11 @@ def _unpack_columns(head: dict, blobs: list):
         return None
     columns = []
     # strict: as many names, kinds and word lists as there are columns
-    for _, kind, text, values, flags in zip(names, kinds, words, blobs[::2], blobs[1::2],
-                                            strict=True):
+    for _, kind, text, values in zip(names, kinds, words, blobs[::2], strict=True):
         if kind == TEXT:
             if rows and max(values) >= len(text):
                 return None
             values = _Text(values, text)
-        columns.append(SimpleNamespace(kind=kind, values=values, flags=flags))
-    return names, columns, rows
+        columns.append(values)
+    return TableChunk(tuple(map(ColumnSchema, names, kinds)), tuple(columns),
+                      tuple(blobs[1::2])), rows

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain, repeat
 from operator import sub
 from typing import NamedTuple
 
@@ -61,6 +60,8 @@ class SimReport(NamedTuple):
     analysed at ``analyze_rate``.  The drain serves checkpoints and analysis
     output, of the sizes ``drain_mb`` gives in that order, at ``drain_rate``.
     ``event_log`` runs those two stations from these numbers.
+    ``completed`` and ``backlog_mb_max`` describe the ingest station only:
+    analyze and drain may still be busy past ``tsim`` (see ROADMAP item 6).
     """
 
     busy_seconds: dict[str, float]
@@ -135,15 +136,15 @@ def _busy(jobs: int, mb: float, rate: float) -> float:
 def _drain_busy(checkpoints: int, outputs: int, mb: tuple[float, float], rate: float) -> float:
     """The busy seconds of ``_drain`` serving ``checkpoints`` and ``outputs`` jobs.
 
-    That is the correctly rounded sum of their service times.  Jobs of no
-    size are not served.
+    That is the correctly rounded sum of their service times, one integer
+    division of the exact fraction.  Jobs of no size are not served.
     """
-    s_cp, s_out = mb[CHECKPOINT] / rate, mb[OUTPUT] / rate
-    n_cp = checkpoints if mb[CHECKPOINT] > 0 else 0
-    n_out = outputs if mb[OUTPUT] > 0 else 0
+    s_cp = mb[CHECKPOINT] / rate if checkpoints and mb[CHECKPOINT] > 0 else 0.0
+    s_out = mb[OUTPUT] / rate if outputs and mb[OUTPUT] > 0 else 0.0
     try:
-        return math.fsum(chain(repeat(s_cp, n_cp), repeat(s_out, n_out)))
-    except OverflowError:  # the terms are positive, so their sum is past the float range
+        (p1, q1), (p2, q2) = s_cp.as_integer_ratio(), s_out.as_integer_ratio()
+        return (checkpoints * p1 * q2 + outputs * p2 * q1) / (q1 * q2)
+    except OverflowError:  # a service time of inf, or a sum past the float range
         return math.inf
 
 

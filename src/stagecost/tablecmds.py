@@ -24,8 +24,6 @@ if TYPE_CHECKING:
     from . import report, stats
     from .datastore import Datastore
 
-# Chunk size for commands that need whole columns: the table is one chunk.
-_WHOLE_TABLE = sys.maxsize
 # Rows per chunk that delays folds: a chunk copies the rows it holds, so on
 # a 10^6-row table this peaks at 53 MB max RSS, against 98 MB in one chunk.
 _DELAYS_CHUNK = 4096
@@ -136,7 +134,6 @@ def cmd_regress(args) -> int:
     def fit(open_table: Callable[[], Datastore]) -> stats.OlsTerms:
         from .datastore import _numeric_columns
 
-        # the columns are copies, so the datastore is let go before the fit
         y, *columns = _numeric_columns(open_table(), names)
         return stats.ols_terms(columns, y)
 
@@ -194,10 +191,10 @@ def cmd_plotdata(args) -> int:
     from .report import emit_plot_data, write_plot_tsv
 
     names = [args.x, args.y]
-    ds = open_datastore(args.input, chunk_size=_WHOLE_TABLE, columns=names)
+    ds = open_datastore(args.input, columns=names)
     xs, ys = _numeric_columns(ds, names)
     digests = ds.digests
-    del ds  # the columns are copies, so the datastore is let go before the fit
+    del ds  # the stored columns stay, and the missing flags go before the fit
     line = None
     if args.fit:
         def fit(_: Callable[[], Datastore] | None = None) -> tuple[float, ...]:

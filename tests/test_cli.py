@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stagecost import cli, colcache, csvload, energy, pca, pcacmd, sim, stats, tablecmds
-from stagecost.datastore import Datastore, open_datastore
+from stagecost.datastore import Datastore, _Text, open_datastore
 from stagecost.errors import (
     DomainError,
     EmptyInput,
@@ -1683,16 +1683,25 @@ def mixed_csv(tmp_path):
 def test_column_commands_read_the_table_in_one_pass(capsys, monkeypatch, tmp_path, argv):
     path = tmp_path / "full.csv"
     path.write_text("x,y,gap,t\n1,2,5,a\n2,3,4,b\n3,5,7,c\n4,4,8,d\n5,7,6,e\n")
-    reads = []
-    original_read = Datastore.read
+    opens, reads = [], []
+    original_init, original_read = Datastore.__init__, Datastore.read
+
+    def counting_init(self, *args, **kwargs):
+        opens.append(self)
+        original_init(self, *args, **kwargs)
 
     def counting_read(self):
         reads.append(self)
         return original_read(self)
 
+    decoded = []
+    monkeypatch.setattr(Datastore, "__init__", counting_init)
     monkeypatch.setattr(Datastore, "read", counting_read)
+    monkeypatch.setattr(_Text, "__getitem__", lambda self, rows: decoded.append(rows))
     assert dispatch([*argv, "--input", str(path)]) == 0
-    assert len(reads) == 1  # the whole table comes back as one chunk
+    # one open and the stored columns themselves: no chunk is read, and
+    # pca, which keeps the text column t, decodes no word of it
+    assert (len(opens), reads, decoded) == (1, [], [])
 
 
 @pytest.mark.parametrize(

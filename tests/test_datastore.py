@@ -574,6 +574,27 @@ def test_numeric_refuses_a_column_that_turns_text_in_a_later_block(monkeypatch, 
         chunk.numeric("v")
 
 
+def test_numeric_columns_are_the_stored_arrays_not_copies(tmp_path):
+    # 10^5 rows of a text key and two numbers: copies of the two numeric
+    # columns would take 1.6 MB, and a chunk would decode the key too
+    path = tmp_path / "keys.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("key,x,y\n")
+        fh.writelines(f"k{i % 300},{i},{i / 4}\n" for i in range(100_000))
+    ds = open_datastore(path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        xs, ys = datastore._numeric_columns(ds, ["x", "y"])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
+    assert all(a is b for a, b in zip(datastore._numeric_columns(ds, ["y", "x"]), [ys, xs]))
+    assert (len(xs), xs[-1], ys[-1]) == (100_000, 99_999.0, 99_999 / 4)
+    assert list(ds.read().column("key")) == ["k0", "k1", "k2", "k3"]  # no chunk was read
+
+
 @pytest.mark.parametrize("columns, message", [
     (["nope", "also_nope"], "no column named 'nope'"),
     (("zzz", "nope"), "no column named 'zzz'"),

@@ -9,12 +9,13 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
+from itertools import chain, repeat
 from pathlib import Path
 
 import pytest
 from _oracles import simulate_by_events, trace_bytes
 from conftest import make_config, make_workload, random_feasible
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stagecost import energy, sim, simtrace
@@ -265,6 +266,26 @@ def test_busy_seconds_from_job_counts_equal_the_logs_job_by_job_sums(seed, n_tic
     assert len(log.drain_sources) == len(log.departures["ssd_drain"])
     assert rep.busy_seconds["ssd_drain"] == math.fsum(map(services.__getitem__,
                                                           log.drain_sources))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    counts=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    mb=st.tuples(st.floats(0, 1e300), st.floats(0, 1e300)),
+    rate=st.floats(1e-300, 1e300),
+)
+@example(counts=(10**6, 10**6), mb=(0.0, 0.0), rate=1.0)  # jobs of no size
+@example(counts=(0, 0), mb=(1.0, 2.0), rate=3.0)
+@example(counts=(2, 0), mb=(1e300, 1.0), rate=1e-8)  # two finite terms past the float range
+@example(counts=(0, 10**6), mb=(1e300, 3.0), rate=1e-300)  # an unserved inf service time
+@example(counts=(1, 10**6), mb=(1e300, 0.1), rate=1e-300)  # a served one
+def test_drain_busy_seconds_are_the_fsum_of_every_jobs_service_time(counts, mb, rate):
+    jobs = [repeat(size / rate, n) for n, size in zip(counts, mb) if size > 0]
+    try:
+        want = math.fsum(chain.from_iterable(jobs))
+    except OverflowError:  # the terms are positive, so their sum is past the float range
+        want = math.inf
+    assert sim._drain_busy(*counts, mb, rate) == want
 
 
 def test_write_trace_streams_the_event_log(tmp_path):
