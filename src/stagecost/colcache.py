@@ -1,9 +1,11 @@
 """The column cache: a table's parse, or a result derived from it, kept beside its inputs.
 
 A parse's entry holds a datastore's columns; a derived entry holds what numpy
-computed for a command, such as ``pca``'s factor table.  The inputs are
-hashed on every open (see :func:`_cached`), and an entry is keyed on the
-modules that make and read it (see :func:`_key_files`).  This module loads
+computed for a command, such as ``pca``'s factor table, as a materialized
+view of its table.  Both are made, checked and kept by the one call
+:func:`cached_result`, which keys on the inputs' bytes and on the modules
+that make and read the entry (see :func:`_key_files`), and knows nothing of
+tables: a caller that derives a result opens its own.  This module loads
 neither the datastore nor the parser, so a command that reads a derived
 result back loads only the cache and its own code.
 """
@@ -16,10 +18,6 @@ import os
 import stat
 import sys
 from array import array
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
-
-if TYPE_CHECKING:
-    from .datastore import Datastore
 
 # The column cache's directory, made beside the first input.
 _CACHE_DIR = ".stagecost-cache"
@@ -29,45 +27,6 @@ _PARSE_MODULES = ("colcache", "datastore", "csvload")
 # The modules whose bytes also key a derived entry of each kind: those that
 # derive, select and print it.
 _DERIVED_MODULES = {"factors": ("pca", "factors", "pcacmd"), "fit": ("stats", "tablecmds")}
-
-_T = TypeVar("_T")
-
-
-def cached_result(paths, tag: str, kind: str,
-                  derive: Callable[[Callable[[], Datastore]], _T],
-                  pack: Callable[[_T], tuple[dict, list]],
-                  unpack: Callable[[dict, list], _T | None],
-                  columns: Iterable[str] | None = None,
-                  digests: list[str] | None = None) -> _T:
-    """What ``derive(open_table)`` gives, kept in the column cache beside the inputs.
-
-    ``open_table()`` opens a datastore over the columns of ``paths`` named in
-    ``columns`` (every column if None), through the parse's own entry; a
-    ``derive`` that has the columns already need not call it.
-    ``digests``, the :attr:`Datastore.digests` of an open of ``paths`` just
-    now, spare hashing the inputs again; a ``derive`` that uses columns of
-    an open whose digests are None, because an input changed while it was
-    read, must not be kept under the inputs' new bytes.  The result is an entry of its own,
-    keyed on ``tag``, a name, which no column selection can be, and on the
-    bytes of the files that :func:`_key_files` lists for ``kind``,
-    ``"factors"`` or ``"fit"`` (see :func:`_cached`).  ``pack(result)``
-    gives the entry's JSON fields and its arrays, and ``unpack(fields,
-    arrays)`` makes the result of them again, or None if they disagree.  A
-    hit hashes each input at most once and loads neither the datastore nor
-    the parser.  A result that ``derive`` does not return, because it
-    raised, is not kept.
-    """
-    paths = _path_list(paths)
-
-    def make(inputs):
-        def open_table() -> Datastore:
-            from .datastore import Datastore
-
-            return Datastore(paths, columns=columns, digests=inputs)
-
-        return derive(open_table)
-
-    return _cached(paths, tag, make, pack, unpack, kind, digests)[0]
 
 
 def _path_list(paths) -> list[str]:
@@ -83,25 +42,33 @@ def _floats(blobs: list, count: int) -> array | None:
     return flat if memoryview(flat).format == "d" and len(flat) == count else None
 
 
-def _cached(paths, tag, make, pack, unpack, kind=None, inputs=None):
+def cached_result(paths, tag, kind, make, pack, unpack, inputs=None):
     """What ``make(inputs)`` gives, read back from the column cache when it
     holds it, and the input digests that it is made of, or None if unknown.
 
-    An entry is the file ``_CACHE_DIR/<signature>`` in the first input's
-    directory.  The signature is a sha256 of the absolute input paths in
-    order, ``tag`` (the set of columns asked for, or the name of a derived
-    result), the interpreter's version and byte order and the bytes of the
-    files :func:`_key_files` lists for ``kind`` (None for a parse), so an
-    edit to the rules retires every old entry.  The entry holds the sha256
-    of each input's bytes, which are hashed again on every open, unless the
-    caller hashed them just now and passes them as ``inputs``.  An entry
-    that is missing or fails a check is made anew and written again, once
-    the inputs are seen to hash as they did before ``make`` ran.  Inputs
-    that are not all regular files, and an OSError on the cache, leave
-    ``make(None)`` to give the result; so do inputs in this package's
-    directory, such as the bundled samples, where an installed package is
-    no place for an entry.
+    ``paths`` is a lone path or a sequence of them.  An entry is the file
+    ``_CACHE_DIR/<signature>`` in the first input's directory.  The
+    signature is a sha256 of the absolute input paths in order, ``tag``
+    (the set of columns asked for, or the name of a derived result, which
+    no column selection can be), the interpreter's version and byte order
+    and the bytes of the files :func:`_key_files` lists for ``kind``: None
+    for a parse, ``"factors"`` or ``"fit"`` for a derived result.  So an
+    edit to the rules retires every old entry.  ``pack(result)`` gives the
+    entry's JSON fields and its arrays, and ``unpack(fields, arrays)`` makes
+    the result of them again, or None if they disagree.
+
+    The entry holds the sha256 of each input's bytes, which are hashed again
+    on every open, unless the caller hashed them just now and passes them as
+    ``inputs``; a caller must not pass the digests of an open that read an
+    input while it changed.  An entry that is missing or fails a check is
+    made anew and written again, once the inputs are seen to hash as they
+    did before ``make`` ran.  A result that ``make`` does not return,
+    because it raised, is not kept.  Inputs that are not all regular files,
+    and an OSError on the cache, leave ``make(None)`` to give the result; so
+    do inputs in this package's directory, such as the bundled samples,
+    where an installed package is no place for an entry.
     """
+    paths = _path_list(paths)
     if not paths:
         return make(None), None
     try:

@@ -66,8 +66,13 @@ class _Column:
         self.flags.extend(map(MISSING_MARKER.__eq__, cells))
 
     def _add_numbers(self, cells: Sequence[str]) -> bool:
-        """Append the cells as numbers; if one is neither NA nor finite, append
-        nothing and return False.  ``float`` sees each cell once, in C."""
+        """Append the cells as numbers; if one is neither NA nor finite, or once
+        stripped holds a ``_`` or a character past ASCII, append nothing and
+        return False.  ``float`` sees each cell once, in C."""
+        joined = "".join(cells)  # one scan a block; a cell is looked at only if it fails
+        if ("_" in joined or not joined.isascii()) and not all(
+                "_" not in cell and cell.strip().isascii() for cell in cells):
+            return False  # float reads 2023_01 as 202301, and digits of every script
         missing = cells.count(MISSING_MARKER)
         todo = map(float, map(_NAN_FOR_MISSING.get, cells, cells) if missing else cells)
         block = array("d")

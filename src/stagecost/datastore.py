@@ -12,7 +12,9 @@ its distinct words, stripped of surrounding whitespace, with code 0 for a
 missing cell.  Every column keeps its missing flags in a ``bytearray``.
 
 Cells that read ``NA`` are missing.  A column is numeric exactly when every
-cell that is not missing is a finite number; no cell is converted twice.  A
+cell that is not missing is a finite number written in ASCII with no ``_``:
+``float`` would read ``2023_01`` as 202301 and Arabic-Indic digits as
+numbers, so such cells are text.  No cell is converted twice.  A
 column that turns text in its first block is kept from that block's cells.
 One that turns text later has had its earlier cells converted, and
 ``repr(1.5)`` is not ``"1.50"``, so its text is read again from the files
@@ -30,8 +32,8 @@ so that the next open of the same files and columns reads the columns back
 instead of parsing again; the inputs are hashed on every open, so an edit is
 always seen.  The parser itself is in ``csvload``, which an open imports
 only to parse.  A result derived from a table, such as ``pca``'s
-factorization or ``regress``'s fit, can be kept there too (see
-:func:`colcache.cached_result`).
+factorization or ``regress``'s fit, is kept there by the same call,
+:func:`colcache.cached_result`, whose ``make`` opens the datastore itself.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 from array import array
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .colcache import _cached, _path_list
+from .colcache import _path_list, cached_result
 from .errors import (
     EmptyInput,
     InvalidParameter,
@@ -129,7 +131,15 @@ class Datastore:
         self._chunk_size = int(chunk_size)
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
-        (self._table, self._total_rows), self._digests = _cached_load(paths, columns, digests)
+
+        def parse(_):
+            from .csvload import _load  # imported only to parse
+
+            return _load(paths, columns)
+
+        (self._table, self._total_rows), self._digests = cached_result(
+            paths, None if columns is None else sorted(set(columns)), None, parse,
+            _pack_columns, _unpack_columns, digests)
         if not self._total_rows:
             raise EmptyInput("no data rows in " + ", ".join(paths))
         # read's error when the header lacks every name asked for, or none was asked
@@ -227,20 +237,6 @@ class _Text:
 
     def __getitem__(self, rows: slice) -> list:
         return list(map(self.words.__getitem__, self.codes[rows]))
-
-
-def _cached_load(paths, wanted=None, inputs=None):
-    """What ``csvload._load`` gives, the table and its row count, read back
-    from the column cache when it holds it, and the digests it is keyed on
-    (see :func:`colcache._cached`).  The parser is imported only to parse."""
-
-    def parse(_):
-        from .csvload import _load
-
-        return _load(paths, wanted)
-
-    return _cached(paths, None if wanted is None else sorted(set(wanted)), parse,
-                   _pack_columns, _unpack_columns, inputs=inputs)
 
 
 def _pack_columns(loaded: tuple[TableChunk, int]) -> tuple[dict, list]:

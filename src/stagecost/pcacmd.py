@@ -9,15 +9,11 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import TYPE_CHECKING, Callable
 
 from .cli import _fmt6, _json_text
 from .colcache import _floats, cached_result
 from .errors import TypeMismatch
-from .factors import DEFAULT_LOADING_CUTOFF, DEFAULT_VARIANCE_THRESHOLD, FactorTable
-
-if TYPE_CHECKING:
-    from .datastore import Datastore
+from .factors import DEFAULT_LOADING_CUTOFF, DEFAULT_VARIANCE_THRESHOLD, FactorTable, _check_share
 
 # The column cache's name for pca's factor table: a name, which no column selection can be.
 _FACTORS = "pca factors"
@@ -27,21 +23,21 @@ def cmd_pca(args) -> int:
     threshold = DEFAULT_VARIANCE_THRESHOLD if args.threshold is None else args.threshold
     cutoff = DEFAULT_LOADING_CUTOFF if args.cutoff is None else args.cutoff
 
-    def factor(open_table: Callable[[], Datastore]) -> FactorTable:
+    def factor(inputs: list[str] | None) -> FactorTable:
         from . import pca
-        from .datastore import NUMERIC, _numeric_columns
+        from .datastore import NUMERIC, Datastore, _numeric_columns
 
-        ds = open_table()
+        ds = Datastore(args.input, digests=inputs)
         numeric = [col.name for col in ds.schema if col.kind == NUMERIC]
         if not numeric:
             raise TypeMismatch("input has no numeric columns")
         corr = pca.correlation_matrix(_numeric_columns(ds, numeric), names=numeric)
         model = pca.extract_factors(corr, variance_threshold=threshold)
-        pca.suggest_schema(model, loading_cutoff=cutoff)  # so no table is kept for a bad cutoff
+        _check_share("loading_cutoff", cutoff)  # so no table is kept for a bad cutoff
         return FactorTable.of(model)
 
-    table = cached_result(args.input, _FACTORS, "factors", factor, _pack_factors,
-                          _unpack_factors)
+    table, _ = cached_result(args.input, _FACTORS, "factors", factor, _pack_factors,
+                             _unpack_factors)
     selected, suggestion = table.suggest(threshold, cutoff)
     print("Component  Eigenvalue  CumulativeVariance")
     for i, row in enumerate(table.rows, start=1):

@@ -15,14 +15,13 @@ import json
 import sys
 from array import array
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .cli import _fmt6, _json_text
 from .errors import ConfigError
 
 if TYPE_CHECKING:
     from . import report, stats
-    from .datastore import Datastore
 
 # Rows per chunk that delays folds: a chunk copies the rows it holds, so on
 # a 10^6-row table this peaks at 53 MB max RSS, against 98 MB in one chunk.
@@ -131,15 +130,16 @@ def cmd_regress(args) -> int:
 
     names = [args.dependent, *args.independents]
 
-    def fit(open_table: Callable[[], Datastore]) -> stats.OlsTerms:
-        from .datastore import _numeric_columns
+    def fit(inputs: list[str] | None) -> stats.OlsTerms:
+        from .datastore import Datastore, _numeric_columns
 
-        y, *columns = _numeric_columns(open_table(), names)
+        y, *columns = _numeric_columns(Datastore(args.input, columns=names, digests=inputs),
+                                       names)
         return stats.ols_terms(columns, y)
 
     # a run on the same bytes and names reads the fit back: no datastore, no numpy
-    terms = cached_result(args.input, _fit_tag("regress", names), "fit", fit,
-                          _pack_terms, partial(_unpack_terms, len(names)), columns=names)
+    terms, _ = cached_result(args.input, _fit_tag("regress", names), "fit", fit,
+                             _pack_terms, partial(_unpack_terms, len(names)))
     summary, table = stats.summarise_ols(terms)
     _print_regression(summary, table, labels=args.independents)
     return 0
@@ -197,7 +197,7 @@ def cmd_plotdata(args) -> int:
     del ds  # the stored columns stay, and the missing flags go before the fit
     line = None
     if args.fit:
-        def fit(_: Callable[[], Datastore] | None = None) -> tuple[float, ...]:
+        def fit(_: list[str] | None = None) -> tuple[float, ...]:
             from .stats import ols_coefficients
 
             return ols_coefficients([xs], ys)
@@ -206,7 +206,7 @@ def cmd_plotdata(args) -> int:
         # columns read under known digests (not of an input that changed meanwhile) key a line
         line = fit() if digests is None else cached_result(
             args.input, _fit_tag("plotdata", names), "fit", fit, _pack_line,
-            _unpack_line, digests=digests)
+            _unpack_line, inputs=digests)[0]
     series = emit_plot_data(xs, ys, coefficients=line)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:

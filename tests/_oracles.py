@@ -67,7 +67,8 @@ def read_csv_table(paths, markers=("NA",)):
 
     Returns (names, kinds, rows, missing) where kinds[i] is "numeric" or
     "text", missing numeric cells are None, and a column counts as numeric
-    when every non-missing cell parses as a finite float.
+    when every non-missing cell is ASCII with no ``_`` and parses as a
+    finite float.
     """
     if isinstance(paths, (str, bytes)) or hasattr(paths, "__fspath__"):
         paths = [paths]
@@ -84,6 +85,8 @@ def read_csv_table(paths, markers=("NA",)):
             raw.extend([c.strip() for c in row] for row in reader if row)
 
     def parses(cell):
+        if "_" in cell or not cell.isascii():
+            return False
         try:
             return math.isfinite(float(cell))
         except ValueError:

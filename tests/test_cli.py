@@ -1,7 +1,9 @@
 """Command-line behaviour: outputs, exit codes, and the reporting helpers."""
 
 import csv
+import errno
 import gc
+import hashlib
 import io
 import json
 import os
@@ -853,6 +855,21 @@ def test_mapreduce_keycount_after_a_blank_first_line(capsys, tmp_path):
         "1\t2", "3\t1"]
 
 
+@pytest.mark.parametrize("cells, expected", [
+    (["2023_01", "2023_02", "2023_01"], ["2023_01\t2", "2023_02\t1"]),
+    (["\u0661\u0662", "12"], ["12\t1", "\u0661\u0662\t1"]),
+], ids=["underscore", "arabic-indic"])
+def test_keycount_names_keys_that_float_would_misread_as_written(capsys, tmp_path, cells,
+                                                                  expected):
+    # float reads 2023_01 as 202301 and Arabic-Indic digits as 12: such keys are text
+    path = tmp_path / "keys.csv"
+    path.write_text("id\n" + "".join(f"{cell}\n" for cell in cells), encoding="utf-8")
+    for _ in range(2):  # a parse, then a cache hit
+        assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "id",
+                         "--input", str(path)]) == 0
+        assert [line for line in capsys.readouterr().out.splitlines() if "\t" in line] == expected
+
+
 @pytest.mark.parametrize("extra, expected", [(999_997, "1000000"), (1_234_564, "1234567")])
 def test_keycount_prints_counts_of_a_million_and_more_exactly(capsys, monkeypatch, tmp_path,
                                                              extra, expected):
@@ -1302,6 +1319,28 @@ def test_every_flipped_byte_of_a_factor_entry_is_a_miss(capsys, tmp_path, factor
         assert entry.read_bytes() == whole  # the miss wrote the entry again
 
 
+def _a_float_short(entry: bytes) -> bytes:
+    """A derived entry's bytes with the last float of its array dropped, and its
+    length and sha256 made to match, as a writer with another bug would leave it."""
+    line, _, rest = entry.partition(b"\n")
+    head, payload = json.loads(line), rest[:-32 - 8]
+    head["lengths"][0] -= 8
+    line = json.dumps(head).encode() + b"\n"
+    return line + payload + hashlib.sha256(line + payload).digest()
+
+
+def test_a_factor_entry_that_disagrees_with_itself_is_a_miss(capsys, tmp_path, factorings):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n2,5\n3,4\n")
+    want = _pca(capsys, path)
+    entry = _factor_entry(path)
+    whole = entry.read_bytes()
+    entry.write_bytes(_a_float_short(whole))
+    assert _pca(capsys, path) == want
+    assert factorings == [2]
+    assert entry.read_bytes() == whole  # the miss wrote the entry again
+
+
 @pytest.mark.parametrize("text, options, error", [
     ("a,b\nx,y\nz,w\n", (), "error: input has no numeric columns\n"),
     ("a,b\n1,2\n2,NA\n3,5\n", (), "error: column 'b' has missing cells\n"),
@@ -1661,6 +1700,102 @@ def test_a_table_edited_while_it_is_parsed_keeps_no_fit(capsys, monkeypatch, tmp
     assert _fit_run(capsys, tmp_path, path, kind, names) == _fit_run(capsys, tmp_path, fresh,
                                                                      kind, names) != first
     assert fits == [3]  # the edited table is fitted, not read back
+
+
+@pytest.mark.parametrize("kind, names", [("regress", ["y", "x"]), ("plotdata", ["x", "y"])])
+def test_a_fit_entry_that_disagrees_with_itself_is_a_miss(capsys, tmp_path, fits, kind, names):
+    path = tmp_path / "t.csv"
+    path.write_text("y,x\n1,2\n2,5\n4,4\n3,9\n")
+    want = _fit_run(capsys, tmp_path, path, kind, names)
+    entry = _fit_entry(path, kind, names)
+    whole = entry.read_bytes()
+    entry.write_bytes(_a_float_short(whole))
+    assert _fit_run(capsys, tmp_path, path, kind, names) == want
+    assert fits == [2]
+    assert entry.read_bytes() == whole  # the miss wrote the entry again
+
+
+class _FullDisk:
+    """A file being written that takes one write, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.writes:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes += 1
+        return self.fh.write(data)
+
+
+_CACHED_COMMANDS = {
+    "keycount": ["mapreduce", "run", "--job", "keycount", "--key", "k"],
+    "regress": ["regress", "--dependent", "y", "--independents", "x"],
+    "pca": ["pca"],
+}
+
+
+def _cached_run(capsys, command, path):
+    """The exit status, stdout and stderr of ``command`` on the table ``path``."""
+    status = dispatch([*_CACHED_COMMANDS[command], "--input", str(path)])
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def _table_and_copy(tmp_path):
+    """A table of a key and two numeric columns, and a copy of it in a directory of its own."""
+    path, copy = tmp_path / "t.csv", tmp_path / "copy" / "t.csv"
+    copy.parent.mkdir()
+    for table in (path, copy):
+        table.write_text("k,y,x\na,1,2\nb,2,5\na,4,4\nb,3,9\n")
+    return path, copy
+
+
+@pytest.mark.parametrize("command", list(_CACHED_COMMANDS))
+def test_an_entry_write_that_fails_part_way_leaves_no_file_and_the_output(capsys, monkeypatch,
+                                                                          tmp_path, command):
+    # the disk fills after an entry's first line: the command prints what it
+    # prints with room to spare, and no part of an entry is left in the cache
+    path, copy = _table_and_copy(tmp_path)
+    want = _cached_run(capsys, command, copy)
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = io.open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if mode == "xb" else fh
+
+    monkeypatch.setattr(colcache, "open", full_disk_open, raising=False)
+    assert _cached_run(capsys, command, path) == want
+    assert list((tmp_path / colcache._CACHE_DIR).iterdir()) == []
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("keycount", csvload, "_load"), ("regress", stats, "ols_terms"),
+    ("pca", pca, "extract_factors"),
+])
+def test_an_input_deleted_before_it_is_hashed_again_keeps_no_entry(capsys, monkeypatch, tmp_path,
+                                                                   command, module, name):
+    # the input goes away once the parse, the fit or the factoring is made: the
+    # result is printed, and kept only if it was made before (the parse of a fit)
+    path, copy = _table_and_copy(tmp_path)
+    want = _cached_run(capsys, command, copy)
+    make = getattr(module, name)
+
+    def make_then_delete(*args, **kwargs):
+        made = make(*args, **kwargs)
+        path.unlink()
+        return made
+
+    monkeypatch.setattr(module, name, make_then_delete)
+    assert _cached_run(capsys, command, path) == want
+    cache = tmp_path / colcache._CACHE_DIR
+    kept = list(cache.iterdir()) if cache.exists() else []
+    assert len(kept) == (0 if command == "keycount" else 1)  # a fit's or pca's parse entry
 
 
 @pytest.fixture

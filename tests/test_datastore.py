@@ -197,6 +197,56 @@ def test_a_column_that_turns_text_past_the_first_full_block(tmp_path):
     assert ds.read().columns == (cells, array("d", range(len(cells))))
 
 
+@pytest.mark.parametrize("cells, kind", [
+    (["2023_01", "2023_02"], TEXT),  # float reads 2023_01 as 202301
+    (["\u0661\u0662", "12"], TEXT),  # and Arabic-Indic digits as 12
+    (["\u00a012", "12 "], NUMERIC),  # a no-break space is stripped, as float strips it
+], ids=["underscore", "arabic-indic", "no-break-space"])
+def test_a_number_is_written_in_ascii_with_no_underscore(tmp_path, cells, kind):
+    path = tmp_path / "t.csv"
+    path.write_text("v\n" + "".join(f"{cell}\n" for cell in cells), encoding="utf-8")
+    ds = open_datastore(path, chunk_size=100)
+    assert ds.schema[0].kind == kind
+    want = list(map(str.strip, cells)) if kind == TEXT else [12.0, 12.0]
+    assert list(ds.read().column("v")) == want
+
+
+def test_an_underscore_in_a_later_block_turns_its_column_text_through_the_reread(
+        monkeypatch, tmp_path):
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
+    reread, late = csvload._reread_text, []
+
+    def spying_reread(paths, columns, rows):
+        late.extend(i for i, _ in columns)
+        reread(paths, columns, rows)
+
+    monkeypatch.setattr(csvload, "_reread_text", spying_reread)
+    path = tmp_path / "late.csv"
+    path.write_text("n,v\n1,1.50\n2,2\n3,2023_01\n4,7\n")
+    ds = open_datastore(path, chunk_size=100)
+    assert late == [1]
+    assert [c.kind for c in ds.schema] == [NUMERIC, TEXT]
+    assert ds.read().column("v") == ["1.50", "2", "2023_01", "7"]
+
+
+@pytest.mark.parametrize("edit", ["gains a row", "loses a row"])
+def test_a_file_that_changes_before_its_text_is_read_again_fails(monkeypatch, tmp_path, edit):
+    monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
+    path = tmp_path / "late.csv"
+    text = "v\n1\n2\n3\nword\n"
+    path.write_text(text)
+    reread = csvload._reread_text
+
+    def editing_reread(paths, columns, rows):
+        path.write_text(text + "5\n" if edit == "gains a row" else text.replace("3\n", ""))
+        reread(paths, columns, rows)
+
+    monkeypatch.setattr(csvload, "_reread_text", editing_reread)
+    with pytest.raises(MalformedCSV, match="^an input file changed while it was read$"):
+        open_datastore(path)
+    assert not (tmp_path / CACHE).exists()
+
+
 def test_columns_that_turn_text_in_different_files(monkeypatch, tmp_path):
     monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -761,6 +811,24 @@ def test_an_entry_that_disagrees_with_itself_is_a_miss(monkeypatch, tmp_path, pa
     before = parses[0]
     assert everything(path, 100, ["k", "x"]) == want
     assert parses[0] == before + 1
+
+
+def test_an_array_of_no_whole_number_of_items_is_a_miss(monkeypatch, tmp_path, parses):
+    # a byte moved from a column's flags to its text codes: the entry's size
+    # and sha256 still match, but 13 bytes are no whole number of 4-byte codes
+    path, entry, _ = write_two_entries(tmp_path)
+    whole = entry.read_bytes()
+    line, _, rest = whole.partition(b"\n")
+    head, payload = json.loads(line), rest[:-32]
+    assert (head["types"][:2], head["lengths"][:2]) == (["I", "B"], [12, 3])
+    head["lengths"][:2] = [13, 2]
+    line = json.dumps(head).encode() + b"\n"
+    entry.write_bytes(line + payload + hashlib.sha256(line + payload).digest())
+    want = parsed(monkeypatch, path, columns=["k", "x"])
+    before = parses[0]
+    assert everything(path, 100, ["k", "x"]) == want
+    assert parses[0] == before + 1
+    assert entry.read_bytes() == whole  # the miss wrote the entry again
 
 
 def test_a_file_where_the_cache_goes_leaves_the_parse(monkeypatch, tmp_path, parses):
