@@ -1,13 +1,15 @@
 """The column cache: a table's parse, or a result derived from it, kept beside its inputs.
 
-A parse's entry holds a datastore's columns; a derived entry holds what numpy
-computed for a command, such as ``pca``'s factor table, as a materialized
-view of its table.  Both are made, checked and kept by the one call
-:func:`cached_result`, which keys on the inputs' bytes and on the modules
-that make and read the entry (see :func:`_key_files`), and knows nothing of
-tables: a caller that derives a result opens its own.  This module loads
-neither the datastore nor the parser, so a command that reads a derived
-result back loads only the cache and its own code.
+A parse's entry holds a table's columns; a derived entry holds what numpy
+computed for a command, such as a factor table, as a materialized view of
+its table.  Both are made, checked and kept by the one call
+:func:`cached_result`, which keys every entry on the inputs' bytes and on
+the bytes of this whole package (see :func:`_key_files`), and knows nothing
+of tables or of its callers: a caller that derives a result opens its own.
+An entry's file is named by its inputs' paths and its tag alone, so a new
+key replaces the entry in place.  This module imports no other module of
+the package, so a command that reads a derived result back loads only the
+cache and its own code.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ from array import array
 # The column cache's directory, made beside the first input.
 _CACHE_DIR = ".stagecost-cache"
 _HASH_BLOCK = 1 << 16  # bytes of an input hashed at a time: a small, fixed buffer
-# The modules whose bytes key every entry: the cache's, the cursor's and the parser's.
-_PARSE_MODULES = ("colcache", "datastore", "csvload")
-# The modules whose bytes also key a derived entry of each kind: those that
-# derive, select and print it.
-_DERIVED_MODULES = {"factors": ("pca", "factors", "pcacmd"), "fit": ("stats", "tablecmds")}
 
 
 def _path_list(paths) -> list[str]:
@@ -42,20 +39,21 @@ def _floats(blobs: list, count: int) -> array | None:
     return flat if memoryview(flat).format == "d" and len(flat) == count else None
 
 
-def cached_result(paths, tag, kind, make, pack, unpack, inputs=None):
+def cached_result(paths, tag, make, pack, unpack, inputs=None):
     """What ``make(inputs)`` gives, read back from the column cache when it
     holds it, and the input digests that it is made of, or None if unknown.
 
-    ``paths`` is a lone path or a sequence of them.  An entry is the file
-    ``_CACHE_DIR/<signature>`` in the first input's directory.  The
-    signature is a sha256 of the absolute input paths in order, ``tag``
-    (the set of columns asked for, or the name of a derived result, which
-    no column selection can be), the interpreter's version and byte order
-    and the bytes of the files :func:`_key_files` lists for ``kind``: None
-    for a parse, ``"factors"`` or ``"fit"`` for a derived result.  So an
-    edit to the rules retires every old entry.  ``pack(result)`` gives the
-    entry's JSON fields and its arrays, and ``unpack(fields, arrays)`` makes
-    the result of them again, or None if they disagree.
+    ``paths`` is a lone path or a sequence of them.  An entry is a file in
+    ``_CACHE_DIR`` in the first input's directory, named by a sha256 of the
+    absolute input paths in order and ``tag`` (the set of columns asked for,
+    or the name of a derived result, which no column selection can be).  Its
+    signature is a sha256 of those, the interpreter's version and byte order
+    and the bytes of the files :func:`_key_files` lists, which are the same
+    for every entry.  So an edit to the rules, or a new interpreter, makes
+    every old entry miss, and the miss writes the new entry over the old
+    one.  ``pack(result)`` gives the entry's JSON fields and its arrays, and
+    ``unpack(fields, arrays)`` makes the result of them again, or None if
+    they disagree.
 
     The entry holds the sha256 of each input's bytes, which are hashed again
     on every open, unless the caller hashed them just now and passes them as
@@ -72,7 +70,7 @@ def cached_result(paths, tag, kind, make, pack, unpack, inputs=None):
     if not paths:
         return make(None), None
     try:
-        entry, key = _entry(paths, tag, kind)
+        entry, key = _entry(paths, tag)
         if _in_package(entry):
             inputs = None
         elif inputs is None:
@@ -97,34 +95,26 @@ def cached_result(paths, tag, kind, make, pack, unpack, inputs=None):
     return made, inputs
 
 
-def _key_files(kind: str | None = None) -> list[str]:
-    """The files whose bytes key an entry of ``kind``: None for a parse,
-    ``"factors"`` for pca's factor table, ``"fit"`` for a least-squares fit.
+def _key_files() -> list[str]:
+    """The files whose bytes key every entry: each module of this package, in
+    name order, and numpy's ``version.py``, found without importing numpy, so
+    neither an edit to any rule nor a new numpy ever reads an old entry."""
+    from importlib.util import find_spec
 
-    Every entry is keyed on this module, ``datastore`` and ``csvload``, which
-    write, read and parse it.  A derived entry is also keyed on the modules
-    that derive, select and print it, and on numpy's ``version.py``, found
-    without importing numpy, so a new numpy never reads an old entry.
-    """
     here = os.path.dirname(__file__)
-    names = _PARSE_MODULES if kind is None else _PARSE_MODULES + _DERIVED_MODULES[kind]
-    files = [os.path.join(here, f"{name}.py") for name in names]
-    if kind is not None:
-        from importlib.util import find_spec
-
-        files.append(os.path.join(os.path.dirname(find_spec("numpy").origin), "version.py"))
-    return files
+    files = sorted(os.path.join(here, name) for name in os.listdir(here) if name.endswith(".py"))
+    return [*files, os.path.join(os.path.dirname(find_spec("numpy").origin), "version.py")]
 
 
-def _entry(paths, tag, kind=None) -> tuple[str, str]:
-    """The cache entry for ``tag`` made of ``paths``, and its signature."""
+def _entry(paths, tag) -> tuple[str, str]:
+    """The cache entry for ``tag`` made of ``paths``, named by the two alone, and its signature."""
     absolute = list(map(os.path.abspath, paths))
     signature = hashlib.sha256(json.dumps([absolute, tag, sys.version, sys.byteorder]).encode())
-    for source in _key_files(kind):
+    for source in _key_files():
         with open(source, "rb") as fh:
             signature.update(fh.read())
-    key = signature.hexdigest()
-    return os.path.join(os.path.dirname(absolute[0]), _CACHE_DIR, key), key
+    name = hashlib.sha256(json.dumps([absolute, tag]).encode()).hexdigest()
+    return os.path.join(os.path.dirname(absolute[0]), _CACHE_DIR, name), signature.hexdigest()
 
 
 def _in_package(entry: str) -> bool:

@@ -16,6 +16,7 @@ from itertools import compress, islice
 from operator import itemgetter
 from typing import Sequence
 
+from .colcache import _input_digests
 from .datastore import MISSING_MARKER, NUMERIC, TEXT, ColumnSchema, TableChunk, _Text
 from .errors import EmptyInput, HeaderMismatch, MalformedCSV, MissingFile
 
@@ -95,9 +96,13 @@ class _Column:
         return True
 
 
-def _load(paths, wanted=None) -> tuple[TableChunk, int]:
+def _load(paths, wanted=None, digests=None) -> tuple[TableChunk, int]:
     """The table of the CSV files ``paths`` as one chunk, text as codes, and its
-    number of data rows: all columns, or those named in ``wanted``, in header order."""
+    number of data rows: all columns, or those named in ``wanted``, in header order.
+
+    ``digests``, the sha256 of each input hashed before the parse, if known,
+    are checked again after a column's text is read again, so that a table
+    never mixes the bytes of two versions of a file."""
     if not paths:
         raise MissingFile("no input paths given")
     header: list[str] | None = None
@@ -122,7 +127,15 @@ def _load(paths, wanted=None) -> tuple[TableChunk, int]:
     assert header is not None
     late = [(i, col) for i, col in zip(compress(range(len(header)), keep), columns)
             if col.values is None]
-    _reread_text(paths, late, rows)
+    if late:
+        _reread_text(paths, late, rows)
+        if digests is not None:
+            try:
+                changed = _input_digests(paths) != digests
+            except OSError:  # an input went away
+                changed = True
+            if changed:
+                raise MalformedCSV("an input file changed while it was read")
     schema = tuple(map(ColumnSchema, compress(header, keep), [col.kind for col in columns]))
     return TableChunk(schema, tuple(col.values for col in columns),
                       tuple(col.flags for col in columns)), rows
@@ -130,8 +143,6 @@ def _load(paths, wanted=None) -> tuple[TableChunk, int]:
 
 def _reread_text(paths, late: list[tuple[int, _Column]], rows: int) -> None:
     """Read again, as text, each (header index, column) that turned text late."""
-    if not late:
-        return
     for _, col in late:
         col.start_text()
     for path in paths:

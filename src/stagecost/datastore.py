@@ -132,13 +132,13 @@ class Datastore:
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
 
-        def parse(_):
+        def parse(inputs):
             from .csvload import _load  # imported only to parse
 
-            return _load(paths, columns)
+            return _load(paths, columns, inputs)
 
         (self._table, self._total_rows), self._digests = cached_result(
-            paths, None if columns is None else sorted(set(columns)), None, parse,
+            paths, None if columns is None else sorted(set(columns)), parse,
             _pack_columns, _unpack_columns, digests)
         if not self._total_rows:
             raise EmptyInput("no data rows in " + ", ".join(paths))

@@ -36,8 +36,7 @@ def cmd_pca(args) -> int:
         _check_share("loading_cutoff", cutoff)  # so no table is kept for a bad cutoff
         return FactorTable.of(model)
 
-    table, _ = cached_result(args.input, _FACTORS, "factors", factor, _pack_factors,
-                             _unpack_factors)
+    table, _ = cached_result(args.input, _FACTORS, factor, _pack_factors, _unpack_factors)
     selected, suggestion = table.suggest(threshold, cutoff)
     print("Component  Eigenvalue  CumulativeVariance")
     for i, row in enumerate(table.rows, start=1):

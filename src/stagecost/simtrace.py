@@ -28,6 +28,11 @@ if TYPE_CHECKING:
 #: fork-versus-format break-even lies between 500 and 1000 ticks a part: in a
 #: 48 MB process on a 2-vCPU VM, two parts took 1.44 times the one-part time
 #: on a 1000-tick run and 0.81 times on a 2000-tick run (medians of 15).
+#: A higher value does not pay at 5x10^4 ticks on that VM either: run back to
+#: back, as the benchmark runs commands, a traced 5x10^4-tick ``simulate``
+#: took a median 0.18 s in two parts and 0.24 s in one (10 alternating
+#: pairs); only with idle gaps between runs, when the second CPU comes late,
+#: were they even (0.24-0.29 s).
 _PART_TICKS = 1000
 
 #: Events of a part that are sorted and formatted at a time.  A window's

@@ -138,8 +138,8 @@ def cmd_regress(args) -> int:
         return stats.ols_terms(columns, y)
 
     # a run on the same bytes and names reads the fit back: no datastore, no numpy
-    terms, _ = cached_result(args.input, _fit_tag("regress", names), "fit", fit,
-                             _pack_terms, partial(_unpack_terms, len(names)))
+    terms, _ = cached_result(args.input, _fit_tag("regress", names), fit, _pack_terms,
+                             partial(_unpack_terms, len(names)))
     summary, table = stats.summarise_ols(terms)
     _print_regression(summary, table, labels=args.independents)
     return 0
@@ -205,8 +205,8 @@ def cmd_plotdata(args) -> int:
         # the columns are read already, so a miss fits them and opens nothing; only
         # columns read under known digests (not of an input that changed meanwhile) key a line
         line = fit() if digests is None else cached_result(
-            args.input, _fit_tag("plotdata", names), "fit", fit, _pack_line,
-            _unpack_line, inputs=digests)[0]
+            args.input, _fit_tag("plotdata", names), fit, _pack_line, _unpack_line,
+            inputs=digests)[0]
     series = emit_plot_data(xs, ys, coefficients=line)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -1205,7 +1205,7 @@ def _pca(capsys, path, *options):
 
 def _factor_entry(path) -> Path:
     """Where the column cache keeps the factor table of the table ``path``."""
-    entry, _ = colcache._entry([str(path)], pcacmd._FACTORS, "factors")
+    entry, _ = colcache._entry([str(path)], pcacmd._FACTORS)
     return Path(entry)
 
 
@@ -1374,71 +1374,33 @@ def test_a_bad_option_fails_the_same_way_on_a_hit_as_on_a_miss(capsys, tmp_path,
     assert hit == missed
 
 
-def test_each_entry_kind_is_keyed_on_its_modules_and_on_numpy():
-    # every entry on the cache, the cursor and the parser; a factor table also
-    # on the modules that factor, select and print it, a fit on those that fit
-    # and print it, and both on numpy's version.py, found without importing numpy
+def test_every_entry_is_keyed_on_the_package_modules_and_on_numpy():
+    # one list for every entry kind: each module of the package, in name
+    # order, and numpy's version.py, found without importing numpy
     import numpy
 
     package = Path(colcache.__file__).parent
-
-    def files(*names):
-        return [str(package / f"{name}.py") for name in names]
-
-    version = colcache._key_files("fit")[-1]
+    *modules, version = colcache._key_files()
+    assert modules == sorted(str(path) for path in package.glob("*.py"))
+    assert {"colcache.py", "csvload.py", "pcacmd.py", "stats.py"} <= {Path(m).name for m in modules}
     assert Path(version) == Path(numpy.__file__).parent / "version.py"
     assert numpy.__version__ in Path(version).read_text()
-    assert colcache._key_files() == files("colcache", "datastore", "csvload")
-    assert colcache._key_files("factors") == [*files("colcache", "datastore", "csvload", "pca",
-                                                     "factors", "pcacmd"), version]
-    assert colcache._key_files("fit") == [*files("colcache", "datastore", "csvload", "stats",
-                                                 "tablecmds"), version]
 
 
-_KEYED = {  # each file that keys an entry, and the entry kinds keyed on it
-    "colcache.py": {"parse", "factors", "fit"},
-    "datastore.py": {"parse", "factors", "fit"},
-    "csvload.py": {"parse", "factors", "fit"},
-    "pca.py": {"factors"},
-    "factors.py": {"factors"},
-    "pcacmd.py": {"factors"},
-    "stats.py": {"fit"},
-    "tablecmds.py": {"fit"},
-    "version.py": {"factors", "fit"},  # numpy's
-}
-
-
-@pytest.mark.parametrize("edited", list(_KEYED))
-def test_an_edit_to_a_file_that_keys_an_entry_makes_the_entry_miss(capsys, monkeypatch, tmp_path,
-                                                                    parses, factorings, fits,
-                                                                    edited):
-    # the keys are made of copies of the files, so that a copy can be edited:
-    # one byte appended to a file that keys an entry kind makes the next run
-    # on the unchanged table miss that kind, and print the same bytes
-    copies = tmp_path / "keyed"
-    copies.mkdir()
-    listed = colcache._key_files
-
-    def copied(kind=None):
-        names = [Path(source).name for source in listed(kind)]
-        for source, name in zip(listed(kind), names):
-            if not (copies / name).exists():
-                shutil.copyfile(source, copies / name)
-        return [str(copies / name) for name in names]
-
-    monkeypatch.setattr(colcache, "_key_files", copied)
+def _cache_rounds(capsys, tmp_path, parses, factorings, fits):
+    """A table, and a function that runs keycount, pca, regress and plotdata --fit
+    on it: what each printed and wrote, the parses and the factorings or fits it
+    made, and the cache directory's file names after them."""
     path, output = tmp_path / "t.csv", tmp_path / "plot.tsv"
     path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
-    commands = [  # each command, and the kind of the entry it derives, if any
-        (["mapreduce", "run", "--job", "keycount", "--key", "a", "--chunk-size", "4096"], None),
-        (["pca"], "factors"),
-        (["regress", "--dependent", "a", "--independents", "b", "c"], "fit"),
-        (["plotdata", "--x", "b", "--y", "a", "--fit", "--output", str(output)], "fit"),
+    commands = [
+        ["mapreduce", "run", "--job", "keycount", "--key", "a", "--chunk-size", "4096"],
+        ["pca"],
+        ["regress", "--dependent", "a", "--independents", "b", "c"],
+        ["plotdata", "--x", "b", "--y", "a", "--fit", "--output", str(output)],
     ]
 
     def run(argv):
-        """The output of ``argv`` on the table, and the parses and the
-        factorings or fits it made."""
         output.unlink(missing_ok=True)
         before = (parses[0], factorings[0] + fits[0])
         status = dispatch([*argv, "--input", str(path)])
@@ -1447,14 +1409,58 @@ def test_an_edit_to_a_file_that_keys_an_entry_makes_the_entry_miss(capsys, monke
                  output.read_text() if output.exists() else None),
                 (parses[0] - before[0], factorings[0] + fits[0] - before[1]))
 
-    first = [run(argv)[0] for argv, _ in commands]
-    assert [run(argv) for argv, _ in commands] == [(out, (0, 0)) for out in first]
+    def round_():
+        runs = [run(argv) for argv in commands]
+        return [out for out, _ in runs], [made for _, made in runs], sorted(
+            os.listdir(tmp_path / ".stagecost-cache"))
+
+    return round_
+
+
+# every command parses its own column selection; all but keycount derive a result
+_EVERY_ENTRY_MISSES = [(1, 0), (1, 1), (1, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("edited", [Path(f).name for f in colcache._key_files()])
+def test_an_edit_to_a_file_that_keys_the_entries_replaces_every_entry(
+        capsys, monkeypatch, tmp_path, parses, factorings, fits, edited):
+    # the keys are made of copies of the files, so that a copy can be edited:
+    # one byte appended to any of them makes the next run on the unchanged
+    # table miss every entry kind, print the same bytes, and write each new
+    # entry over the old one, so the cache holds the same file names
+    copies = tmp_path / "keyed"
+    copies.mkdir()
+    for source in colcache._key_files():
+        shutil.copyfile(source, copies / Path(source).name)
+    keyed = [str(copies / Path(source).name) for source in colcache._key_files()]
+    monkeypatch.setattr(colcache, "_key_files", lambda: keyed)
+    round_ = _cache_rounds(capsys, tmp_path, parses, factorings, fits)
+    outputs, _, names = round_()
+    assert len(names) == 7  # four parses, a factor table and two fits
+    assert round_() == (outputs, [(0, 0)] * 4, names)
     copy = copies / edited
     copy.write_bytes(copy.read_bytes() + b"\n")
-    assert [run(argv) for argv, _ in commands] == [
-        (out, ("parse" in _KEYED[edited], kind in _KEYED[edited]))
-        for out, (_, kind) in zip(first, commands)]
-    assert [run(argv) for argv, _ in commands] == [(out, (0, 0)) for out in first]
+    assert round_() == (outputs, _EVERY_ENTRY_MISSES, names)
+    assert round_() == (outputs, [(0, 0)] * 4, names)
+
+
+def test_a_new_interpreter_makes_every_entry_miss_and_rewrites_it_in_place(
+        capsys, monkeypatch, tmp_path, parses, factorings, fits):
+    round_ = _cache_rounds(capsys, tmp_path, parses, factorings, fits)
+    outputs, _, names = round_()
+
+    def heads():  # each entry's JSON head, which holds its signature
+        heads = []
+        for name in names:
+            with open(tmp_path / ".stagecost-cache" / name, "rb") as fh:
+                heads.append(fh.readline())
+        return heads
+
+    old = heads()
+    monkeypatch.setattr(sys, "version", sys.version + " (another build)")
+    assert round_() == (outputs, _EVERY_ENTRY_MISSES, names)
+    assert all(map(bytes.__ne__, heads(), old))
+    assert round_() == (outputs, [(0, 0)] * 4, names)
 
 
 # -- regress's and plotdata's fits in the column cache ---------------------------------------
@@ -1496,7 +1502,7 @@ def _fit_run(capsys, tmp_path, path, kind, names):
 
 def _fit_entry(path, kind, names) -> Path:
     """Where the column cache keeps the fit of ``kind`` on the columns ``names`` of ``path``."""
-    entry, _ = colcache._entry([str(path)], tablecmds._fit_tag(kind, names), "fit")
+    entry, _ = colcache._entry([str(path)], tablecmds._fit_tag(kind, names))
     return Path(entry)
 
 
@@ -1687,8 +1693,8 @@ def test_a_table_edited_while_it_is_parsed_keeps_no_fit(capsys, monkeypatch, tmp
     fresh.write_text(edited)
     load = csvload._load
 
-    def load_then_edit(paths, wanted=None):
-        loaded = load(paths, wanted)
+    def load_then_edit(*args):
+        loaded = load(*args)
         path.write_text(edited)
         return loaded
 

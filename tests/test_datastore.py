@@ -229,16 +229,21 @@ def test_an_underscore_in_a_later_block_turns_its_column_text_through_the_reread
     assert ds.read().column("v") == ["1.50", "2", "2023_01", "7"]
 
 
-@pytest.mark.parametrize("edit", ["gains a row", "loses a row"])
-def test_a_file_that_changes_before_its_text_is_read_again_fails(monkeypatch, tmp_path, edit):
+@pytest.mark.parametrize("edited", [
+    "n,v\n1,1\n2,2\n3,word\n4,5\n",
+    "n,v\n1,1\n3,word\n",
+    # only the input digests, taken before the parse and again after the
+    # reread, keep n's old numbers from meeting v's new text
+    "n,v\n1,x\n2,y\n3,z\n",
+], ids=["gains a row", "loses a row", "keeps its row count"])
+def test_a_file_that_changes_before_its_text_is_read_again_fails(monkeypatch, tmp_path, edited):
     monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
     path = tmp_path / "late.csv"
-    text = "v\n1\n2\n3\nword\n"
-    path.write_text(text)
+    path.write_text("n,v\n1,1\n2,2\n3,word\n")
     reread = csvload._reread_text
 
     def editing_reread(paths, columns, rows):
-        path.write_text(text + "5\n" if edit == "gains a row" else text.replace("3\n", ""))
+        path.write_text(edited)
         reread(paths, columns, rows)
 
     monkeypatch.setattr(csvload, "_reread_text", editing_reread)

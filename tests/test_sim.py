@@ -11,6 +11,7 @@ import tracemalloc
 from dataclasses import asdict
 from itertools import chain, repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from _oracles import simulate_by_events, trace_bytes
@@ -340,6 +341,17 @@ def test_trace_parts_hold_about_equal_events(lambda_a, n_ticks):
         assert sum(sizes) == events
         assert max(sizes) - min(sizes) <= 10, sizes
         assert all(abs(size - events / parts) <= 10 for size in sizes), sizes
+
+
+def test_a_trace_is_split_per_cpu_and_per_part_ticks(monkeypatch):
+    # on two CPUs, a trace of fewer than 2 * _PART_TICKS ticks is one part and
+    # a longer one two, simulate-long's 5 * 10^4 ticks included
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    counts = []
+    monkeypatch.setattr(simtrace, "_write_parts", lambda log, path, parts: counts.append(parts))
+    for n_ticks in (1, 2 * simtrace._PART_TICKS - 1, 2 * simtrace._PART_TICKS, 5 * 10**4):
+        simtrace.write(SimpleNamespace(n_ticks=n_ticks), "unused.tsv")
+    assert counts == [1, 1, 2, 2]
 
 
 # pytest's own process holds numpy's BLAS threads, where write_trace writes
