@@ -8,8 +8,8 @@ the bytes of this whole package (see :func:`_key_files`), and knows nothing
 of tables or of its callers: a caller that derives a result opens its own.
 An entry's file is named by its inputs' paths and its tag alone, so a new
 key replaces the entry in place.  This module imports no other module of
-the package, so a command that reads a derived result back loads only the
-cache and its own code.
+the package but ``errors``, so a command that reads a derived result back
+loads only the cache and its own code.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import os
 import stat
 import sys
 from array import array
+
+from .errors import MalformedCSV, ToolkitError
 
 # The column cache's directory, made beside the first input.
 _CACHE_DIR = ".stagecost-cache"
@@ -60,11 +62,16 @@ def cached_result(paths, tag, make, pack, unpack, inputs=None):
     ``inputs``; a caller must not pass the digests of an open that read an
     input while it changed.  An entry that is missing or fails a check is
     made anew and written again, once the inputs are seen to hash as they
-    did before ``make`` ran.  A result that ``make`` does not return,
-    because it raised, is not kept.  Inputs that are not all regular files,
-    and an OSError on the cache, leave ``make(None)`` to give the result; so
-    do inputs in this package's directory, such as the bundled samples,
-    where an installed package is no place for an entry.
+    did before ``make`` ran.  They are hashed again whether ``make``
+    returns or raises a ToolkitError: one that hashes otherwise changed
+    while ``make`` read it, and a file rewritten in place under a reader
+    may read as a mix of its two versions, so that is a MalformedCSV.  One
+    that went away was read whole: its result is given, but not kept.  A
+    result that ``make`` does not return, because it raised, is not kept.
+    Inputs that are not all regular files, and an OSError on the cache,
+    leave ``make(None)`` to give the result; so do inputs in this
+    package's directory, such as the bundled samples, where an installed
+    package is no place for an entry.
     """
     paths = _path_list(paths)
     if not paths:
@@ -82,17 +89,30 @@ def cached_result(paths, tag, make, pack, unpack, inputs=None):
     found = _read_entry(entry, key, inputs, unpack)
     if found is not None:
         return found, inputs
-    made = make(inputs)
     try:
-        if _input_digests(paths) != inputs:
-            return made, None  # an input changed while it was read
-    except OSError:
-        return made, None  # or went away
+        made = make(inputs)
+    except ToolkitError:
+        _unchanged(paths, inputs)  # a mix of two versions may fail as neither does
+        raise
+    if not _unchanged(paths, inputs):
+        return made, None
     try:
         _write_entry(entry, key, inputs, *pack(made))
     except OSError:
         pass  # a read-only or full directory, or a file where the cache goes
     return made, inputs
+
+
+def _unchanged(paths, inputs: list[str]) -> bool:
+    """Whether the inputs still hash as ``inputs``, False if one went away;
+    an input that hashes otherwise changed while it was read, a MalformedCSV."""
+    try:
+        changed = _input_digests(paths) != inputs
+    except OSError:
+        return False
+    if changed:
+        raise MalformedCSV("an input file changed while it was read")
+    return True
 
 
 def _key_files() -> list[str]:

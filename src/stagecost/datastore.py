@@ -132,16 +132,17 @@ class Datastore:
         if self._chunk_size < 1:
             raise InvalidParameter(f"chunk_size must be >= 1, got {self._chunk_size}")
 
-        def parse(inputs):
+        def parse(_):
             from .csvload import _load  # imported only to parse
 
-            return _load(paths, columns, inputs)
+            loaded = _load(paths, columns)
+            if not loaded[1]:  # raised here, so that no entry keeps a table of no rows
+                raise EmptyInput("no data rows in " + ", ".join(paths))
+            return loaded
 
         (self._table, self._total_rows), self._digests = cached_result(
             paths, None if columns is None else sorted(set(columns)), parse,
             _pack_columns, _unpack_columns, digests)
-        if not self._total_rows:
-            raise EmptyInput("no data rows in " + ", ".join(paths))
         # read's error when the header lacks every name asked for, or none was asked
         self._no_column = None if self._table.schema else (
             f"no column named {columns[0]!r}" if columns else "no column is selected")
@@ -160,7 +161,7 @@ class Datastore:
     @property
     def digests(self) -> list[str] | None:
         """The sha256 of each input that the columns were read back or parsed
-        from, or None if the column cache was not used or an input changed
+        from, or None if the column cache was not used or an input went away
         meanwhile: what :func:`colcache.cached_result` may look a result up under."""
         return self._digests
 

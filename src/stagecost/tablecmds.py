@@ -203,7 +203,7 @@ def cmd_plotdata(args) -> int:
             return ols_coefficients([xs], ys)
 
         # the columns are read already, so a miss fits them and opens nothing; only
-        # columns read under known digests (not of an input that changed meanwhile) key a line
+        # columns read under known digests (not of an input that went away) key a line
         line = fit() if digests is None else cached_result(
             args.input, _fit_tag("plotdata", names), fit, _pack_line, _unpack_line,
             inputs=digests)[0]

@@ -4,7 +4,8 @@ Nothing here imports from the package's numeric internals: the F CDF is
 integrated numerically instead of using a continued fraction, the CSV
 reference parse is a plain one-shot reader with no chunking or cursor, and
 the staging-tier simulation builds one event object per event and merges
-the streams on a heap.
+the streams on a heap.  The column cache's reference is the same code with
+the cache out of reach, so that every result is made, none read back.
 """
 
 from __future__ import annotations
@@ -12,8 +13,16 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
+
+import pytest
+
+from stagecost import colcache
+from stagecost.datastore import open_datastore
+from stagecost.errors import ToolkitError
 
 
 # -- F distribution by quadrature ------------------------------------------------
@@ -124,6 +133,46 @@ def chunk_as_plain(chunk):
     for row, row_flags in zip(zip(*chunk.columns), flags):
         rows.append(tuple(None if miss else v for v, miss in zip(row, row_flags)))
     return names, rows, flags
+
+
+# -- the column cache out of reach -------------------------------------------------
+
+
+def _unreachable(paths, tag):
+    raise PermissionError("the cache is out of reach")
+
+
+@contextmanager
+def cache_out_of_reach():
+    """Run the block as the code runs when the column cache cannot be reached:
+    every lookup meets an OSError, so no entry is read or written."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(colcache, "_entry", _unreachable)
+        yield
+
+
+def chunk_cells(chunk):
+    """A chunk's values, numbers as their bytes so that NaN equals NaN, and its flags."""
+    values = [v.tobytes() if isinstance(v, array) else v for v in chunk.columns]
+    return chunk.schema, values, chunk.missing
+
+
+def everything(paths, chunk_size, columns=None):
+    """The schema, row count and chunks of an open, or the error that it or a read raised."""
+    try:
+        ds = open_datastore(paths, chunk_size, columns)
+        chunks = []
+        while ds.has_data():
+            chunks.append(chunk_cells(ds.read()))
+        return ds.schema, ds.total_rows, chunks
+    except ToolkitError as exc:  # the error is the result to compare
+        return type(exc), str(exc)
+
+
+def parsed(paths, chunk_size=100, columns=None):
+    """``everything`` of an open that parses: the column cache is out of reach."""
+    with cache_out_of_reach():
+        return everything(paths, chunk_size, columns)
 
 
 # -- staging tier by event objects -------------------------------------------------

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from stagecost import csvload, fixtures
+from stagecost import csvload, fixtures, pca, stats
 from stagecost.config import KernelRate, SystemConfig, Workload
 from stagecost.energy import e_active_ssd, e_idle_ssd, e_ssd2pfs
 
@@ -28,18 +29,39 @@ def pytest_configure(config):
     set_hypothesis_home_dir(home)
 
 
+# The call that makes each kind of column-cache entry's result, by the name
+# its count goes under; a result is made exactly when its call returns.
+MAKERS = {"parse": (csvload, "_load"), "fit": (stats, "ols_terms"),
+          "line": (stats, "ols_coefficients"), "factoring": (pca, "eigen_sym")}
+
+
+class Makers:
+    """The calls of each maker, and those that returned."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.returns = Counter(), Counter()
+        for name, (module, attr) in MAKERS.items():
+            monkeypatch.setattr(module, attr, self._counting(name, getattr(module, attr)))
+
+    def _counting(self, name, make):
+        def counted(*args):
+            self.calls[name] += 1
+            made = make(*args)
+            self.returns[name] += 1
+            return made
+        return counted
+
+    def during(self, run):
+        """What ``run()`` gives, and the calls and returns of each maker that it made."""
+        calls, returns = self.calls.copy(), self.returns.copy()
+        got = run()
+        return got, dict(self.calls - calls), dict(self.returns - returns)
+
+
 @pytest.fixture
-def parses(monkeypatch):
-    """A one-item list that counts the parses of the files of an open."""
-    done = [0]
-    parse = csvload._load
-
-    def counting_load(*args):
-        done[0] += 1
-        return parse(*args)
-
-    monkeypatch.setattr(csvload, "_load", counting_load)
-    return done
+def makers(monkeypatch):
+    """The parses, fits, fitted lines and factorings made, counted."""
+    return Makers(monkeypatch)
 
 
 def make_config(**overrides) -> SystemConfig:

@@ -1,9 +1,7 @@
 """Command-line behaviour: outputs, exit codes, and the reporting helpers."""
 
 import csv
-import errno
 import gc
-import hashlib
 import io
 import json
 import os
@@ -21,10 +19,9 @@ from conftest import keyed_tables, make_config, make_workload
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stagecost import cli, colcache, csvload, energy, pca, pcacmd, sim, stats, tablecmds
+from stagecost import cli, colcache, energy, sim, stats, tablecmds
 from stagecost.datastore import Datastore, _Text, open_datastore
 from stagecost.errors import (
-    DomainError,
     EmptyInput,
     LengthMismatch,
     MissingData,
@@ -1191,617 +1188,6 @@ def test_pca_refuses_a_column_of_equal_inexact_cells(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err == "error: column 'flat' has zero variance\n"
     assert captured.out == ""
-
-
-# -- pca's factor table in the column cache ------------------------------------------------
-
-
-def _pca(capsys, path, *options):
-    """The exit status, stdout and stderr of ``pca --input path options``."""
-    status = dispatch(["pca", "--input", str(path), *options])
-    captured = capsys.readouterr()
-    return status, captured.out, captured.err
-
-
-def _factor_entry(path) -> Path:
-    """Where the column cache keeps the factor table of the table ``path``."""
-    entry, _ = colcache._entry([str(path)], pcacmd._FACTORS)
-    return Path(entry)
-
-
-@pytest.fixture
-def factorings(monkeypatch):
-    """A one-item list that counts the eigen_sym calls, one for each factoring."""
-    done = [0]
-    original = pca.eigen_sym
-
-    def counting_eigen_sym(matrix):
-        done[0] += 1
-        return original(matrix)
-
-    monkeypatch.setattr(pca, "eigen_sym", counting_eigen_sym)
-    return done
-
-
-_SHARES = st.one_of(st.sampled_from([0.3, 0.5, 0.8, 0.9, 1.0]), st.floats(0.01, 1.0))
-
-
-@st.composite
-def _numeric_tables(draw):
-    """A table of 1 to 8 numeric columns and 3 to 12 rows, and two (threshold, cutoff) pairs."""
-    p, n = draw(st.integers(1, 8)), draw(st.integers(3, 12))
-    cells = st.integers(-50, 50).map(lambda k: k / 4)
-    rows = draw(st.lists(st.lists(cells, min_size=p, max_size=p), min_size=n, max_size=n))
-    options = draw(st.lists(st.tuples(_SHARES, _SHARES), min_size=2, max_size=2))
-    return [f"c{j}" for j in range(p)], rows, options
-
-
-@settings(derandomize=True, database=None, max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=_numeric_tables())
-def test_a_factor_table_read_back_prints_what_a_factoring_prints(capsys, tmp_path, factorings,
-                                                                  case):
-    # each miss is on a copy of the table at a new path, so it factors; the
-    # second run on a path reads the table back, at any threshold and cutoff
-    names, rows, options = case
-    text = ",".join(names) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
-    shutil.rmtree(tmp_path / colcache._CACHE_DIR, ignore_errors=True)
-    table = tmp_path / "table.csv"
-    table.write_text(text)
-    status, *_ = _pca(capsys, table, "--threshold", "0.5")
-    for k, (threshold, cutoff) in enumerate(options):
-        argv = ("--threshold", repr(threshold), "--cutoff", repr(cutoff))
-        fresh = tmp_path / f"fresh{k}.csv"
-        fresh.write_text(text)
-        before = factorings[0]
-        missed = _pca(capsys, fresh, *argv)
-        assert factorings[0] == before + (status == 0)
-        hit = _pca(capsys, table, *argv)
-        assert factorings[0] == before + (status == 0)  # a failing table is never kept
-        assert hit == missed
-        assert missed[0] == status
-
-
-def test_an_edit_that_keeps_size_and_mtime_is_factored_again(capsys, tmp_path, factorings):
-    path = tmp_path / "t.csv"
-    path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
-    stamp = path.stat()
-    first = _pca(capsys, path)
-    assert _pca(capsys, path) == first
-    assert factorings == [1]
-    path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,7\n")
-    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
-    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
-    edited = _pca(capsys, path)
-    assert factorings == [2]
-    assert edited[0] == 0 and edited != first
-    fresh = tmp_path / "fresh.csv"
-    shutil.copyfile(path, fresh)
-    assert _pca(capsys, fresh) == edited
-
-
-def test_a_hit_hashes_the_table_once_and_a_miss_once_more_than_an_open(capsys, monkeypatch,
-                                                                       tmp_path, factorings):
-    hashes = [0]
-    digests = colcache._input_digests
-
-    def counting_digests(paths):
-        hashes[0] += 1
-        return digests(paths)
-
-    monkeypatch.setattr(colcache, "_input_digests", counting_digests)
-    path = tmp_path / "t.csv"
-    path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
-
-    def run():
-        """pca's output, and the hashes of the table and the factorings it made."""
-        before = (hashes[0], factorings[0])
-        return _pca(capsys, path), (hashes[0] - before[0], factorings[0] - before[1])
-
-    first = run()  # an open that parses hashes twice, and pca once more
-    assert first[1] == (3, 1)
-    assert run() == (first[0], (1, 0))
-    _factor_entry(path).unlink()
-    assert run() == (first[0], (2, 1))  # the open reads the columns back
-
-
-def test_every_flipped_byte_of_a_factor_entry_is_a_miss(capsys, tmp_path, factorings):
-    path = tmp_path / "t.csv"
-    path.write_text("a,b\n1,2\n2,5\n3,4\n")
-    want = _pca(capsys, path)
-    entry = _factor_entry(path)
-    whole = entry.read_bytes()
-    for at in range(len(whole)):
-        entry.write_bytes(whole[:at] + bytes([whole[at] ^ 1]) + whole[at + 1:])
-        before = factorings[0]
-        assert _pca(capsys, path) == want
-        assert factorings[0] == before + 1
-        assert entry.read_bytes() == whole  # the miss wrote the entry again
-
-
-def _a_float_short(entry: bytes) -> bytes:
-    """A derived entry's bytes with the last float of its array dropped, and its
-    length and sha256 made to match, as a writer with another bug would leave it."""
-    line, _, rest = entry.partition(b"\n")
-    head, payload = json.loads(line), rest[:-32 - 8]
-    head["lengths"][0] -= 8
-    line = json.dumps(head).encode() + b"\n"
-    return line + payload + hashlib.sha256(line + payload).digest()
-
-
-def test_a_factor_entry_that_disagrees_with_itself_is_a_miss(capsys, tmp_path, factorings):
-    path = tmp_path / "t.csv"
-    path.write_text("a,b\n1,2\n2,5\n3,4\n")
-    want = _pca(capsys, path)
-    entry = _factor_entry(path)
-    whole = entry.read_bytes()
-    entry.write_bytes(_a_float_short(whole))
-    assert _pca(capsys, path) == want
-    assert factorings == [2]
-    assert entry.read_bytes() == whole  # the miss wrote the entry again
-
-
-@pytest.mark.parametrize("text, options, error", [
-    ("a,b\nx,y\nz,w\n", (), "error: input has no numeric columns\n"),
-    ("a,b\n1,2\n2,NA\n3,5\n", (), "error: column 'b' has missing cells\n"),
-    ("x,flat\n1,0.1\n2,0.1\n4,0.1\n", (), "error: column 'flat' has zero variance\n"),
-    ("a,b\n1,2\n2,5\n3,4\n", ("--threshold", "0"),
-     "error: variance_threshold must be in (0, 1], got 0.0\n"),
-    ("a,b\n1,2\n2,5\n3,4\n", ("--cutoff", "1.5"),
-     "error: loading_cutoff must be in (0, 1], got 1.5\n"),
-], ids=["text-only", "missing-cell", "constant-column", "bad-threshold", "bad-cutoff"])
-def test_a_failing_pca_keeps_no_factor_table_and_fails_the_same_way_again(capsys, tmp_path,
-                                                                          text, options, error):
-    path = tmp_path / "t.csv"
-    path.write_text(text)
-    for _ in range(2):
-        assert _pca(capsys, path, *options) == (1, "", error)
-        assert not _factor_entry(path).exists()
-
-
-@pytest.mark.parametrize("options", [("--cutoff", "0"), ("--cutoff", "nan"),
-                                     ("--threshold", "1.5"), ("--threshold", "0", "--cutoff", "2")])
-def test_a_bad_option_fails_the_same_way_on_a_hit_as_on_a_miss(capsys, tmp_path, factorings,
-                                                               options):
-    path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
-    for table in (path, fresh):
-        table.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
-    assert _pca(capsys, path)[0] == 0
-    hit = _pca(capsys, path, *options)
-    assert factorings == [1]
-    missed = _pca(capsys, fresh, *options)
-    assert hit[0] == 1 and hit[2].startswith("error: ")
-    assert hit == missed
-
-
-def test_every_entry_is_keyed_on_the_package_modules_and_on_numpy():
-    # one list for every entry kind: each module of the package, in name
-    # order, and numpy's version.py, found without importing numpy
-    import numpy
-
-    package = Path(colcache.__file__).parent
-    *modules, version = colcache._key_files()
-    assert modules == sorted(str(path) for path in package.glob("*.py"))
-    assert {"colcache.py", "csvload.py", "pcacmd.py", "stats.py"} <= {Path(m).name for m in modules}
-    assert Path(version) == Path(numpy.__file__).parent / "version.py"
-    assert numpy.__version__ in Path(version).read_text()
-
-
-def _cache_rounds(capsys, tmp_path, parses, factorings, fits):
-    """A table, and a function that runs keycount, pca, regress and plotdata --fit
-    on it: what each printed and wrote, the parses and the factorings or fits it
-    made, and the cache directory's file names after them."""
-    path, output = tmp_path / "t.csv", tmp_path / "plot.tsv"
-    path.write_text("a,b,c\n1,2,3\n2,5,1\n3,4,4\n4,9,2\n")
-    commands = [
-        ["mapreduce", "run", "--job", "keycount", "--key", "a", "--chunk-size", "4096"],
-        ["pca"],
-        ["regress", "--dependent", "a", "--independents", "b", "c"],
-        ["plotdata", "--x", "b", "--y", "a", "--fit", "--output", str(output)],
-    ]
-
-    def run(argv):
-        output.unlink(missing_ok=True)
-        before = (parses[0], factorings[0] + fits[0])
-        status = dispatch([*argv, "--input", str(path)])
-        captured = capsys.readouterr()
-        return ((status, captured.out, captured.err,
-                 output.read_text() if output.exists() else None),
-                (parses[0] - before[0], factorings[0] + fits[0] - before[1]))
-
-    def round_():
-        runs = [run(argv) for argv in commands]
-        return [out for out, _ in runs], [made for _, made in runs], sorted(
-            os.listdir(tmp_path / ".stagecost-cache"))
-
-    return round_
-
-
-# every command parses its own column selection; all but keycount derive a result
-_EVERY_ENTRY_MISSES = [(1, 0), (1, 1), (1, 1), (1, 1)]
-
-
-@pytest.mark.parametrize("edited", [Path(f).name for f in colcache._key_files()])
-def test_an_edit_to_a_file_that_keys_the_entries_replaces_every_entry(
-        capsys, monkeypatch, tmp_path, parses, factorings, fits, edited):
-    # the keys are made of copies of the files, so that a copy can be edited:
-    # one byte appended to any of them makes the next run on the unchanged
-    # table miss every entry kind, print the same bytes, and write each new
-    # entry over the old one, so the cache holds the same file names
-    copies = tmp_path / "keyed"
-    copies.mkdir()
-    for source in colcache._key_files():
-        shutil.copyfile(source, copies / Path(source).name)
-    keyed = [str(copies / Path(source).name) for source in colcache._key_files()]
-    monkeypatch.setattr(colcache, "_key_files", lambda: keyed)
-    round_ = _cache_rounds(capsys, tmp_path, parses, factorings, fits)
-    outputs, _, names = round_()
-    assert len(names) == 7  # four parses, a factor table and two fits
-    assert round_() == (outputs, [(0, 0)] * 4, names)
-    copy = copies / edited
-    copy.write_bytes(copy.read_bytes() + b"\n")
-    assert round_() == (outputs, _EVERY_ENTRY_MISSES, names)
-    assert round_() == (outputs, [(0, 0)] * 4, names)
-
-
-def test_a_new_interpreter_makes_every_entry_miss_and_rewrites_it_in_place(
-        capsys, monkeypatch, tmp_path, parses, factorings, fits):
-    round_ = _cache_rounds(capsys, tmp_path, parses, factorings, fits)
-    outputs, _, names = round_()
-
-    def heads():  # each entry's JSON head, which holds its signature
-        heads = []
-        for name in names:
-            with open(tmp_path / ".stagecost-cache" / name, "rb") as fh:
-                heads.append(fh.readline())
-        return heads
-
-    old = heads()
-    monkeypatch.setattr(sys, "version", sys.version + " (another build)")
-    assert round_() == (outputs, _EVERY_ENTRY_MISSES, names)
-    assert all(map(bytes.__ne__, heads(), old))
-    assert round_() == (outputs, [(0, 0)] * 4, names)
-
-
-# -- regress's and plotdata's fits in the column cache ---------------------------------------
-
-
-@pytest.fixture
-def fits(monkeypatch):
-    """A one-item list that counts the least-squares fits, of regress and of plotdata --fit."""
-    done = [0]
-
-    def counting(fit):
-        def counted(x, y):
-            done[0] += 1
-            return fit(x, y)
-        return counted
-
-    for name in ("ols_terms", "ols_coefficients"):
-        monkeypatch.setattr(stats, name, counting(getattr(stats, name)))
-    return done
-
-
-def _fit_argv(path, kind, names, output) -> list:
-    """regress of names[0] on the rest, or plotdata --fit of y = names[1] on x = names[0]."""
-    if kind == "regress":
-        return ["regress", "--input", str(path), "--dependent", names[0],
-                "--independents", *names[1:]]
-    return ["plotdata", "--input", str(path), "--x", names[0], "--y", names[1], "--fit",
-            "--output", str(output)]
-
-
-def _fit_run(capsys, tmp_path, path, kind, names):
-    """The exit status, stdout, stderr and plot TSV (None if none was written) of a fit."""
-    output = tmp_path / "plot.tsv"
-    output.unlink(missing_ok=True)
-    status = dispatch(_fit_argv(path, kind, names, output))
-    captured = capsys.readouterr()
-    return status, captured.out, captured.err, output.read_text() if output.exists() else None
-
-
-def _fit_entry(path, kind, names) -> Path:
-    """Where the column cache keeps the fit of ``kind`` on the columns ``names`` of ``path``."""
-    entry, _ = colcache._entry([str(path)], tablecmds._fit_tag(kind, names))
-    return Path(entry)
-
-
-@st.composite
-def _fit_tables(draw):
-    """A table of y and 1 to 4 predictors over 1 to 8 rows, which may hold a
-    missing cell, a word or a predictor twice another, and a regress and a
-    plotdata --fit on it."""
-    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
-    cells = st.integers(-20, 20).map(lambda v: repr(v / 4))
-    columns = [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(k + 1)]
-    shape = draw(st.sampled_from(["plain", "twice", "missing", "word"]))
-    row = draw(st.integers(0, n - 1))
-    if shape == "twice":
-        columns[k] = [repr(2 * float(cell)) for cell in columns[1]]
-    elif shape == "missing":
-        columns[draw(st.integers(0, k))][row] = "NA"
-    elif shape == "word":
-        columns[k][row] = "w"
-    names = ["y", *(f"x{j}" for j in range(1, k + 1))]
-    independents = draw(st.lists(st.sampled_from(names[1:]), min_size=1, max_size=4))
-    text = ",".join(names) + "\n" + "".join(",".join(cells) + "\n" for cells in zip(*columns))
-    return text, [("regress", ["y", *independents]),
-                  ("plotdata", [draw(st.sampled_from(names[1:])), "y"])]
-
-
-@settings(derandomize=True, database=None, max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=_fit_tables())
-def test_a_fit_read_back_prints_what_a_fit_prints(capsys, tmp_path, fits, case):
-    # the first run on the table keeps a good fit; a run on a fresh copy of
-    # the table fits, and a second run on the table reads the fit back
-    text, commands = case
-    shutil.rmtree(tmp_path / colcache._CACHE_DIR, ignore_errors=True)
-    table = tmp_path / "table.csv"
-    table.write_text(text)
-    for k, (kind, names) in enumerate(commands):
-        first = _fit_run(capsys, tmp_path, table, kind, names)
-        assert _fit_entry(table, kind, names).exists() == (first[0] == 0)
-        fresh = tmp_path / f"fresh{k}.csv"
-        fresh.write_text(text)
-        missed = _fit_run(capsys, tmp_path, fresh, kind, names)
-        before = fits[0]
-        hit = _fit_run(capsys, tmp_path, table, kind, names)
-        assert hit == missed == first
-        if first[0] == 0:
-            assert fits[0] == before  # read back, not fitted
-        else:
-            assert first[1] == "" and first[2].startswith("error: ") and first[3] is None
-
-
-_FIT_TABLE = "y,x,z,c,gap,t\n1,2,3,5,1,a\n2,4,1,5,NA,b\n3,1,2,5,4,c\n5,3,3,5,2,d\n"
-
-
-@pytest.mark.parametrize("text, kind, names, error", [
-    (_FIT_TABLE, "regress", ["y", "gap"], "error: column 'gap' has missing cells\n"),
-    (_FIT_TABLE, "regress", ["y", "t"], "error: column 't' is not numeric\n"),
-    (_FIT_TABLE, "regress", ["y", "x", "x"],
-     "error: predictor 2 lies in the span of the columns before it\n"),
-    (_FIT_TABLE, "regress", ["y", "x", "z", "c"],
-     "error: need at least 5 rows for 3 predictors, got 4\n"),
-    (_FIT_TABLE, "plotdata", ["gap", "y"], "error: column 'gap' has missing cells\n"),
-    (_FIT_TABLE, "plotdata", ["t", "y"], "error: column 't' is not numeric\n"),
-    (_FIT_TABLE, "plotdata", ["c", "y"],
-     "error: predictor 1 lies in the span of the columns before it\n"),
-    ("y,x\n1,2\n", "plotdata", ["x", "y"],
-     "error: need at least 2 rows for 1 predictors, got 1\n"),
-    ("y,x\n1,2\n2,3\n3,4\n4\n", "regress", ["y", "x"],
-     "error: t.csv:5: expected 2 cells, got 1\n"),
-], ids=["missing-cell", "text", "collinear", "too-few-rows", "plot-missing-cell", "plot-text",
-        "plot-collinear", "plot-too-few-rows", "bad-row"])
-def test_a_failing_fit_keeps_no_entry_and_fails_the_same_way_again(capsys, monkeypatch,
-                                                                   tmp_path, text, kind, names,
-                                                                   error):
-    monkeypatch.chdir(tmp_path)
-    path = Path("t.csv")
-    path.write_text(text)
-    for _ in range(2):
-        assert _fit_run(capsys, tmp_path, path, kind, names) == (1, "", error, None)
-        assert not _fit_entry(path, kind, names).exists()
-
-
-def test_a_summary_that_fails_after_its_fit_fails_the_same_way_on_a_hit(capsys, monkeypatch,
-                                                                        tmp_path, fits):
-    # the entry holds the fit, and the summary is made from it on every run
-    def failing_f_cdf(x, d1, d2):
-        raise DomainError("degrees of freedom are too large")
-
-    monkeypatch.setattr(stats, "f_cdf", failing_f_cdf)
-    path = tmp_path / "t.csv"
-    path.write_text("y,x\n1,2\n2,5\n4,4\n3,9\n")
-    failed = (1, "", "error: degrees of freedom are too large\n", None)
-    assert _fit_run(capsys, tmp_path, path, "regress", ["y", "x"]) == failed
-    assert fits == [1]
-    assert _fit_run(capsys, tmp_path, path, "regress", ["y", "x"]) == failed
-    assert fits == [1]
-
-
-@pytest.mark.parametrize("kind, names", [("regress", ["y", "x", "z"]), ("plotdata", ["x", "y"])])
-def test_every_flipped_byte_of_a_fit_entry_is_a_miss(capsys, tmp_path, fits, kind, names):
-    path = tmp_path / "t.csv"
-    path.write_text("y,x,z\n1,2,3\n2,5,1\n4,4,4\n3,9,2\n")
-    want = _fit_run(capsys, tmp_path, path, kind, names)
-    assert want[0] == 0
-    entry = _fit_entry(path, kind, names)
-    whole = entry.read_bytes()
-    for at in range(len(whole)):
-        entry.write_bytes(whole[:at] + bytes([whole[at] ^ 1]) + whole[at + 1:])
-        before = fits[0]
-        assert _fit_run(capsys, tmp_path, path, kind, names) == want
-        assert fits[0] == before + 1
-        assert entry.read_bytes() == whole  # the miss wrote the entry again
-
-
-@pytest.mark.parametrize("kind, names", [("regress", ["y", "x", "z"]), ("plotdata", ["x", "y"])])
-def test_an_edit_that_keeps_size_and_mtime_is_fitted_again(capsys, tmp_path, fits, kind, names):
-    path = tmp_path / "t.csv"
-    path.write_text("y,x,z\n1,2,3\n2,5,1\n4,4,4\n3,9,2\n")
-    stamp = path.stat()
-    first = _fit_run(capsys, tmp_path, path, kind, names)
-    assert _fit_run(capsys, tmp_path, path, kind, names) == first
-    assert fits == [1]
-    path.write_text("y,x,z\n1,2,3\n2,5,1\n4,4,4\n7,9,2\n")
-    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
-    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
-    edited = _fit_run(capsys, tmp_path, path, kind, names)
-    assert fits == [2]
-    assert edited[0] == 0 and edited != first
-    fresh = tmp_path / "fresh.csv"
-    shutil.copyfile(path, fresh)
-    assert _fit_run(capsys, tmp_path, fresh, kind, names) == edited
-
-
-@pytest.mark.parametrize("kind, names, other", [
-    ("regress", ["y", "x", "z"], ["y", "z", "x"]),
-    ("regress", ["y", "x"], ["y", "x", "x"]),
-    ("regress", ["y", "x"], ["x", "y"]),
-    ("plotdata", ["x", "y"], ["y", "x"]),
-], ids=["independents-swapped", "independent-repeated", "dependent-swapped", "axes-swapped"])
-def test_a_fit_on_other_names_reads_no_entry_of_these(capsys, tmp_path, fits, kind, names, other):
-    # the key holds the names in order, duplicates included
-    path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
-    for table in (path, fresh):
-        table.write_text("y,x,z\n1,2,3\n2,5,1\n4,4,4\n3,9,2\n")
-    assert _fit_run(capsys, tmp_path, path, kind, names)[0] == 0
-    assert fits == [1]
-    got = _fit_run(capsys, tmp_path, path, kind, other)
-    assert fits == [2]
-    assert got == _fit_run(capsys, tmp_path, fresh, kind, other)
-    assert got != _fit_run(capsys, tmp_path, fresh, kind, names)
-
-
-@pytest.mark.parametrize("kind, names", [("regress", ["y", "x"]), ("plotdata", ["x", "y"])])
-def test_a_fit_hit_hashes_the_table_once_and_a_miss_once_more_than_an_open(capsys, monkeypatch,
-                                                                           tmp_path, fits, kind,
-                                                                           names):
-    hashes = [0]
-    digests = colcache._input_digests
-
-    def counting_digests(paths):
-        hashes[0] += 1
-        return digests(paths)
-
-    monkeypatch.setattr(colcache, "_input_digests", counting_digests)
-    path = tmp_path / "t.csv"
-    path.write_text("y,x\n1,2\n2,5\n4,4\n3,9\n")
-
-    def run():
-        """The command's output, and the hashes of the table and the fits it made."""
-        before = (hashes[0], fits[0])
-        return (_fit_run(capsys, tmp_path, path, kind, names),
-                (hashes[0] - before[0], fits[0] - before[1]))
-
-    first = run()  # an open that parses hashes twice, and the fit once more
-    assert first[1] == (3, 1)
-    assert run() == (first[0], (1, 0))
-    _fit_entry(path, kind, names).unlink()
-    assert run() == (first[0], (2, 1))  # the columns are read back
-
-
-@pytest.mark.parametrize("kind, names", [("regress", ["y", "x"]), ("plotdata", ["x", "y"])])
-def test_a_table_edited_while_it_is_parsed_keeps_no_fit(capsys, monkeypatch, tmp_path, fits,
-                                                        kind, names):
-    # the columns are of the old bytes, so no fit of them may be keyed on the new
-    path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
-    path.write_text("y,x\n1,2\n2,5\n4,4\n3,9\n")
-    edited = "y,x\n1,2\n2,5\n4,4\n7,9\n"
-    fresh.write_text(edited)
-    load = csvload._load
-
-    def load_then_edit(*args):
-        loaded = load(*args)
-        path.write_text(edited)
-        return loaded
-
-    monkeypatch.setattr(csvload, "_load", load_then_edit)
-    first = _fit_run(capsys, tmp_path, path, kind, names)
-    assert first[0] == 0 and fits == [1]
-    assert not _fit_entry(path, kind, names).exists()
-    monkeypatch.setattr(csvload, "_load", load)
-    assert _fit_run(capsys, tmp_path, path, kind, names) == _fit_run(capsys, tmp_path, fresh,
-                                                                     kind, names) != first
-    assert fits == [3]  # the edited table is fitted, not read back
-
-
-@pytest.mark.parametrize("kind, names", [("regress", ["y", "x"]), ("plotdata", ["x", "y"])])
-def test_a_fit_entry_that_disagrees_with_itself_is_a_miss(capsys, tmp_path, fits, kind, names):
-    path = tmp_path / "t.csv"
-    path.write_text("y,x\n1,2\n2,5\n4,4\n3,9\n")
-    want = _fit_run(capsys, tmp_path, path, kind, names)
-    entry = _fit_entry(path, kind, names)
-    whole = entry.read_bytes()
-    entry.write_bytes(_a_float_short(whole))
-    assert _fit_run(capsys, tmp_path, path, kind, names) == want
-    assert fits == [2]
-    assert entry.read_bytes() == whole  # the miss wrote the entry again
-
-
-class _FullDisk:
-    """A file being written that takes one write, then fails as a full disk does."""
-
-    def __init__(self, fh):
-        self.fh, self.writes = fh, 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        if self.writes:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        self.writes += 1
-        return self.fh.write(data)
-
-
-_CACHED_COMMANDS = {
-    "keycount": ["mapreduce", "run", "--job", "keycount", "--key", "k"],
-    "regress": ["regress", "--dependent", "y", "--independents", "x"],
-    "pca": ["pca"],
-}
-
-
-def _cached_run(capsys, command, path):
-    """The exit status, stdout and stderr of ``command`` on the table ``path``."""
-    status = dispatch([*_CACHED_COMMANDS[command], "--input", str(path)])
-    captured = capsys.readouterr()
-    return status, captured.out, captured.err
-
-
-def _table_and_copy(tmp_path):
-    """A table of a key and two numeric columns, and a copy of it in a directory of its own."""
-    path, copy = tmp_path / "t.csv", tmp_path / "copy" / "t.csv"
-    copy.parent.mkdir()
-    for table in (path, copy):
-        table.write_text("k,y,x\na,1,2\nb,2,5\na,4,4\nb,3,9\n")
-    return path, copy
-
-
-@pytest.mark.parametrize("command", list(_CACHED_COMMANDS))
-def test_an_entry_write_that_fails_part_way_leaves_no_file_and_the_output(capsys, monkeypatch,
-                                                                          tmp_path, command):
-    # the disk fills after an entry's first line: the command prints what it
-    # prints with room to spare, and no part of an entry is left in the cache
-    path, copy = _table_and_copy(tmp_path)
-    want = _cached_run(capsys, command, copy)
-
-    def full_disk_open(file, mode="r", *args, **kwargs):
-        fh = io.open(file, mode, *args, **kwargs)
-        return _FullDisk(fh) if mode == "xb" else fh
-
-    monkeypatch.setattr(colcache, "open", full_disk_open, raising=False)
-    assert _cached_run(capsys, command, path) == want
-    assert list((tmp_path / colcache._CACHE_DIR).iterdir()) == []
-
-
-@pytest.mark.parametrize("command, module, name", [
-    ("keycount", csvload, "_load"), ("regress", stats, "ols_terms"),
-    ("pca", pca, "extract_factors"),
-])
-def test_an_input_deleted_before_it_is_hashed_again_keeps_no_entry(capsys, monkeypatch, tmp_path,
-                                                                   command, module, name):
-    # the input goes away once the parse, the fit or the factoring is made: the
-    # result is printed, and kept only if it was made before (the parse of a fit)
-    path, copy = _table_and_copy(tmp_path)
-    want = _cached_run(capsys, command, copy)
-    make = getattr(module, name)
-
-    def make_then_delete(*args, **kwargs):
-        made = make(*args, **kwargs)
-        path.unlink()
-        return made
-
-    monkeypatch.setattr(module, name, make_then_delete)
-    assert _cached_run(capsys, command, path) == want
-    cache = tmp_path / colcache._CACHE_DIR
-    kept = list(cache.iterdir()) if cache.exists() else []
-    assert len(kept) == (0 if command == "keycount" else 1)  # a fit's or pca's parse entry
 
 
 @pytest.fixture
