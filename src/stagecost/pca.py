@@ -1,16 +1,15 @@
-"""Correlation-based principal components and schema grouping.
+"""Correlation-based principal components.
 
 Given numeric observations, build the Pearson correlation matrix, factor it
 with cyclic Jacobi in round-robin order (no LAPACK behind it, so every
-rotation is inspectable), keep the leading components that explain a
-requested share of the variance, and group variables into candidate schema
-dimensions by the size of their loadings.
+rotation is inspectable), and give the factorization as a ``FactorTable``.
 
 numpy is imported only by the functions that work on arrays.  The factor
-table that the ``pca`` command keeps in the column cache, the records of a
-suggestion and the selection and grouping rules are in ``factors``, which
-needs no numpy, and are imported here, so a command that reads the table
-back loads neither numpy nor this module.
+table, which the ``pca`` command keeps in the column cache, and its rules for
+keeping the leading components that explain a requested share of the
+variance and grouping variables into candidate schema dimensions are in
+``factors``, which needs no numpy, so a command that reads the table back
+loads neither numpy nor this module.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import ConstantColumn, ConvergenceFailure, MissingData
-from .factors import (DEFAULT_LOADING_CUTOFF, DEFAULT_VARIANCE_THRESHOLD,  # noqa: F401
-                      CandidateDimension, FactorTable, SchemaSuggestion, _check_share, _selected,
-                      _suggestion)
+from .factors import FactorTable
 
 JACOBI_TOL = 1e-12       # off-diagonal Frobenius norm, relative to the matrix
 JACOBI_MAX_SWEEPS = 100
@@ -32,15 +29,6 @@ if TYPE_CHECKING:
 class CorrelationMatrix(NamedTuple):
     names: tuple[str, ...]
     values: np.ndarray  # p x p, symmetric, unit diagonal
-
-
-class FactorModel(NamedTuple):
-    names: tuple[str, ...]
-    eigenvalues: np.ndarray          # descending, >= 0
-    loadings: np.ndarray             # column j = unit eigenvector of component j
-    cumulative_variance: np.ndarray  # V(m) = sum of first m eigenvalues / p
-    selected_components: int
-    variance_threshold: float
 
 
 def correlation_matrix(
@@ -178,39 +166,13 @@ def eigen_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, vectors
 
 
-def extract_factors(
-    corr: CorrelationMatrix, variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD
-) -> FactorModel:
-    """Factor the correlation matrix and pick how many components to keep.
-
-    The selected count is the smallest m whose cumulative explained variance
-    V(m) = (sum of the m largest eigenvalues) / p reaches the threshold.
-    """
+def extract_factors(corr: CorrelationMatrix) -> FactorTable:
+    """Factor the correlation matrix into its components, largest eigenvalue
+    first.  V(m) is the sum of the m largest eigenvalues over p, and
+    rounding-level negative eigenvalues are clipped to 0."""
     import numpy as np
 
-    _check_share("variance_threshold", variance_threshold)
     eigenvalues, vectors = eigen_sym(corr.values)
-    eigenvalues = np.maximum(eigenvalues, 0.0)  # clip rounding-level negatives
+    eigenvalues = np.maximum(eigenvalues, 0.0)
     cumulative = np.cumsum(eigenvalues) / len(eigenvalues)
-    return FactorModel(
-        names=corr.names,
-        eigenvalues=eigenvalues,
-        loadings=vectors,
-        cumulative_variance=cumulative,
-        selected_components=_selected(cumulative, variance_threshold),
-        variance_threshold=variance_threshold,
-    )
-
-
-def suggest_schema(
-    model: FactorModel, loading_cutoff: float = DEFAULT_LOADING_CUTOFF
-) -> SchemaSuggestion:
-    """Group variables into one candidate dimension per selected component.
-
-    A variable joins a dimension when the magnitude of its loading on that
-    component reaches the cutoff; it may appear in several dimensions, or in
-    none.  Dimensions that attract no variable are kept and flagged empty.
-    """
-    _check_share("loading_cutoff", loading_cutoff)
-    return _suggestion(model.names, model.eigenvalues, model.loadings.T,
-                       model.selected_components, loading_cutoff)
+    return FactorTable(corr.names, np.column_stack([eigenvalues, cumulative, vectors.T]).tolist())

@@ -32,9 +32,10 @@ def cmd_pca(args) -> int:
         if not numeric:
             raise TypeMismatch("input has no numeric columns")
         corr = pca.correlation_matrix(_numeric_columns(ds, numeric), names=numeric)
-        model = pca.extract_factors(corr, variance_threshold=threshold)
-        _check_share("loading_cutoff", cutoff)  # so no table is kept for a bad cutoff
-        return FactorTable.of(model)
+        # after the table's own errors, and so that no table is kept for a bad option
+        _check_share("variance_threshold", threshold)
+        _check_share("loading_cutoff", cutoff)
+        return pca.extract_factors(corr)
 
     table, _ = cached_result(args.input, _FACTORS, factor, _pack_factors, _unpack_factors)
     selected, suggestion = table.suggest(threshold, cutoff)

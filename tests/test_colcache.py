@@ -644,14 +644,22 @@ def _fit(kind, names) -> tuple[list, str]:
     return argv, tablecmds._fit_tag(kind, names)
 
 
+# Tables that pca cannot factor, and the error of each.
+_UNFACTORABLE = [("a,b\nx,y\nz,w\n", "input has no numeric columns"),
+                 ("a,b\n1,2\n2,NA\n3,5\n", "column 'b' has missing cells"),
+                 ("x,flat\n1,0.1\n2,0.1\n4,0.1\n", "column 'flat' has zero variance")]
+
+
 @pytest.mark.parametrize("text, command, error", [
-    ("a,b\nx,y\nz,w\n", _PCA, "input has no numeric columns"),
-    ("a,b\n1,2\n2,NA\n3,5\n", _PCA, "column 'b' has missing cells"),
-    ("x,flat\n1,0.1\n2,0.1\n4,0.1\n", _PCA, "column 'flat' has zero variance"),
+    *((text, _PCA, error) for text, error in _UNFACTORABLE),
     ("a,b\n1,2\n2,5\n3,4\n", (["pca", "--threshold", "0"], pcacmd._FACTORS),
      "variance_threshold must be in (0, 1], got 0.0"),
     ("a,b\n1,2\n2,5\n3,4\n", (["pca", "--cutoff", "1.5"], pcacmd._FACTORS),
      "loading_cutoff must be in (0, 1], got 1.5"),
+    # a table's own error comes before a bad option's
+    *((text, (["pca", *options], pcacmd._FACTORS), error) for text, error in _UNFACTORABLE
+      for options in [("--threshold", "0"), ("--cutoff", "2"),
+                      ("--threshold", "0", "--cutoff", "2")]),
     (_FAILING, _fit("regress", ["y", "gap"]), "column 'gap' has missing cells"),
     (_FAILING, _fit("regress", ["y", "t"]), "column 't' is not numeric"),
     (_FAILING, _fit("regress", ["y", "x", "x"]),
@@ -665,6 +673,8 @@ def _fit(kind, names) -> tuple[list, str]:
     ("y,x\n1,2\n", _fit("plotdata", ["x", "y"]), "need at least 2 rows for 1 predictors, got 1"),
     ("y,x\n1,2\n2,3\n3,4\n4\n", _fit("regress", ["y", "x"]), "t.csv:5: expected 2 cells, got 1"),
 ], ids=["text-only", "missing-cell", "constant-column", "bad-threshold", "bad-cutoff",
+        *(f"{table}-{option}" for table in ["text-only", "missing-cell", "constant-column"]
+          for option in ["bad-threshold", "bad-cutoff", "bad-both"]),
         "fit-missing-cell", "fit-text", "fit-collinear", "fit-too-few-rows", "plot-missing-cell",
         "plot-text", "plot-collinear", "plot-too-few-rows", "fit-bad-row"])
 def test_a_failing_command_keeps_no_entry_of_its_result_and_fails_the_same_way_again(

@@ -6,10 +6,12 @@ import os
 import random
 import tracemalloc
 from array import array
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
-from _oracles import chunk_as_plain, chunk_cells, everything, parsed, read_csv_table
+from _oracles import (cache_out_of_reach, chunk_as_plain, chunk_cells, everything, parsed,
+                      read_csv_table)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -225,14 +227,21 @@ def test_an_underscore_in_a_later_block_turns_its_column_text_through_the_reread
     assert ds.read().column("v") == ["1.50", "2", "2023_01", "7"]
 
 
-@pytest.mark.parametrize("edited", [
-    "n,v\n1,1\n2,2\n3,word\n4,5\n",
-    "n,v\n1,1\n3,word\n",
+@pytest.mark.parametrize("edited, reach", [
+    pytest.param("n,v\n1,1\n2,2\n3,word\n4,5\n", nullcontext, id="gains a row"),
+    pytest.param("n,v\n1,1\n3,word\n", nullcontext, id="loses a row"),
     # only the input digests, taken before the parse and again after the
     # reread, keep n's old numbers from meeting v's new text
-    "n,v\n1,x\n2,y\n3,z\n",
-], ids=["gains a row", "loses a row", "keeps its row count"])
-def test_a_file_that_changes_before_its_text_is_read_again_fails(monkeypatch, tmp_path, edited):
+    pytest.param("n,v\n1,x\n2,y\n3,z\n", nullcontext, id="keeps its row count"),
+    # with the cache out of reach no digests are taken, and the reread's
+    # row count is the only check
+    pytest.param("n,v\n1,1\n2,2\n3,word\n4,5\n", cache_out_of_reach,
+                 id="gains a row, cache out of reach"),
+    pytest.param("n,v\n1,1\n3,word\n", cache_out_of_reach,
+                 id="loses a row, cache out of reach"),
+])
+def test_a_file_that_changes_before_its_text_is_read_again_fails(monkeypatch, tmp_path, edited,
+                                                                  reach):
     monkeypatch.setattr(csvload, "_BLOCK_ROWS", 2)
     path = tmp_path / "late.csv"
     path.write_text("n,v\n1,1\n2,2\n3,word\n")
@@ -243,7 +252,7 @@ def test_a_file_that_changes_before_its_text_is_read_again_fails(monkeypatch, tm
         reread(paths, columns, rows)
 
     monkeypatch.setattr(csvload, "_reread_text", editing_reread)
-    with pytest.raises(MalformedCSV, match="^an input file changed while it was read$"):
+    with reach(), pytest.raises(MalformedCSV, match="^an input file changed while it was read$"):
         open_datastore(path)
     assert not (tmp_path / CACHE).exists()
 

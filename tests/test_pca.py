@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from stagecost import pca
 from stagecost.errors import ConstantColumn, ConvergenceFailure, MissingData
-from stagecost.pca import (
-    correlation_matrix,
-    eigen_sym,
-    extract_factors,
-    suggest_schema,
-)
+from stagecost.pca import correlation_matrix, eigen_sym, extract_factors
 
 
 def random_correlation(rng, p):
@@ -337,31 +332,31 @@ def test_a_matrix_with_a_cell_that_is_not_finite_is_refused(cell):
 # -- factor extraction ------------------------------------------------------------------
 
 
-def test_factor_model_bookkeeping():
+def test_factor_table_bookkeeping():
     rng = random.Random(5)
     corr = random_correlation(rng, 6)
-    model = extract_factors(corr, variance_threshold=0.8)
-    assert model.names == corr.names
-    assert np.all(model.eigenvalues >= 0.0)
-    assert np.all(np.diff(model.eigenvalues) <= 1e-12)
-    assert model.cumulative_variance[-1] == pytest.approx(1.0, abs=1e-10)
-    m = model.selected_components
-    assert model.cumulative_variance[m - 1] >= 0.8 - 1e-12
+    table = extract_factors(corr)
+    eigenvalues, cumulative = (np.array([row[k] for row in table.rows]) for k in (0, 1))
+    assert table.names == corr.names
+    assert all(len(row) == 2 + len(corr.names) for row in table.rows)
+    assert np.all(eigenvalues >= 0.0)
+    assert np.all(np.diff(eigenvalues) <= 1e-12)
+    assert cumulative[-1] == pytest.approx(1.0, abs=1e-10)
+    m, _ = table.suggest(0.8, 0.5)
+    assert cumulative[m - 1] >= 0.8 - 1e-12
     if m > 1:
-        assert model.cumulative_variance[m - 2] < 0.8
+        assert cumulative[m - 2] < 0.8
 
 
 def test_selection_stops_at_the_first_sufficient_component():
     # perfectly correlated pair: eigenvalues (2, 0), so one component explains all
     corr = correlation_matrix([[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.1]])
-    model = extract_factors(corr, variance_threshold=0.95)
-    assert model.selected_components == 1
+    assert extract_factors(corr).suggest(0.95, 0.5)[0] == 1
 
 
 def test_selection_can_need_every_component():
     corr = correlation_matrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
-    model = extract_factors(corr, variance_threshold=1.0)
-    assert model.selected_components == 2
+    assert extract_factors(corr).suggest(1.0, 0.5)[0] == 2
 
 
 class CorrelationMatrixStub:
@@ -374,23 +369,25 @@ class CorrelationMatrixStub:
 
 def test_threshold_exactly_at_a_cumulative_step():
     # identity correlations: V(m) = m/p exactly, so 0.5 selects two of four
-    model = extract_factors(CorrelationMatrixStub(np.eye(4)), variance_threshold=0.5)
-    assert model.selected_components == 2
+    assert extract_factors(CorrelationMatrixStub(np.eye(4))).suggest(0.5, 0.5)[0] == 2
 
 
 def test_threshold_survives_rounding_just_below():
     # eigenvalues sum to p but cumulative variance may land at 0.7999999999999999
     values = np.diag([1.6, 1.6, 0.8, 0.0])
-    model = extract_factors(CorrelationMatrixStub(values), variance_threshold=0.8)
-    assert model.cumulative_variance[1] <= 0.8
-    assert model.selected_components == 2
+    table = extract_factors(CorrelationMatrixStub(values))
+    assert table.rows[1][1] <= 0.8
+    assert table.suggest(0.8, 0.5)[0] == 2
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.2, 1.0001])
 def test_threshold_out_of_range(bad):
-    corr = correlation_matrix([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]])
-    with pytest.raises(ValueError):
-        extract_factors(corr, variance_threshold=bad)
+    # the threshold is checked first: a bad cutoff beside it is not the one named
+    table = extract_factors(correlation_matrix([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]]))
+    for cutoff in (0.5, 0.0):
+        with pytest.raises(ValueError,
+                           match=rf"^variance_threshold must be in \(0, 1\], got {bad}$"):
+            table.suggest(bad, cutoff)
 
 
 # -- schema suggestions -----------------------------------------------------------------
@@ -416,9 +413,8 @@ def correlated_blocks(rng, rows=60):
 
 def test_blocks_become_dimensions():
     corr = correlated_blocks(random.Random(31))
-    model = extract_factors(corr, variance_threshold=0.9)
-    assert model.selected_components == 2
-    schema = suggest_schema(model, loading_cutoff=0.3)
+    selected, schema = extract_factors(corr).suggest(0.9, 0.3)
+    assert selected == 2
     assert [d.name for d in schema.dimensions] == ["dim1", "dim2"]
     groups = [frozenset(name for name, _ in d.members) for d in schema.dimensions]
     assert frozenset(("a1", "a2", "a3", "a4")) in groups
@@ -429,28 +425,26 @@ def test_blocks_become_dimensions():
         assert sizes == sorted(sizes, reverse=True)
 
 
-def test_dimension_metadata_tracks_the_model():
+def test_dimension_metadata_tracks_the_table():
     corr = correlated_blocks(random.Random(37))
-    model = extract_factors(corr, variance_threshold=0.9)
-    schema = suggest_schema(model, loading_cutoff=0.3)
+    table = extract_factors(corr)
+    _, schema = table.suggest(0.9, 0.3)
     for idx, dim in enumerate(schema.dimensions):
         assert dim.component == idx + 1
-        assert dim.eigenvalue == pytest.approx(float(model.eigenvalues[idx]))
+        assert dim.eigenvalue == pytest.approx(table.rows[idx][0])
     assert schema.loading_cutoff == 0.3
 
 
 def test_unreachable_cutoff_flags_empty_dimensions():
     corr = correlated_blocks(random.Random(41))
-    model = extract_factors(corr, variance_threshold=0.9)
-    schema = suggest_schema(model, loading_cutoff=1.0)
+    _, schema = extract_factors(corr).suggest(0.9, 1.0)
     assert all(dim.empty for dim in schema.dimensions)
     assert all(dim.members == () for dim in schema.dimensions)
 
 
 def test_a_variable_may_join_several_dimensions():
     values = np.array([[1.0, 0.5], [0.5, 1.0]])
-    model = extract_factors(CorrelationMatrixStub(values), variance_threshold=1.0)
-    schema = suggest_schema(model, loading_cutoff=0.5)
+    _, schema = extract_factors(CorrelationMatrixStub(values)).suggest(1.0, 0.5)
     # both components load each variable at 1/sqrt(2) ~ 0.707
     assert len(schema.dimensions) == 2
     members = [tuple(name for name, _ in d.members) for d in schema.dimensions]
@@ -459,32 +453,6 @@ def test_a_variable_may_join_several_dimensions():
 
 @pytest.mark.parametrize("bad", [0.0, 1.5])
 def test_cutoff_out_of_range(bad):
-    corr = correlation_matrix([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]])
-    model = extract_factors(corr)
-    with pytest.raises(ValueError):
-        suggest_schema(model, loading_cutoff=bad)
-
-
-# -- the factor table -------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("threshold, cutoff", [(0.5, 0.2), (0.8, 0.5), (0.9, 0.3), (1.0, 1.0)])
-def test_a_factor_table_chooses_and_groups_as_the_model_does(threshold, cutoff):
-    corr = correlated_blocks(random.Random(43))
-    model = extract_factors(corr, variance_threshold=threshold)
-    table = pca.FactorTable.of(model)
-    assert table.rows == np.column_stack(
-        [model.eigenvalues, model.cumulative_variance, model.loadings.T]).tolist()
-    assert table.suggest(threshold, cutoff) == (model.selected_components,
-                                                suggest_schema(model, loading_cutoff=cutoff))
-
-
-@pytest.mark.parametrize("threshold, cutoff, message", [
-    (0.0, 0.5, r"^variance_threshold must be in \(0, 1\], got 0.0$"),
-    (0.8, 1.5, r"^loading_cutoff must be in \(0, 1\], got 1.5$"),
-    (2.0, 0.0, r"^variance_threshold must be in \(0, 1\], got 2.0$"),
-])
-def test_a_factor_table_refuses_what_the_model_refuses(threshold, cutoff, message):
-    model = extract_factors(correlation_matrix([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]]))
-    with pytest.raises(ValueError, match=message):
-        pca.FactorTable.of(model).suggest(threshold, cutoff)
+    table = extract_factors(correlation_matrix([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]]))
+    with pytest.raises(ValueError, match=rf"^loading_cutoff must be in \(0, 1\], got {bad}$"):
+        table.suggest(0.8, bad)

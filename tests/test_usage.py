@@ -8,9 +8,13 @@ of them tell a naive single-subcommand parser apart: its usage line would
 list only that command (``energy ... extra``), and a metavar naming every
 command would rename the argument in the full parser's errors (no command,
 ``bogus``).
+
+README's library example is run too, so a name the library drops cannot stay
+in the docs.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -277,3 +281,16 @@ def test_dispatch_prints_the_recorded_text(capsys, monkeypatch, argv, status, ou
     monkeypatch.setenv("COLUMNS", "80")
     assert dispatch(argv) == status
     assert capsys.readouterr() == (out, err)
+
+
+def test_the_library_example_in_the_readme_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("\n## Library use\n")
+    end = readme.find("\n## ", start + 1)
+    blocks = list(re.compile(r"^```python\n(.*?)^```$", re.DOTALL | re.MULTILINE)
+                  .finditer(readme, start, end if end >= 0 else len(readme)))
+    assert blocks
+    for block in blocks:
+        # padded so that a traceback names the block's line in README.md
+        lines_before = readme.count("\n", 0, block.start(1))
+        exec(compile("\n" * lines_before + block[1], "README.md", "exec"), {})
