@@ -1,11 +1,13 @@
 """The column cache: a table's parse, or a result derived from it, kept beside its inputs.
 
-A parse's entry holds a table's columns; a derived entry holds what numpy
-computed for a command, such as a factor table, as a materialized view of
-its table.  Both are made, checked and kept by the one call
-:func:`cached_result`, which keys every entry on the inputs' bytes and on
-the bytes of this whole package (see :func:`_key_files`), and knows nothing
-of tables or of its callers: a caller that derives a result opens its own.
+A parse's entry holds a table's columns; a derived entry holds what a
+command computed from a table, as a materialized view of it: what numpy
+gave, such as a factor table, or the answer of a fold over every row, such
+as a map-reduce job's counts.  Both are made, checked and kept by the one
+call :func:`cached_result`, which keys every entry on the inputs' bytes and
+on the bytes of this whole package (see :func:`_key_files`), and knows
+nothing of tables or of its callers: a caller that derives a result opens
+its own.
 An entry's file is named by its inputs' paths and its tag alone, so a new
 key replaces the entry in place.  This module imports no other module of
 the package but ``errors``, so a command that reads a derived result back

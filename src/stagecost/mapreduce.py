@@ -10,12 +10,11 @@ alone, are the result.  A count or a maximum keeps its answer as its partial;
 a mean or a variance keeps a fixed tuple, such as (n, mean, M2), that its
 caller finishes.
 
-Progress is reported as whole percentages, each event a named tuple
-(map_pct, reduce_pct): a (0, 0) event once the first chunk is mapped, one
-event after every mapped chunk, and one after every key of the result; the
-final event is always (100, 100).  A built-in mapper finds and checks its
-columns once per table it folds, on the first chunk, so a job it refuses
-reports no progress.
+Progress is reported as whole percentages by ``progress.run_job``: a (0, 0)
+event once the first chunk is mapped, one event after every mapped chunk,
+and one after every key of the result.  A built-in mapper finds and checks
+its columns once per table it folds, on the first chunk, so a job it
+refuses reports no progress.
 """
 
 from __future__ import annotations
@@ -25,13 +24,9 @@ from operator import itemgetter, not_
 from typing import Any, Callable, NamedTuple, Optional
 
 from .datastore import Datastore, TableChunk, format_cell
+from .progress import ProgressEvent, run_job
 
 MAX_KEY = "MaxElapsedTime"  # key under which the built-in max job reports
-
-
-class ProgressEvent(NamedTuple):
-    map_pct: int
-    reduce_pct: int
 
 
 class JobResult(NamedTuple):
@@ -61,22 +56,15 @@ def map_reduce(ds: Datastore, mapper: Mapper, progress_sink: ProgressSink = None
     waits until the first chunk is folded.
     """
     ds.reset()
-    n = ds.chunks_left
-    read, sink = ds.read, _ignore if progress_sink is None else progress_sink
+    read, partials, pairs = ds.read, {}, []
 
-    partials: dict = {}
-    for done in range(1, n + 1):
-        mapper(read(), partials)
-        if done == 1:
-            sink(ProgressEvent(0, 0))
-        sink(ProgressEvent(100 * done // n, 0))
+    def reduce() -> int:
+        pairs.extend(sorted(((format_cell(key), value) for key, value in partials.items()),
+                            key=itemgetter(0)))
+        return len(pairs)
 
-    pairs = sorted(((format_cell(key), value) for key, value in partials.items()),
-                   key=itemgetter(0))
-    for done in range(1, len(pairs) + 1):
-        sink(ProgressEvent(100, 100 * done // len(pairs)))
-    if not pairs:
-        sink(ProgressEvent(100, 100))  # nothing to reduce still finishes the job
+    run_job(ds.chunks_left, lambda: mapper(read(), partials), reduce,
+            _ignore if progress_sink is None else progress_sink)
     return JobResult(pairs=tuple(pairs))
 
 

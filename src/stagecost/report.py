@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .datastore import Datastore, TableChunk
 from .errors import LengthMismatch, MissingData, TypeMismatch
+
+if TYPE_CHECKING:  # so a delay summary read back from the column cache loads no datastore
+    from .datastore import Datastore, TableChunk
 
 # -- delay summaries ---------------------------------------------------------------
 

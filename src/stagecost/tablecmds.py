@@ -3,10 +3,13 @@
 ``cli`` imports this module only when one of them runs, so a model command
 never compiles it; ``pca``'s handler is in ``pcacmd``.  Each handler takes
 the parsed arguments, imports the stagecost modules it calls and returns the
-exit status.  What numpy computes for a command is kept in the column cache
-beside the table: ``regress``'s fit and ``plotdata --fit``'s line.  So a
-later run on the same bytes and columns reads it back and imports no numpy;
-a ``regress`` that does loads no datastore either.
+exit status.  What a command derives from its table is kept in the column
+cache beside the table: ``regress``'s fit and ``plotdata --fit``'s line,
+which numpy computes, and the answer of a ``mapreduce`` job or of
+``delays``, which a fold over every row computes.  So a later run on the
+same bytes and columns reads it back and imports no numpy; a ``regress``, a
+job or a ``delays`` that does loads no datastore either, and a job loads no
+``mapreduce``: it prints the fold's progress from the table's row count.
 """
 
 from __future__ import annotations
@@ -18,46 +21,39 @@ from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from .cli import _fmt6, _json_text
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameter
 
 if TYPE_CHECKING:
     from . import report, stats
+    from .progress import ProgressEvent
 
 # Rows per chunk that delays folds: a chunk copies the rows it holds, so on
 # a 10^6-row table this peaks at 53 MB max RSS, against 98 MB in one chunk.
 _DELAYS_CHUNK = 4096
 
 
-def _fit_tag(kind: str, names: Sequence[str]) -> str:
-    """The column cache's name for the fit of ``kind`` on the columns ``names``, in order."""
+def _fit_tag(kind: str, names: Sequence[str | None]) -> str:
+    """The column cache's name for the result of ``kind`` on the columns ``names``, in order."""
     return json.dumps([kind, *names])
 
 
 def cmd_mapreduce(args) -> int:
-    from . import mapreduce
-    from .datastore import open_datastore
+    """mapreduce run: the job's answer is kept in the column cache under a tag
+    without the chunk size, which changes the progress lines alone, so a job
+    on the same bytes and columns at any chunk size reads it back."""
+    from .colcache import cached_result
+    from .progress import run_job
 
+    if args.chunk_size < 1:  # refused before the inputs are hashed, as an open refuses it
+        raise InvalidParameter(f"chunk_size must be >= 1, got {args.chunk_size}")
     needed = [args.column] if args.job == "max" else [args.key, args.column]
-    # None is an option not given; '' names a column, as in the header ` ,a`.
-    # The file is read first, so a bad row is reported ahead of a missing option.
-    ds = open_datastore(args.input, chunk_size=args.chunk_size,
-                        columns=[name for name in needed if name is not None])
-    # the mapper checks the columns on the first chunk, before any progress
-    if args.job == "max":
-        if args.column is None:
-            raise ConfigError("--column is required for the max job")
-        mapper = mapreduce.builtin_max_mapper(args.column)
-    else:
-        if args.key is None:
-            raise ConfigError("--key is required for the keycount job")
-        mapper = mapreduce.builtin_keycount_mapper(args.key, args.column)
 
     # one event a chunk, but at most ~200 distinct lines: a new line is written
     # at once, and its repeats are held until the next new line or the end
     line = "Map {}% Reduce {}%\n".format
     held, count = None, 0  # the last line's event, and its repeats not yet written
 
-    def show(event: mapreduce.ProgressEvent) -> None:
+    def show(event: ProgressEvent) -> None:
         nonlocal held, count
         if event == held:
             count += 1
@@ -71,12 +67,53 @@ def cmd_mapreduce(args) -> int:
         if text:
             sys.stdout.write(text)
 
+    def fold(inputs: list[str] | None) -> tuple[int, tuple]:
+        from . import mapreduce
+        from .datastore import Datastore
+
+        # None is an option not given; '' names a column, as in the header ` ,a`.
+        # The file is read first, so a bad row is reported ahead of a missing option.
+        ds = Datastore(args.input, args.chunk_size, [name for name in needed if name is not None],
+                       digests=inputs)
+        # the mapper checks the columns on the first chunk, before any progress
+        if args.job == "max":
+            if args.column is None:
+                raise ConfigError("--column is required for the max job")
+            mapper = mapreduce.builtin_max_mapper(args.column)
+        else:
+            if args.key is None:
+                raise ConfigError("--key is required for the keycount job")
+            mapper = mapreduce.builtin_keycount_mapper(args.key, args.column)
+        return ds.total_rows, mapreduce.map_reduce(ds, mapper, progress_sink=show).pairs
+
+    code = "d" if args.job == "max" else "q"  # a float64 maximum, or int64 counts
     try:
-        result = mapreduce.map_reduce(ds, mapper, progress_sink=show)
+        (rows, pairs), _ = cached_result(args.input, _fit_tag(args.job, needed), fold,
+                                         partial(_pack_job, code), partial(_unpack_job, code))
+        if held is None:  # a fold shows at least its last event: this answer was read back
+            run_job(-(-rows // args.chunk_size), lambda: None, lambda: len(pairs), show)
     finally:
         release()  # the held lines go out before any error line
-    sys.stdout.write("".join(f"{key}\t{_fmt6(value)}\n" for key, value in result.readall()))
+    sys.stdout.write("".join(f"{key}\t{_fmt6(value)}\n" for key, value in pairs))
     return 0
+
+
+def _pack_job(code: str, job: tuple[int, tuple]) -> tuple[dict, list]:
+    """A job's cache entry: the table's row count and the key names, and the
+    values as one array of type ``code``."""
+    rows, pairs = job
+    return {"rows": rows, "keys": [key for key, _ in pairs]}, [
+        array(code, [value for _, value in pairs])]
+
+
+def _unpack_job(code: str, fields: dict, blobs: list) -> tuple[int, tuple] | None:
+    """The row count and the pairs an entry keeps, or None if its array is not
+    one value of type ``code`` per key."""
+    (values,) = blobs
+    keys = fields["keys"]
+    if memoryview(values).format != code or len(values) != len(keys):
+        return None
+    return fields["rows"], tuple(zip(keys, values))
 
 
 def _print_regression(summary: stats.RegressionSummary, table: stats.AnovaTable,
@@ -160,17 +197,51 @@ def _unpack_terms(width: int, fields: dict, blobs: list) -> stats.OlsTerms | Non
 
 
 def cmd_delays(args) -> int:
-    from .datastore import open_datastore
-    from .report import DELAY_COLUMNS, delay_summary
+    """delays: the summary is kept in the column cache, so a run on the same
+    bytes reads it back and loads neither the datastore nor ``mapreduce``."""
+    from .colcache import cached_result
+    from .report import DELAY_COLUMNS
 
     path = args.input
     if path is None:
         from . import fixtures
 
         path = str(fixtures.path("delays.csv"))
-    ds = open_datastore(path, chunk_size=_DELAYS_CHUNK, columns=DELAY_COLUMNS)
-    print(_json_text(_delays_doc(delay_summary(ds))))
+
+    def summarise(inputs: list[str] | None) -> report.DelaySummary:
+        from .datastore import Datastore
+        from .report import delay_summary
+
+        return delay_summary(Datastore(path, _DELAYS_CHUNK, DELAY_COLUMNS, digests=inputs))
+
+    summary, _ = cached_result(path, _fit_tag("delays", DELAY_COLUMNS), summarise,
+                               _pack_delays, _unpack_delays)
+    print(_json_text(_delays_doc(summary)))
     return 0
+
+
+def _pack_delays(summary: report.DelaySummary) -> tuple[dict, list]:
+    """A delay summary's cache entry: the record count and the origins, and
+    the mean, minimum and maximum of each delay, overall and then per origin,
+    as one array of float64."""
+    groups = [summary.overall, *summary.per_origin.values()]
+    return {"records": summary.records, "origins": list(summary.per_origin)}, [
+        array("d", [value for group in groups for delay in group.values() for value in delay])]
+
+
+def _unpack_delays(fields: dict, blobs: list) -> report.DelaySummary | None:
+    """The summary an entry keeps, or None if its array is not six floats per group."""
+    from .colcache import _floats
+    from .report import DelayStats, DelaySummary
+
+    origins = fields["origins"]
+    flat = _floats(blobs, 6 * (len(origins) + 1))
+    if flat is None:
+        return None
+    overall, *groups = ({"sending": DelayStats(*flat[at:at + 3]),
+                         "receiving": DelayStats(*flat[at + 3:at + 6])}
+                        for at in range(0, len(flat), 6))
+    return DelaySummary(fields["records"], overall, dict(zip(origins, groups)))
 
 
 def _delays_doc(summary: report.DelaySummary) -> dict:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from stagecost import csvload, fixtures, pca, stats
+from stagecost import csvload, fixtures, mapreduce, pca, stats
 from stagecost.config import KernelRate, SystemConfig, Workload
 from stagecost.energy import e_active_ssd, e_idle_ssd, e_ssd2pfs
 
@@ -32,7 +32,8 @@ def pytest_configure(config):
 # The call that makes each kind of column-cache entry's result, by the name
 # its count goes under; a result is made exactly when its call returns.
 MAKERS = {"parse": (csvload, "_load"), "fit": (stats, "ols_terms"),
-          "line": (stats, "ols_coefficients"), "factoring": (pca, "eigen_sym")}
+          "line": (stats, "ols_coefficients"), "factoring": (pca, "eigen_sym"),
+          "job": (mapreduce, "map_reduce")}
 
 
 class Makers:
@@ -44,9 +45,9 @@ class Makers:
             monkeypatch.setattr(module, attr, self._counting(name, getattr(module, attr)))
 
     def _counting(self, name, make):
-        def counted(*args):
+        def counted(*args, **kwargs):
             self.calls[name] += 1
-            made = make(*args)
+            made = make(*args, **kwargs)
             self.returns[name] += 1
             return made
         return counted
@@ -60,7 +61,7 @@ class Makers:
 
 @pytest.fixture
 def makers(monkeypatch):
-    """The parses, fits, fitted lines and factorings made, counted."""
+    """The parses, fits, fitted lines, factorings and map-reduce jobs made, counted."""
     return Makers(monkeypatch)
 
 

@@ -823,12 +823,14 @@ def test_mapreduce_on_a_blank_named_column(capsys, tmp_path, job, expected):
 @pytest.mark.parametrize("cells, expected", [("-0\n0\n", "-0"), ("0\n-0\n", "0")])
 def test_mapreduce_max_keeps_the_first_of_equal_maxima(capsys, tmp_path, chunk_size, cells,
                                                        expected):
-    # -0 and 0 are equal: the one nearer the top wins, within a chunk and across chunks
+    # -0 and 0 are equal: the one nearer the top wins, within a chunk and across
+    # chunks, and a job that reads its answer back keeps it
     path = tmp_path / "zeros.csv"
     path.write_text("v\n" + cells)
-    assert dispatch(["mapreduce", "run", "--job", "max", "--column", "v", "--input", str(path),
-                     "--chunk-size", chunk_size]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == f"MaxElapsedTime\t{expected}"
+    for _ in range(2):  # a fold, then a hit
+        assert dispatch(["mapreduce", "run", "--job", "max", "--column", "v", "--input",
+                         str(path), "--chunk-size", chunk_size]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"MaxElapsedTime\t{expected}"
 
 
 def test_numeric_keys_are_named_as_written(capsys, tmp_path):
@@ -887,9 +889,10 @@ def test_keycount_prints_counts_of_a_million_and_more_exactly(capsys, monkeypatc
     monkeypatch.setattr(mapreduce, "builtin_keycount_mapper", padded_keycount)
     path = tmp_path / "keys.csv"
     path.write_text("k\na\na\na\n")
-    assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "k",
-                     "--input", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == f"a\t{expected}"
+    for _ in range(2):  # a fold, then a hit, which reads the count back as an int
+        assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "k",
+                         "--input", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"a\t{expected}"
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None,
@@ -979,18 +982,23 @@ def test_mapreduce_on_a_broken_pipe_prints_one_error(capsys, monkeypatch, tmp_pa
     # 200 chunks and 3 keys: the map percentages come twice each (but 0, with
     # the first event, and 100), so 101 writes carry the map lines, each with
     # the repeat of the line before, 3 the reduce lines and one the result;
-    # whichever write meets the closed pipe, the job stops there with one error
+    # whichever write meets the closed pipe, the job stops there with one error,
+    # whether it reads its answer back or folds the table
     path = tmp_path / "keys.csv"
     path.write_text("k\n" + "".join(f"k{i % 3}\n" for i in range(800)))
     argv = ["mapreduce", "run", "--job", "keycount", "--key", "k", "--input", str(path)]
     whole = _CountedWrites()
     monkeypatch.setattr(sys, "stdout", whole)
     assert dispatch(argv) == 0
-    out = _CountedWrites(fail_at)
-    monkeypatch.setattr(sys, "stdout", out)
-    assert (dispatch(argv), capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
-    assert out.writes == fail_at  # a write that failed is not tried again
-    assert whole.writes == 105 and whole.getvalue().startswith(out.getvalue())
+    assert whole.writes == 105
+    for cache in ("a hit", "a miss"):
+        if cache == "a miss":
+            shutil.rmtree(tmp_path / colcache._CACHE_DIR)
+        out = _CountedWrites(fail_at)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert (dispatch(argv), capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
+        assert out.writes == fail_at  # a write that failed is not tried again
+        assert whole.getvalue().startswith(out.getvalue())
 
 
 @pytest.mark.parametrize("chunk_size, shown", [
@@ -1473,9 +1481,9 @@ _PARSE = ["colcache", "csvload", "datastore"]
         (["simulate", "--config", "{config}", "--kernel", "k1", "--tick", "1",
           "--trace", "{trace}"], ["config", "sim", "simtrace"], _DATACLASSES),
         (["mapreduce", "run", "--job", "max", "--column", "ActualElapsedTime",
-          "--input", "{servers}"], [*_PARSE, "mapreduce", "tablecmds"], _CSV),
+          "--input", "{servers}"], [*_PARSE, "mapreduce", "progress", "tablecmds"], _CSV),
         (["mapreduce", "run", "--job", "max", "--column", "ActualElapsedTime",
-          "--input", "{servers}"], ["colcache", "datastore", "mapreduce", "tablecmds"], []),
+          "--input", "{servers}"], ["colcache", "progress", "tablecmds"], []),
         (["regress", "--input", "{servers}", "--dependent", "ActualElapsedTime",
           "--independents", "CRSElapsedTime"], [*_PARSE, "stats", "tablecmds"], _NUMPY + _CSV),
         (["regress", "--input", "{servers}", "--dependent", "ActualElapsedTime",
@@ -1491,13 +1499,16 @@ _PARSE = ["colcache", "csvload", "datastore"]
         (["plotdata", "--input", "{servers}", "--x", "ActualElapsedTime",
           "--y", "CRSElapsedTime", "--fit"], ["colcache", "datastore", "report", "tablecmds"],
          []),
-        (["delays"], [*_PARSE, "fixtures", "mapreduce", "report", "tablecmds"], _CSV),
-        (["delays", "--input", "{delays}"], [*_PARSE, "mapreduce", "report", "tablecmds"],
+        (["delays"], [*_PARSE, "fixtures", "mapreduce", "progress", "report", "tablecmds"],
          _CSV),
+        (["delays", "--input", "{delays}"],
+         [*_PARSE, "mapreduce", "progress", "report", "tablecmds"], _CSV),
+        (["delays", "--input", "{delays}"], ["colcache", "report", "tablecmds"], []),
     ],
     ids=["import", "energy", "compare", "simulate", "simulate-trace", "mapreduce",
          "mapreduce-cached", "regress", "regress-cached", "regress-from-ss", "pca", "pca-cached",
-         "plotdata", "plotdata-fit", "plotdata-fit-cached", "delays", "delays-input"],
+         "plotdata", "plotdata-fit", "plotdata-fit-cached", "delays", "delays-input",
+         "delays-input-cached"],
 )
 def test_each_command_loads_only_the_modules_it_calls(request, capsys, config_file, servers_csv,
                                                       delays_csv, tmp_path, argv, extra,
@@ -1510,7 +1521,9 @@ def test_each_command_loads_only_the_modules_it_calls(request, capsys, config_fi
     # an entry goes beside its input.  Each *-cached command runs after the
     # same command on its table, and reads back its columns without the parser
     # and csv, and what numpy gave without numpy: pca's factor table and
-    # regress's fit without the datastore either, plotdata's line.
+    # regress's fit without the datastore either, plotdata's line.  A job's
+    # answer and a delay summary are read back without the datastore and
+    # without mapreduce, the fold.
     wide = tmp_path / "wide.csv"
     wide.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
     servers, delays = tmp_path / "servers.csv", tmp_path / "delays.csv"

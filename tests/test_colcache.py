@@ -3,8 +3,9 @@
 A state machine runs the table commands in-process over two small tables,
 while other steps change the tables, the cache directory and the key under
 them.  After every command it checks the output against the same command
-with the cache out of reach, the parses, fits and factorings made against a
-model of the entries, and the cache directory against the model's entries.
+with the cache out of reach, the parses, fits, factorings and jobs made
+against a model of the entries, and the cache directory against the
+model's entries.
 A new entry kind, or a new way to change its inputs, is a new rule here.
 
 The tests after the machine check each entry kind where the machine only
@@ -31,15 +32,16 @@ from pathlib import Path
 import pytest
 from _oracles import cache_out_of_reach, everything
 from conftest import Makers
-from hypothesis import HealthCheck, Phase, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 from hypothesis.stateful import run_state_machine_as_test
 
-from stagecost import colcache, csvload, pca, pcacmd, stats, tablecmds
+from stagecost import colcache, csvload, mapreduce, pca, pcacmd, stats, tablecmds
 from stagecost.cli import dispatch
 from stagecost.datastore import Datastore
 from stagecost.errors import DomainError, MalformedCSV, ToolkitError
+from stagecost.report import DELAY_COLUMNS
 
 _CHANGED = "an input file changed while it was read"
 
@@ -54,6 +56,13 @@ def _run(argv, output=None):
         status = dispatch(argv)
     written = output.read_bytes() if output is not None and output.exists() else None
     return status, out.getvalue(), err.getvalue(), written
+
+
+def _job(name: str, key: str | None = None, column: str | None = None) -> tuple[list, str]:
+    """The command and the tag of the mapreduce job ``name`` on ``key`` and ``column``."""
+    argv = ["mapreduce", "run", "--job", name, *(["--key", key] if key is not None else []),
+            *(["--column", column] if column is not None else [])]
+    return argv, tablecmds._fit_tag(name, [column] if name == "max" else [key, column])
 
 
 # -- the state machine -----------------------------------------------------------------
@@ -275,19 +284,20 @@ class CacheMachine(RuleBasedStateMachine):
                                   axes[1], "--fit", "--output", str(self.output)], self.output),
                     lambda ref, changed: self._plot(paths, axes, ref, changed))
 
-    @rule()
-    def run_keycount(self):
+    # a job's entry is shared by every chunk size, which changes only the progress lines
+    @rule(chunk_size=st.integers(1, 4))
+    def run_keycount(self, chunk_size):
         paths = self._paths("a.csv", "b.csv")
-        self._check(lambda: _run(["mapreduce", "run", "--job", "keycount", "--key", "k",
-                                  "--chunk-size", "3", "--input", *paths]),
-                    lambda ref, changed: self._parse(paths, ["k"], changed))
+        argv, tag = _job("keycount", key="k")
+        self._check(lambda: _run([*argv, "--chunk-size", str(chunk_size), "--input", *paths]),
+                    lambda ref, changed: self._derived(paths, tag, ["k"], "job", ref, changed))
 
-    @rule(file=_FILES, column=st.sampled_from(["k", "y"]))
-    def run_max(self, file, column):
+    @rule(file=_FILES, column=st.sampled_from(["k", "y"]), chunk_size=st.integers(1, 4))
+    def run_max(self, file, column, chunk_size):
         paths = self._paths(file)
-        self._check(lambda: _run(["mapreduce", "run", "--job", "max", "--column", column,
-                                  "--chunk-size", "2", "--input", *paths]),
-                    lambda ref, changed: self._parse(paths, [column], changed))
+        argv, tag = _job("max", column=column)
+        self._check(lambda: _run([*argv, "--chunk-size", str(chunk_size), "--input", *paths]),
+                    lambda ref, changed: self._derived(paths, tag, [column], "job", ref, changed))
 
     @rule(files=st.sampled_from([["a.csv"], ["b.csv"], ["a.csv", "b.csv"]]),
           columns=st.sampled_from([None, ["k"], ["x", "y"], ["y", "x", "x"], ["k", "nope"], []]),
@@ -387,6 +397,43 @@ def test_every_command_prints_what_it_prints_with_no_cache(monkeypatch, tmp_path
                           phases=set(Phase) - {Phase.explain}))
 
 
+# -- a job's answer at any chunk size ----------------------------------------------------
+
+# A text key, and a numeric key where 0 and -0 are one key and a whole float
+# from 1e15 on is named by its repr; every cell of ``gone`` is missing, so no
+# key survives a job on it.
+_JOB_ROW = st.tuples(st.sampled_from(["a", "b c", " a ", "NA"]),
+                     st.sampled_from(["0", "-0", "0.0", "1e15", "1000000000000001", "2.5", "NA"]),
+                     st.sampled_from(["0", "-0", "1.5", "-2", "NA"]))
+_JOBS = [_job("keycount", key="t"), _job("keycount", key="n", column="v"),
+         _job("keycount", key="t", column="gone"), _job("max", column="v"),
+         _job("max", column="n"), _job("max", column="gone")]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=list(HealthCheck))
+@given(rows=st.lists(_JOB_ROW, min_size=1, max_size=6), data=st.data())
+def test_a_job_read_back_prints_what_its_fold_prints_at_any_chunk_size(tmp_path, makers, rows,
+                                                                       data):
+    # the chunk size is not in a job's key: a job folded at one size and read
+    # back at another prints the progress lines and the answer of a fold at
+    # the second, the first of equal maxima included
+    path = tmp_path / "t.csv"
+    path.write_text("t,n,v,gone\n" + "".join(f"{t},{n},{v},NA\n" for t, n, v in rows))
+    sizes = st.integers(1, len(rows) + 1)
+    for argv, tag in _JOBS:
+        a, b = data.draw(st.tuples(sizes, sizes), label=" ".join(argv[3:]))
+
+        def at(size):
+            return lambda: _run([*argv, "--chunk-size", str(size), "--input", str(path)])
+
+        with cache_out_of_reach():
+            folded = at(b)()
+        _entry_of(path, tag).unlink(missing_ok=True)
+        assert makers.during(at(a))[1].get("job") == 1
+        assert makers.during(at(b))[:2] == (folded, {})
+
+
 # -- what the machine samples or cannot see ---------------------------------------------
 
 # Each entry kind: the table it is made of, the command that keeps it (None: an
@@ -399,6 +446,11 @@ _KINDS = {
                 tablecmds._fit_tag("regress", ["y", "x", "z"]), "fit"),
     "plotdata": (_FIT_TABLE, ["plotdata", "--x", "x", "--y", "y", "--fit"],
                  tablecmds._fit_tag("plotdata", ["x", "y"]), "line"),
+    "job": (_FIT_TABLE, *_job("keycount", key="y"), "job"),
+    # a delay summary is the answer of a fold too; the edit is to a SendingDelay
+    "delays": ("UniqueCarrier,ServerNum,SendingDelay,ReceivingDelay,Origin\n"
+               "S1,2,1,3,C1\nS2,3,4,-0,C2\nS1,4,6,0,C1\n", ["delays"],
+               tablecmds._fit_tag("delays", DELAY_COLUMNS), "job"),
 }
 
 
@@ -467,7 +519,7 @@ def _reshaped(change: str, whole: bytes) -> bytes:
         assert head["types"][:2] == ["I", "B"]
         head["lengths"][0] += 1
         head["lengths"][1] -= 1
-    else:  # the last float of the array dropped
+    else:  # the last item of the array dropped: 8 bytes, a float or a count
         head["lengths"][0] -= 8
         payload = payload[:-8]
     line = json.dumps(head).encode() + b"\n"
@@ -477,7 +529,8 @@ def _reshaped(change: str, whole: bytes) -> bytes:
 @pytest.mark.parametrize("kind, change", [
     ("parse", "a word short"), ("parse", "a row short"), ("parse", "a column short"),
     ("parse", "an array of no whole number of items"), ("factors", "a float short"),
-    ("regress", "a float short"), ("plotdata", "a float short"),
+    ("regress", "a float short"), ("plotdata", "a float short"), ("job", "a count short"),
+    ("delays", "a float short"),
 ])
 def test_an_entry_that_disagrees_with_itself_is_a_miss(tmp_path, makers, kind, change):
     # an entry rewritten with its sha256 to match, as a writer with another
@@ -532,7 +585,7 @@ def test_a_table_edited_while_it_is_parsed_keeps_no_entry(monkeypatch, tmp_path,
     assert makers.during(run)[:2] == (want, {})
 
 
-@pytest.mark.parametrize("kind", ["factors", "regress", "plotdata"])
+@pytest.mark.parametrize("kind", ["factors", "regress", "plotdata", "job", "delays"])
 def test_a_hit_hashes_the_table_once_and_a_miss_once_more_than_an_open(monkeypatch, tmp_path,
                                                                        makers, kind):
     hashes = [0]
@@ -572,11 +625,10 @@ def test_every_entry_is_keyed_on_the_package_modules_and_on_numpy():
     assert numpy.__version__ in Path(version).read_text()
 
 
-# every entry kind on one table: keycount's parse, and each derived result with its parse
-_EVERY_KIND = [["mapreduce", "run", "--job", "keycount", "--key", "k"],
-               *(argv for _, argv, _, _ in list(_KINDS.values())[1:])]
-_EVERY_ENTRY_MISSES = [{"parse": 1}, *({"parse": 1, maker: 1}
-                                       for _, _, _, maker in list(_KINDS.values())[1:])]
+# every entry kind of one table: each derived result with its parse
+_EVERY_KIND = [argv for text, argv, _, _ in _KINDS.values() if text == _FIT_TABLE]
+_EVERY_ENTRY_MISSES = [{"parse": 1, maker: 1} for text, _, _, maker in _KINDS.values()
+                       if text == _FIT_TABLE]
 
 
 def _rounds(tmp_path, makers):
@@ -607,7 +659,7 @@ def test_an_edit_to_a_file_that_keys_the_entries_replaces_every_entry(monkeypatc
     monkeypatch.setattr(colcache, "_key_files", lambda: keyed)
     round_ = _rounds(tmp_path, makers)
     outputs, _, names = round_()
-    assert len(names) == 7  # four parses, a factor table and two fits
+    assert len(names) == 8  # four parses, a factor table, two fits and a job's answer
     with open(copies / edited, "ab") as fh:
         fh.write(b"\n")
     assert round_() == (outputs, _EVERY_ENTRY_MISSES, names)
@@ -687,6 +739,43 @@ def test_a_failing_command_keeps_no_entry_of_its_result_and_fails_the_same_way_a
         assert not _entry_of("t.csv", tag).exists()
 
 
+@pytest.mark.parametrize("first", [None, _job("keycount", key="t")], ids=["cold", "after-a-job"])
+@pytest.mark.parametrize("job, error", [
+    (_job("max", column="t"), "column 't' is not numeric"),
+    (_job("max", column="nope"), "no column named 'nope'"),
+    (_job("keycount", key="nope"), "no column named 'nope'"),
+    (_job("keycount", key="t", column="nope"), "no column named 'nope'"),
+], ids=["max-text", "max-unknown", "keycount-unknown-key", "keycount-unknown-column"])
+def test_a_failing_job_prints_only_its_error_and_keeps_no_entry(monkeypatch, tmp_path, first,
+                                                                job, error):
+    # on a table the cache has not seen, and after another job on the same
+    # bytes has kept its answer and the parse of the columns they share
+    monkeypatch.chdir(tmp_path)
+    Path("t.csv").write_text(_FAILING)
+    if first is not None:
+        assert _run([*first[0], "--input", "t.csv"])[0] == 0
+    argv, tag = job
+    for _ in range(2):
+        assert _run([*argv, "--input", "t.csv"]) == (1, "", f"error: {error}\n", None)
+        assert not _entry_of("t.csv", tag).exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_a_bad_chunk_size_is_refused_before_the_inputs_are_hashed(monkeypatch, tmp_path, size):
+    # the job's answer is kept, and reading it back would need no chunk at all
+    path = tmp_path / "t.csv"
+    path.write_text(_FAILING)
+    argv = [*_job("keycount", key="t")[0], "--input", str(path)]
+    assert _run(argv)[0] == 0
+
+    def no_hash(paths):
+        raise AssertionError("the inputs are hashed")
+
+    monkeypatch.setattr(colcache, "_input_digests", no_hash)
+    assert _run([*argv, "--chunk-size", size]) == (
+        1, "", f"error: chunk_size must be >= 1, got {size}\n", None)
+
+
 @pytest.mark.parametrize("options", [("--cutoff", "0"), ("--cutoff", "nan"),
                                      ("--threshold", "1.5"), ("--threshold", "0", "--cutoff", "2")])
 def test_a_bad_option_fails_the_same_way_on_a_hit_as_on_a_miss(tmp_path, makers, options):
@@ -738,7 +827,8 @@ class _FullDisk:
 
 
 _CACHED_COMMANDS = {
-    "keycount": ["mapreduce", "run", "--job", "keycount", "--key", "k"],
+    "keycount": _job("keycount", key="k")[0],
+    "max": _job("max", column="y")[0],
     "regress": ["regress", "--dependent", "y", "--independents", "x"],
     "pca": ["pca"],
 }
@@ -771,13 +861,15 @@ def test_an_entry_write_that_fails_part_way_leaves_no_file_and_the_output(monkey
 
 
 @pytest.mark.parametrize("command, module, name", [
-    ("keycount", csvload, "_load"), ("regress", stats, "ols_terms"),
+    ("keycount", csvload, "_load"), ("keycount", mapreduce, "map_reduce"),
+    ("max", mapreduce, "map_reduce"), ("regress", stats, "ols_terms"),
     ("pca", pca, "extract_factors"),
 ])
 def test_an_input_deleted_before_it_is_hashed_again_keeps_no_entry(monkeypatch, tmp_path,
                                                                    command, module, name):
-    # the input goes away once the parse, the fit or the factoring is made: the
-    # result is printed, and kept only if it was made before (the parse of a fit)
+    # the input goes away once the parse, the fit, the factoring or the fold is
+    # made: the result is printed, and kept only if it was made before (the
+    # parse of a fit, a factoring or a fold)
     path, copy = _table_and_copy(tmp_path)
     want = _run([*_CACHED_COMMANDS[command], "--input", str(copy)])
     make = getattr(module, name)
@@ -791,4 +883,4 @@ def test_an_input_deleted_before_it_is_hashed_again_keeps_no_entry(monkeypatch, 
     assert _run([*_CACHED_COMMANDS[command], "--input", str(path)]) == want
     cache = tmp_path / colcache._CACHE_DIR
     kept = list(cache.iterdir()) if cache.exists() else []
-    assert len(kept) == (0 if command == "keycount" else 1)  # a fit's or pca's parse entry
+    assert len(kept) == (0 if name == "_load" else 1)  # the parse entry of the derived result
