@@ -10,7 +10,8 @@ alone, are the result.  A count or a maximum keeps its answer as its partial;
 a mean or a variance keeps a fixed tuple, such as (n, mean, M2), that its
 caller finishes.
 
-Progress is reported as whole percentages by ``progress.run_job``: a (0, 0)
+Progress is reported as whole percentages by ``progress.run_job``, which
+sends the events of ``progress.steps`` one by one as the fold goes: a (0, 0)
 event once the first chunk is mapped, one event after every mapped chunk,
 and one after every key of the result.  A built-in mapper finds and checks
 its columns once per table it folds, on the first chunk, so a job it

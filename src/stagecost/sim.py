@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from operator import sub
 from typing import NamedTuple
 
 from .config import SystemConfig, Workload, validate
@@ -105,22 +104,28 @@ class DiscrepancyReport(NamedTuple):
     failed_terms: tuple[str, ...]
 
 
-def _fifo(arrivals, mb: float, rate: float) -> array:
+def _fifo(arrivals, mb: float, rate: float) -> tuple[array, float]:
     """Serve jobs of ``mb`` each, arriving at ``arrivals`` in order, on one FIFO server.
 
     Departures follow Lindley's recursion ``d_i = max(a_i, d_{i-1}) + mb / rate``.
-    Returns the departure times.  Jobs of no size are not served.
+    Returns the departure times and the largest wait of a job at its arrival,
+    ``d_{i-1} - a_i``, or 0.0 if no job waits.  Jobs of no size are not served.
     """
     done = array("d")
     if not mb > 0:
-        return done
+        return done, 0.0
     service = mb / rate
     append = done.append
-    d = 0.0
+    d = wait = 0.0
     for a in arrivals:
-        d = (d if d > a else a) + service
+        if d > a:
+            if d - a > wait:
+                wait = d - a
+            d += service
+        else:
+            d = a + service
         append(d)
-    return done
+    return done, wait
 
 
 def _busy(jobs: int, mb: float, rate: float) -> float:
@@ -222,7 +227,7 @@ def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimRe
     # data to the analyzer and its checkpoint to the drain, which also takes
     # each analysed batch's output.  Only ingest's departure times are needed
     # here: the other two stations' busy seconds follow from their job counts.
-    staged = _fifo(map(tick.__mul__, range(n_ticks)), batch_mb, rates["ssd_ingest"])
+    staged, wait = _fifo(map(tick.__mul__, range(n_ticks)), batch_mb, rates["ssd_ingest"])
     analyzed = len(staged) if analysis_per_tick > 0 else 0
     busy = {
         "ssd_ingest": _busy(len(staged), batch_mb, rates["ssd_ingest"]),
@@ -231,12 +236,11 @@ def simulate(cfg: SystemConfig, wl: Workload, kernel: str, tick: float) -> SimRe
     }
 
     # Unfinished ingest work just before each tick: the previous batch's
-    # departure minus the tick time, times the rate.  Below ``dust`` it is
-    # float noise, not real backlog.  Rounding is monotone, so the largest
-    # product is the product of the largest gap.
+    # departure minus the tick time, the batch's wait, times the rate.  Below
+    # ``dust`` it is float noise, not real backlog.  Rounding is monotone, so
+    # the largest product is the product of the largest wait.
     dust = 1e-9 * max(batch_mb, 1.0)
-    gaps = map(sub, staged, map(tick.__mul__, range(1, n_ticks)))
-    backlog_max = max(gaps, default=0.0) * rates["ssd_ingest"]
+    backlog_max = wait * rates["ssd_ingest"]
     if backlog_max <= dust:
         backlog_max = 0.0
     overrun = (staged[-1] if staged else 0.0) - cfg.tsim
@@ -270,7 +274,7 @@ def event_log(report: SimReport) -> EventLog:
     job counts.
     """
     staged = report.staged
-    analyzed = _fifo(staged, report.analysis_mb, report.analyze_rate)
+    analyzed, _ = _fifo(staged, report.analysis_mb, report.analyze_rate)
     drained, sources = _drain(staged, analyzed, report.drain_mb, report.drain_rate)
     return EventLog(
         tick=report.tick,

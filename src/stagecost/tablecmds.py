@@ -40,9 +40,10 @@ def _fit_tag(kind: str, names: Sequence[str | None]) -> str:
 def cmd_mapreduce(args) -> int:
     """mapreduce run: the job's answer is kept in the column cache under a tag
     without the chunk size, which changes the progress lines alone, so a job
-    on the same bytes and columns at any chunk size reads it back."""
+    on the same bytes and columns at any chunk size reads it back.  One read
+    back shows each run of equal events of ``progress.steps`` in one step."""
     from .colcache import cached_result
-    from .progress import run_job
+    from .progress import steps
 
     if args.chunk_size < 1:  # refused before the inputs are hashed, as an open refuses it
         raise InvalidParameter(f"chunk_size must be >= 1, got {args.chunk_size}")
@@ -53,13 +54,13 @@ def cmd_mapreduce(args) -> int:
     line = "Map {}% Reduce {}%\n".format
     held, count = None, 0  # the last line's event, and its repeats not yet written
 
-    def show(event: ProgressEvent) -> None:
+    def show(event: ProgressEvent, repeats: int = 1) -> None:
         nonlocal held, count
         if event == held:
-            count += 1
+            count += repeats
         else:
             release(line(*event))
-            held = event
+            held, count = event, repeats - 1
 
     def release(new: str = "") -> None:  # zeroed first: a write that raised is not tried again
         nonlocal count
@@ -91,7 +92,8 @@ def cmd_mapreduce(args) -> int:
         (rows, pairs), _ = cached_result(args.input, _fit_tag(args.job, needed), fold,
                                          partial(_pack_job, code), partial(_unpack_job, code))
         if held is None:  # a fold shows at least its last event: this answer was read back
-            run_job(-(-rows // args.chunk_size), lambda: None, lambda: len(pairs), show)
+            for event, repeats in steps(-(-rows // args.chunk_size), lambda: len(pairs)):
+                show(event, repeats)
     finally:
         release()  # the held lines go out before any error line
     sys.stdout.write("".join(f"{key}\t{_fmt6(value)}\n" for key, value in pairs))

@@ -953,6 +953,91 @@ def test_mapreduce_writes_follow_the_percentages_not_the_chunks(monkeypatch, tmp
     assert writes[0] == writes[1] <= 203, writes
 
 
+class _RecordedWrites(io.StringIO):
+    """A stdout that keeps the text of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+        return super().write(text)
+
+
+@st.composite
+def _counted_tables(draw):
+    """Rows (fewer than 100 too), a chunk size up to past the row count, and a
+    key count, 0 when every value cell is NA."""
+    rows = draw(st.one_of(st.integers(1, 99), st.integers(100, 900)))
+    chunk_size = draw(st.one_of(st.integers(1, 9), st.integers(1, rows + 5)))
+    keys = draw(st.integers(0, 40))
+    return rows, chunk_size, keys
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_counted_tables())
+@example(table=(900, 1, 3))
+@example(table=(7, 12, 0))
+@example(table=(250, 3, 40))
+def test_a_hit_makes_the_writes_of_the_fold(monkeypatch, tmp_path, table):
+    # a hit counts each percentage's lines and holds them as the fold does:
+    # the same writes of the same text, one by one
+    rows, chunk_size, keys = table
+    path = tmp_path / "keys.csv"
+    path.write_text("k,v\n" + "".join(
+        f"k{i % keys},{i}\n" if keys else f"k{i % 3},NA\n" for i in range(rows)))
+    for job in (["keycount", "--key", "k", "--column", "v"], ["max", "--column", "v"]):
+        shutil.rmtree(tmp_path / colcache._CACHE_DIR, ignore_errors=True)
+        writes = []
+        for _ in ("a fold", "a hit"):
+            out = _RecordedWrites()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert dispatch(["mapreduce", "run", "--job", *job, "--input", str(path),
+                             "--chunk-size", str(chunk_size)]) == 0
+            writes.append(out.texts)
+        assert writes[0] == writes[1]
+        # one write per distinct progress line, and one for the result
+        assert len(writes[1]) == len(set("".join(writes[1][:-1]).splitlines())) + 1
+
+
+def test_a_hits_progress_grows_with_the_percentages_not_the_chunks(monkeypatch, tmp_path):
+    # 10^5 chunks of one row: a hit hands its line holder one step per run of
+    # equal events, two at most besides the distinct lines, while the fold
+    # sends its sink an event per chunk
+    from stagecost import mapreduce
+
+    path = tmp_path / "keys.csv"
+    path.write_text("k\n" + "".join(f"k{i % 5}\n" for i in range(10**5)))
+    argv = ["mapreduce", "run", "--job", "keycount", "--key", "k", "--input", str(path),
+            "--chunk-size", "1"]
+    events = []
+    mapreduce.map_reduce(open_datastore(path, chunk_size=1),
+                         mapreduce.builtin_keycount_mapper("k"), progress_sink=events.append)
+    assert len(events) == 1 + 10**5 + 5
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert dispatch(argv) == 0  # the fold writes the entry
+    shown = []
+
+    def count_show(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "show" and code.co_filename == tablecmds.__file__:
+            shown.append(frame.f_locals.get("repeats"))
+
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    sys.setprofile(count_show)
+    try:
+        assert dispatch(argv) == 0
+    finally:
+        sys.setprofile(None)
+    lines = out.getvalue().splitlines()
+    assert lines[:-5] == [f"Map {e.map_pct}% Reduce {e.reduce_pct}%" for e in events]
+    assert sum(shown) == len(events)
+    assert len(shown) <= len(set(lines[:-5])) + 2
+
+
 @pytest.mark.parametrize("chunk_size", [1, 7, 500])
 def test_mapreduce_shows_each_new_percentage_before_the_next_chunk(monkeypatch, tmp_path,
                                                                   chunk_size):
