@@ -15,7 +15,9 @@ sends the events of ``progress.steps`` one by one as the fold goes: a (0, 0)
 event once the first chunk is mapped, one event after every mapped chunk,
 and one after every key of the result.  A built-in mapper finds and checks
 its columns once per table it folds, on the first chunk, so a job it
-refuses reports no progress.
+refuses reports no progress.  ``stagecost mapreduce run`` passes no sink:
+it folds in chunks of its own size and prints the events of
+``progress.steps`` for its ``--chunk-size`` once the answer is known.
 """
 
 from __future__ import annotations

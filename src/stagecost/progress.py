@@ -5,9 +5,9 @@ first chunk is mapped, one event after every mapped chunk, and one after
 every key of the result; the final event is always (100, 100).
 :func:`steps` is the one schedule of these events, as runs of equal ones.
 ``map_reduce`` runs its fold through :func:`run_job`, which sends them one
-by one, and a command that reads a job's answer back from the column cache
-takes a run at a time: it reports the fold's events without loading the
-datastore or ``mapreduce``, in a time that grows with the runs, not the chunks.
+by one.  ``stagecost mapreduce run`` takes a run at a time once the job's
+answer is known, whether it folded the table or read the answer back from
+the column cache, so its writes grow with the runs, not the chunks.
 """
 
 from __future__ import annotations

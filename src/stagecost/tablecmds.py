@@ -9,7 +9,8 @@ which numpy computes, and the answer of a ``mapreduce`` job or of
 ``delays``, which a fold over every row computes.  So a later run on the
 same bytes and columns reads it back and imports no numpy; a ``regress``, a
 job or a ``delays`` that does loads no datastore either, and a job loads no
-``mapreduce``: it prints the fold's progress from the table's row count.
+``mapreduce``.  A job prints its progress lines from the table's row count
+once its answer is known, whether it folded or read the answer back.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import json
 import sys
 from array import array
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .cli import _fmt6, _json_text
@@ -25,11 +28,10 @@ from .errors import ConfigError, InvalidParameter
 
 if TYPE_CHECKING:
     from . import report, stats
-    from .progress import ProgressEvent
 
-# Rows per chunk that delays folds: a chunk copies the rows it holds, so on
-# a 10^6-row table this peaks at 53 MB max RSS, against 98 MB in one chunk.
-_DELAYS_CHUNK = 4096
+# Rows per chunk that a job or delays folds: a chunk copies the rows it holds,
+# so delays on a 10^6-row table peaks at 53 MB max RSS, against 98 MB in one chunk.
+_FOLD_CHUNK = 4096
 
 
 def _fit_tag(kind: str, names: Sequence[str | None]) -> str:
@@ -40,8 +42,10 @@ def _fit_tag(kind: str, names: Sequence[str | None]) -> str:
 def cmd_mapreduce(args) -> int:
     """mapreduce run: the job's answer is kept in the column cache under a tag
     without the chunk size, which changes the progress lines alone, so a job
-    on the same bytes and columns at any chunk size reads it back.  One read
-    back shows each run of equal events of ``progress.steps`` in one step."""
+    on the same bytes and columns at any chunk size reads it back.  A miss
+    folds the table in chunks of ``_FOLD_CHUNK`` rows; a miss and a hit then
+    print the events of ``progress.steps`` for the chunk size's chunk count,
+    one write per run of equal lines, and one for the result."""
     from .colcache import cached_result
     from .progress import steps
 
@@ -49,34 +53,14 @@ def cmd_mapreduce(args) -> int:
         raise InvalidParameter(f"chunk_size must be >= 1, got {args.chunk_size}")
     needed = [args.column] if args.job == "max" else [args.key, args.column]
 
-    # one event a chunk, but at most ~200 distinct lines: a new line is written
-    # at once, and its repeats are held until the next new line or the end
-    line = "Map {}% Reduce {}%\n".format
-    held, count = None, 0  # the last line's event, and its repeats not yet written
-
-    def show(event: ProgressEvent, repeats: int = 1) -> None:
-        nonlocal held, count
-        if event == held:
-            count += repeats
-        else:
-            release(line(*event))
-            held, count = event, repeats - 1
-
-    def release(new: str = "") -> None:  # zeroed first: a write that raised is not tried again
-        nonlocal count
-        text, count = (line(*held) * count if count else "") + new, 0
-        if text:
-            sys.stdout.write(text)
-
     def fold(inputs: list[str] | None) -> tuple[int, tuple]:
         from . import mapreduce
         from .datastore import Datastore
 
         # None is an option not given; '' names a column, as in the header ` ,a`.
         # The file is read first, so a bad row is reported ahead of a missing option.
-        ds = Datastore(args.input, args.chunk_size, [name for name in needed if name is not None],
+        ds = Datastore(args.input, _FOLD_CHUNK, [name for name in needed if name is not None],
                        digests=inputs)
-        # the mapper checks the columns on the first chunk, before any progress
         if args.job == "max":
             if args.column is None:
                 raise ConfigError("--column is required for the max job")
@@ -85,17 +69,15 @@ def cmd_mapreduce(args) -> int:
             if args.key is None:
                 raise ConfigError("--key is required for the keycount job")
             mapper = mapreduce.builtin_keycount_mapper(args.key, args.column)
-        return ds.total_rows, mapreduce.map_reduce(ds, mapper, progress_sink=show).pairs
+        return ds.total_rows, mapreduce.map_reduce(ds, mapper).pairs
 
     code = "d" if args.job == "max" else "q"  # a float64 maximum, or int64 counts
-    try:
-        (rows, pairs), _ = cached_result(args.input, _fit_tag(args.job, needed), fold,
-                                         partial(_pack_job, code), partial(_unpack_job, code))
-        if held is None:  # a fold shows at least its last event: this answer was read back
-            for event, repeats in steps(-(-rows // args.chunk_size), lambda: len(pairs)):
-                show(event, repeats)
-    finally:
-        release()  # the held lines go out before any error line
+    (rows, pairs), _ = cached_result(args.input, _fit_tag(args.job, needed), fold,
+                                     partial(_pack_job, code), partial(_unpack_job, code))
+    # a job that fails has raised by now, so it prints nothing on stdout
+    for event, runs in groupby(steps(-(-rows // args.chunk_size), lambda: len(pairs)),
+                               itemgetter(0)):
+        sys.stdout.write("Map {}% Reduce {}%\n".format(*event) * sum(n for _, n in runs))
     sys.stdout.write("".join(f"{key}\t{_fmt6(value)}\n" for key, value in pairs))
     return 0
 
@@ -214,7 +196,7 @@ def cmd_delays(args) -> int:
         from .datastore import Datastore
         from .report import delay_summary
 
-        return delay_summary(Datastore(path, _DELAYS_CHUNK, DELAY_COLUMNS, digests=inputs))
+        return delay_summary(Datastore(path, _FOLD_CHUNK, DELAY_COLUMNS, digests=inputs))
 
     summary, _ = cached_result(path, _fit_tag("delays", DELAY_COLUMNS), summarise,
                                _pack_delays, _unpack_delays)

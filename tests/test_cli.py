@@ -899,8 +899,9 @@ def test_keycount_prints_counts_of_a_million_and_more_exactly(capsys, monkeypatc
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=keyed_tables())
 def test_mapreduce_prints_a_line_per_progress_event_then_the_result(capsys, tmp_path, table):
-    # progress lines are held and written together, yet the output is still
-    # one line per event of the library job, then one line per result pair
+    # progress lines are written once the answer is known, a run of equal
+    # ones together, yet the output is still one line per event of the
+    # library job at the chunk size, then one line per result pair
     from stagecost import mapreduce
 
     keys, values = table
@@ -937,20 +938,24 @@ class _CountedWrites(io.StringIO):
 
 @pytest.mark.parametrize("job", [["keycount", "--key", "k"], ["max", "--column", "v"]])
 def test_mapreduce_writes_follow_the_percentages_not_the_chunks(monkeypatch, tmp_path, job):
-    # one write per distinct progress line and one for the result: as many
-    # at 1000 chunks as at 100
+    # one write per distinct progress line and one for the result, on a miss
+    # and on a hit: as many at 10^5 chunks of one row as at 10^4 of ten
     path = tmp_path / "keys.csv"
-    path.write_text("k,v\n" + "".join(f"k{i % 7},{i}\n" for i in range(1000)))
+    path.write_text("k,v\n" + "".join(f"k{i % 7},{i}\n" for i in range(10**5)))
+    keys = 7 if job[0] == "keycount" else 1
     writes = []
     for chunk_size in (1, 10):
-        out = _CountedWrites()
-        monkeypatch.setattr(sys, "stdout", out)
-        assert dispatch(["mapreduce", "run", "--job", *job, "--input", str(path),
-                         "--chunk-size", str(chunk_size)]) == 0
-        assert out.getvalue().count("\n") == 1000 // chunk_size + 1 + 2 * (
-            7 if job[0] == "keycount" else 1)
-        writes.append(out.writes)
-    assert writes[0] == writes[1] <= 203, writes
+        shutil.rmtree(tmp_path / colcache._CACHE_DIR, ignore_errors=True)
+        for _ in ("a miss", "a hit"):
+            out = _CountedWrites()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert dispatch(["mapreduce", "run", "--job", *job, "--input", str(path),
+                             "--chunk-size", str(chunk_size)]) == 0
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 10**5 // chunk_size + 1 + 2 * keys
+            assert out.writes == len(set(lines[:-keys])) + 1
+            writes.append(out.writes)
+    assert len(set(writes)) == 1 and writes[0] <= 203, writes
 
 
 class _RecordedWrites(io.StringIO):
@@ -982,8 +987,8 @@ def _counted_tables(draw):
 @example(table=(7, 12, 0))
 @example(table=(250, 3, 40))
 def test_a_hit_makes_the_writes_of_the_fold(monkeypatch, tmp_path, table):
-    # a hit counts each percentage's lines and holds them as the fold does:
-    # the same writes of the same text, one by one
+    # a fold and a hit print through one writer: the same writes of the
+    # same text, one by one
     rows, chunk_size, keys = table
     path = tmp_path / "keys.csv"
     path.write_text("k,v\n" + "".join(
@@ -1002,71 +1007,36 @@ def test_a_hit_makes_the_writes_of_the_fold(monkeypatch, tmp_path, table):
         assert len(writes[1]) == len(set("".join(writes[1][:-1]).splitlines())) + 1
 
 
-def test_a_hits_progress_grows_with_the_percentages_not_the_chunks(monkeypatch, tmp_path):
-    # 10^5 chunks of one row: a hit hands its line holder one step per run of
-    # equal events, two at most besides the distinct lines, while the fold
-    # sends its sink an event per chunk
-    from stagecost import mapreduce
-
-    path = tmp_path / "keys.csv"
-    path.write_text("k\n" + "".join(f"k{i % 5}\n" for i in range(10**5)))
-    argv = ["mapreduce", "run", "--job", "keycount", "--key", "k", "--input", str(path),
-            "--chunk-size", "1"]
-    events = []
-    mapreduce.map_reduce(open_datastore(path, chunk_size=1),
-                         mapreduce.builtin_keycount_mapper("k"), progress_sink=events.append)
-    assert len(events) == 1 + 10**5 + 5
-    monkeypatch.setattr(sys, "stdout", io.StringIO())
-    assert dispatch(argv) == 0  # the fold writes the entry
-    shown = []
-
-    def count_show(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_name == "show" and code.co_filename == tablecmds.__file__:
-            shown.append(frame.f_locals.get("repeats"))
-
-    out = io.StringIO()
-    monkeypatch.setattr(sys, "stdout", out)
-    sys.setprofile(count_show)
-    try:
-        assert dispatch(argv) == 0
-    finally:
-        sys.setprofile(None)
-    lines = out.getvalue().splitlines()
-    assert lines[:-5] == [f"Map {e.map_pct}% Reduce {e.reduce_pct}%" for e in events]
-    assert sum(shown) == len(events)
-    assert len(shown) <= len(set(lines[:-5])) + 2
-
-
-@pytest.mark.parametrize("chunk_size", [1, 7, 500])
-def test_mapreduce_shows_each_new_percentage_before_the_next_chunk(monkeypatch, tmp_path,
-                                                                  chunk_size):
-    # only repeats are held: when a chunk is read, the percentage of the
-    # chunks before it is already written
+@pytest.mark.parametrize("chunk_size", [1, 7, 4096, 5000])
+def test_a_job_miss_folds_in_chunks_of_4096_rows_at_any_chunk_size(monkeypatch, tmp_path,
+                                                                   chunk_size):
+    # the chunk size sets the progress lines alone: the fold reads the table
+    # in chunks of 4096 rows, and the lines count chunks of the chunk size
     from stagecost.datastore import Datastore
 
+    rows = 10_000
     path = tmp_path / "keys.csv"
-    path.write_text("k\n" + "a\n" * 1000)
-    out, shown = io.StringIO(), []
-    read = Datastore.read
+    path.write_text("k\n" + "".join(f"k{i % 3}\n" for i in range(rows)))
+    reads, read = [], Datastore.read
 
-    def watched_read(self):
-        shown.append(out.getvalue().splitlines()[-1:])
+    def counted_read(self):
+        reads.append(self)
         return read(self)
 
-    monkeypatch.setattr(Datastore, "read", watched_read)
+    monkeypatch.setattr(Datastore, "read", counted_read)
+    out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
     assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "k", "--input", str(path),
                      "--chunk-size", str(chunk_size)]) == 0
-    n = -(-1000 // chunk_size)
-    assert shown == [[]] + [[f"Map {100 * done // n}% Reduce 0%"] for done in range(1, n)]
+    assert len(reads) == -(-rows // 4096)
+    assert out.getvalue().count("\n") == 1 + -(-rows // chunk_size) + 2 * 3
 
 
 @pytest.mark.parametrize("fail_at", [1, 2, 50, 104, 105])
 def test_mapreduce_on_a_broken_pipe_prints_one_error(capsys, monkeypatch, tmp_path, fail_at):
-    # 200 chunks and 3 keys: the map percentages come twice each (but 0, with
-    # the first event, and 100), so 101 writes carry the map lines, each with
-    # the repeat of the line before, 3 the reduce lines and one the result;
+    # 200 chunks and 3 keys: the map percentages come twice each but 100 (0
+    # once with the first event), so 101 writes carry the map lines, each a
+    # line and its repeats, 3 the reduce lines and one the result;
     # whichever write meets the closed pipe, the job stops there with one error,
     # whether it reads its answer back or folds the table
     path = tmp_path / "keys.csv"
@@ -1086,12 +1056,10 @@ def test_mapreduce_on_a_broken_pipe_prints_one_error(capsys, monkeypatch, tmp_pa
         assert whole.getvalue().startswith(out.getvalue())
 
 
-@pytest.mark.parametrize("chunk_size, shown", [
-    ("100", "Map 0% Reduce 0%\nMap 25% Reduce 0%\nMap 50% Reduce 0%\n"),
-    ("1", "Map 0% Reduce 0%\n" * 3),  # all but the first are repeats, held when the job fails
-])
-def test_mapreduce_progress_goes_out_before_the_error_of_a_failing_job(monkeypatch, tmp_path,
-                                                                      chunk_size, shown):
+@pytest.mark.parametrize("chunk_size", ["1", "100", "4096"])
+def test_a_job_that_fails_in_its_fold_prints_only_its_error(monkeypatch, tmp_path, chunk_size):
+    # the lines are written once the answer is known: a mapper that refuses
+    # the third chunk of 4096 rows leaves stdout empty at any chunk size
     from stagecost import mapreduce
     from stagecost.errors import ToolkitError
 
@@ -1110,13 +1078,13 @@ def test_mapreduce_progress_goes_out_before_the_error_of_a_failing_job(monkeypat
 
     monkeypatch.setattr(mapreduce, "builtin_keycount_mapper", failing_keycount)
     path = tmp_path / "keys.csv"
-    path.write_text("k\n" + "a\n" * 400)
+    path.write_text("k\n" + "a\n" * (2 * 4096 + 400))
     both = io.StringIO()  # stdout and stderr in one stream, as with 2>&1
     monkeypatch.setattr(sys, "stdout", both)
     monkeypatch.setattr(sys, "stderr", both)
     assert dispatch(["mapreduce", "run", "--job", "keycount", "--key", "k", "--input", str(path),
                      "--chunk-size", chunk_size]) == 1
-    assert both.getvalue() == shown + "error: the third chunk is refused\n"
+    assert both.getvalue() == "error: the third chunk is refused\n"
 
 
 # -- regress ------------------------------------------------------------------------------
@@ -1473,59 +1441,6 @@ def test_reruns_are_byte_identical(capsys, config_file, delays_csv):
 
 # -- import graph ----------------------------------------------------------------------------
 
-_RUN_COMMANDS = """
-import json, sys
-from stagecost import cli
-
-loaded = ["numpy" in sys.modules]
-for argv in json.loads(sys.argv[1]):
-    sys.argv = ["stagecost", *argv]
-    try:
-        cli.main()
-    except SystemExit as exc:
-        if exc.code != 0:
-            raise
-    loaded.append("numpy" in sys.modules)
-sys.stderr.write(json.dumps(loaded))
-"""
-
-
-def test_only_the_array_commands_import_numpy(capsys, config_file, servers_csv, tmp_path):
-    # a fresh interpreter: importing the CLI and running the model, simulator
-    # and table commands (plotdata without a fit, regress from sums) leaves
-    # numpy unloaded, and so do a pca, a regress and a plotdata --fit that
-    # read what numpy gave back from the column cache; a pca that factors loads it
-    wide, cached = tmp_path / "wide.csv", tmp_path / "cached.csv"
-    for path in (wide, cached):
-        path.write_text("a,b\n1,2\n2,5\n3,5\n4,9\n")
-    regress = ["regress", "--input", str(cached), "--dependent", "b", "--independents", "a"]
-    plot_fit = ["plotdata", "--input", str(cached), "--x", "a", "--y", "b", "--fit"]
-    for argv in (["pca", "--input", str(cached)], regress, plot_fit):
-        assert dispatch(argv) == 0
-    capsys.readouterr()
-    runs = [
-        ["energy", "--config", config_file, "--kernel", "k1"],
-        ["compare", "--config", config_file, "--kernel", "k1"],
-        ["simulate", "--config", config_file, "--kernel", "k1", "--tick", "1"],
-        ["mapreduce", "run", "--job", "max", "--column", "ActualElapsedTime",
-         "--input", servers_csv],
-        ["delays"],
-        ["plotdata", "--input", servers_csv, "--x", "ActualElapsedTime",
-         "--y", "CRSElapsedTime"],
-        ["regress", "--from-ss", "19", "82.5", "10", "3"],
-        ["pca", "--input", str(cached)],
-        regress,
-        plot_fit,
-        ["pca", "--input", str(wide)],
-    ]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(runs)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr) == [False] * 11 + [True]
-
-
 _LOADED_MODULES = """
 import json, sys
 import stagecost.cli
@@ -1537,17 +1452,18 @@ if sys.argv[1:]:
     except SystemExit as exc:
         if exc.code != 0:
             raise
-standard = ("csv", "dataclasses", "inspect")
+standard = ("csv", "dataclasses", "inspect", "numpy")
 loaded = sorted(name for name in sys.modules
                 if name.partition(".")[0] == "stagecost" or name in standard)
 sys.stderr.write("\\n" + json.dumps(loaded))
 """
 
 
-# The standard modules that the test reports besides stagecost's own: config
-# and energy keep frozen dataclasses, numpy imports inspect and the parser csv.
+# The modules that the test reports besides stagecost's own: config and
+# energy keep frozen dataclasses, which imports inspect; numpy, which only a
+# command that computes on arrays loads, imports inspect; and the parser csv.
 _DATACLASSES = ["dataclasses", "inspect"]
-_NUMPY = ["inspect"]
+_NUMPY = ["inspect", "numpy"]
 _CSV = ["csv"]
 # The stagecost modules of a table command that parses its table.
 _PARSE = ["colcache", "csvload", "datastore"]
@@ -1602,7 +1518,8 @@ def test_each_command_loads_only_the_modules_it_calls(request, capsys, config_fi
     # each handler imports the stagecost modules it calls, the table commands'
     # handlers are in tablecmds, pca's in pcacmd, and the trace writer is in
     # simtrace.  Only the model commands load dataclasses, and with it inspect,
-    # through config.  The column cache is on there, so the tables are copies:
+    # through config, and only a regress, a pca or a plotdata --fit that
+    # computes loads numpy.  The column cache is on there, so the tables are copies:
     # an entry goes beside its input.  Each *-cached command runs after the
     # same command on its table, and reads back its columns without the parser
     # and csv, and what numpy gave without numpy: pca's factor table and
