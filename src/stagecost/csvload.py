@@ -7,6 +7,7 @@ columns back compiles no parser and loads no ``csv``.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import os
@@ -25,6 +26,8 @@ from .errors import EmptyInput, HeaderMismatch, MalformedCSV, MissingFile
 # to 2048 rows and 79-98 ms in blocks of 16k rows or more.
 _BLOCK_ROWS = 1024
 _NAN_FOR_MISSING = {MISSING_MARKER: math.nan}
+# Bytes decoded at a time when a file fails to decode, to find its bad line.
+_SCAN_BYTES = 1 << 16
 
 
 class _Column:
@@ -214,11 +217,27 @@ def _line_of(path, record: int) -> int:
 
 
 def _undecodable_line(path) -> int:
-    """The number of the line that holds the first byte of ``path`` not in UTF-8."""
+    """The number of the line that holds the first byte of ``path`` not in UTF-8.
+
+    A line ends at LF, at CR LF or at a bare CR, as the CSV reader's lines
+    do.  The file is decoded ``_SCAN_BYTES`` at a time, so the scan's memory
+    does not grow with the file.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    ends, after_cr = 0, False  # the line ends so far; whether the text so far ends in \r
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    return 0  # the file changed since it failed to decode
+        while True:
+            block = fh.read(_SCAN_BYTES)
+            try:
+                text, bad = decoder.decode(block, final=not block), False
+            except UnicodeDecodeError as exc:  # its object is the decoder's bytes and the block
+                text, bad = exc.object[:exc.start].decode("utf-8"), True
+            # a \r at the end of a block was counted as a bare one
+            ends += (text.count("\n") + text.count("\r") - text.count("\r\n")
+                     - (after_cr and text[:1] == "\n"))
+            if bad:
+                return ends + 1
+            if not block:
+                return 0  # the file changed since it failed to decode
+            if text:
+                after_cr = text[-1] == "\r"

@@ -1,23 +1,17 @@
 """Deterministic map-reduce over datastore chunks, as one fold.
 
 A job is one pass over the whole datastore, wherever its cursor stood: it
-rewinds the cursor, then reads, folds and reports each chunk before it reads
-the next.  The mapper folds each chunk, in table order, into ``partials``:
-one dict, of one running value per key, that it changes in place.  So a job
-holds one value per distinct key, however many chunks it reads.  After the
-last chunk each key is named by ``format_cell`` and the pairs, sorted by name
-alone, are the result.  A count or a maximum keeps its answer as its partial;
-a mean or a variance keeps a fixed tuple, such as (n, mean, M2), that its
-caller finishes.
+rewinds the cursor and reads every chunk.  The mapper folds each chunk, in
+table order, into ``partials``: one dict, of one running value per key,
+that it changes in place.  So a job holds one value per distinct key,
+however many chunks it reads.  After the last chunk each key is named by
+``format_cell`` and the pairs, sorted by name alone, are the result.  A
+count or a maximum keeps its answer as its partial; a mean or a variance
+keeps a fixed tuple, such as (n, mean, M2), that its caller finishes.
 
-Progress is reported as whole percentages by ``progress.run_job``, which
-sends the events of ``progress.steps`` one by one as the fold goes: a (0, 0)
-event once the first chunk is mapped, one event after every mapped chunk,
-and one after every key of the result.  A built-in mapper finds and checks
-its columns once per table it folds, on the first chunk, so a job it
-refuses reports no progress.  ``stagecost mapreduce run`` passes no sink:
-it folds in chunks of its own size and prints the events of
-``progress.steps`` for its ``--chunk-size`` once the answer is known.
+A job reports its progress to a sink by the one rule that ``progress``
+states.  A built-in mapper finds and checks its columns once per table it
+folds, on the first chunk.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from operator import itemgetter, not_
 from typing import Any, Callable, NamedTuple, Optional
 
 from .datastore import Datastore, TableChunk, format_cell
-from .progress import ProgressEvent, run_job
+from .progress import ProgressEvent, steps
 
 MAX_KEY = "MaxElapsedTime"  # key under which the built-in max job reports
 
@@ -54,25 +48,20 @@ ProgressSink = Optional[Callable[[ProgressEvent], None]]
 def map_reduce(ds: Datastore, mapper: Mapper, progress_sink: ProgressSink = None) -> JobResult:
     """Fold every chunk of ``ds`` into one running value per key with ``mapper``.
 
-    The job rewinds ``ds`` and reads it to the end.  Each chunk is read,
-    folded and reported before the next one is read; the first (0, 0) event
-    waits until the first chunk is folded.
+    The job rewinds ``ds`` and reads it to the end, then sends ``progress_sink``
+    the job's events, if it is given.
     """
     ds.reset()
-    read, partials, pairs = ds.read, {}, []
-
-    def reduce() -> int:
-        pairs.extend(sorted(((format_cell(key), value) for key, value in partials.items()),
-                            key=itemgetter(0)))
-        return len(pairs)
-
-    run_job(ds.chunks_left, lambda: mapper(read(), partials), reduce,
-            _ignore if progress_sink is None else progress_sink)
-    return JobResult(pairs=tuple(pairs))
-
-
-def _ignore(event: ProgressEvent) -> None:
-    """The sink of a job that no one watches."""
+    read, partials, chunks = ds.read, {}, ds.chunks_left
+    for _ in range(chunks):
+        mapper(read(), partials)
+    pairs = tuple(sorted(((format_cell(key), value) for key, value in partials.items()),
+                         key=itemgetter(0)))
+    if progress_sink is not None:
+        for event, repeats in steps(chunks, len(pairs)):
+            for _ in range(repeats):
+                progress_sink(event)
+    return JobResult(pairs=pairs)
 
 
 # -- built-in jobs -------------------------------------------------------------

@@ -1,18 +1,18 @@
 """The progress of a map-reduce job, as whole percentages.
 
-Each event is a named tuple (map_pct, reduce_pct): a (0, 0) event once the
-first chunk is mapped, one event after every mapped chunk, and one after
-every key of the result; the final event is always (100, 100).
-:func:`steps` is the one schedule of these events, as runs of equal ones.
-``map_reduce`` runs its fold through :func:`run_job`, which sends them one
-by one.  ``stagecost mapreduce run`` takes a run at a time once the job's
-answer is known, whether it folded the table or read the answer back from
-the column cache, so its writes grow with the runs, not the chunks.
+Each event is a named tuple (map_pct, reduce_pct): a (0, 0) event, one
+event per chunk, then one per key of the result; the final event is always
+(100, 100).  A job's events come from its chunk and key counts once its
+answer is known, and a job that fails sends none.  :func:`steps` is the
+one schedule of these events, as runs of equal ones: ``map_reduce`` sends
+its sink each event of each run, and ``stagecost mapreduce run``, whether
+it folded the table or read the answer back from the column cache, writes
+each run at once, so its writes grow with the runs, not the chunks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class ProgressEvent(NamedTuple):
@@ -30,31 +30,14 @@ def _runs(n: int) -> Iterator[tuple[int, int]]:
             yield p, last - first + 1
 
 
-def steps(chunks: int, keys: Callable[[], int]) -> Iterator[tuple[ProgressEvent, int]]:
-    """The events of a job of ``chunks`` chunks, in order, as steps ``(event,
-    repeats)``; ``keys()``, the number of keys, is called after the map's steps."""
+def steps(chunks: int, keys: int) -> Iterator[tuple[ProgressEvent, int]]:
+    """The events of a job of ``chunks`` chunks and ``keys`` keys, in order,
+    as steps ``(event, repeats)``."""
     if chunks:
         yield ProgressEvent(0, 0), 1
     for pct, repeats in _runs(chunks):
         yield ProgressEvent(pct, 0), repeats
-    n = keys()
-    for pct, repeats in _runs(n):
+    for pct, repeats in _runs(keys):
         yield ProgressEvent(100, pct), repeats
-    if not n:
+    if not keys:
         yield ProgressEvent(100, 100), 1  # nothing to reduce still finishes the job
-
-
-def run_job(chunks: int, map_chunk: Callable[[], object], reduce: Callable[[], int],
-            sink: Callable[[ProgressEvent], object]) -> None:
-    """Call ``map_chunk()`` ``chunks`` times, then ``reduce()``, which gives the
-    number of keys, and send ``sink`` each event of :func:`steps` as it
-    happens: each chunk is mapped just before its own event, and the first
-    one before (0, 0) too."""
-    mapped = sent = 0
-    for event, repeats in steps(chunks, reduce):
-        for _ in range(repeats):
-            if mapped < chunks and sent != 1:  # (0, 0) and the first chunk's event share it
-                map_chunk()
-                mapped += 1
-            sink(event)
-            sent += 1

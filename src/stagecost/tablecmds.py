@@ -75,7 +75,7 @@ def cmd_mapreduce(args) -> int:
     (rows, pairs), _ = cached_result(args.input, _fit_tag(args.job, needed), fold,
                                      partial(_pack_job, code), partial(_unpack_job, code))
     # a job that fails has raised by now, so it prints nothing on stdout
-    for event, runs in groupby(steps(-(-rows // args.chunk_size), lambda: len(pairs)),
+    for event, runs in groupby(steps(-(-rows // args.chunk_size), len(pairs)),
                                itemgetter(0)):
         sys.stdout.write("Map {}% Reduce {}%\n".format(*event) * sum(n for _, n in runs))
     sys.stdout.write("".join(f"{key}\t{_fmt6(value)}\n" for key, value in pairs))

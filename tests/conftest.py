@@ -12,12 +12,19 @@ import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from stagecost import csvload, fixtures, mapreduce, pca, stats
 from stagecost.config import KernelRate, SystemConfig, Workload
 from stagecost.energy import e_active_ssd, e_idle_ssd, e_ssd2pfs
+
+
+# CI runs CacheMachine (test_colcache.py) once more, alone, with
+# --hypothesis-profile=deep: rarer histories of the column cache need more
+# examples than a tier-1 run can spend.
+settings.register_profile("deep", max_examples=1500)
 
 
 def pytest_configure(config):

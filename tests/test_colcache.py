@@ -389,7 +389,9 @@ def test_every_command_prints_what_it_prints_with_no_cache(monkeypatch, tmp_path
     monkeypatch.setattr(colcache, "_key_files", lambda: list(keyed))
     run_state_machine_as_test(
         lambda: CacheMachine(tmp_path / "tables", keyed, makers, armed),
-        settings=settings(max_examples=200, stateful_step_count=40, deadline=None,
+        # tier-1's 200 examples, or more under a profile that asks for more
+        settings=settings(max_examples=max(200, settings.default.max_examples),
+                          stateful_step_count=40, deadline=None,
                           database=None, derandomize=True,
                           suppress_health_check=list(HealthCheck),
                           # explaining a failure traces every line of every replay:

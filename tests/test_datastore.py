@@ -1,6 +1,7 @@
 """Datastore parsing, cursor behaviour, and chunking invariance."""
 
 import csv
+import io
 import itertools
 import os
 import random
@@ -305,6 +306,88 @@ def test_duplicate_column_names_are_rejected(tmp_path):
     path.write_text("a,a\n1,2\n")
     with pytest.raises(HeaderMismatch):
         open_datastore(path)
+
+
+# -- a byte that is not UTF-8: its line, found a block of bytes at a time --------------
+
+_SEQUENCES = ["a", ",", "7", "é", "€", "𝄞"]  # 1 to 4 bytes in UTF-8
+_BAD_BYTES = [b"\xe9", b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9d\x84"]
+
+
+def _line_of_the_bad_byte(data: bytes) -> int:
+    """The line that a whole-file decode fails on, counted by the lines that
+    Python's own reader splits off the text before it, or 0 if it decodes."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        return 1 + sum(line[-1] in "\r\n" for line in io.StringIO(before, newline=""))
+    return 0
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.text(st.sampled_from(_SEQUENCES), max_size=6), min_size=1, max_size=8),
+       end=st.sampled_from(["\n", "\r\n", "\r"]), last_end=st.booleans(),
+       bad=st.none() | st.tuples(st.integers(0, 200), st.sampled_from(_BAD_BYTES)),
+       block=st.integers(1, 9))
+def test_a_bad_byte_is_found_on_the_line_a_whole_decode_finds(tmp_path, lines, end, last_end,
+                                                             bad, block):
+    data = (end.join(lines) + (end if last_end else "")).encode()
+    if bad is not None:
+        at, sequence = bad
+        at = min(at, len(data))  # it may split a character: that is a bad byte too
+        data = data[:at] + sequence + data[at:]
+    path = tmp_path / "text.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csvload, "_SCAN_BYTES", block)
+        assert csvload._undecodable_line(path) == _line_of_the_bad_byte(data)
+
+
+_N, _EURO = csvload._SCAN_BYTES, "€".encode()
+_ON_A_BLOCK_BOUNDARY = {
+    "at offset 0": b"\xe9a,b\n",
+    "last byte of a block": b"a\n" + b"x" * (_N - 3) + b"\xe9\n",
+    "first byte of a block": b"a\n" + b"x" * (_N - 2) + b"\xe9\n",
+    "after a character split across blocks": b"a\n" + b"x" * (_N - 3) + _EURO + b"\xe9\n",
+    "CR LF split across blocks": b"a\n" + b"x" * (_N - 3) + b"\r\n\xe9\n",
+    "a bare CR ends a block": b"a\n" + b"x" * (_N - 3) + b"\r\xe9\n",
+    "a sequence cut off by the end": b"a\r\nb\r\n" + b"x" * _N + _EURO[:2],
+}
+
+
+@pytest.mark.parametrize("case", list(_ON_A_BLOCK_BOUNDARY))
+def test_a_bad_byte_on_a_block_boundary_is_found_on_its_line(tmp_path, case):
+    data = _ON_A_BLOCK_BOUNDARY[case]
+    path = tmp_path / "edge.csv"
+    path.write_bytes(data)
+    assert csvload._undecodable_line(path) == _line_of_the_bad_byte(data) > 0
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_a_bad_byte_names_the_line_that_a_short_row_there_names(tmp_path, end):
+    path = tmp_path / "ends.csv"
+    for line_3, error in [(b"3", "expected 2 cells, got 1"),
+                          (b"3,caf\xe9", r"not UTF-8 text \(invalid continuation byte\)")]:
+        path.write_bytes(end.join([b"a,b", b"1,2", line_3, b"4,5", b""]))
+        with pytest.raises((HeaderMismatch, MalformedCSV), match=f":3: {error}$"):
+            open_datastore(path)
+
+
+def test_the_scan_for_a_bad_byte_does_not_grow_with_the_file(tmp_path):
+    peaks = []
+    for blocks in (4, 64):
+        path = tmp_path / f"blocks{blocks}.csv"
+        lines = blocks * csvload._SCAN_BYTES // 16
+        path.write_bytes(b"a,b\n" + b"123456,78901234\n" * lines + b"9,caf\xe9\n")
+        tracemalloc.start()
+        try:
+            assert csvload._undecodable_line(path) == lines + 2
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 # -- cursor ---------------------------------------------------------------------------

@@ -283,23 +283,67 @@ class _Refused(Exception):
     pass
 
 
-@pytest.mark.parametrize("bad_chunk, events_seen", [(1, []), (2, [(0, 0), (33, 0)])])
-def test_a_mapper_that_raises_stops_the_progress_where_it_is(servers_csv, bad_chunk,
-                                                             events_seen):
-    # the first (0, 0) waits for the first chunk: a job the mapper refuses
-    # on it reports no progress at all
+@pytest.mark.parametrize("raising", ["mapper", "read"])
+@pytest.mark.parametrize("bad_chunk", [1, 2, 3], ids=["first", "middle", "last"])
+def test_a_job_that_raises_sends_no_event(servers_csv, raising, bad_chunk):
+    # events come once the answer is known, so a job that fails on any chunk
+    # reports no progress at all
     ds = open_datastore(servers_csv, chunk_size=3)  # 3 + 3 + 2 rows
-    chunks = []
+    calls = []
 
-    def refusing_mapper(chunk, out):
-        chunks.append(chunk)
-        if len(chunks) == bad_chunk:
-            raise _Refused
+    def refusing(call):
+        def refused(*args):
+            calls.append(1)
+            if len(calls) == bad_chunk:
+                raise _Refused
+            return call(*args)
+        return refused
 
+    mapper = builtin_max_mapper("Delay")
+    if raising == "mapper":
+        mapper = refusing(mapper)
+    else:
+        ds.read = refusing(ds.read)
     events = []
     with pytest.raises(_Refused):
-        map_reduce(ds, refusing_mapper, progress_sink=events.append)
-    assert [(e.map_pct, e.reduce_pct) for e in events] == events_seen
+        map_reduce(ds, mapper, progress_sink=events.append)
+    assert events == []
+
+
+def test_a_sink_hears_the_job_once_every_chunk_is_read(servers_csv):
+    ds = open_datastore(servers_csv, chunk_size=3)  # 3 + 3 + 2 rows
+    more_to_read = []
+    map_reduce(ds, builtin_max_mapper("Delay"),
+               progress_sink=lambda event: more_to_read.append(ds.has_data()))
+    assert more_to_read == [False] * 5
+
+
+def _loop_per_chunk(ds, mapper):
+    """The events of a job that reports each chunk as it folds it, (0, 0)
+    with the first, and then each key of its result."""
+    ds.reset()
+    chunks, partials, events = ds.chunks_left, {}, []
+    for done in range(1, chunks + 1):
+        mapper(ds.read(), partials)
+        events += [(0, 0)] * (done == 1) + [(100 * done // chunks, 0)]
+    keys = len({format_cell(key) for key in partials})
+    events += [(100, 100 * done // keys) for done in range(1, keys + 1)] or [(100, 100)]
+    return events
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=keyed_tables())
+def test_a_completed_job_sends_the_events_of_a_loop_per_chunk(tmp_path, table):
+    keys, values = table
+    path = tmp_path / "keyed.csv"
+    path.write_text("k,v\n" + "".join(f"{k},{v}\n" for k, v in zip(keys, values)))
+    for chunk_size in range(1, len(keys) + 1):
+        for job in (lambda: builtin_keycount_mapper("k"),
+                    lambda: builtin_keycount_mapper("k", "v"),
+                    lambda: builtin_max_mapper("v")):
+            ds = open_datastore(path, chunk_size=chunk_size)
+            assert run_with_trace(ds, job())[1] == _loop_per_chunk(ds, job())
 
 
 def test_a_custom_fold_counts_by_sign(delays_csv):
